@@ -22,7 +22,6 @@ from .scheduler import (
     ConvergenceTrace,
     SchedulerConfig,
     run_until_converged,
-    solve_station_subproblem,
 )
 from .coordinator import LoopbackTransport, ScriptedEvent, run_receding_horizon
 from .powerflow import PowerFlowSolution, LineFlow, solve_power_flow
@@ -44,7 +43,6 @@ __all__ = [
     "ConvergenceTrace",
     "SchedulerConfig",
     "run_until_converged",
-    "solve_station_subproblem",
     "LoopbackTransport",
     "ScriptedEvent",
     "run_receding_horizon",

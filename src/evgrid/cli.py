@@ -13,21 +13,21 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import coordinator, fileio, fleet, metrics
-from .fleet import FleetError, FleetScenario, FleetSpec
-from .grid import GridCaseError, build_admittance_matrix, load_grid_case
-from .metrics import MetricsError, ReactiveAssumptions
+from .fleet import FleetScenario, FleetSpec
+from .grid import BusKind, GridCase, build_admittance_matrix, load_grid_case
+from .metrics import ReactiveAssumptions
 from .powerflow import PowerFlowError, compute_line_flows, solve_power_flow
-from .scheduler import SchedulerConfig, SchedulerError, run_until_converged
+from .scheduler import SchedulerConfig, run_until_converged
 
-USER_ERRORS = (GridCaseError, PowerFlowError, FleetError, SchedulerError,
-               coordinator.CoordinatorError, coordinator.ProtocolError,
-               MetricsError, ValueError, OSError)
+# every input error of the package (grid, fleet, scheduler, coordinator,
+# metrics) is a ValueError
+USER_ERRORS = (ValueError, OSError, PowerFlowError, coordinator.ProtocolError)
 
 _CONFIG_KEYS = {
     "case", "base_load", "sessions", "events", "uncoordinated", "coordinated",
@@ -52,7 +52,7 @@ class RunConfig:
     pf_max_iter: int
     reactive: ReactiveAssumptions
     pv_mw: dict[int, float]
-    fleet_spec: dict | None
+    fleet_spec: FleetSpec | None
     slot: int | None
 
 
@@ -63,44 +63,75 @@ def _resolve(base_dir: Path, value) -> Path | None:
     return path if path.is_absolute() else base_dir / path
 
 
+def _field_names(cls) -> set[str]:
+    return {f.name for f in fields(cls)}
+
+
+def _keys(name: str, section, allowed: set[str] | None = None) -> dict:
+    """A copy of config section ``name``; keys outside ``allowed`` are an error."""
+    if not isinstance(section, dict):
+        raise ValueError(f"{name} must be a JSON object")
+    unknown = sorted(set(section) - allowed) if allowed is not None else []
+    if unknown:
+        raise ValueError(f"unknown {name} keys {unknown}")
+    return dict(section)
+
+
+def _fleet_spec(section, scheduler: SchedulerConfig) -> FleetSpec:
+    spec = {"slots": scheduler.slots, "slot_hours": scheduler.slot_hours,
+            **_keys("fleet", section, _field_names(FleetSpec))}
+    missing = sorted(_field_names(FleetSpec) - set(spec))
+    if missing:
+        raise ValueError(f"missing fleet keys {missing}")
+    spec["counts"] = {int(k): int(v) for k, v in spec["counts"].items()}
+    spec["energy_kwh_range"] = tuple(spec["energy_kwh_range"])
+    return FleetSpec(**spec)
+
+
 def load_run_config(config_path: str | None, overrides: dict) -> RunConfig:
-    raw: dict = {}
-    base_dir = Path.cwd()
-    if config_path:
-        config_path = Path(config_path)
-        with open(config_path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        unknown = sorted(set(raw) - _CONFIG_KEYS)
-        if unknown:
-            raise ValueError(f"{config_path}: unknown config keys {unknown}")
-        base_dir = config_path.parent
+    """Parse the config file plus flag overrides.  Unknown keys in any
+    section and bad values are errors that name the config file."""
+    base_dir = Path(config_path).parent if config_path else Path.cwd()
+    try:
+        raw = {}
+        if config_path:
+            with open(config_path, "r", encoding="utf-8") as fh:
+                raw = json.load(fh)
+        cfg = _parse_config(raw, overrides, base_dir)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{config_path or 'command line'}: {exc}") from None
+    for name in ("case", "base_load", "sessions", "events", "uncoordinated", "coordinated"):
+        path = getattr(cfg, f"{name}_path")
+        if path is not None and not path.exists():
+            raise ValueError(f"{name} file not found: {path}")
+    return cfg
+
+
+def _parse_config(raw, overrides: dict, base_dir: Path) -> RunConfig:
+    _keys("config", raw, _CONFIG_KEYS)
 
     def path_of(key: str) -> Path | None:
         if overrides.get(key) is not None:
             return _resolve(Path.cwd(), overrides[key])
         return _resolve(base_dir, raw.get(key))
 
-    sched_raw = dict(raw.get("scheduler", {}))
+    def pick(flag: str, key: str, default):
+        if overrides.get(flag) is not None:
+            return overrides[flag]
+        return raw.get(key, default)
+
+    sched_raw = _keys("scheduler", raw.get("scheduler", {}),
+                      _field_names(SchedulerConfig) | {"lambda"})
     if "lambda" in sched_raw:
         sched_raw["lam"] = sched_raw.pop("lambda")
-    for key in ("lam", "epsilon", "max_iterations", "workers"):
+    for key in ("lam", "epsilon", "max_iterations"):
         if overrides.get(key) is not None:
             sched_raw[key] = overrides[key]
     scheduler = SchedulerConfig(**sched_raw)
-
-    pf_raw = raw.get("power_flow", {})
-    reactive_raw = raw.get("reactive", {})
-    pv_raw = raw.get("pv_mw", {})
-
-    steps = overrides.get("steps")
-    if steps is None:
-        steps = raw.get("horizon_steps", 24)
-    seed = overrides.get("seed")
-    if seed is None:
-        seed = raw.get("seed", 1)
-    slot = overrides.get("slot")
-    if slot is None:
-        slot = raw.get("slot")
+    pf_raw = _keys("power_flow", raw.get("power_flow", {}), {"tol", "max_iter"})
+    reactive_raw = _keys("reactive", raw.get("reactive", {}),
+                         _field_names(ReactiveAssumptions))
+    slot = pick("slot", "slot", None)
 
     if overrides.get("output") is not None:
         output_dir = _resolve(Path.cwd(), overrides["output"])
@@ -109,7 +140,7 @@ def load_run_config(config_path: str | None, overrides: dict) -> RunConfig:
     else:
         output_dir = Path.cwd() / "out"
 
-    cfg = RunConfig(
+    return RunConfig(
         case_path=path_of("case"),
         base_load_path=path_of("base_load"),
         sessions_path=path_of("sessions"),
@@ -117,29 +148,86 @@ def load_run_config(config_path: str | None, overrides: dict) -> RunConfig:
         uncoordinated_path=path_of("uncoordinated"),
         coordinated_path=path_of("coordinated"),
         output_dir=output_dir,
-        seed=int(seed),
+        seed=int(pick("seed", "seed", 1)),
         scheduler=scheduler,
-        horizon_steps=int(steps),
+        horizon_steps=int(pick("steps", "horizon_steps", 24)),
         pf_tol=float(pf_raw.get("tol", 1e-8)),
         pf_max_iter=int(pf_raw.get("max_iter", 20)),
         reactive=ReactiveAssumptions(**reactive_raw),
-        pv_mw={int(k): float(v) for k, v in pv_raw.items()},
-        fleet_spec=raw.get("fleet"),
+        pv_mw={int(k): float(v) for k, v in _keys("pv_mw", raw.get("pv_mw", {})).items()},
+        fleet_spec=_fleet_spec(raw["fleet"], scheduler) if "fleet" in raw else None,
         slot=None if slot is None else int(slot),
     )
-    for name, path in (("case", cfg.case_path), ("base_load", cfg.base_load_path),
-                       ("sessions", cfg.sessions_path), ("events", cfg.events_path),
-                       ("uncoordinated", cfg.uncoordinated_path),
-                       ("coordinated", cfg.coordinated_path)):
-        if path is not None and not path.exists():
-            raise ValueError(f"{name} file not found: {path}")
-    return cfg
 
 
-def _require(cfg: RunConfig, *names: str) -> None:
-    missing = [n for n in names if getattr(cfg, f"{n}_path") is None]
+@dataclass
+class Inputs:
+    """Every input file a command uses, loaded and cross-checked."""
+
+    case: GridCase | None = None
+    base: metrics.BaseLoadProfile | None = None
+    scenario: FleetScenario | None = None
+    events: list[coordinator.ScriptedEvent] = field(default_factory=list)
+    schedules: list[tuple] = field(default_factory=list)   # uncoordinated, coordinated
+
+
+_REQUIRED = {"powerflow": ("case",), "schedule": ("case", "base_load"),
+             "simulate": ("case", "base_load"), "gen-fleet": (),
+             "compare": ("case", "base_load", "uncoordinated", "coordinated")}
+
+
+def _on_load_buses(label, bus_ids, base: metrics.BaseLoadProfile) -> None:
+    stray = sorted(set(bus_ids) - set(base.bus_ids))
+    if stray:
+        raise ValueError(f"{label}: EVs on bus(es) {stray}, which carry no base load row")
+
+
+def preflight(cfg: RunConfig, command: str) -> Inputs:
+    """Load and cross-check every input ``command`` uses, so that bad input
+    fails before any schedule, power flow or output write."""
+    missing = [n for n in _REQUIRED[command] if getattr(cfg, f"{n}_path") is None]
     if missing:
         raise ValueError(f"missing required input(s): {', '.join(missing)}")
+    if command == "gen-fleet":
+        if cfg.fleet_spec is None:
+            raise ValueError("config has no fleet spec")
+        return Inputs(scenario=fleet.generate_fleet(cfg.seed, cfg.fleet_spec))
+
+    case = load_grid_case(cfg.case_path)
+    inputs = Inputs(case=case)
+    pv_buses = sorted(b.id for b in case.buses if b.kind is BusKind.PV)
+    not_pv = sorted(set(cfg.pv_mw) - set(pv_buses))
+    if not_pv:
+        raise ValueError(f"pv_mw: bus(es) {not_pv} are not PV buses of "
+                         f"{cfg.case_path}; its PV buses are {pv_buses}")
+    if cfg.base_load_path is None:
+        return inputs
+
+    base = inputs.base = metrics.read_base_load(cfg.base_load_path)
+    base.validate_against(case)
+    if cfg.slot is not None and not 0 <= cfg.slot < base.slots:
+        raise ValueError(f"slot {cfg.slot} outside the base load's 0..{base.slots - 1}")
+    if command in ("schedule", "simulate"):
+        if base.slots != cfg.scheduler.slots:
+            raise ValueError(
+                f"base load has {base.slots} slots, scheduler expects {cfg.scheduler.slots}"
+            )
+        inputs.scenario = _load_sessions(cfg)
+        _on_load_buses(cfg.sessions_path or "fleet",
+                       [s.bus_id for s in inputs.scenario.sessions], base)
+    if command == "simulate" and cfg.events_path is not None:
+        inputs.events = coordinator.read_events(cfg.events_path)
+        _on_load_buses(cfg.events_path,
+                       [e.bus_id for e in inputs.events if e.kind == "add_session"], base)
+    if command == "compare":
+        for path in (cfg.uncoordinated_path, cfg.coordinated_path):
+            ev_ids, bus_ids, profiles_kw = fileio.read_schedules(path)
+            if ev_ids and profiles_kw.shape[1] != base.slots:
+                raise ValueError(f"{path}: {profiles_kw.shape[1]} slots, "
+                                 f"base load has {base.slots}")
+            _on_load_buses(path, bus_ids, base)
+            inputs.schedules.append((ev_ids, bus_ids, profiles_kw))
+    return inputs
 
 
 def _load_sessions(cfg: RunConfig) -> FleetScenario:
@@ -149,20 +237,8 @@ def _load_sessions(cfg: RunConfig) -> FleetScenario:
                           key=lambda s: s.ev_id)
         return FleetScenario(tuple(sessions), sched.slots, sched.slot_hours)
     if cfg.fleet_spec is not None:
-        return fleet.generate_fleet(cfg.seed, _fleet_spec(cfg))
+        return fleet.generate_fleet(cfg.seed, cfg.fleet_spec)
     raise ValueError("config provides neither sessions nor a fleet spec")
-
-
-def _fleet_spec(cfg: RunConfig) -> FleetSpec:
-    raw = dict(cfg.fleet_spec or {})
-    if not raw:
-        raise ValueError("config has no fleet spec")
-    raw.setdefault("slots", cfg.scheduler.slots)
-    raw.setdefault("slot_hours", cfg.scheduler.slot_hours)
-    raw["counts"] = {int(k): int(v) for k, v in raw.get("counts", {}).items()}
-    if "energy_kwh_range" in raw:
-        raw["energy_kwh_range"] = tuple(raw["energy_kwh_range"])
-    return FleetSpec(**raw)
 
 
 def _write_json(path: Path, payload) -> None:
@@ -171,16 +247,18 @@ def _write_json(path: Path, payload) -> None:
         fh.write("\n")
 
 
-def _profiles_by_bus(bus_ids, profiles_kw):
-    return list(zip(bus_ids, profiles_kw))
+def _write_report(out: Path, report: metrics.ScenarioReport) -> None:
+    """``report.json`` and ``report.txt`` in ``out``, and the text on stdout."""
+    _write_json(out / "report.json", metrics.report_to_dict(report))
+    text = metrics.render_report(report)
+    with open(out / "report.txt", "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+    print(text, end="")
 
 
-def cmd_powerflow(cfg: RunConfig) -> int:
-    _require(cfg, "case")
-    case = load_grid_case(cfg.case_path)
-    if cfg.base_load_path is not None:
-        base = metrics.read_base_load(cfg.base_load_path)
-        base.validate_against(case)
+def cmd_powerflow(cfg: RunConfig, inputs: Inputs) -> int:
+    case, base = inputs.case, inputs.base
+    if base is not None:
         loads = metrics.ScenarioLoads(base.bus_ids, base.mw, np.zeros_like(base.mw))
         slot = cfg.slot if cfg.slot is not None else int(np.argmax(loads.system_total()))
         solution, flows = metrics.evaluate_grid_at_slot(
@@ -240,36 +318,16 @@ def cmd_powerflow(cfg: RunConfig) -> int:
     return 0
 
 
-def _uncoordinated_matrix(scenario: FleetScenario) -> np.ndarray:
-    rows = np.zeros((len(scenario.sessions), scenario.slots_per_horizon))
-    for n, session in enumerate(scenario.sessions):
-        rows[n] = fleet.uncoordinated_profile(
-            session, scenario.slots_per_horizon, scenario.slot_hours
-        )
-    return rows
-
-
-def cmd_schedule(cfg: RunConfig) -> int:
-    _require(cfg, "case", "base_load")
-    case = load_grid_case(cfg.case_path)
-    base = metrics.read_base_load(cfg.base_load_path)
-    base.validate_against(case)
-    scenario = _load_sessions(cfg)
-    scenario.validate_buses({b.id for b in case.buses})
-    if base.slots != cfg.scheduler.slots:
-        raise ValueError(
-            f"base load has {base.slots} slots, scheduler expects {cfg.scheduler.slots}"
-        )
-
-    base_total = base.mw.sum(axis=0)
+def cmd_schedule(cfg: RunConfig, inputs: Inputs) -> int:
+    scenario = inputs.scenario
+    base_total = inputs.base.mw.sum(axis=0)
     profiles, trace = run_until_converged(cfg.scheduler, base_total,
                                           list(scenario.sessions))
 
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    ev_ids = [s.ev_id for s in scenario.sessions]
-    bus_ids = [s.bus_id for s in scenario.sessions]
     fileio.write_schedules(cfg.output_dir / "schedules_coordinated.csv",
-                           ev_ids, bus_ids, profiles)
+                           [s.ev_id for s in scenario.sessions],
+                           [s.bus_id for s in scenario.sessions], profiles)
     fileio.write_traces(cfg.output_dir / "traces.csv", [trace])
 
     status = "converged" if trace.converged else "did not converge"
@@ -280,36 +338,24 @@ def cmd_schedule(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
-    _require(cfg, "case", "base_load")
-    case = load_grid_case(cfg.case_path)
-    base = metrics.read_base_load(cfg.base_load_path)
-    base.validate_against(case)
-    scenario = _load_sessions(cfg)
-    scenario.validate_buses({b.id for b in case.buses})
-    if base.slots != cfg.scheduler.slots:
-        raise ValueError(
-            f"base load has {base.slots} slots, scheduler expects {cfg.scheduler.slots}"
-        )
-    events = (coordinator.read_events(cfg.events_path)
-              if cfg.events_path is not None else [])
-
-    uncoordinated = _uncoordinated_matrix(scenario)
+def cmd_simulate(cfg: RunConfig, inputs: Inputs) -> int:
+    case, base, scenario = inputs.case, inputs.base, inputs.scenario
+    slots = scenario.slots_per_horizon
+    uncoordinated = np.array([
+        fleet.uncoordinated_profile(s, slots, scenario.slot_hours) for s in scenario.sessions
+    ]).reshape(-1, slots)
     unc_ids = [s.ev_id for s in scenario.sessions]
     unc_buses = [s.bus_id for s in scenario.sessions]
 
     base_total = base.mw.sum(axis=0)
     result = coordinator.run_receding_horizon(
-        cfg.scheduler, base_total, scenario, cfg.horizon_steps, events
+        cfg.scheduler, base_total, scenario, cfg.horizon_steps, inputs.events
     )
     coord_buses = [result.bus_ids[e] for e in result.ev_ids]
 
     report = metrics.compare_scenarios(
-        case, base,
-        _profiles_by_bus(unc_buses, uncoordinated),
-        _profiles_by_bus(coord_buses, result.committed_kw),
-        cfg.reactive, cfg.pv_mw, flags=result.flags,
-        tol=cfg.pf_tol, max_iter=cfg.pf_max_iter,
+        case, base, zip(unc_buses, uncoordinated), zip(coord_buses, result.committed_kw),
+        cfg.reactive, cfg.pv_mw, flags=result.flags, tol=cfg.pf_tol, max_iter=cfg.pf_max_iter,
     )
 
     out = cfg.output_dir
@@ -319,62 +365,35 @@ def cmd_simulate(cfg: RunConfig) -> int:
     fileio.write_schedules(out / "schedules_coordinated.csv",
                            list(result.ev_ids), coord_buses, result.committed_kw)
     fileio.write_traces(out / "traces.csv", result.step_traces)
-    _write_json(out / "report.json", metrics.report_to_dict(report))
-    text = metrics.render_report(report)
-    with open(out / "report.txt", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    _write_report(out, report)
 
-    loads_unc = metrics.aggregate_load(base, _profiles_by_bus(unc_buses, uncoordinated))
-    loads_coord = metrics.aggregate_load(
-        base, _profiles_by_bus(coord_buses, result.committed_kw)
-    )
+    loads_unc = metrics.aggregate_load(base, zip(unc_buses, uncoordinated))
+    loads_coord = metrics.aggregate_load(base, zip(coord_buses, result.committed_kw))
     fileio.write_system_aggregate(
         out / "system_load.csv", base_total,
         loads_unc.system_total(), loads_coord.system_total(),
     )
-    def by_bus(loads):
-        return {bus: loads.total_mw[k] for k, bus in enumerate(loads.bus_ids)}
-
-    fileio.write_bus_aggregate(
-        out / "bus_load.csv", list(base.bus_ids),
-        {bus: base.mw[k] for k, bus in enumerate(base.bus_ids)},
-        by_bus(loads_unc), by_bus(loads_coord),
-    )
-
-    print(text, end="")
+    fileio.write_bus_aggregate(out / "bus_load.csv", base.bus_ids, base.mw,
+                               loads_unc.total_mw, loads_coord.total_mw)
     return 0
 
 
-def cmd_compare(cfg: RunConfig) -> int:
-    _require(cfg, "case", "base_load", "uncoordinated", "coordinated")
-    case = load_grid_case(cfg.case_path)
-    base = metrics.read_base_load(cfg.base_load_path)
-    base.validate_against(case)
-    unc_ids, unc_buses, unc_kw = fileio.read_schedules(cfg.uncoordinated_path)
-    coord_ids, coord_buses, coord_kw = fileio.read_schedules(cfg.coordinated_path)
-
+def cmd_compare(cfg: RunConfig, inputs: Inputs) -> int:
+    (_, unc_buses, unc_kw), (_, coord_buses, coord_kw) = inputs.schedules
     report = metrics.compare_scenarios(
-        case, base,
-        _profiles_by_bus(unc_buses, unc_kw),
-        _profiles_by_bus(coord_buses, coord_kw),
-        cfg.reactive, cfg.pv_mw,
-        tol=cfg.pf_tol, max_iter=cfg.pf_max_iter,
+        inputs.case, inputs.base, zip(unc_buses, unc_kw), zip(coord_buses, coord_kw),
+        cfg.reactive, cfg.pv_mw, tol=cfg.pf_tol, max_iter=cfg.pf_max_iter,
     )
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(cfg.output_dir / "report.json", metrics.report_to_dict(report))
-    text = metrics.render_report(report)
-    with open(cfg.output_dir / "report.txt", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    print(text, end="")
+    _write_report(cfg.output_dir, report)
     return 0
 
 
-def cmd_gen_fleet(cfg: RunConfig) -> int:
-    scenario = fleet.generate_fleet(cfg.seed, _fleet_spec(cfg))
+def cmd_gen_fleet(cfg: RunConfig, inputs: Inputs) -> int:
+    sessions = inputs.scenario.sessions
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    path = cfg.output_dir / "sessions.csv"
-    fleet.write_sessions(path, scenario.sessions)
-    print(f"wrote {len(scenario.sessions)} sessions")
+    fleet.write_sessions(cfg.output_dir / "sessions.csv", sessions)
+    print(f"wrote {len(sessions)} sessions")
     return 0
 
 
@@ -384,13 +403,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Bi-directional EV charging coordination on a 9-bus grid",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "powerflow": cmd_powerflow,
-        "schedule": cmd_schedule,
-        "simulate": cmd_simulate,
-        "compare": cmd_compare,
-        "gen-fleet": cmd_gen_fleet,
-    }
+    commands = {"powerflow": cmd_powerflow, "schedule": cmd_schedule, "simulate": cmd_simulate,
+                "compare": cmd_compare, "gen-fleet": cmd_gen_fleet}
     for name, handler in commands.items():
         p = sub.add_parser(name)
         p.set_defaults(handler=handler)
@@ -407,22 +421,15 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--epsilon", type=float)
         p.add_argument("--max-iterations", dest="max_iterations", type=int)
         p.add_argument("--steps", type=int, help="horizon steps")
-        p.add_argument("--workers", type=int)
         p.add_argument("--slot", type=int, help="snapshot slot for powerflow")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    overrides = {
-        key: getattr(args, key, None)
-        for key in ("case", "base_load", "sessions", "events", "uncoordinated",
-                    "coordinated", "output", "seed", "lam", "epsilon",
-                    "max_iterations", "steps", "workers", "slot")
-    }
     try:
-        cfg = load_run_config(args.config, overrides)
-        return args.handler(cfg)
+        cfg = load_run_config(args.config, vars(args))   # flags override the file
+        return args.handler(cfg, preflight(cfg, args.command))
     except USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

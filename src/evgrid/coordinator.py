@@ -208,6 +208,8 @@ class ScriptedEvent:
             raise CoordinatorError(f"unknown event kind {self.kind!r}")
         if self.slot < 0:
             raise CoordinatorError(f"event slot {self.slot} is negative")
+        if not fileio.is_plain_cell(self.ev_id):
+            raise CoordinatorError(f"ev_id {self.ev_id!r} contains a comma or line break")
         if self.kind == "add_session":
             needed = (self.bus_id, self.t_start, self.t_end, self.energy_kwh,
                       self.p_max_kw, self.d_max_kw)

@@ -2,7 +2,10 @@
 
 Every writer in the package formats floats with ``repr`` (shortest string
 that parses back to the same double), so rerunning a deterministic pipeline
-produces byte-identical files.
+produces byte-identical files.  Cells are not quoted, so text written as a
+cell must not contain a comma or a line break (see ``is_plain_cell``).  Every
+reader goes through ``read_table``, which checks each row's cell count
+against the header and reports a bad row as ``path:line``.
 """
 
 from __future__ import annotations
@@ -10,6 +13,13 @@ from __future__ import annotations
 import os
 
 import numpy as np
+
+_BREAKS = (",", "\n", "\r")
+
+
+def is_plain_cell(text: str) -> bool:
+    """True when ``text`` survives being written as one unquoted cell."""
+    return not any(ch in text for ch in _BREAKS)
 
 
 def fmt(x) -> str:
@@ -26,46 +36,72 @@ def write_rows(path: str | os.PathLike, header: list[str], rows) -> None:
             fh.write(",".join(fmt(v) for v in row) + "\n")
 
 
-def read_rows(path: str | os.PathLike, expected_header: list[str]) -> list[list[str]]:
+def read_table(path: str | os.PathLike) -> tuple[list[str], list[tuple[int, str]]]:
+    """Header cells and the ``(line number, text)`` of every data row.
+
+    Blank lines are skipped.  A data row whose cell count differs from the
+    header's is an error located at its ``path:line``.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines:
+        lines = fh.read().split("\n")
+    numbered = [(n, line) for n, line in enumerate(lines, start=1)
+                if line and not line.isspace()]
+    if not numbered:
         raise ValueError(f"{path}: empty file")
-    header = [h.strip() for h in lines[0].split(",")]
+    header = [h.strip() for h in numbered[0][1].split(",")]
+    commas = len(header) - 1
+    for n, line in numbered[1:]:
+        if line.count(",") != commas:
+            raise ValueError(
+                f"{path}:{n}: {line.count(',') + 1} cells, header has {len(header)}")
+    return header, numbered[1:]
+
+
+def read_rows(path: str | os.PathLike, expected_header: list[str]) -> list[list[str]]:
+    header, rows = read_table(path)
     if header != expected_header:
         raise ValueError(f"{path}: expected header {expected_header}, got {header}")
-    return [ln.split(",") for ln in lines[1:]]
+    return [line.split(",") for _, line in rows]
 
 
 # --- schedules: one row per EV, wide slot columns ---------------------------
+
+def schedule_header(slots: int) -> list[str]:
+    return ["ev_id", "bus_id"] + [f"kw_{t}" for t in range(slots)]
+
 
 def write_schedules(path, ev_ids: list[str], bus_ids: list[int],
                     profiles_kw: np.ndarray) -> None:
     """Per-EV charging profiles in kW; one column per slot."""
     slots = profiles_kw.shape[1] if len(ev_ids) else 0
-    header = ["ev_id", "bus_id"] + [f"kw_{t}" for t in range(slots)]
     rows = (
         [ev_ids[n], bus_ids[n]] + list(profiles_kw[n])
         for n in range(len(ev_ids))
     )
-    write_rows(path, header, rows)
+    write_rows(path, schedule_header(slots), rows)
 
 
 def read_schedules(path) -> tuple[list[str], list[int], np.ndarray]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    header = lines[0].split(",")
-    if header[:2] != ["ev_id", "bus_id"]:
-        raise ValueError(f"{path}: not a schedules file")
+    header, rows = read_table(path)
     slots = len(header) - 2
-    ev_ids, bus_ids, rows = [], [], []
-    for ln in lines[1:]:
-        cols = ln.split(",")
-        ev_ids.append(cols[0])
-        bus_ids.append(int(cols[1]))
-        rows.append([float(v) for v in cols[2:]])
-    profiles = np.array(rows, dtype=float) if rows else np.zeros((0, slots))
-    return ev_ids, bus_ids, profiles
+    if slots < 0 or header != schedule_header(slots):
+        raise ValueError(f"{path}: expected header ev_id,bus_id,kw_0..kw_<T-1>, got {header}")
+    cells = [line.split(",", 2) for _, line in rows]
+    try:
+        bus_ids = [int(c[1]) for c in cells]
+        # one C-level parse of every slot cell, exact like float()
+        profiles = (np.loadtxt([c[2] for c in cells], delimiter=",", comments=None, ndmin=2)
+                    if cells and slots else np.zeros((len(cells), slots)))
+    except ValueError:
+        for n, line in rows:                 # name the first bad row
+            _, bus_id, *kw = line.split(",")
+            try:
+                int(bus_id)
+                np.array(kw, dtype=float)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{n}: {exc}") from None
+        raise
+    return [c[0] for c in cells], bus_ids, profiles
 
 
 # --- convergence traces ------------------------------------------------------
@@ -89,11 +125,12 @@ def write_system_aggregate(path, base_mw, uncoordinated_mw, coordinated_mw) -> N
     write_rows(path, ["slot", "base_mw", "uncoordinated_total_mw", "coordinated_total_mw"], rows)
 
 
-def write_bus_aggregate(path, bus_ids, base_by_bus, unc_by_bus, coord_by_bus) -> None:
-    rows = []
-    for bus in bus_ids:
-        for t in range(len(base_by_bus[bus])):
-            rows.append([bus, t, base_by_bus[bus][t], unc_by_bus[bus][t], coord_by_bus[bus][t]])
+def write_bus_aggregate(path, bus_ids, base_mw, uncoordinated_mw, coordinated_mw) -> None:
+    """Per-bus loads; row k of each (buses, T) array belongs to ``bus_ids[k]``."""
+    rows = (
+        [bus, t, base_mw[k][t], uncoordinated_mw[k][t], coordinated_mw[k][t]]
+        for k, bus in enumerate(bus_ids) for t in range(len(base_mw[k]))
+    )
     write_rows(
         path,
         ["bus_id", "slot", "base_mw", "uncoordinated_total_mw", "coordinated_total_mw"],

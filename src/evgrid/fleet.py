@@ -2,7 +2,8 @@
 
 Charging rates are kW at the session plug (positive = charging, negative =
 V2G discharge); energies are kWh.  Slot width and horizon length come from
-the scenario so sessions themselves stay unit-light.
+the scenario so sessions themselves stay unit-light.  The grid side works in
+MW; ``KW_PER_MW`` is the one conversion factor between the two.
 """
 
 from __future__ import annotations
@@ -12,6 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fileio
+
+
+KW_PER_MW = 1000.0
 
 
 class FleetError(ValueError):
@@ -29,6 +33,10 @@ class EvSession:
     energy_kwh: float         # predicted net demand over the window
     p_max_kw: float           # max charge rate, >= 0
     d_max_kw: float           # max discharge rate, <= 0
+
+    def __post_init__(self):
+        if not fileio.is_plain_cell(self.ev_id):
+            raise FleetError(f"ev_id {self.ev_id!r} contains a comma or line break")
 
     @property
     def window_slots(self) -> int:
@@ -77,7 +85,7 @@ class FleetScenario:
     sessions: tuple[EvSession, ...]
     slots_per_horizon: int
     slot_hours: float
-    per_bus_counts: dict[int, int] = field(default_factory=dict)
+    per_bus_counts: dict[int, int] = field(init=False)   # derived from sessions
 
     def __post_init__(self):
         ids = [s.ev_id for s in self.sessions]
@@ -88,17 +96,7 @@ class FleetScenario:
         for s in self.sessions:
             s.validate(self.slots_per_horizon, self.slot_hours)
             counts[s.bus_id] = counts.get(s.bus_id, 0) + 1
-        if not self.per_bus_counts:
-            object.__setattr__(self, "per_bus_counts", counts)
-        elif self.per_bus_counts != counts:
-            raise FleetError(
-                f"per-bus counts {self.per_bus_counts} inconsistent with sessions {counts}"
-            )
-
-    def validate_buses(self, valid_bus_ids: set[int]) -> None:
-        for s in self.sessions:
-            if s.bus_id not in valid_bus_ids:
-                raise FleetError(f"session {s.ev_id}: unknown bus {s.bus_id}")
+        object.__setattr__(self, "per_bus_counts", counts)
 
 
 # --- prediction from history -------------------------------------------------

@@ -74,9 +74,11 @@ class GridCase:
         return len(self.buses)
 
     def bus(self, bus_id: int) -> Bus:
-        return self.buses[bus_id - 1]
+        return self.buses[self.index_of(bus_id)]
 
     def index_of(self, bus_id: int) -> int:
+        if not 1 <= bus_id <= len(self.buses):
+            raise GridCaseError(f"unknown bus {bus_id}; bus ids are 1..{len(self.buses)}")
         return bus_id - 1
 
     @property
@@ -255,11 +257,6 @@ def format_grid_case(case: GridCase) -> str:
     for br in case.branches:
         out.append(f"{br.from_bus}  {br.to_bus}  {br.r!r}  {br.x!r}  {br.b_shunt!r}  {br.tap!r}")
     return "\n".join(out) + "\n"
-
-
-def write_grid_case(case: GridCase, path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_grid_case(case))
 
 
 # --- admittance assembly -----------------------------------------------------

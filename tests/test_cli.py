@@ -1,15 +1,22 @@
 """Command-line interface: configuration, subcommands, and output files."""
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import UNITY_CASE_TEXT, DATA_DIR, DESK_DIR, make_session
+from conftest import (UNITY_CASE_TEXT, DATA_DIR, DESK_DIR, assert_identical, cell_text,
+                      file_ints, finite_floats, make_session, round_trip)
 from evgrid.cli import main
-from evgrid.fileio import read_schedules
+from evgrid.fileio import read_schedules, write_schedules
 from evgrid.fleet import write_sessions
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_config(path: Path, **entries) -> Path:
@@ -51,6 +58,27 @@ def small_inputs(tmp_path: Path, slots: int = 16, n_sessions: int = 4):
 
 def read_tree(out_dir: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
+def desk_variant(tmp_path: Path, **changes) -> Path:
+    """The shipped desk config with absolute input paths and some sections
+    merged with (or, for ``pv_mw``, replaced by) ``changes``."""
+    raw = json.loads((DESK_DIR / "config.json").read_text())
+    for key in ("case", "base_load", "sessions", "events"):
+        raw[key] = str((DESK_DIR / raw[key]).resolve())
+    for section, values in changes.items():
+        raw[section] = values if section == "pv_mw" else {**raw[section], **values}
+    return write_config(tmp_path / "desk.json", **raw)
+
+
+def fails_before_any_work(tmp_path, capsys, argv, message) -> None:
+    """One located error line, exit 1, and no output directory."""
+    out = tmp_path / "out"
+    assert main([*argv, "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert message in err
+    assert not out.exists()
 
 
 class TestConfigErrors:
@@ -111,6 +139,105 @@ class TestConfigErrors:
         assert main(["powerflow", "-c", str(config),
                      "--case", str(case_path)]) == 0
         capsys.readouterr()
+
+
+class TestPreflight:
+    @pytest.mark.parametrize("section,values,message", [
+        ("scheduler", {"workers": 1}, "unknown scheduler keys ['workers']"),
+        ("power_flow", {"tolerance": 1e-6}, "unknown power_flow keys ['tolerance']"),
+        ("reactive", {"pf": 0.9}, "unknown reactive keys ['pf']"),
+        ("fleet", {"colour": "red"}, "unknown fleet keys ['colour']"),
+    ])
+    def test_unknown_section_key(self, tmp_path, capsys, section, values, message):
+        config = desk_variant(tmp_path, **{section: values})
+        fails_before_any_work(tmp_path, capsys, ["simulate", "-c", str(config)],
+                              f"desk.json: {message}")
+
+    @pytest.mark.parametrize("bus", ["12", "0", "5"])
+    def test_pv_dispatch_on_a_bus_that_is_not_pv(self, tmp_path, capsys, bus):
+        config = desk_variant(tmp_path, pv_mw={bus: 5.0})
+        fails_before_any_work(tmp_path, capsys, ["simulate", "-c", str(config)],
+                              f"pv_mw: bus(es) [{bus}] are not PV buses")
+
+    def test_added_session_on_a_bus_without_base_load(self, tmp_path, capsys):
+        config = small_inputs(tmp_path)
+        events = tmp_path / "events.csv"
+        events.write_text(
+            "slot,kind,ev_id,bus_id,t_start,t_end,energy_kwh,p_max_kw,d_max_kw\n"
+            "2,add_session,new,4,3,9,4.0,6.6,-6.6\n")
+        fails_before_any_work(tmp_path, capsys,
+                              ["simulate", "-c", str(config), "--events", str(events)],
+                              "EVs on bus(es) [4], which carry no base load row")
+
+    def test_schedule_off_the_base_load(self, tmp_path, capsys):
+        config = small_inputs(tmp_path)
+        good, stray, short = (tmp_path / n for n in ("good.csv", "stray.csv", "short.csv"))
+        write_schedules(good, ["a"], [5], np.ones((1, 16)))
+        write_schedules(stray, ["a"], [4], np.ones((1, 16)))
+        write_schedules(short, ["a"], [5], np.ones((1, 15)))
+        argv = ["compare", "-c", str(config), "--uncoordinated", str(good)]
+        fails_before_any_work(tmp_path, capsys, argv + ["--coordinated", str(stray)],
+                              "stray.csv: EVs on bus(es) [4]")
+        fails_before_any_work(tmp_path, capsys, argv + ["--coordinated", str(short)],
+                              "short.csv: 15 slots, base load has 16")
+
+    def test_snapshot_slot_outside_the_base_load(self, tmp_path, capsys):
+        config = small_inputs(tmp_path)
+        fails_before_any_work(tmp_path, capsys,
+                              ["powerflow", "-c", str(config), "--slot", "16"],
+                              "slot 16 outside the base load's 0..15")
+
+
+class TestSchedulesFile:
+    @round_trip
+    @given(data=st.data())
+    def test_round_trip(self, tmp_path, data):
+        n = data.draw(st.integers(1, 4))
+        slots = data.draw(st.integers(1, 5))
+        ev_ids = data.draw(st.lists(cell_text, min_size=n, max_size=n))
+        bus_ids = data.draw(st.lists(file_ints, min_size=n, max_size=n))
+        kw = data.draw(st.lists(finite_floats, min_size=n * slots, max_size=n * slots))
+        path = tmp_path / "schedules.csv"
+        write_schedules(path, ev_ids, bus_ids, np.array(kw).reshape(n, slots))
+        got_ids, got_buses, got_kw = read_schedules(path)
+        assert_identical(got_ids, ev_ids)
+        assert_identical(got_buses, bus_ids)
+        assert got_kw.shape == (n, slots)
+        assert_identical(got_kw.ravel().tolist(), kw)
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda cells: cells[:-1], "s.csv:3: 4 cells, header has 5"),
+        (lambda cells: cells + ["1.0"], "s.csv:3: 6 cells, header has 5"),
+        (lambda cells: cells[:2] + ["x"] + cells[3:], "s.csv:3: could not convert"),
+        (lambda cells: cells[:2] + ["1.0#x"] + cells[3:], "s.csv:3: could not convert"),
+        (lambda cells: cells[:1] + ["five"] + cells[2:], "s.csv:3: invalid literal"),
+    ])
+    def test_bad_row_reports_line(self, tmp_path, edit, message):
+        path = tmp_path / "s.csv"
+        write_schedules(path, ["a", "b"], [5, 7], np.ones((2, 3)))
+        lines = path.read_text().splitlines()
+        lines[2] = ",".join(edit(lines[2].split(",")))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=message):
+            read_schedules(path)
+
+    def test_slot_header_must_count_from_zero(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("ev_id,bus_id,kw_1,kw_2\na,5,1.0,2.0\n")
+        with pytest.raises(ValueError, match="expected header ev_id,bus_id,kw_0"):
+            read_schedules(path)
+
+
+def test_benchmark_tracer_binds_every_layer(tmp_path):
+    """The benchmark's tracer wraps functions by name; a rename breaks it."""
+    spans = tmp_path / "spans.json"
+    done = subprocess.run(
+        [sys.executable, "perfbench/traced.py", str(spans), "powerflow",
+         "--case", "src/evgrid/data/wscc9.case", "-o", str(tmp_path / "out")],
+        cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    names = {span[0] for span in json.loads(spans.read_text())}
+    assert {"fileio.read", "powerflow.solve", "fileio.write"} <= names
 
 
 class TestPowerflowCommand:

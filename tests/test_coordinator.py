@@ -4,11 +4,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import make_session, small_config
+from conftest import (assert_identical, cell_text, file_ints, finite_floats, make_session,
+                      round_trip, small_config)
 from evgrid.coordinator import (
     Broadcast,
     Converged,
+    EVENT_KINDS,
     CoordinatorError,
     Delivery,
     LoopbackTransport,
@@ -83,18 +87,35 @@ class TestScriptedEvent:
         assert event.bus_id is None
 
 
+@st.composite
+def scripted_events(draw):
+    kind = draw(st.sampled_from(EVENT_KINDS))
+    adds = kind == "add_session"
+
+    def field(values, required):
+        return draw(values if required else st.none() | values)
+
+    return ScriptedEvent(
+        slot=draw(st.integers(0, 10**9)), kind=kind, ev_id=draw(cell_text),
+        bus_id=field(file_ints, adds), t_start=field(file_ints, adds),
+        t_end=field(file_ints, adds),
+        energy_kwh=field(finite_floats, adds or kind == "update_energy"),
+        p_max_kw=field(finite_floats, adds), d_max_kw=field(finite_floats, adds),
+    )
+
+
 class TestEventsFile:
-    def test_round_trip(self, tmp_path):
-        events = [
-            ScriptedEvent(slot=5, kind="add_session", ev_id="late1", bus_id=7,
-                          t_start=6, t_end=14, energy_kwh=8.5, p_max_kw=6.6,
-                          d_max_kw=-6.6),
-            ScriptedEvent(slot=9, kind="update_energy", ev_id="e1", energy_kwh=3.25),
-            ScriptedEvent(slot=12, kind="remove_session", ev_id="e2"),
-        ]
+    @round_trip
+    @given(events=st.lists(scripted_events(), max_size=5))
+    def test_round_trip(self, tmp_path, events):
         path = tmp_path / "events.csv"
         write_events(path, events)
-        assert read_events(path) == events
+        assert_identical(read_events(path), events)
+
+    @pytest.mark.parametrize("ev_id", ["a,b", "a\nb", "a\rb"])
+    def test_ev_id_that_breaks_a_row_rejected(self, ev_id):
+        with pytest.raises(CoordinatorError, match="comma or line break"):
+            ScriptedEvent(slot=2, kind="remove_session", ev_id=ev_id)
 
     def test_shipped_events_parse(self, desk_config_path):
         events = read_events(desk_config_path.parent / "events.csv")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_session
+from conftest import assert_identical, cell_text, file_ints, finite_floats, make_session, round_trip
 from evgrid.fleet import (
     EvSession,
     FleetError,
@@ -216,12 +216,33 @@ class TestUncoordinatedProfile:
         assert profile.min(initial=0.0) >= 0.0
 
 
+sessions_lists = st.lists(st.builds(
+    EvSession, ev_id=cell_text, bus_id=file_ints, t_start=file_ints, t_end=file_ints,
+    energy_kwh=finite_floats, p_max_kw=finite_floats, d_max_kw=finite_floats,
+), max_size=5)
+
+
 class TestFiles:
-    def test_sessions_round_trip(self, tmp_path):
-        scenario = generate_fleet(4, default_spec())
+    @round_trip
+    @given(sessions=sessions_lists)
+    def test_sessions_round_trip(self, tmp_path, sessions):
         path = tmp_path / "sessions.csv"
-        write_sessions(path, scenario.sessions)
-        assert tuple(read_sessions(path)) == scenario.sessions
+        write_sessions(path, sessions)
+        assert_identical(read_sessions(path), sessions)
+
+    @pytest.mark.parametrize("ev_id", ["a,b", "a\nb", "a\rb"])
+    def test_ev_id_that_breaks_a_row_rejected(self, ev_id):
+        with pytest.raises(FleetError, match="comma or line break"):
+            make_session(ev_id=ev_id)
+
+    def test_short_row_reports_line(self, tmp_path):
+        path = tmp_path / "sessions.csv"
+        write_sessions(path, [make_session("a"), make_session("b")])
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"sessions\.csv:3: 6 cells, header has 7"):
+            read_sessions(path)
 
     def test_sessions_round_trip_bit_exact_bytes(self, tmp_path):
         scenario = generate_fleet(4, default_spec())

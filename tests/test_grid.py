@@ -133,6 +133,19 @@ class TestCaseValidation:
             parse_grid_case(minimal_case("1  2  0.0  0.1  0.0  0.0"))
 
 
+class TestBusLookup:
+    def test_ids_map_to_their_buses(self, wscc_case):
+        assert [wscc_case.bus(k).id for k in range(1, 10)] == list(range(1, 10))
+        assert wscc_case.index_of(9) == 8
+
+    @pytest.mark.parametrize("bus_id", [0, 10, -1])
+    def test_out_of_range_id_rejected(self, wscc_case, bus_id):
+        with pytest.raises(GridCaseError, match=f"unknown bus {bus_id}"):
+            wscc_case.bus(bus_id)
+        with pytest.raises(GridCaseError, match=f"unknown bus {bus_id}"):
+            wscc_case.index_of(bus_id)
+
+
 class TestAdmittanceAssembly:
     def test_single_reactance_branch(self):
         case = parse_grid_case(minimal_case("1  2  0.0  0.1  0.0"))

@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from conftest import assert_identical, round_trip
 from evgrid.grid import BusKind, build_admittance_matrix
 from evgrid.metrics import (
     BaseLoadProfile,
@@ -58,14 +61,23 @@ class TestBaseLoadProfile:
         with pytest.raises(MetricsError, match="not a PQ bus"):
             constant_base({1: 1.0}).validate_against(wscc_case)
 
-    def test_file_round_trip(self, tmp_path):
-        rng = np.random.default_rng(4)
-        profile = BaseLoadProfile((5, 7, 9), rng.uniform(10.0, 150.0, (3, 8)))
+    @round_trip
+    @given(data=st.data())
+    def test_file_round_trip(self, tmp_path, data):
+        bus_ids = data.draw(st.lists(st.integers(1, 10**6), min_size=1, max_size=4,
+                                     unique=True).map(sorted))
+        slots = data.draw(st.integers(1, 6))
+        # base load is finite and non-negative; -0.0 passes that check
+        mw = data.draw(st.lists(st.floats(min_value=0.0, allow_infinity=False)
+                                | st.just(-0.0),
+                                min_size=len(bus_ids) * slots,
+                                max_size=len(bus_ids) * slots))
+        profile = BaseLoadProfile(tuple(bus_ids), np.array(mw).reshape(len(bus_ids), slots))
         path = tmp_path / "base.csv"
         write_base_load(path, profile)
         back = read_base_load(path)
         assert back.bus_ids == profile.bus_ids
-        assert np.array_equal(back.mw, profile.mw)
+        assert_identical(back.mw.tolist(), profile.mw.tolist())
 
     def test_read_rejects_empty(self, tmp_path):
         path = tmp_path / "base.csv"

@@ -11,8 +11,8 @@ from evgrid.grid import Branch, Bus, BusKind, GridCase, build_admittance_matrix
 from evgrid.powerflow import (
     NonConvergenceError,
     SingularJacobianError,
+    _injections,
     amps_per_unit,
-    compute_injection,
     compute_line_flows,
     solve_power_flow,
 )
@@ -28,11 +28,21 @@ def analytic_two_bus() -> tuple[float, float]:
     return math.cos(theta2), theta2
 
 
+def injection_at(v_mag, v_angle, ybus, i):
+    """The oracle's polar-sum injection at bus index ``i``, after checking
+    that the solver's own injections agree with it."""
+    p, q = oracles.compute_injection(v_mag, v_angle, ybus, i)
+    p_all, q_all = _injections(v_mag, v_angle, ybus)
+    assert p_all[i] == pytest.approx(p, abs=1e-12)
+    assert q_all[i] == pytest.approx(q, abs=1e-12)
+    return p, q
+
+
 class TestComputeInjection:
     def test_flat_zero_matrix(self):
         v = np.ones(3)
         th = np.zeros(3)
-        p, q = compute_injection(v, th, np.zeros((3, 3), dtype=complex), 1)
+        p, q = injection_at(v, th, np.zeros((3, 3), dtype=complex), 1)
         assert (p, q) == (0.0, 0.0)
 
     @pytest.mark.parametrize("v2,th2", [(1.0, 0.0), (0.97, -0.12), (1.03, 0.2)])
@@ -41,7 +51,7 @@ class TestComputeInjection:
         ybus = build_admittance_matrix(case)
         v = np.array([1.0, v2])
         th = np.array([0.0, th2])
-        p, q = compute_injection(v, th, ybus, 1)
+        p, q = injection_at(v, th, ybus, 1)
         assert p == pytest.approx((v2 / 0.1) * math.sin(th2), abs=1e-12)
         assert q == pytest.approx(v2 * v2 / 0.1 - (v2 / 0.1) * math.cos(th2), abs=1e-12)
 
@@ -51,7 +61,7 @@ class TestComputeInjection:
         v = np.ones(2)
         th = np.zeros(2)
         for i in range(2):
-            p, q = compute_injection(v, th, ybus, i)
+            p, q = injection_at(v, th, ybus, i)
             assert p == pytest.approx(0.0, abs=1e-12)
             assert q == pytest.approx(-1.0 * 0.15, abs=1e-12)
 

@@ -21,7 +21,7 @@ from evgrid.scheduler import (
     run_fixed_point,
     run_until_converged,
     session_bounds,
-    solve_station_subproblem,
+    solve_task,
     task_from_session,
 )
 
@@ -44,7 +44,7 @@ def random_box(rng, slots=8, dt=0.25):
 class TestConfig:
     @pytest.mark.parametrize("field,value", [
         ("lam", 0.0), ("lam", -1.0), ("epsilon", 0.0), ("max_iterations", 0),
-        ("slots", 0), ("slot_hours", 0.0), ("kw_per_mw", 0.0), ("workers", 0),
+        ("slots", 0), ("slot_hours", 0.0),
     ])
     def test_positivity_enforced(self, field, value):
         with pytest.raises(SchedulerError):
@@ -183,8 +183,8 @@ class TestStationSubproblem:
                 p_max_kw=float(hi.max()) * 1000.0,
                 d_max_kw=float(lo.min()) * 1000.0,
             )
-            got_kw = solve_station_subproblem(
-                ControlSignal(c, 0), prev_mw * 1000.0, session, config)
+            got_kw = solve_task(ControlSignal(c, 0), prev_mw * 1000.0,
+                                task_from_session(session, config.slots), config)
             want = oracles.active_set_minimize(
                 c, prev_mw, lo, hi, energy, 0.25) * 1000.0
             assert np.max(np.abs(got_kw - want)) < 1e-6
@@ -204,7 +204,8 @@ class TestStationSubproblem:
                 d_max_kw=float(lo.min()) * 1000.0,
             )
             prev_kw = prev_mw * 1000.0
-            p = solve_station_subproblem(ControlSignal(c, 0), prev_kw, session, config)
+            p = solve_task(ControlSignal(c, 0), prev_kw,
+                           task_from_session(session, config.slots), config)
             lo_kw, hi_kw = session_bounds(session, 8)
             c_kw = c * 1000.0
 
@@ -229,19 +230,19 @@ class TestStationSubproblem:
         profiles = np.zeros((1, 16))
         session = make_session(t_start=1, t_end=13, energy_kwh=9.0)
         config = small_config()
+        task = task_from_session(session, config.slots)
         for k in (2.0, 10.0, 0.5):
             sig = compute_control_signal(base, profiles, lam=config.lam)
             scaled = compute_control_signal(base, profiles, lam=config.lam * k)
             rescaled = ControlSignal(scaled.values * k, scaled.iteration)
-            a = solve_station_subproblem(sig, profiles[0], session, config)
-            b = solve_station_subproblem(rescaled, profiles[0], session, config)
+            a = solve_task(sig, profiles[0], task, config)
+            b = solve_task(rescaled, profiles[0], task, config)
             assert np.array_equal(a, b)
 
     def test_infeasible_session_error_in_kwh(self):
         config = small_config()
         task = task_from_session(make_session(energy_kwh=10.0), config.slots)
         bad = task.__class__(task.ev_id, task.bus_id, task.lo_kw, task.hi_kw, 1e6)
-        from evgrid.scheduler import solve_task
         with pytest.raises(InfeasibleSessionError) as err:
             solve_task(ControlSignal(np.zeros(16), 0), np.zeros(16), bad, config)
         lo_kwh, hi_kwh = err.value.feasible_kwh
@@ -269,9 +270,10 @@ class TestRunUntilConverged:
         assert trace.converged
         # replay the broadcast/respond loop by hand
         manual = np.zeros((1, 16))
+        task = task_from_session(session, config.slots)
         for i in range(trace.iterations):
             signal = compute_control_signal(base, manual, config.lam, i)
-            manual = solve_station_subproblem(signal, manual[0], session, config)[None, :]
+            manual = solve_task(signal, manual[0], task, config)[None, :]
         assert np.array_equal(profiles, manual)
 
     def test_converged_energy_and_window(self):
@@ -359,15 +361,6 @@ class TestRunUntilConverged:
         p2, t2 = run_until_converged(config, base, sessions)
         assert np.array_equal(p1, p2)
         assert t1 == t2
-
-    def test_workers_match_sequential(self):
-        base = np.linspace(45.0, 85.0, 16)
-        sessions = [make_session(ev_id=f"e{k}", energy_kwh=4.0 + 0.7 * k)
-                    for k in range(6)]
-        p1, t1 = run_until_converged(small_config(), base, sessions)
-        p4, t4 = run_until_converged(small_config(workers=4), base, sessions)
-        assert np.array_equal(p1, p4)
-        assert t1 == t4
 
     def test_non_convergence_returns_best_iterate(self):
         config = small_config(epsilon=1e-12, max_iterations=2)
