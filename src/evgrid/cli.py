@@ -29,10 +29,12 @@ from .scheduler import SchedulerConfig, run_until_converged
 # metrics) is a ValueError
 USER_ERRORS = (ValueError, OSError, PowerFlowError, coordinator.ProtocolError)
 
+# top-level config keys, with the numbers typed as for ``_keys``
 _CONFIG_KEYS = {
-    "case", "base_load", "sessions", "events", "uncoordinated", "coordinated",
-    "output_dir", "seed", "scheduler", "horizon_steps", "power_flow",
-    "reactive", "pv_mw", "fleet", "slot",
+    **dict.fromkeys(("case", "base_load", "sessions", "events", "uncoordinated",
+                     "coordinated", "output_dir", "scheduler", "power_flow",
+                     "reactive", "pv_mw", "fleet"), ""),
+    "seed": "int", "horizon_steps": "int", "slot": "int",
 }
 
 
@@ -63,28 +65,64 @@ def _resolve(base_dir: Path, value) -> Path | None:
     return path if path.is_absolute() else base_dir / path
 
 
-def _field_names(cls) -> set[str]:
-    return {f.name for f in fields(cls)}
+def _kinds(cls) -> dict[str, str]:
+    """Field name -> annotation ("int", "float", ...) of a dataclass."""
+    return {f.name: f.type for f in fields(cls)}
 
 
-def _keys(name: str, section, allowed: set[str] | None = None) -> dict:
-    """A copy of config section ``name``; keys outside ``allowed`` are an error."""
+def _number(key: str, value, kind=float):
+    """``value`` as a ``kind`` (int or float); anything but a JSON number, of
+    integral value for an int, is an error that names ``key``."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (kind is int and not float(value).is_integer())):
+        raise ValueError(f"{key}: expected {'an integer' if kind is int else 'a number'}, "
+                         f"got {value!r}")
+    return kind(value)
+
+
+_NUMBER_KINDS = {"int": int, "float": float}
+
+
+def _keys(name: str, section, kinds: dict[str, str] | None = None) -> dict:
+    """A copy of config section ``name``.  Given ``kinds``, a key outside it
+    is an error, and a value it types "int" or "float" must be a JSON number
+    of that kind; errors name the key as ``name.key``."""
     if not isinstance(section, dict):
         raise ValueError(f"{name} must be a JSON object")
-    unknown = sorted(set(section) - allowed) if allowed is not None else []
+    if kinds is None:
+        return dict(section)
+    unknown = sorted(set(section) - set(kinds))
     if unknown:
         raise ValueError(f"unknown {name} keys {unknown}")
-    return dict(section)
+    return {key: _number(f"{name}.{key}", value, _NUMBER_KINDS[kinds[key]])
+            if kinds[key] in _NUMBER_KINDS else value
+            for key, value in section.items()}
+
+
+def _by_bus(name: str, section, kind) -> dict:
+    """A JSON object keyed by bus id, such as ``{"5": 150}``, as ``{5: 150}``."""
+    out = {}
+    for key, value in _keys(name, section).items():
+        try:
+            bus_id = int(key)
+        except ValueError:
+            raise ValueError(f"{name}: bus id {key!r} is not an integer") from None
+        out[bus_id] = _number(f"{name}.{key}", value, kind)
+    return out
 
 
 def _fleet_spec(section, scheduler: SchedulerConfig) -> FleetSpec:
+    kinds = _kinds(FleetSpec)
     spec = {"slots": scheduler.slots, "slot_hours": scheduler.slot_hours,
-            **_keys("fleet", section, _field_names(FleetSpec))}
-    missing = sorted(_field_names(FleetSpec) - set(spec))
+            **_keys("fleet", section, kinds)}
+    missing = sorted(set(kinds) - set(spec))
     if missing:
         raise ValueError(f"missing fleet keys {missing}")
-    spec["counts"] = {int(k): int(v) for k, v in spec["counts"].items()}
-    spec["energy_kwh_range"] = tuple(spec["energy_kwh_range"])
+    spec["counts"] = _by_bus("fleet.counts", spec["counts"], int)
+    bounds = spec["energy_kwh_range"]
+    if not isinstance(bounds, list) or len(bounds) != 2:
+        raise ValueError(f"fleet.energy_kwh_range: expected [lo, hi], got {bounds!r}")
+    spec["energy_kwh_range"] = tuple(_number("fleet.energy_kwh_range", v) for v in bounds)
     return FleetSpec(**spec)
 
 
@@ -108,7 +146,7 @@ def load_run_config(config_path: str | None, overrides: dict) -> RunConfig:
 
 
 def _parse_config(raw, overrides: dict, base_dir: Path) -> RunConfig:
-    _keys("config", raw, _CONFIG_KEYS)
+    raw = _keys("config", raw, _CONFIG_KEYS)
 
     def path_of(key: str) -> Path | None:
         if overrides.get(key) is not None:
@@ -121,17 +159,16 @@ def _parse_config(raw, overrides: dict, base_dir: Path) -> RunConfig:
         return raw.get(key, default)
 
     sched_raw = _keys("scheduler", raw.get("scheduler", {}),
-                      _field_names(SchedulerConfig) | {"lambda"})
+                      {**_kinds(SchedulerConfig), "lambda": "float"})
     if "lambda" in sched_raw:
         sched_raw["lam"] = sched_raw.pop("lambda")
     for key in ("lam", "epsilon", "max_iterations"):
         if overrides.get(key) is not None:
             sched_raw[key] = overrides[key]
     scheduler = SchedulerConfig(**sched_raw)
-    pf_raw = _keys("power_flow", raw.get("power_flow", {}), {"tol", "max_iter"})
-    reactive_raw = _keys("reactive", raw.get("reactive", {}),
-                         _field_names(ReactiveAssumptions))
-    slot = pick("slot", "slot", None)
+    pf_raw = _keys("power_flow", raw.get("power_flow", {}),
+                   {"tol": "float", "max_iter": "int"})
+    reactive_raw = _keys("reactive", raw.get("reactive", {}), _kinds(ReactiveAssumptions))
 
     if overrides.get("output") is not None:
         output_dir = _resolve(Path.cwd(), overrides["output"])
@@ -148,15 +185,15 @@ def _parse_config(raw, overrides: dict, base_dir: Path) -> RunConfig:
         uncoordinated_path=path_of("uncoordinated"),
         coordinated_path=path_of("coordinated"),
         output_dir=output_dir,
-        seed=int(pick("seed", "seed", 1)),
+        seed=pick("seed", "seed", 1),
         scheduler=scheduler,
-        horizon_steps=int(pick("steps", "horizon_steps", 24)),
-        pf_tol=float(pf_raw.get("tol", 1e-8)),
-        pf_max_iter=int(pf_raw.get("max_iter", 20)),
+        horizon_steps=pick("steps", "horizon_steps", 24),
+        pf_tol=pf_raw.get("tol", 1e-8),
+        pf_max_iter=pf_raw.get("max_iter", 20),
         reactive=ReactiveAssumptions(**reactive_raw),
-        pv_mw={int(k): float(v) for k, v in _keys("pv_mw", raw.get("pv_mw", {})).items()},
+        pv_mw=_by_bus("pv_mw", raw.get("pv_mw", {}), float),
         fleet_spec=_fleet_spec(raw["fleet"], scheduler) if "fleet" in raw else None,
-        slot=None if slot is None else int(slot),
+        slot=pick("slot", "slot", None),
     )
 
 
@@ -215,10 +252,18 @@ def preflight(cfg: RunConfig, command: str) -> Inputs:
         inputs.scenario = _load_sessions(cfg)
         _on_load_buses(cfg.sessions_path or "fleet",
                        [s.bus_id for s in inputs.scenario.sessions], base)
+    if command == "simulate" and not 1 <= cfg.horizon_steps <= base.slots:
+        raise ValueError(f"horizon_steps {cfg.horizon_steps} must be in 1..{base.slots}")
     if command == "simulate" and cfg.events_path is not None:
         inputs.events = coordinator.read_events(cfg.events_path)
         _on_load_buses(cfg.events_path,
                        [e.bus_id for e in inputs.events if e.kind == "add_session"], base)
+        try:
+            coordinator.schedule_events(inputs.events,
+                                        [s.ev_id for s in inputs.scenario.sessions],
+                                        cfg.scheduler.slots, cfg.horizon_steps)
+        except coordinator.CoordinatorError as exc:
+            raise ValueError(f"{cfg.events_path}: {exc}") from None
     if command == "compare":
         for path in (cfg.uncoordinated_path, cfg.coordinated_path):
             ev_ids, bus_ids, profiles_kw = fileio.read_schedules(path)
@@ -353,9 +398,11 @@ def cmd_simulate(cfg: RunConfig, inputs: Inputs) -> int:
     )
     coord_buses = [result.bus_ids[e] for e in result.ev_ids]
 
+    loads_unc = metrics.aggregate_load(base, zip(unc_buses, uncoordinated))
+    loads_coord = metrics.aggregate_load(base, zip(coord_buses, result.committed_kw))
     report = metrics.compare_scenarios(
-        case, base, zip(unc_buses, uncoordinated), zip(coord_buses, result.committed_kw),
-        cfg.reactive, cfg.pv_mw, flags=result.flags, tol=cfg.pf_tol, max_iter=cfg.pf_max_iter,
+        case, loads_unc, loads_coord, cfg.reactive, cfg.pv_mw,
+        flags=result.flags, tol=cfg.pf_tol, max_iter=cfg.pf_max_iter,
     )
 
     out = cfg.output_dir
@@ -366,9 +413,6 @@ def cmd_simulate(cfg: RunConfig, inputs: Inputs) -> int:
                            list(result.ev_ids), coord_buses, result.committed_kw)
     fileio.write_traces(out / "traces.csv", result.step_traces)
     _write_report(out, report)
-
-    loads_unc = metrics.aggregate_load(base, zip(unc_buses, uncoordinated))
-    loads_coord = metrics.aggregate_load(base, zip(coord_buses, result.committed_kw))
     fileio.write_system_aggregate(
         out / "system_load.csv", base_total,
         loads_unc.system_total(), loads_coord.system_total(),
@@ -379,10 +423,11 @@ def cmd_simulate(cfg: RunConfig, inputs: Inputs) -> int:
 
 
 def cmd_compare(cfg: RunConfig, inputs: Inputs) -> int:
-    (_, unc_buses, unc_kw), (_, coord_buses, coord_kw) = inputs.schedules
+    loads_unc, loads_coord = (metrics.aggregate_load(inputs.base, zip(bus_ids, profiles_kw))
+                              for _, bus_ids, profiles_kw in inputs.schedules)
     report = metrics.compare_scenarios(
-        inputs.case, inputs.base, zip(unc_buses, unc_kw), zip(coord_buses, coord_kw),
-        cfg.reactive, cfg.pv_mw, tol=cfg.pf_tol, max_iter=cfg.pf_max_iter,
+        inputs.case, loads_unc, loads_coord, cfg.reactive, cfg.pv_mw,
+        tol=cfg.pf_tol, max_iter=cfg.pf_max_iter,
     )
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     _write_report(cfg.output_dir, report)

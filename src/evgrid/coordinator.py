@@ -277,32 +277,57 @@ class HorizonResult:
     state: HorizonState
 
 
+def schedule_events(events: list[ScriptedEvent], session_ids, slots: int,
+                    steps: int) -> dict[int, list[ScriptedEvent]]:
+    """Group ``events`` by the re-planning step that applies them, after
+    checking the step count and every event slot, and replaying the ev_ids in
+    that order: ``update_energy`` and ``remove_session`` need a live id, and
+    ``add_session`` a new one (a removed id is not reused)."""
+    if steps < 1 or steps > slots:
+        raise CoordinatorError(f"steps {steps} must be in 1..{slots}")
+    sps = slots // steps
+    by_step: dict[int, list[ScriptedEvent]] = {}
+    for event in events:
+        if not 0 <= event.slot < slots:
+            raise CoordinatorError(f"event slot {event.slot} outside 0..{slots - 1}")
+        # an event lands at the first re-planning instant at or after its
+        # slot, so slots committed earlier are never re-opened; events past
+        # the final re-plan fold into the last step
+        step = min(-(-event.slot // sps), steps - 1)
+        by_step.setdefault(step, []).append(event)
+
+    live = set(session_ids)
+    used = set(live)
+    for step in sorted(by_step):
+        for event in by_step[step]:
+            if event.kind == "add_session":
+                if event.ev_id in used:
+                    raise CoordinatorError(
+                        f"event at slot {event.slot}: ev_id {event.ev_id!r} already used")
+                live.add(event.ev_id)
+                used.add(event.ev_id)
+            elif event.ev_id not in live:
+                raise CoordinatorError(
+                    f"event at slot {event.slot}: unknown ev_id {event.ev_id!r}")
+            elif event.kind == "remove_session":
+                live.remove(event.ev_id)
+    return by_step
+
+
 def _apply_event(event: ScriptedEvent, state: HorizonState, tau: int,
                  flags: list[str]) -> None:
+    """Apply one event that ``schedule_events`` has checked."""
     if event.kind == "add_session":
-        if event.ev_id in state.sessions or event.ev_id in state.removed:
-            raise CoordinatorError(
-                f"event at slot {event.slot}: ev_id {event.ev_id!r} already used"
-            )
-        session = EvSession(
+        state.sessions[event.ev_id] = EvSession(
             ev_id=event.ev_id, bus_id=event.bus_id, t_start=event.t_start,
             t_end=event.t_end, energy_kwh=event.energy_kwh,
             p_max_kw=event.p_max_kw, d_max_kw=event.d_max_kw,
         )
-        state.sessions[event.ev_id] = session
     elif event.kind == "update_energy":
-        if event.ev_id not in state.sessions:
-            raise CoordinatorError(
-                f"event at slot {event.slot}: unknown ev_id {event.ev_id!r}"
-            )
         state.sessions[event.ev_id] = replace(
             state.sessions[event.ev_id], energy_kwh=event.energy_kwh
         )
     else:
-        if event.ev_id not in state.sessions:
-            raise CoordinatorError(
-                f"event at slot {event.slot}: unknown ev_id {event.ev_id!r}"
-            )
         session = state.sessions.pop(event.ev_id)
         state.removed.add(event.ev_id)
         delivered = state.delivered_kwh.get(event.ev_id, 0.0)
@@ -328,20 +353,9 @@ def run_receding_horizon(config: SchedulerConfig, base_load_mw: np.ndarray,
     dt = config.slot_hours
     if scenario.slots_per_horizon != t or scenario.slot_hours != dt:
         raise CoordinatorError("scenario slot grid differs from scheduler config")
-    if steps < 1 or steps > t:
-        raise CoordinatorError(f"steps {steps} must be in 1..{t}")
+    events_by_step = schedule_events(events, [s.ev_id for s in scenario.sessions],
+                                     t, steps)
     sps = t // steps
-    for event in events:
-        if not 0 <= event.slot < t:
-            raise CoordinatorError(f"event slot {event.slot} outside 0..{t - 1}")
-
-    events_by_step: dict[int, list[ScriptedEvent]] = {}
-    for event in events:
-        # an event lands at the first re-planning instant at or after its
-        # slot, so slots committed earlier are never re-opened; events past
-        # the final re-plan fold into the last step
-        step = min(-(-event.slot // sps), steps - 1)
-        events_by_step.setdefault(step, []).append(event)
 
     state = HorizonState(
         tau=0,

@@ -237,19 +237,17 @@ def _generation(case: GridCase, solution: PowerFlowSolution,
     return records
 
 
-def compare_scenarios(case: GridCase, base: BaseLoadProfile,
-                      uncoordinated_by_bus, coordinated_by_bus,
+def compare_scenarios(case: GridCase, loads_before: ScenarioLoads,
+                      loads_after: ScenarioLoads,
                       assumptions: ReactiveAssumptions = ReactiveAssumptions(),
                       pv_mw: dict[int, float] | None = None,
                       flags: tuple[str, ...] = (),
                       tol: float = 1e-8, max_iter: int = 20) -> ScenarioReport:
-    """Evaluate both scenarios at their worst-case slots and tabulate the
-    before/after quantities.  ``flags`` carries run-level notes (clamped
-    sessions, non-converged steps) into the report."""
-    base.validate_against(case)
-    loads_before = aggregate_load(base, uncoordinated_by_bus)
-    loads_after = aggregate_load(base, coordinated_by_bus)
-
+    """Evaluate the uncoordinated and coordinated loads (from
+    ``aggregate_load`` over one base load checked against ``case``) at their
+    worst-case slots and tabulate the before/after quantities.  ``flags``
+    carries run-level notes (clamped sessions, non-converged steps) into the
+    report."""
     total_before = loads_before.system_total()
     total_after = loads_after.system_total()
     slot_before = int(np.argmax(total_before))

@@ -9,7 +9,10 @@ dimensionless slot price in the KKT form
 
     p(t) = clip(previous(t) - c(t) + mu * dt, lo(t), hi(t))
 
-with the scalar multiplier mu fixed by bisection on the energy equality.
+with the scalar multiplier mu fixed exactly by the energy equality: a sort of
+the 2T breakpoints of the piecewise-linear energy curve and one closed-form
+interpolation on the segment that holds the target (the breakpoint search
+for the continuous quadratic knapsack; Kiwiel 2008, Condat 2016).
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ import numpy as np
 
 from .fleet import KW_PER_MW, EvSession
 
-# bisection stop on the energy equality, in MWh (1e-9 kWh), and its step cap
+# a target this close to the box's energy bound (MWh, i.e. 1e-9 kWh) is met
+# by the bound profile itself
 ENERGY_TOL = 1e-12
-MAX_BISECT = 200
 
 
 class SchedulerError(ValueError):
@@ -127,11 +130,13 @@ def project_to_energy_box(c: np.ndarray, previous: np.ndarray, lo: np.ndarray,
     equality sum(p)*dt == energy.
 
     All arguments share one consistent unit system.  The KKT stationary form
-    is p = clip(previous - c + mu*dt, lo, hi); the residual
-    g(mu) = sum(p(mu))*dt - energy is continuous and nondecreasing, so mu is
-    found by bisection (``MAX_BISECT`` steps at most, deterministic).
+    is p = clip(previous - c + mu*dt, lo, hi).  sum(p(mu)) is continuous,
+    nondecreasing and piecewise linear in mu, so mu is found exactly by
+    sorting its 2T breakpoints and interpolating on the segment that reaches
+    the energy target; no iteration, no stopping tolerance.
     """
-    lo_sum = float(lo.sum()) * dt
+    lo_total = float(lo.sum())
+    lo_sum = lo_total * dt
     hi_sum = float(hi.sum()) * dt
     slack = max(ENERGY_TOL, 1e-9 * max(1.0, abs(energy)))
     if energy < lo_sum - slack or energy > hi_sum + slack:
@@ -141,35 +146,24 @@ def project_to_energy_box(c: np.ndarray, previous: np.ndarray, lo: np.ndarray,
     if energy <= lo_sum + ENERGY_TOL:
         return lo.copy()
 
+    # with nu = mu*dt, S(nu) = sum(clip(base + nu, lo, hi)) is piecewise
+    # linear: its slope steps up by one at each a = lo - base and down by one
+    # at each b = hi - base.  The stable sort keeps every a ahead of an equal
+    # b, so the running slope never goes negative.
     base = previous - c
-
-    def residual(mu: float) -> float:
-        p = np.clip(base + mu * dt, lo, hi)
-        return float(p.sum()) * dt - energy
-
-    mu_lo = float(np.min((lo - base) / dt))
-    mu_hi = float(np.max((hi - base) / dt))
-    # the analytic bracket already pins the residual signs; widen geometrically
-    # if float rounding at the extremes ever spoils that
-    width = max(mu_hi - mu_lo, 1.0)
-    while residual(mu_lo) > 0.0:
-        mu_lo -= width
-        width *= 2.0
-    while residual(mu_hi) < 0.0:
-        mu_hi += width
-        width *= 2.0
-
-    mu = 0.5 * (mu_lo + mu_hi)
-    for _ in range(MAX_BISECT):
-        g = residual(mu)
-        if abs(g) <= ENERGY_TOL:
-            break
-        if g > 0.0:
-            mu_hi = mu
-        else:
-            mu_lo = mu
-        mu = 0.5 * (mu_lo + mu_hi)
-    return np.clip(base + mu * dt, lo, hi)
+    t = base.size
+    ks = np.concatenate((lo - base, hi - base))
+    order = ks.argsort(kind="stable")
+    ks = ks[order]
+    slope = np.cumsum(np.where(order < t, 1.0, -1.0))
+    # S at every breakpoint
+    sk = lo_total + np.concatenate(([0.0], np.cumsum(slope[:-1] * np.diff(ks))))
+    target = energy / dt
+    # the first breakpoint with S >= target closes the segment holding the
+    # root, whose slope is at least one
+    j = min(max(int(np.searchsorted(sk, target)), 1), 2 * t - 1)
+    nu = ks[j - 1] + (target - sk[j - 1]) / slope[j - 1]
+    return np.clip(base + nu, lo, hi)
 
 
 def solve_task(signal: ControlSignal, previous_kw: np.ndarray, task: StationTask,

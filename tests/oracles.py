@@ -8,8 +8,8 @@ algorithmic route than the library code it checks:
 * ``gauss_seidel_power_flow`` solves the load flow by Gauss-Seidel sweeps
   rather than Newton-Raphson.
 * ``active_set_minimize`` solves the proximal station subproblem exactly by
-  enumerating every lower/free/upper slot pattern instead of bisecting the
-  dual multiplier.
+  enumerating every lower/free/upper slot pattern instead of a breakpoint
+  search on the dual multiplier.
 * ``finite_difference_jacobian`` differentiates the injection equations
   numerically.
 * ``compute_injection`` evaluates one bus's injection from the polar sums

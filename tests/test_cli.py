@@ -188,6 +188,49 @@ class TestPreflight:
                               "slot 16 outside the base load's 0..15")
 
 
+    @pytest.mark.parametrize("line,message", [
+        ("90,remove_session,nope,,,,,,", "event at slot 90: unknown ev_id 'nope'"),
+        ("41,update_energy,b7e0003,,,,10.0,,", "event at slot 41: unknown ev_id 'b7e0003'"),
+        ("50,add_session,b7e0003,7,50,90,10.0,200.0,-200.0",
+         "event at slot 50: ev_id 'b7e0003' already used"),
+        ("30,add_session,late5a,5,40,90,10.0,200.0,-200.0",
+         "event at slot 30: ev_id 'late5a' already used"),
+    ])
+    def test_scripted_event_ids_replayed(self, tmp_path, capsys, line, message):
+        events = tmp_path / "events.csv"
+        events.write_text((DESK_DIR / "events.csv").read_text() + line + "\n")
+        argv = ["simulate", "-c", str(DESK_DIR / "config.json"), "--events", str(events)]
+        fails_before_any_work(tmp_path, capsys, argv, f"events.csv: {message}")
+
+    def test_horizon_steps_outside_the_slots(self, tmp_path, capsys):
+        argv = ["simulate", "-c", str(DESK_DIR / "config.json"), "--steps", "97"]
+        fails_before_any_work(tmp_path, capsys, argv, "horizon_steps 97 must be in 1..96")
+
+    @pytest.mark.parametrize("section,values,message", [
+        ("scheduler", {"epsilon": "x"}, "scheduler.epsilon: expected a number, got 'x'"),
+        ("scheduler", {"lambda": True}, "scheduler.lambda: expected a number, got True"),
+        ("scheduler", {"max_iterations": 2.5},
+         "scheduler.max_iterations: expected an integer, got 2.5"),
+        ("power_flow", {"tol": [1e-8]}, "power_flow.tol: expected a number"),
+        ("reactive", {"ev_power_factor": None}, "reactive.ev_power_factor: expected a number"),
+        ("fleet", {"counts": {"5": "many"}}, "fleet.counts.5: expected an integer"),
+        ("fleet", {"energy_kwh_range": 100.0}, "fleet.energy_kwh_range: expected [lo, hi]"),
+        ("pv_mw", {"2": "10"}, "pv_mw.2: expected a number, got '10'"),
+        ("pv_mw", {"two": 10.0}, "pv_mw: bus id 'two' is not an integer"),
+    ])
+    def test_wrong_typed_value_names_its_key(self, tmp_path, capsys, section, values,
+                                             message):
+        config = desk_variant(tmp_path, **{section: values})
+        fails_before_any_work(tmp_path, capsys, ["simulate", "-c", str(config)],
+                              f"desk.json: {message}")
+
+    def test_wrong_typed_top_level_value_names_its_key(self, tmp_path, capsys):
+        config = desk_variant(tmp_path)
+        write_config(config, **{**json.loads(config.read_text()), "horizon_steps": "24"})
+        fails_before_any_work(tmp_path, capsys, ["simulate", "-c", str(config)],
+                              "desk.json: config.horizon_steps: expected an integer, got '24'")
+
+
 class TestSchedulesFile:
     @round_trip
     @given(data=st.data())

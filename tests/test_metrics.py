@@ -220,11 +220,17 @@ class TestEvaluateGridAtSlot:
             assert sol_heavy.v_mag[i] < sol_light.v_mag[i]
 
 
+def compare(case, base, uncoordinated, coordinated, **options):
+    """``compare_scenarios`` on two lists of (bus_id, kW profile) over ``base``."""
+    return compare_scenarios(case, aggregate_load(base, uncoordinated),
+                             aggregate_load(base, coordinated), **options)
+
+
 class TestCompareScenarios:
     def test_identical_scenarios(self, wscc_case):
         base = constant_base({5: 90.0, 7: 100.0, 9: 125.0}, slots=4)
         profiles = [(5, np.full(4, 1500.0))]
-        report = compare_scenarios(wscc_case, base, profiles, profiles)
+        report = compare(wscc_case, base, profiles, profiles)
         assert report.peak_shaving_pct == 0.0
         assert report.slot_before == report.slot_after == 0
         assert report.line_current_reduction_pct == 0.0
@@ -237,7 +243,7 @@ class TestCompareScenarios:
         mw = np.array([[100.0, 180.0, 120.0, 90.0]])
         base = BaseLoadProfile((5,), mw)
         coordinated = [(5, np.array([25.0, -55.0, 5.0, 35.0]) * 1000.0)]
-        report = compare_scenarios(wscc_case, base, [], coordinated)
+        report = compare(wscc_case, base, [], coordinated)
         assert report.peak_before_mw == 180.0
         assert report.slot_before == 1
         assert report.peak_after_mw == pytest.approx(125.0, abs=1e-9)
@@ -248,13 +254,13 @@ class TestCompareScenarios:
     def test_peak_tie_goes_to_earliest_slot(self, wscc_case):
         mw = np.array([[150.0, 150.0, 140.0]])
         base = BaseLoadProfile((5,), mw)
-        report = compare_scenarios(wscc_case, base, [], [])
+        report = compare(wscc_case, base, [], [])
         assert report.slot_before == 0
         assert report.slot_after == 0
 
     def test_transformers_excluded_from_line_total(self, wscc_case):
         base = constant_base({5: 90.0, 7: 100.0, 9: 125.0}, slots=2)
-        report = compare_scenarios(wscc_case, base, [], [])
+        report = compare(wscc_case, base, [], [])
         transformer_ends = {(1, 4), (3, 6), (8, 2)}
         line_sum = 0.0
         for row in report.branch_currents:
@@ -268,20 +274,19 @@ class TestCompareScenarios:
 
     def test_voltage_rows_cover_pq_buses(self, wscc_case):
         base = constant_base({5: 90.0, 7: 100.0, 9: 125.0}, slots=2)
-        report = compare_scenarios(wscc_case, base, [], [])
+        report = compare(wscc_case, base, [], [])
         assert [r.bus_id for r in report.bus_voltages] == [4, 5, 6, 7, 8, 9]
 
     def test_flags_passed_through(self, wscc_case):
         base = constant_base({5: 90.0}, slots=2)
-        report = compare_scenarios(wscc_case, base, [], [],
-                                   flags=("step 3: something notable",))
+        report = compare(wscc_case, base, [], [], flags=("step 3: something notable",))
         assert report.flags == ("step 3: something notable",)
 
     def test_divergent_power_flow_reported_with_label(self, wscc_case):
         base = constant_base({5: 5000.0}, slots=2)
         with pytest.raises(MetricsError,
                            match="uncoordinated scenario at slot 0"):
-            compare_scenarios(wscc_case, base, [], [])
+            compare(wscc_case, base, [], [])
 
     def test_lighter_peaks_improve_everything(self, wscc_case):
         slots = 4
@@ -291,7 +296,7 @@ class TestCompareScenarios:
         # same energy spread as V2G-free constant halves
         coordinated = [(5, np.full(slots, 20000.0)),
                        (9, np.full(slots, 22500.0))]
-        report = compare_scenarios(wscc_case, base, uncoordinated, coordinated)
+        report = compare(wscc_case, base, uncoordinated, coordinated)
         assert report.peak_shaving_pct > 0.0
         assert report.line_current_total_after_a < report.line_current_total_before_a
         assert report.swing_after.p_mw < report.swing_before.p_mw
@@ -306,8 +311,7 @@ class TestReportOutput:
         base = constant_base({5: 90.0, 7: 100.0, 9: 125.0}, slots=3)
         uncoordinated = [(5, np.full(3, 30000.0))]
         coordinated = [(5, np.full(3, 12000.0))]
-        return compare_scenarios(wscc_case, base, uncoordinated, coordinated,
-                                 flags=("note one",))
+        return compare(wscc_case, base, uncoordinated, coordinated, flags=("note one",))
 
     def test_dict_is_json_ready(self, report):
         payload = report_to_dict(report)
