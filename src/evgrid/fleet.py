@@ -74,6 +74,9 @@ class HistoricalRecord:
     energy_kwh: float
 
     def __post_init__(self):
+        for name, cell in (("ev_id", self.ev_id), ("date", self.date)):
+            if not fileio.is_plain_cell(cell):
+                raise FleetError(f"record {name} {cell!r} contains a comma or line break")
         if self.start_slot >= self.end_slot:
             raise FleetError(f"record {self.ev_id}@{self.date}: start must precede end")
         if self.energy_kwh < 0:

@@ -5,8 +5,9 @@ The solver works on the per-unit injection equations
     P_i = V_i * sum_j V_j * Y_ij * cos(theta_i - theta_j - alpha_ij)
     Q_i = V_i * sum_j V_j * Y_ij * sin(theta_i - theta_j - alpha_ij)
 
-with an analytically assembled Jacobian and a dense LU linear solve.
-PV reactive limits are not modeled.
+with an analytically assembled Jacobian, solved at each step by Gaussian
+elimination with partial pivoting in numpy.  PV reactive limits are not
+modeled.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .grid import Branch, BusKind, GridCase
 
@@ -101,6 +101,32 @@ def _jacobian(v_mag, v_angle, ybus, p_calc, q_calc, pvpq, pq):
     ])
 
 
+def _lu_solve(a: np.ndarray, b: np.ndarray, iteration: int) -> np.ndarray:
+    """Solve ``a @ x = b`` by Gaussian elimination with partial pivoting.
+
+    Each column pivots on its first entry of largest magnitude, as LAPACK's
+    ``getrf`` does; a column that is zero from the diagonal down is left
+    as it is.  Raises SingularJacobianError (reporting ``iteration``) when
+    the smallest ``|U_kk|`` is below SINGULAR_PIVOT.
+    """
+    n = len(b)
+    u = np.column_stack((a, b))   # eliminating [a | b] carries b along
+    for k in range(n - 1):
+        p = k + int(abs(u[k:, k]).argmax())
+        if p != k:
+            u[[k, p]] = u[[p, k]]
+        if u[k, k] != 0.0:
+            u[k + 1:, k + 1:] -= (u[k + 1:, k] / u[k, k])[:, None] * u[k, k + 1:]
+    diag = np.abs(np.diag(u))
+    worst = int(np.argmin(diag))
+    if diag[worst] < SINGULAR_PIVOT:
+        raise SingularJacobianError(iteration, worst, float(diag[worst]))
+    x = np.empty(n)
+    for k in range(n - 1, -1, -1):
+        x[k] = (u[k, n] - u[k, k + 1:n] @ x[k + 1:]) / u[k, k]
+    return x
+
+
 def solve_power_flow(case: GridCase, ybus: np.ndarray, tol: float = 1e-8,
                      max_iter: int = 20,
                      warm_start: tuple[np.ndarray, np.ndarray] | None = None,
@@ -151,12 +177,7 @@ def solve_power_flow(case: GridCase, ybus: np.ndarray, tol: float = 1e-8,
             raise NonConvergenceError(iterations, max_mis, tol)
 
         jac = _jacobian(v_mag, v_angle, ybus, p_calc, q_calc, pvpq, pq)
-        lu, piv = scipy.linalg.lu_factor(jac, check_finite=False)
-        diag = np.abs(np.diag(lu))
-        worst = int(np.argmin(diag)) if diag.size else 0
-        if diag.size and diag[worst] < SINGULAR_PIVOT:
-            raise SingularJacobianError(iterations, worst, float(diag[worst]))
-        dx = scipy.linalg.lu_solve((lu, piv), mismatch, check_finite=False)
+        dx = _lu_solve(jac, mismatch, iterations)
 
         n_ang = len(pvpq)
         v_angle[pvpq] += dx[:n_ang]

@@ -1,6 +1,7 @@
 """Command-line interface: configuration, subcommands, and output files."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -281,6 +282,20 @@ def test_benchmark_tracer_binds_every_layer(tmp_path):
     assert done.returncode == 0, done.stderr
     names = {span[0] for span in json.loads(spans.read_text())}
     assert {"fileio.read", "powerflow.solve", "fileio.write"} <= names
+
+
+def test_cli_import_loads_no_scipy():
+    """numpy is the only runtime dependency: a fresh ``import evgrid.cli``
+    must leave every scipy module unloaded."""
+    src = str(ROOT / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, evgrid.cli; print(sorted(m for m in sys.modules "
+         "if m == 'scipy' or m.startswith('scipy.')))"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 class TestPowerflowCommand:

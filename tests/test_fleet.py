@@ -221,6 +221,14 @@ sessions_lists = st.lists(st.builds(
     energy_kwh=finite_floats, p_max_kw=finite_floats, d_max_kw=finite_floats,
 ), max_size=5)
 
+# start precedes end and the energy is not negative (-0.0 included)
+history_lists = st.lists(st.builds(
+    lambda ev_id, date, start, width, energy:
+        HistoricalRecord(ev_id, date, start, start + width, energy),
+    cell_text, cell_text, file_ints, st.integers(1, 10**9),
+    finite_floats.filter(lambda x: x >= 0.0),
+), max_size=5)
+
 
 class TestFiles:
     @round_trip
@@ -257,14 +265,20 @@ class TestFiles:
         assert read_sessions(path) == []
         assert len(path.read_text().strip().splitlines()) == 1
 
-    def test_history_round_trip(self, tmp_path):
-        records = [
-            HistoricalRecord("a", "2026-01-05", 30, 60, 12.0),
-            HistoricalRecord("b", "2026-01-06", 10, 20, 3.5),
-        ]
+    @round_trip
+    @given(records=history_lists)
+    def test_history_round_trip(self, tmp_path, records):
         path = tmp_path / "history.csv"
         write_history(path, records)
-        assert read_history(path) == records
+        assert_identical(read_history(path), records)
+
+    @pytest.mark.parametrize("ev_id,date", [
+        ("a,b", "2026-01-05"), ("a\nb", "2026-01-05"), ("a", "2026-01-05\r"),
+        ("a", "2026,01,05"),
+    ])
+    def test_history_cell_that_breaks_a_row_rejected(self, ev_id, date):
+        with pytest.raises(FleetError, match="comma or line break"):
+            HistoricalRecord(ev_id, date, 30, 60, 12.0)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

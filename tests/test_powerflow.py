@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import two_bus_case
@@ -12,6 +14,7 @@ from evgrid.powerflow import (
     NonConvergenceError,
     SingularJacobianError,
     _injections,
+    _lu_solve,
     amps_per_unit,
     compute_line_flows,
     solve_power_flow,
@@ -174,6 +177,40 @@ class TestJacobian:
                                                      pvpq, pq)
         rel = np.max(np.abs(numeric - analytic)) / max(1.0, np.max(np.abs(analytic)))
         assert rel < 1e-6
+
+
+@st.composite
+def dominant_systems(draw):
+    """A row-permuted, strictly diagonally dominant matrix and a right-hand
+    side; the permutation makes the solve swap rows."""
+    n = draw(st.integers(1, 20))
+    entries = st.floats(-1.0, 1.0)
+    a = np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n))).reshape(n, n)
+    signs = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))
+    np.fill_diagonal(a, 0.0)
+    np.fill_diagonal(a, signs * (np.abs(a).sum(axis=1) + 1.0))
+    order = draw(st.permutations(range(n)))
+    b = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
+    return a[order], b[order]
+
+
+class TestLuSolve:
+    @settings(max_examples=200, deadline=None)
+    @given(system=dominant_systems())
+    def test_matches_numpy_solve(self, system):
+        a, b = system
+        want = np.linalg.solve(a, b)
+        got = _lu_solve(a, b, 0)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    def test_zero_pivot_located_without_dividing_by_it(self):
+        # column 1 is twice column 0, so after the first elimination it is
+        # zero from the diagonal down; the diagonal of U is (4, 0, 2.5)
+        a = np.array([[1.0, 2.0, 0.0], [4.0, 8.0, 1.0], [2.0, 4.0, 3.0]])
+        with np.errstate(all="raise"), pytest.raises(SingularJacobianError) as err:
+            _lu_solve(a, np.ones(3), 7)
+        assert (err.value.iteration, err.value.pivot_index) == (7, 1)
+        assert str(err.value) == "singular Jacobian at iteration 7: pivot 0.000e+00 at position 1"
 
 
 class TestLineFlows:
