@@ -13,6 +13,17 @@ while retaining the full-horizon energy equality is arithmetically the same
 as shrinking the remaining demand by the delivered energy: the free slots
 must supply exactly the signed remainder, so mid-horizon discharge increases
 what is still owed.
+
+The loop's bookkeeping is array-backed.  Every id that can ever be active
+(the scenario's sessions and the ``add_session`` events) owns one row, in
+sorted id order, of the committed kW, the last profiles and the delivered
+kWh.  The window bounds of the active rows are ``(N, T)`` arrays, built
+with one broadcast mask and pinned to the committed prefix only when an
+event changes the active set or a target.  Every step checks reachability
+over all rows at once, commits its block in one array operation and pins
+that block into the bounds in place by slice.  Each station task holds row
+views of those bounds, and the fixed point still solves one task per
+station per round.
 """
 
 from __future__ import annotations
@@ -30,7 +41,6 @@ from .scheduler import (
     SchedulerConfig,
     StationTask,
     run_fixed_point,
-    session_bounds,
     solve_task,
 )
 
@@ -258,7 +268,15 @@ def read_events(path) -> list[ScriptedEvent]:
 
 @dataclass
 class HorizonState:
-    """Mutable state of the receding-horizon loop."""
+    """Mutable state of the receding-horizon loop.
+
+    ``sessions`` and ``removed`` follow the events as they are applied.  The
+    committed kW and the delivered kWh are kept in row-indexed arrays while
+    the loop runs (one row per id that can ever be active, see the module
+    docstring); when it ends, ``committed_kw`` maps every id that was ever
+    active to its row view of the committed array and ``delivered_kwh`` to
+    its delivered energy.
+    """
 
     tau: int
     committed_kw: dict[str, np.ndarray]
@@ -280,9 +298,10 @@ class HorizonResult:
 def schedule_events(events: list[ScriptedEvent], session_ids, slots: int,
                     steps: int) -> dict[int, list[ScriptedEvent]]:
     """Group ``events`` by the re-planning step that applies them, after
-    checking the step count and every event slot, and replaying the ev_ids in
-    that order: ``update_energy`` and ``remove_session`` need a live id, and
-    ``add_session`` a new one (a removed id is not reused)."""
+    checking the step count, every event slot and every added session's
+    window, and replaying the ev_ids in that order: ``update_energy`` and
+    ``remove_session`` need a live id, and ``add_session`` a new one (a
+    removed id is not reused)."""
     if steps < 1 or steps > slots:
         raise CoordinatorError(f"steps {steps} must be in 1..{slots}")
     sps = slots // steps
@@ -290,6 +309,10 @@ def schedule_events(events: list[ScriptedEvent], session_ids, slots: int,
     for event in events:
         if not 0 <= event.slot < slots:
             raise CoordinatorError(f"event slot {event.slot} outside 0..{slots - 1}")
+        if event.kind == "add_session" and not 0 <= event.t_start < event.t_end <= slots:
+            raise CoordinatorError(
+                f"event at slot {event.slot}: window [{event.t_start}, {event.t_end}) "
+                f"of {event.ev_id!r} outside horizon of {slots} slots")
         # an event lands at the first re-planning instant at or after its
         # slot, so slots committed earlier are never re-opened; events past
         # the final re-plan fold into the last step
@@ -315,8 +338,9 @@ def schedule_events(events: list[ScriptedEvent], session_ids, slots: int,
 
 
 def _apply_event(event: ScriptedEvent, state: HorizonState, tau: int,
-                 flags: list[str]) -> None:
-    """Apply one event that ``schedule_events`` has checked."""
+                 flags: list[str], delivered_kwh: float) -> None:
+    """Apply one event that ``schedule_events`` has checked;
+    ``delivered_kwh`` is what the event's session has delivered so far."""
     if event.kind == "add_session":
         state.sessions[event.ev_id] = EvSession(
             ev_id=event.ev_id, bus_id=event.bus_id, t_start=event.t_start,
@@ -330,10 +354,9 @@ def _apply_event(event: ScriptedEvent, state: HorizonState, tau: int,
     else:
         session = state.sessions.pop(event.ev_id)
         state.removed.add(event.ev_id)
-        delivered = state.delivered_kwh.get(event.ev_id, 0.0)
         flags.append(
             f"step {tau}: session {event.ev_id} removed before completion; "
-            f"delivered {delivered!r} of {session.energy_kwh!r} kWh"
+            f"delivered {delivered_kwh!r} of {session.energy_kwh!r} kWh"
         )
 
 
@@ -364,7 +387,17 @@ def run_receding_horizon(config: SchedulerConfig, base_load_mw: np.ndarray,
         sessions={s.ev_id: s for s in scenario.sessions},
         removed=set(),
     )
-    profiles: dict[str, np.ndarray] = {}
+    # one row per id that can ever be active, in sorted order, so the rows
+    # of any active set are ascending and match its sorted ids
+    ids = sorted(set(state.sessions)
+                 | {e.ev_id for e in events if e.kind == "add_session"})
+    row_of = {ev_id: k for k, ev_id in enumerate(ids)}
+    committed = np.zeros((len(ids), t))
+    profiles = np.zeros((len(ids), t))
+    delivered = np.zeros(len(ids))
+    ever_active = np.zeros(len(ids), dtype=bool)
+    slot_index = np.arange(t)
+
     bus_ids: dict[str, int] = {}
     carried: ControlSignal | None = None
     step_traces: list[ConvergenceTrace] = []
@@ -375,37 +408,49 @@ def run_receding_horizon(config: SchedulerConfig, base_load_mw: np.ndarray,
         slot0 = tau * sps
         slot1 = (tau + 1) * sps if tau < steps - 1 else t
 
-        changed = False
-        for event in events_by_step.get(tau, []):
-            _apply_event(event, state, tau, flags)
-            changed = True
+        step_events = events_by_step.get(tau, [])
+        for event in step_events:
+            _apply_event(event, state, tau, flags,
+                         float(delivered[row_of[event.ev_id]]))
+        changed = bool(step_events)
 
-        active_ids = sorted(state.sessions)
-        tasks: list[StationTask] = []
-        init = np.zeros((len(active_ids), t))
-        for k, ev_id in enumerate(active_ids):
-            session = state.sessions[ev_id]
-            bus_ids[ev_id] = session.bus_id
-            committed = state.committed_kw.setdefault(ev_id, np.zeros(t))
-            state.delivered_kwh.setdefault(ev_id, 0.0)
-            lo, hi = session_bounds(session, t)
-            lo[:slot0] = committed[:slot0]
-            hi[:slot0] = committed[:slot0]
-            lo_kwh = float(lo.sum()) * dt
-            hi_kwh = float(hi.sum()) * dt
-            energy = session.energy_kwh
-            if energy < lo_kwh - 1e-9 or energy > hi_kwh + 1e-9:
-                clamped = min(max(energy, lo_kwh), hi_kwh)
+        if tau == 0 or changed:
+            active = [state.sessions[ev_id] for ev_id in sorted(state.sessions)]
+            rows = np.array([row_of[s.ev_id] for s in active], dtype=np.intp)
+            ever_active[rows] = True
+            bus_ids.update((s.ev_id, s.bus_id) for s in active)
+            t_start, t_end, d_max, p_max, energy = np.array(
+                [(s.t_start, s.t_end, s.d_max_kw, s.p_max_kw, s.energy_kwh)
+                 for s in active], dtype=float).reshape(-1, 5).T
+            window = (slot_index >= t_start[:, None]) & (slot_index < t_end[:, None])
+            lo = np.where(window, d_max[:, None], 0.0)
+            hi = np.where(window, p_max[:, None], 0.0)
+            lo[:, :slot0] = hi[:, :slot0] = committed[rows, :slot0]
+            # the tasks see every later pin through their row views
+            tasks = [StationTask(s.ev_id, s.bus_id, lo[k], hi[k], s.energy_kwh)
+                     for k, s in enumerate(active)]
+            clamped = np.zeros(len(active), dtype=bool)
+
+        # a task gets a new target only while it is clamped, and once more
+        # when it stops being clamped
+        lo_kwh = lo.sum(axis=1) * dt
+        hi_kwh = hi.sum(axis=1) * dt
+        unreachable = (energy < lo_kwh - 1e-9) | (energy > hi_kwh + 1e-9)
+        for k in np.flatnonzero(unreachable | clamped):
+            session = active[k]
+            target = session.energy_kwh
+            if unreachable[k]:
+                reachable = float(lo_kwh[k]), float(hi_kwh[k])
+                target = min(max(target, reachable[0]), reachable[1])
                 flags.append(
-                    f"step {tau}: session {ev_id} energy target {energy!r} kWh "
-                    f"outside reachable [{lo_kwh!r}, {hi_kwh!r}]; "
-                    f"clamped to {clamped!r}"
+                    f"step {tau}: session {session.ev_id} energy target "
+                    f"{session.energy_kwh!r} kWh outside reachable "
+                    f"[{reachable[0]!r}, {reachable[1]!r}]; clamped to {target!r}"
                 )
-                energy = clamped
-            tasks.append(StationTask(ev_id, session.bus_id, lo, hi, energy))
-            if ev_id in profiles:
-                init[k] = profiles[ev_id]
+            tasks[k] = StationTask(session.ev_id, session.bus_id, lo[k], hi[k], target)
+        clamped = unreachable
 
+        init = profiles[rows]
         initial_signal = carried if not changed else None
         if transport is not None:
             result = run_with_transport(config, base_load_mw, tasks, transport,
@@ -422,22 +467,21 @@ def run_receding_horizon(config: SchedulerConfig, base_load_mw: np.ndarray,
         step_traces.append(result.trace)
         carried = result.signal
 
-        for k, ev_id in enumerate(active_ids):
-            profiles[ev_id] = result.profiles_kw[k]
-            state.committed_kw[ev_id][slot0:slot1] = result.profiles_kw[k][slot0:slot1]
-            state.delivered_kwh[ev_id] += (
-                float(result.profiles_kw[k][slot0:slot1].sum()) * dt
-            )
+        block = result.profiles_kw[:, slot0:slot1]
+        profiles[rows] = result.profiles_kw
+        committed[rows, slot0:slot1] = block
+        delivered[rows] += block.sum(axis=1) * dt
+        # pinned from the next step on
+        lo[:, slot0:slot1] = hi[:, slot0:slot1] = block
 
-    ev_ids = tuple(sorted(state.committed_kw))
-    committed = np.zeros((len(ev_ids), t))
-    for k, ev_id in enumerate(ev_ids):
-        committed[k] = state.committed_kw[ev_id]
+    ev_ids = tuple(ids[k] for k in np.flatnonzero(ever_active))
+    state.committed_kw.update((ev_id, committed[row_of[ev_id]]) for ev_id in ev_ids)
+    state.delivered_kwh.update(zip(ev_ids, delivered[ever_active].tolist()))
     state.tau = steps
     return HorizonResult(
         ev_ids=ev_ids,
-        bus_ids=dict(bus_ids),
-        committed_kw=committed,
+        bus_ids=bus_ids,
+        committed_kw=committed[ever_active],
         step_traces=tuple(step_traces),
         flags=tuple(flags),
         state=state,

@@ -29,11 +29,15 @@ def fmt(x) -> str:
     return str(x)
 
 
-def write_rows(path: str | os.PathLike, header: list[str], rows) -> None:
+def _write_lines(path: str | os.PathLike, header: list[str], lines) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+        for line in lines:
+            fh.write(line + "\n")
+
+
+def write_rows(path: str | os.PathLike, header: list[str], rows) -> None:
+    _write_lines(path, header, (",".join(map(fmt, row)) for row in rows))
 
 
 def read_table(path: str | os.PathLike) -> tuple[list[str], list[tuple[int, str]]]:
@@ -74,11 +78,13 @@ def write_schedules(path, ev_ids: list[str], bus_ids: list[int],
                     profiles_kw: np.ndarray) -> None:
     """Per-EV charging profiles in kW; one column per slot."""
     slots = profiles_kw.shape[1] if len(ev_ids) else 0
-    rows = (
-        [ev_ids[n], bus_ids[n]] + list(profiles_kw[n])
-        for n in range(len(ev_ids))
+    # tolist() yields Python floats, so repr is fmt's float rule without a
+    # numpy scalar per cell
+    lines = (
+        ",".join([fmt(ev_id), fmt(bus_id), *map(repr, row)])
+        for ev_id, bus_id, row in zip(ev_ids, bus_ids, profiles_kw.tolist())
     )
-    write_rows(path, schedule_header(slots), rows)
+    _write_lines(path, schedule_header(slots), lines)
 
 
 def read_schedules(path) -> tuple[list[str], list[int], np.ndarray]:
@@ -119,8 +125,9 @@ def write_traces(path, traces) -> None:
 
 def write_system_aggregate(path, base_mw, uncoordinated_mw, coordinated_mw) -> None:
     rows = (
-        [t, base_mw[t], uncoordinated_mw[t], coordinated_mw[t]]
-        for t in range(len(base_mw))
+        [t, *cells]
+        for t, cells in enumerate(zip(base_mw.tolist(), uncoordinated_mw.tolist(),
+                                      coordinated_mw.tolist()))
     )
     write_rows(path, ["slot", "base_mw", "uncoordinated_total_mw", "coordinated_total_mw"], rows)
 
@@ -128,8 +135,10 @@ def write_system_aggregate(path, base_mw, uncoordinated_mw, coordinated_mw) -> N
 def write_bus_aggregate(path, bus_ids, base_mw, uncoordinated_mw, coordinated_mw) -> None:
     """Per-bus loads; row k of each (buses, T) array belongs to ``bus_ids[k]``."""
     rows = (
-        [bus, t, base_mw[k][t], uncoordinated_mw[k][t], coordinated_mw[k][t]]
-        for k, bus in enumerate(bus_ids) for t in range(len(base_mw[k]))
+        [bus, t, *cells]
+        for bus, base, unc, coord in zip(bus_ids, base_mw.tolist(), uncoordinated_mw.tolist(),
+                                         coordinated_mw.tolist())
+        for t, cells in enumerate(zip(base, unc, coord))
     )
     write_rows(
         path,

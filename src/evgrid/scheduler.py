@@ -141,9 +141,11 @@ def project_to_energy_box(c: np.ndarray, previous: np.ndarray, lo: np.ndarray,
     slack = max(ENERGY_TOL, 1e-9 * max(1.0, abs(energy)))
     if energy < lo_sum - slack or energy > hi_sum + slack:
         raise InfeasibleSessionError(label, energy, lo_sum, hi_sum)
-    if energy >= hi_sum - ENERGY_TOL:
+    # compare the miss itself, so a snapped profile misses by at most
+    # ENERGY_TOL, not by ENERGY_TOL plus the rounding of hi_sum - ENERGY_TOL
+    if hi_sum - energy <= ENERGY_TOL:
         return hi.copy()
-    if energy <= lo_sum + ENERGY_TOL:
+    if energy - lo_sum <= ENERGY_TOL:
         return lo.copy()
 
     # with nu = mu*dt, S(nu) = sum(clip(base + nu, lo, hi)) is piecewise

@@ -14,6 +14,8 @@ algorithmic route than the library code it checks:
   numerically.
 * ``compute_injection`` evaluates one bus's injection from the polar sums
   instead of the library's complex ``V * conj(Y V)`` product.
+* ``reference_horizon`` runs the receding-horizon loop station by station,
+  with per-id dicts, instead of the library's row-indexed arrays.
 """
 
 from __future__ import annotations
@@ -21,9 +23,29 @@ from __future__ import annotations
 import cmath
 import math
 
+from dataclasses import replace
+
 import numpy as np
 
+from evgrid.coordinator import (
+    CoordinatorError,
+    HorizonResult,
+    HorizonState,
+    LoopbackTransport,
+    ScriptedEvent,
+    run_with_transport,
+    schedule_events,
+)
+from evgrid.fleet import EvSession, FleetScenario
 from evgrid.grid import BusKind, GridCase
+from evgrid.scheduler import (
+    ControlSignal,
+    ConvergenceTrace,
+    SchedulerConfig,
+    StationTask,
+    run_fixed_point,
+    session_bounds,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -230,3 +252,132 @@ def finite_difference_jacobian(v_mag: np.ndarray, v_angle: np.ndarray,
         f_minus = injection_vector(vm_minus, va_minus, ybus, pvpq, pq)
         jac[:, col] = (f_plus - f_minus) / (2.0 * h)
     return jac
+
+
+# ---------------------------------------------------------------------------
+# Receding horizon, one station at a time
+
+
+def _reference_apply_event(event: ScriptedEvent, state: HorizonState, tau: int,
+                           flags: list[str]) -> None:
+    if event.kind == "add_session":
+        state.sessions[event.ev_id] = EvSession(
+            ev_id=event.ev_id, bus_id=event.bus_id, t_start=event.t_start,
+            t_end=event.t_end, energy_kwh=event.energy_kwh,
+            p_max_kw=event.p_max_kw, d_max_kw=event.d_max_kw,
+        )
+    elif event.kind == "update_energy":
+        state.sessions[event.ev_id] = replace(
+            state.sessions[event.ev_id], energy_kwh=event.energy_kwh
+        )
+    else:
+        session = state.sessions.pop(event.ev_id)
+        state.removed.add(event.ev_id)
+        delivered = state.delivered_kwh.get(event.ev_id, 0.0)
+        flags.append(
+            f"step {tau}: session {event.ev_id} removed before completion; "
+            f"delivered {delivered!r} of {session.energy_kwh!r} kWh"
+        )
+
+
+def reference_horizon(config: SchedulerConfig, base_load_mw: np.ndarray,
+                      scenario: FleetScenario, steps: int,
+                      events: list[ScriptedEvent] = (),
+                      transport: LoopbackTransport | None = None) -> HorizonResult:
+    """``coordinator.run_receding_horizon`` as a per-station loop: every
+    step rebuilds each active station's bounds from its session, pins its
+    committed slots and checks its reachable energy on its own, and commits
+    through per-id dicts."""
+    t = config.slots
+    dt = config.slot_hours
+    if scenario.slots_per_horizon != t or scenario.slot_hours != dt:
+        raise CoordinatorError("scenario slot grid differs from scheduler config")
+    events_by_step = schedule_events(events, [s.ev_id for s in scenario.sessions],
+                                     t, steps)
+    sps = t // steps
+
+    state = HorizonState(
+        tau=0,
+        committed_kw={},
+        delivered_kwh={},
+        sessions={s.ev_id: s for s in scenario.sessions},
+        removed=set(),
+    )
+    profiles: dict[str, np.ndarray] = {}
+    bus_ids: dict[str, int] = {}
+    carried: ControlSignal | None = None
+    step_traces: list[ConvergenceTrace] = []
+    flags: list[str] = []
+
+    for tau in range(steps):
+        state.tau = tau
+        slot0 = tau * sps
+        slot1 = (tau + 1) * sps if tau < steps - 1 else t
+
+        changed = False
+        for event in events_by_step.get(tau, []):
+            _reference_apply_event(event, state, tau, flags)
+            changed = True
+
+        active_ids = sorted(state.sessions)
+        tasks: list[StationTask] = []
+        init = np.zeros((len(active_ids), t))
+        for k, ev_id in enumerate(active_ids):
+            session = state.sessions[ev_id]
+            bus_ids[ev_id] = session.bus_id
+            committed = state.committed_kw.setdefault(ev_id, np.zeros(t))
+            state.delivered_kwh.setdefault(ev_id, 0.0)
+            lo, hi = session_bounds(session, t)
+            lo[:slot0] = committed[:slot0]
+            hi[:slot0] = committed[:slot0]
+            lo_kwh = float(lo.sum()) * dt
+            hi_kwh = float(hi.sum()) * dt
+            energy = session.energy_kwh
+            if energy < lo_kwh - 1e-9 or energy > hi_kwh + 1e-9:
+                clamped = min(max(energy, lo_kwh), hi_kwh)
+                flags.append(
+                    f"step {tau}: session {ev_id} energy target {energy!r} kWh "
+                    f"outside reachable [{lo_kwh!r}, {hi_kwh!r}]; "
+                    f"clamped to {clamped!r}"
+                )
+                energy = clamped
+            tasks.append(StationTask(ev_id, session.bus_id, lo, hi, energy))
+            if ev_id in profiles:
+                init[k] = profiles[ev_id]
+
+        initial_signal = carried if not changed else None
+        if transport is not None:
+            result = run_with_transport(config, base_load_mw, tasks, transport,
+                                        init, initial_signal)
+        else:
+            result = run_fixed_point(config, base_load_mw, tasks, init,
+                                     initial_signal)
+        if not result.trace.converged:
+            flags.append(
+                f"step {tau}: fixed point not converged after "
+                f"{result.trace.iterations} iterations "
+                f"(residual {result.trace.residuals[-1]!r})"
+            )
+        step_traces.append(result.trace)
+        carried = result.signal
+
+        for k, ev_id in enumerate(active_ids):
+            profiles[ev_id] = result.profiles_kw[k]
+            state.committed_kw[ev_id][slot0:slot1] = result.profiles_kw[k][slot0:slot1]
+            state.delivered_kwh[ev_id] += (
+                float(result.profiles_kw[k][slot0:slot1].sum()) * dt
+            )
+
+    ev_ids = tuple(sorted(state.committed_kw))
+    committed = np.zeros((len(ev_ids), t))
+    for k, ev_id in enumerate(ev_ids):
+        committed[k] = state.committed_kw[ev_id]
+    state.tau = steps
+    return HorizonResult(
+        ev_ids=ev_ids,
+        bus_ids=dict(bus_ids),
+        committed_kw=committed,
+        step_traces=tuple(step_traces),
+        flags=tuple(flags),
+        state=state,
+    )

@@ -203,6 +203,14 @@ class TestPreflight:
         argv = ["simulate", "-c", str(DESK_DIR / "config.json"), "--events", str(events)]
         fails_before_any_work(tmp_path, capsys, argv, f"events.csv: {message}")
 
+    def test_added_session_window_outside_the_horizon(self, tmp_path, capsys):
+        events = tmp_path / "events.csv"
+        events.write_text((DESK_DIR / "events.csv").read_text()
+                          + "30,add_session,late5z,5,-2,90,10.0,200.0,-200.0\n")
+        argv = ["simulate", "-c", str(DESK_DIR / "config.json"), "--events", str(events)]
+        fails_before_any_work(tmp_path, capsys, argv, "events.csv: event at slot 30: "
+                              "window [-2, 90) of 'late5z' outside horizon of 96 slots")
+
     def test_horizon_steps_outside_the_slots(self, tmp_path, capsys):
         argv = ["simulate", "-c", str(DESK_DIR / "config.json"), "--steps", "97"]
         fails_before_any_work(tmp_path, capsys, argv, "horizon_steps 97 must be in 1..96")

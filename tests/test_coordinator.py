@@ -4,11 +4,14 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import (assert_identical, cell_text, file_ints, finite_floats, make_session,
                       round_trip, small_config)
+from evgrid import coordinator, scheduler
+from evgrid.cli import load_run_config, preflight
 from evgrid.coordinator import (
     Broadcast,
     Converged,
@@ -23,9 +26,10 @@ from evgrid.coordinator import (
     read_events,
     run_receding_horizon,
     run_with_transport,
+    schedule_events,
     write_events,
 )
-from evgrid.fleet import FleetScenario
+from evgrid.fleet import EvSession, FleetScenario
 from evgrid.scheduler import (
     ControlSignal,
     run_until_converged,
@@ -339,6 +343,17 @@ class TestRecedingHorizon:
             run_receding_horizon(config, shaped_base(), self.base_scenario(),
                                  steps=4, events=[event])
 
+    @pytest.mark.parametrize("t_start,t_end", [(-1, 8), (9, 17), (9, 9), (10, 9)])
+    def test_added_window_outside_the_horizon_rejected(self, t_start, t_end):
+        event = ScriptedEvent(slot=6, kind="add_session", ev_id="late", bus_id=5,
+                              t_start=t_start, t_end=t_end, energy_kwh=1.0,
+                              p_max_kw=6.6, d_max_kw=-6.6)
+        with pytest.raises(CoordinatorError, match=(
+                rf"event at slot 6: window \[{t_start}, {t_end}\) of 'late' "
+                "outside horizon of 16 slots")):
+            run_receding_horizon(small_config(), shaped_base(), self.base_scenario(),
+                                 steps=4, events=[event])
+
     def test_slot_grid_mismatch_rejected(self):
         config = small_config(slots=24)
         with pytest.raises(CoordinatorError, match="slot grid"):
@@ -384,3 +399,176 @@ class TestRecedingHorizon:
         assert np.array_equal(first.committed_kw, second.committed_kw)
         assert first.step_traces == second.step_traces
         assert first.flags == second.flags
+
+
+def assert_same_horizon(got, want):
+    """Exact equality of two horizon results, float bits included."""
+    assert got.ev_ids == want.ev_ids
+    assert got.bus_ids == want.bus_ids
+    assert got.committed_kw.shape == want.committed_kw.shape
+    assert got.committed_kw.tobytes() == want.committed_kw.tobytes()
+    assert got.flags == want.flags
+    assert repr(got.step_traces) == repr(want.step_traces)
+    assert (repr(sorted(got.state.delivered_kwh.items()))
+            == repr(sorted(want.state.delivered_kwh.items())))
+    assert ({k: v.tobytes() for k, v in got.state.committed_kw.items()}
+            == {k: v.tobytes() for k, v in want.state.committed_kw.items()})
+    assert got.state.removed == want.state.removed
+    assert got.state.sessions == want.state.sessions
+    assert got.state.tau == want.state.tau
+
+
+@st.composite
+def horizon_scripts(draw):
+    """A small scenario, base load, config, step count and an event script
+    that ``schedule_events`` accepts."""
+    slots = draw(st.integers(4, 12))
+    steps = draw(st.integers(1, slots))
+    dt = 0.25
+    ids = draw(st.lists(st.text("abAB01", min_size=1, max_size=3), unique=True,
+                        min_size=1, max_size=8))
+    n_sessions = draw(st.integers(0, min(4, len(ids))))
+
+    def window():
+        t_start = draw(st.integers(0, slots - 1))
+        return t_start, draw(st.integers(t_start + 1, slots))
+
+    def rates():
+        return draw(st.sampled_from([0.0, 3.3, 7.0])), draw(st.sampled_from([0.0, -3.3]))
+
+    sessions = []
+    for ev_id in ids[:n_sessions]:
+        (t_start, t_end), (p_max, d_max) = window(), rates()
+        share = draw(st.floats(0.0, 1.0))
+        energy = (d_max + share * (p_max - d_max)) * (t_end - t_start) * dt
+        sessions.append(EvSession(ev_id, draw(st.sampled_from([5, 7, 9])), t_start,
+                                  t_end, energy, p_max, d_max))
+
+    # events in slot order, so the replay by step meets them in list order
+    live, fresh = [s.ev_id for s in sessions], ids[n_sessions:]
+    events, slot = [], 0
+    for _ in range(draw(st.integers(0, 6))):
+        slot = draw(st.integers(slot, slots - 1))
+        kinds = (["add_session"] if fresh else []) + (
+            ["update_energy", "remove_session"] if live else [])
+        if not kinds:
+            break
+        kind = draw(st.sampled_from(kinds))
+        if kind == "add_session":
+            ev_id = fresh.pop(0)
+            (t_start, t_end), (p_max, d_max) = window(), rates()
+            events.append(ScriptedEvent(slot, kind, ev_id, draw(st.sampled_from([5, 7, 9])),
+                                        t_start, t_end, draw(st.floats(-10.0, 30.0)),
+                                        p_max, d_max))
+            live.append(ev_id)
+        elif kind == "update_energy":
+            events.append(ScriptedEvent(slot, kind, draw(st.sampled_from(live)),
+                                        energy_kwh=draw(st.floats(-30.0, 60.0))))
+        else:
+            ev_id = draw(st.sampled_from(live))
+            live.remove(ev_id)
+            events.append(ScriptedEvent(slot, kind, ev_id))
+
+    config = small_config(slots=slots, epsilon=draw(st.sampled_from([1e-4, 1e-2])),
+                          max_iterations=draw(st.sampled_from([2, 60])))
+    scenario = FleetScenario(tuple(sessions), slots, dt)
+    return config, shaped_base(slots), scenario, steps, events
+
+
+class TestAgainstReferenceLoop:
+    """The array-backed horizon loop against the per-station loop it
+    replaced (``oracles.reference_horizon``): identical results, bit for bit."""
+
+    @given(horizon_scripts(), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_random_scripts(self, script, routed):
+        config, base, scenario, steps, events = script
+        transports = (LoopbackTransport(), LoopbackTransport()) if routed else (None, None)
+        got = run_receding_horizon(config, base, scenario, steps, events, transports[0])
+        want = oracles.reference_horizon(config, base, scenario, steps, events, transports[1])
+        assert_same_horizon(got, want)
+        if routed:
+            assert transports[0].serialize() == transports[1].serialize()
+
+    def run_both(self, events, extra=()):
+        config = small_config()
+        scenario = scenario_of(*TestRecedingHorizon().base_scenario().sessions, *extra)
+        got = run_receding_horizon(config, shaped_base(), scenario, 4, events)
+        want = oracles.reference_horizon(config, shaped_base(), scenario, 4, events)
+        assert_same_horizon(got, want)
+        return got
+
+    def test_add_and_remove_in_one_step(self):
+        # slots 5 and 6 both land at step 2, so "late" is never solved
+        result = self.run_both([
+            ScriptedEvent(5, "add_session", "late", 5, 9, 16, 5.0, 6.6, -6.6),
+            ScriptedEvent(6, "remove_session", "late"),
+        ])
+        assert "late" not in result.ev_ids
+        assert "late" not in result.state.delivered_kwh
+        assert result.flags == (
+            "step 2: session late removed before completion; delivered 0.0 of 5.0 kWh",)
+
+    def test_removal_before_the_window_opens(self):
+        late = make_session(ev_id="e4", bus_id=7, t_start=12, t_end=16, energy_kwh=4.0)
+        result = self.run_both([ScriptedEvent(3, "remove_session", "e4")], [late])
+        row = result.ev_ids.index("e4")
+        assert not result.committed_kw[row].any()
+        assert result.flags == (
+            "step 1: session e4 removed before completion; delivered 0.0 of 4.0 kWh",)
+
+    def test_unreachable_update_flags_every_later_step(self):
+        result = self.run_both([ScriptedEvent(5, "update_energy", "e1", energy_kwh=50.0)])
+        assert [f.split(":")[0] for f in result.flags] == ["step 2", "step 3"]
+        assert all("session e1 energy target 50.0 kWh" in f for f in result.flags)
+
+    def test_removal_of_a_clamped_session(self):
+        result = self.run_both([
+            ScriptedEvent(1, "update_energy", "e1", energy_kwh=50.0),
+            ScriptedEvent(9, "remove_session", "e1"),
+        ])
+        assert [f.split(":")[0] for f in result.flags] == ["step 1", "step 2", "step 3"]
+        assert all("session e1 energy target 50.0 kWh" in f for f in result.flags[:2])
+        assert "session e1 removed before completion" in result.flags[2]
+
+    def test_events_fold_into_the_last_step(self):
+        # the last re-plan starts at slot 12; slots 13..15 fold into it
+        result = self.run_both([
+            ScriptedEvent(13, "update_energy", "e2", energy_kwh=3.0),
+            ScriptedEvent(14, "add_session", "late", 7, 12, 16, 2.0, 6.6, -6.6),
+            ScriptedEvent(15, "remove_session", "e3"),
+        ])
+        row = result.ev_ids.index("late")
+        assert not result.committed_kw[row, :12].any()
+        assert result.flags[0].startswith("step 3: session e3 removed")
+
+
+@pytest.mark.parametrize("routed", [False, True])
+def test_one_solve_per_station_per_round(monkeypatch, desk_config_path, routed):
+    """The desk horizon calls ``solve_task`` once per active station per
+    round, the count the benchmark's traced runs cross-check."""
+    cfg = load_run_config(str(desk_config_path), {})
+    inputs = preflight(cfg, "simulate")
+    solves = 0
+    real_solve = scheduler.solve_task
+
+    def counting(*args, **kwargs):
+        nonlocal solves
+        solves += 1
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(scheduler, "solve_task", counting)
+    monkeypatch.setattr(coordinator, "solve_task", counting)
+    steps, scenario = cfg.horizon_steps, inputs.scenario
+    result = run_receding_horizon(cfg.scheduler, inputs.base.mw.sum(axis=0), scenario,
+                                  steps, inputs.events,
+                                  LoopbackTransport() if routed else None)
+
+    by_step = schedule_events(inputs.events, [s.ev_id for s in scenario.sessions],
+                              cfg.scheduler.slots, steps)
+    stations, expected = len(scenario.sessions), 0
+    for tau, trace in enumerate(result.step_traces):
+        for event in by_step.get(tau, []):
+            stations += {"add_session": 1, "remove_session": -1}.get(event.kind, 0)
+        expected += stations * trace.iterations
+    assert solves == expected > 0

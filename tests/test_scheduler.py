@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -185,8 +185,12 @@ class TestProjection:
 
     @settings(max_examples=300, deadline=None)
     @given(box=knapsack_boxes(), where=st.one_of(
-        st.sampled_from([0.0, 1e-9, 1e-6, 0.5, 1.0 - 1e-6, 1.0 - 1e-9, 1.0]),
+        st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 0.5, 1.0 - 1e-6, 1.0 - 1e-9,
+                         1.0 - 1e-12, 1.0]),
         st.floats(0.0, 1.0), st.integers(0, 15)))
+    # a target ENERGY_TOL inside a bound, up to rounding
+    @example(box=(np.array([-2.0, -2.0]), np.array([-2.0, -2.0]), np.array([-1.0, 0.0]),
+                  np.array([0.0, 3.0])), where=1e-12)
     def test_exact_on_ties_pins_and_edges(self, box, where):
         c, previous, lo, hi = box
         dt = 0.25
