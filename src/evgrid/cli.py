@@ -205,7 +205,8 @@ class Inputs:
     base: metrics.BaseLoadProfile | None = None
     scenario: FleetScenario | None = None
     events: list[coordinator.ScriptedEvent] = field(default_factory=list)
-    schedules: list[tuple] = field(default_factory=list)   # uncoordinated, coordinated
+    # uncoordinated, coordinated
+    loads: list[metrics.ScenarioLoads] = field(default_factory=list)
 
 
 _REQUIRED = {"powerflow": ("case",), "schedule": ("case", "base_load"),
@@ -266,13 +267,19 @@ def preflight(cfg: RunConfig, command: str) -> Inputs:
             raise ValueError(f"{cfg.events_path}: {exc}") from None
     if command == "compare":
         for path in (cfg.uncoordinated_path, cfg.coordinated_path):
-            ev_ids, bus_ids, profiles_kw = fileio.read_schedules(path)
-            if ev_ids and profiles_kw.shape[1] != base.slots:
-                raise ValueError(f"{path}: {profiles_kw.shape[1]} slots, "
-                                 f"base load has {base.slots}")
-            _on_load_buses(path, bus_ids, base)
-            inputs.schedules.append((ev_ids, bus_ids, profiles_kw))
+            inputs.loads.append(metrics.aggregate_load(base, _checked_blocks(path, base)))
     return inputs
+
+
+def _checked_blocks(path, base: metrics.BaseLoadProfile):
+    """The ``(bus_ids, profiles_kw)`` blocks of one schedule file, each
+    checked against the base load before it is summed."""
+    for _, bus_ids, profiles_kw in fileio.read_schedule_blocks(path):
+        if profiles_kw.shape[1] != base.slots:
+            raise ValueError(f"{path}: {profiles_kw.shape[1]} slots, "
+                             f"base load has {base.slots}")
+        _on_load_buses(path, bus_ids, base)
+        yield bus_ids, profiles_kw
 
 
 def _load_sessions(cfg: RunConfig) -> FleetScenario:
@@ -398,8 +405,8 @@ def cmd_simulate(cfg: RunConfig, inputs: Inputs) -> int:
     )
     coord_buses = [result.bus_ids[e] for e in result.ev_ids]
 
-    loads_unc = metrics.aggregate_load(base, zip(unc_buses, uncoordinated))
-    loads_coord = metrics.aggregate_load(base, zip(coord_buses, result.committed_kw))
+    loads_unc = metrics.aggregate_load(base, [(unc_buses, uncoordinated)])
+    loads_coord = metrics.aggregate_load(base, [(coord_buses, result.committed_kw)])
     report = metrics.compare_scenarios(
         case, loads_unc, loads_coord, cfg.reactive, cfg.pv_mw,
         flags=result.flags, tol=cfg.pf_tol, max_iter=cfg.pf_max_iter,
@@ -423,8 +430,7 @@ def cmd_simulate(cfg: RunConfig, inputs: Inputs) -> int:
 
 
 def cmd_compare(cfg: RunConfig, inputs: Inputs) -> int:
-    loads_unc, loads_coord = (metrics.aggregate_load(inputs.base, zip(bus_ids, profiles_kw))
-                              for _, bus_ids, profiles_kw in inputs.schedules)
+    loads_unc, loads_coord = inputs.loads
     report = metrics.compare_scenarios(
         inputs.case, loads_unc, loads_coord, cfg.reactive, cfg.pv_mw,
         tol=cfg.pf_tol, max_iter=cfg.pf_max_iter,

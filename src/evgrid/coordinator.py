@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import fileio
-from .fleet import EvSession, FleetScenario
+from .fleet import EvSession, FleetError, FleetScenario
 from .scheduler import (
     ControlSignal,
     ConvergenceTrace,
@@ -299,9 +299,9 @@ def schedule_events(events: list[ScriptedEvent], session_ids, slots: int,
                     steps: int) -> dict[int, list[ScriptedEvent]]:
     """Group ``events`` by the re-planning step that applies them, after
     checking the step count, every event slot and every added session's
-    window, and replaying the ev_ids in that order: ``update_energy`` and
-    ``remove_session`` need a live id, and ``add_session`` a new one (a
-    removed id is not reused)."""
+    window and rate bounds, and replaying the ev_ids in that order:
+    ``update_energy`` and ``remove_session`` need a live id, and
+    ``add_session`` a new one (a removed id is not reused)."""
     if steps < 1 or steps > slots:
         raise CoordinatorError(f"steps {steps} must be in 1..{slots}")
     sps = slots // steps
@@ -309,10 +309,15 @@ def schedule_events(events: list[ScriptedEvent], session_ids, slots: int,
     for event in events:
         if not 0 <= event.slot < slots:
             raise CoordinatorError(f"event slot {event.slot} outside 0..{slots - 1}")
-        if event.kind == "add_session" and not 0 <= event.t_start < event.t_end <= slots:
-            raise CoordinatorError(
-                f"event at slot {event.slot}: window [{event.t_start}, {event.t_end}) "
-                f"of {event.ev_id!r} outside horizon of {slots} slots")
+        if event.kind == "add_session":
+            if not 0 <= event.t_start < event.t_end <= slots:
+                raise CoordinatorError(
+                    f"event at slot {event.slot}: window [{event.t_start}, {event.t_end}) "
+                    f"of {event.ev_id!r} outside horizon of {slots} slots")
+            try:
+                _added_session(event).validate_rates()
+            except FleetError as exc:
+                raise CoordinatorError(f"event at slot {event.slot}: {exc}") from None
         # an event lands at the first re-planning instant at or after its
         # slot, so slots committed earlier are never re-opened; events past
         # the final re-plan fold into the last step
@@ -337,16 +342,20 @@ def schedule_events(events: list[ScriptedEvent], session_ids, slots: int,
     return by_step
 
 
+def _added_session(event: ScriptedEvent) -> EvSession:
+    return EvSession(
+        ev_id=event.ev_id, bus_id=event.bus_id, t_start=event.t_start,
+        t_end=event.t_end, energy_kwh=event.energy_kwh,
+        p_max_kw=event.p_max_kw, d_max_kw=event.d_max_kw,
+    )
+
+
 def _apply_event(event: ScriptedEvent, state: HorizonState, tau: int,
                  flags: list[str], delivered_kwh: float) -> None:
     """Apply one event that ``schedule_events`` has checked;
     ``delivered_kwh`` is what the event's session has delivered so far."""
     if event.kind == "add_session":
-        state.sessions[event.ev_id] = EvSession(
-            ev_id=event.ev_id, bus_id=event.bus_id, t_start=event.t_start,
-            t_end=event.t_end, energy_kwh=event.energy_kwh,
-            p_max_kw=event.p_max_kw, d_max_kw=event.d_max_kw,
-        )
+        state.sessions[event.ev_id] = _added_session(event)
     elif event.kind == "update_energy":
         state.sessions[event.ev_id] = replace(
             state.sessions[event.ev_id], energy_kwh=event.energy_kwh

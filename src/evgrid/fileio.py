@@ -4,13 +4,18 @@ Every writer in the package formats floats with ``repr`` (shortest string
 that parses back to the same double), so rerunning a deterministic pipeline
 produces byte-identical files.  Cells are not quoted, so text written as a
 cell must not contain a comma or a line break (see ``is_plain_cell``).  Every
-reader goes through ``read_table``, which checks each row's cell count
-against the header and reports a bad row as ``path:line``.
+reader goes through ``read_table``, which streams the data rows from the open
+file, checks each row's cell count against the header and reports a bad row
+as ``path:line``.  Schedule files are read in blocks of rows
+(``read_schedule_blocks``), so a caller that only sums them never holds the
+whole per-EV matrix.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -40,25 +45,35 @@ def write_rows(path: str | os.PathLike, header: list[str], rows) -> None:
     _write_lines(path, header, (",".join(map(fmt, row)) for row in rows))
 
 
-def read_table(path: str | os.PathLike) -> tuple[list[str], list[tuple[int, str]]]:
-    """Header cells and the ``(line number, text)`` of every data row.
+def read_table(path: str | os.PathLike) -> tuple[list[str], Iterator[tuple[int, str]]]:
+    """Header cells and an iterator over the ``(line number, text)`` of every
+    data row, read from the open file as it is consumed.
 
     Blank lines are skipped.  A data row whose cell count differs from the
     header's is an error located at its ``path:line``.
     """
+    numbered = _numbered_lines(path)
+    try:
+        _, first = next(numbered)
+    except StopIteration:
+        raise ValueError(f"{path}: empty file") from None
+    header = [h.strip() for h in first.split(",")]
+    return header, _checked_rows(path, numbered, len(header))
+
+
+def _numbered_lines(path) -> Iterator[tuple[int, str]]:
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    numbered = [(n, line) for n, line in enumerate(lines, start=1)
-                if line and not line.isspace()]
-    if not numbered:
-        raise ValueError(f"{path}: empty file")
-    header = [h.strip() for h in numbered[0][1].split(",")]
-    commas = len(header) - 1
-    for n, line in numbered[1:]:
+        for n, line in enumerate(fh, start=1):
+            if not line.isspace():
+                yield n, line.rstrip("\n")
+
+
+def _checked_rows(path, numbered, cells: int) -> Iterator[tuple[int, str]]:
+    commas = cells - 1
+    for n, line in numbered:
         if line.count(",") != commas:
-            raise ValueError(
-                f"{path}:{n}: {line.count(',') + 1} cells, header has {len(header)}")
-    return header, numbered[1:]
+            raise ValueError(f"{path}:{n}: {line.count(',') + 1} cells, header has {cells}")
+        yield n, line
 
 
 def read_rows(path: str | os.PathLike, expected_header: list[str]) -> list[list[str]]:
@@ -87,17 +102,47 @@ def write_schedules(path, ev_ids: list[str], bus_ids: list[int],
     _write_lines(path, schedule_header(slots), lines)
 
 
+_BLOCK_ROWS = 2048
+
+
+def read_schedule_blocks(path) -> Iterator[tuple[list[str], list[int], np.ndarray]]:
+    """``(ev_ids, bus_ids, profiles_kw)`` for consecutive blocks of at most
+    ``_BLOCK_ROWS`` rows, in file order; a file with no rows yields none."""
+    return _schedule_blocks(path)[1]
+
+
 def read_schedules(path) -> tuple[list[str], list[int], np.ndarray]:
+    slots, blocks = _schedule_blocks(path)
+    ev_ids, bus_ids, profiles = [], [], [np.zeros((0, slots))]
+    for block_ids, block_buses, block_kw in blocks:
+        ev_ids += block_ids
+        bus_ids += block_buses
+        profiles.append(block_kw)
+    return ev_ids, bus_ids, np.concatenate(profiles)
+
+
+def _schedule_blocks(path) -> tuple[int, Iterator]:
+    """The slot count from the header, and the row blocks still to be read."""
     header, rows = read_table(path)
     slots = len(header) - 2
     if slots < 0 or header != schedule_header(slots):
         raise ValueError(f"{path}: expected header ev_id,bus_id,kw_0..kw_<T-1>, got {header}")
-    cells = [line.split(",", 2) for _, line in rows]
+
+    def blocks():
+        while block := list(itertools.islice(rows, _BLOCK_ROWS)):
+            yield _parse_schedule_rows(path, block, slots)
+
+    return slots, blocks()
+
+
+def _parse_schedule_rows(path, rows, slots: int) -> tuple[list[str], list[int], np.ndarray]:
+    heads = [line.split(",", 2)[:2] for _, line in rows]
     try:
-        bus_ids = [int(c[1]) for c in cells]
-        # one C-level parse of every slot cell, exact like float()
-        profiles = (np.loadtxt([c[2] for c in cells], delimiter=",", comments=None, ndmin=2)
-                    if cells and slots else np.zeros((len(cells), slots)))
+        bus_ids = [int(bus_id) for _, bus_id in heads]
+        # one C-level parse of the block's slot cells, exact like float()
+        profiles = (np.loadtxt([line for _, line in rows], delimiter=",", comments=None,
+                               usecols=range(2, slots + 2), ndmin=2)
+                    if slots else np.zeros((len(rows), 0)))
     except ValueError:
         for n, line in rows:                 # name the first bad row
             _, bus_id, *kw = line.split(",")
@@ -107,7 +152,7 @@ def read_schedules(path) -> tuple[list[str], list[int], np.ndarray]:
             except ValueError as exc:
                 raise ValueError(f"{path}:{n}: {exc}") from None
         raise
-    return [c[0] for c in cells], bus_ids, profiles
+    return [ev_id for ev_id, _ in heads], bus_ids, profiles
 
 
 # --- convergence traces ------------------------------------------------------

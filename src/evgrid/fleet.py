@@ -52,16 +52,19 @@ class EvSession:
                 f"session {self.ev_id}: window [{self.t_start}, {self.t_end}) "
                 f"outside horizon of {slots} slots"
             )
-        if self.p_max_kw < 0 or self.d_max_kw > 0:
-            raise FleetError(
-                f"session {self.ev_id}: rate bounds must satisfy "
-                f"d_max <= 0 <= p_max, got [{self.d_max_kw}, {self.p_max_kw}]"
-            )
+        self.validate_rates()
         lo, hi = self.energy_bounds_kwh(slot_hours)
         if not (lo - 1e-9 <= self.energy_kwh <= hi + 1e-9):
             raise FleetError(
                 f"session {self.ev_id}: energy {self.energy_kwh} kWh outside "
                 f"feasible interval [{lo}, {hi}] kWh"
+            )
+
+    def validate_rates(self) -> None:
+        if self.p_max_kw < 0 or self.d_max_kw > 0:
+            raise FleetError(
+                f"session {self.ev_id}: rate bounds must satisfy "
+                f"d_max <= 0 <= p_max, got [{self.d_max_kw}, {self.p_max_kw}]"
             )
 
 

@@ -134,19 +134,28 @@ class ScenarioLoads:
         return self.total_mw.sum(axis=0)
 
 
-def aggregate_load(base: BaseLoadProfile, profiles_by_bus) -> ScenarioLoads:
-    """Add EV profiles (kW) onto the base load; accumulation follows the
-    given (bus_id, profile) order so reruns are bit-identical."""
+def aggregate_load(base: BaseLoadProfile, blocks) -> ScenarioLoads:
+    """Add EV profiles onto the base load.
+
+    ``blocks`` yields ``(bus_ids, profiles_kw)`` pairs, with one kW row per
+    EV in ``profiles_kw`` (shape ``(len(bus_ids), T)``); each block is used
+    as it arrives, so a file can be summed while it is read.  Each bus's rows
+    are accumulated one after another in the given order, so reruns are
+    bit-identical and the sum does not depend on how the rows are blocked.
+    """
     ev_mw = np.zeros_like(base.mw)
-    for bus_id, profile_kw in profiles_by_bus:
-        k = base.row_of(bus_id)
-        profile_kw = np.asarray(profile_kw, dtype=float)
-        if profile_kw.shape != (base.slots,):
+    for bus_ids, profiles_kw in blocks:
+        profiles_kw = np.asarray(profiles_kw, dtype=float)
+        if profiles_kw.shape != (len(bus_ids), base.slots):
             raise MetricsError(
-                f"profile on bus {bus_id} has shape {profile_kw.shape}, "
-                f"expected ({base.slots},)"
+                f"profiles of {len(bus_ids)} EVs have shape {profiles_kw.shape}, "
+                f"expected ({len(bus_ids)}, {base.slots})"
             )
-        ev_mw[k] = ev_mw[k] + profile_kw / KW_PER_MW
+        rows = np.array([base.row_of(bus_id) for bus_id in bus_ids], dtype=np.intp)
+        scaled = profiles_kw / KW_PER_MW
+        for k in range(len(base.bus_ids)):
+            # cumsum adds row after row, as a per-row loop would
+            ev_mw[k] = np.cumsum(np.vstack((ev_mw[k], scaled[rows == k])), axis=0)[-1]
     return ScenarioLoads(base.bus_ids, base.mw.copy(), ev_mw)
 
 

@@ -16,6 +16,8 @@ algorithmic route than the library code it checks:
   instead of the library's complex ``V * conj(Y V)`` product.
 * ``reference_horizon`` runs the receding-horizon loop station by station,
   with per-id dicts, instead of the library's row-indexed arrays.
+* ``reference_aggregate`` adds EV profiles onto their buses one row at a
+  time instead of the library's per-bus cumulative sums over row blocks.
 """
 
 from __future__ import annotations
@@ -36,8 +38,9 @@ from evgrid.coordinator import (
     run_with_transport,
     schedule_events,
 )
-from evgrid.fleet import EvSession, FleetScenario
+from evgrid.fleet import KW_PER_MW, EvSession, FleetScenario
 from evgrid.grid import BusKind, GridCase
+from evgrid.metrics import BaseLoadProfile
 from evgrid.scheduler import (
     ControlSignal,
     ConvergenceTrace,
@@ -381,3 +384,17 @@ def reference_horizon(config: SchedulerConfig, base_load_mw: np.ndarray,
         flags=tuple(flags),
         state=state,
     )
+
+
+# ---------------------------------------------------------------------------
+# Per-row load aggregation
+
+
+def reference_aggregate(base: BaseLoadProfile, profiles_by_bus) -> np.ndarray:
+    """EV load in MW per base-load row, from ``(bus_id, kW profile)`` pairs
+    added one at a time in the given order."""
+    ev_mw = np.zeros_like(base.mw)
+    for bus_id, profile_kw in profiles_by_bus:
+        k = base.bus_ids.index(bus_id)
+        ev_mw[k] = ev_mw[k] + np.asarray(profile_kw, dtype=float) / KW_PER_MW
+    return ev_mw

@@ -1,5 +1,6 @@
 """Command-line interface: configuration, subcommands, and output files."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -13,8 +14,9 @@ from hypothesis import strategies as st
 
 from conftest import (UNITY_CASE_TEXT, DATA_DIR, DESK_DIR, assert_identical, cell_text,
                       file_ints, finite_floats, make_session, round_trip)
+from evgrid import fileio
 from evgrid.cli import main
-from evgrid.fileio import read_schedules, write_schedules
+from evgrid.fileio import read_schedule_blocks, read_schedules, write_schedules
 from evgrid.fleet import write_sessions
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -211,6 +213,24 @@ class TestPreflight:
         fails_before_any_work(tmp_path, capsys, argv, "events.csv: event at slot 30: "
                               "window [-2, 90) of 'late5z' outside horizon of 96 slots")
 
+    def test_added_session_rate_bounds(self, tmp_path, capsys):
+        events = tmp_path / "events.csv"
+        events.write_text((DESK_DIR / "events.csv").read_text()
+                          + "30,add_session,bad1,5,40,90,10.0,-300.0,-200.0\n")
+        argv = ["simulate", "-c", str(DESK_DIR / "config.json"), "--events", str(events)]
+        fails_before_any_work(tmp_path, capsys, argv, "events.csv: event at slot 30: "
+                              "session bad1: rate bounds must satisfy d_max <= 0 <= p_max, "
+                              "got [-200.0, -300.0]")
+
+    def test_empty_schedule_file(self, tmp_path, capsys):
+        config = small_inputs(tmp_path)
+        good, empty = tmp_path / "good.csv", tmp_path / "empty.csv"
+        write_schedules(good, ["a"], [5], np.ones((1, 16)))
+        empty.write_text("\n \n")
+        argv = ["compare", "-c", str(config), "--uncoordinated", str(good),
+                "--coordinated", str(empty)]
+        fails_before_any_work(tmp_path, capsys, argv, f"{empty}: empty file")
+
     def test_horizon_steps_outside_the_slots(self, tmp_path, capsys):
         argv = ["simulate", "-c", str(DESK_DIR / "config.json"), "--steps", "97"]
         fails_before_any_work(tmp_path, capsys, argv, "horizon_steps 97 must be in 1..96")
@@ -272,6 +292,49 @@ class TestSchedulesFile:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=message):
             read_schedules(path)
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda cells: cells[:-1], "s.csv:6: 4 cells, header has 5"),
+        (lambda cells: cells[:3] + ["nan?"] + cells[4:], "s.csv:6: could not convert"),
+        (lambda cells: cells[:1] + ["5.0"] + cells[2:], "s.csv:6: invalid literal"),
+    ])
+    def test_bad_row_in_a_later_block_reports_its_line(self, tmp_path, monkeypatch,
+                                                       edit, message):
+        monkeypatch.setattr(fileio, "_BLOCK_ROWS", 2)
+        path = tmp_path / "s.csv"
+        write_schedules(path, list("abcdef"), [5, 7, 9, 5, 7, 9], np.ones((6, 3)))
+        lines = path.read_text().splitlines()
+        lines[5] = ",".join(edit(lines[5].split(",")))
+        path.write_text("\n".join(lines) + "\n")
+        blocks = read_schedule_blocks(path)
+        assert [ids for ids, _, _ in itertools.islice(blocks, 2)] == [["a", "b"], ["c", "d"]]
+        with pytest.raises(ValueError, match=message):
+            next(blocks)
+        with pytest.raises(ValueError, match=message):
+            read_schedules(path)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_blank_lines_and_crlf_keep_line_numbers(self, tmp_path, monkeypatch, newline):
+        monkeypatch.setattr(fileio, "_BLOCK_ROWS", 2)
+        lines = ["ev_id,bus_id,kw_0,kw_1", "", "a,5,1.5,-0.0", "  ", "b,7,2.0,3.0",
+                 "c,9,4.0,5.0", "", "d,5,6.0,7.0", ""]
+        path = tmp_path / "s.csv"
+        path.write_bytes(newline.join(lines).encode())
+        ids, buses, kw = read_schedules(path)
+        assert (ids, buses) == (["a", "b", "c", "d"], [5, 7, 9, 5])
+        assert_identical(kw.tolist(), [[1.5, -0.0], [2.0, 3.0], [4.0, 5.0], [6.0, 7.0]])
+        lines[7] = "d,5,6.0,x"      # line 8 of the file, in the second block
+        path.write_bytes(newline.join(lines).encode())
+        with pytest.raises(ValueError, match="s.csv:8: could not convert"):
+            read_schedules(path)
+
+    @pytest.mark.parametrize("text", ["ev_id,bus_id\n", "ev_id,bus_id,kw_0,kw_1\n\n"])
+    def test_header_only_file_has_no_evs(self, tmp_path, text):
+        path = tmp_path / "s.csv"
+        path.write_text(text)
+        assert list(read_schedule_blocks(path)) == []
+        ids, buses, kw = read_schedules(path)
+        assert (ids, buses, kw.shape) == ([], [], (0, text.count("kw_")))
 
     def test_slot_header_must_count_from_zero(self, tmp_path):
         path = tmp_path / "s.csv"
@@ -496,3 +559,18 @@ class TestCompareCommand:
         cmp_report = json.loads((cmp_out / "report.json").read_text())
         sim_report["flags"] = []
         assert cmp_report == sim_report
+
+    def test_header_only_file_is_a_fleet_without_evs(self, tmp_path, capsys):
+        """No EVs sum to zero load, exactly as EVs that never charge do."""
+        config = small_inputs(tmp_path)
+        idle, none = tmp_path / "idle.csv", tmp_path / "none.csv"
+        write_schedules(idle, ["a"], [5], np.zeros((1, 16)))
+        write_schedules(none, [], [], np.zeros((0, 16)))
+        outs = []
+        for coordinated in (idle, none):
+            outs.append(tmp_path / coordinated.stem)
+            assert main(["compare", "-c", str(config), "-o", str(outs[-1]),
+                         "--uncoordinated", str(idle), "--coordinated", str(coordinated)]) == 0
+        capsys.readouterr()
+        for name in ("report.json", "report.txt"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()

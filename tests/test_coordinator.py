@@ -354,6 +354,17 @@ class TestRecedingHorizon:
             run_receding_horizon(small_config(), shaped_base(), self.base_scenario(),
                                  steps=4, events=[event])
 
+    @pytest.mark.parametrize("p_max,d_max", [(-3.0, -6.6), (6.6, 1.0), (-300.0, -200.0)])
+    def test_added_rate_bounds_rejected(self, p_max, d_max):
+        event = ScriptedEvent(slot=6, kind="add_session", ev_id="late", bus_id=5,
+                              t_start=8, t_end=12, energy_kwh=1.0,
+                              p_max_kw=p_max, d_max_kw=d_max)
+        with pytest.raises(CoordinatorError, match=(
+                rf"event at slot 6: session late: rate bounds must satisfy "
+                rf"d_max <= 0 <= p_max, got \[{d_max}, {p_max}\]")):
+            run_receding_horizon(small_config(), shaped_base(), self.base_scenario(),
+                                 steps=4, events=[event])
+
     def test_slot_grid_mismatch_rejected(self):
         config = small_config(slots=24)
         with pytest.raises(CoordinatorError, match="slot grid"):

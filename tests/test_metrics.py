@@ -2,13 +2,16 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import assert_identical, round_trip
+from conftest import assert_identical, cell_text, round_trip
+from evgrid import fileio
+from evgrid.fileio import read_schedule_blocks, read_schedules, write_schedules
 from evgrid.grid import BusKind, build_admittance_matrix
 from evgrid.metrics import (
     BaseLoadProfile,
@@ -24,6 +27,7 @@ from evgrid.metrics import (
     write_base_load,
 )
 from evgrid.powerflow import solve_power_flow
+from oracles import reference_aggregate
 
 
 def constant_base(mw_by_bus: dict[int, float], slots: int = 6) -> BaseLoadProfile:
@@ -138,26 +142,80 @@ class TestAggregateLoad:
 
     def test_kilowatts_become_megawatts(self):
         base = constant_base({5: 90.0, 7: 100.0}, slots=4)
-        loads = aggregate_load(base, [(7, np.full(4, 6.6))])
+        loads = aggregate_load(base, [([7], np.full((1, 4), 6.6))])
         assert np.array_equal(loads.ev_mw[0], np.zeros(4))
         assert np.allclose(loads.ev_mw[1], 0.0066, atol=1e-15)
 
     def test_profiles_accumulate_per_bus(self):
         base = constant_base({5: 0.0}, slots=3)
         loads = aggregate_load(
-            base, [(5, np.array([1000.0, 0.0, 0.0])),
-                   (5, np.array([500.0, -250.0, 0.0]))])
+            base, [([5, 5], np.array([[1000.0, 0.0, 0.0], [500.0, -250.0, 0.0]]))])
         assert np.array_equal(loads.ev_mw[0], np.array([1.5, -0.25, 0.0]))
 
     def test_unknown_bus_rejected(self):
         base = constant_base({5: 1.0}, slots=3)
         with pytest.raises(MetricsError, match="no base load row"):
-            aggregate_load(base, [(9, np.zeros(3))])
+            aggregate_load(base, [([9], np.zeros((1, 3)))])
 
     def test_wrong_length_rejected(self):
         base = constant_base({5: 1.0}, slots=3)
         with pytest.raises(MetricsError, match="shape"):
-            aggregate_load(base, [(5, np.zeros(4))])
+            aggregate_load(base, [([5], np.zeros((1, 4)))])
+
+
+def bus_blocks(path):
+    """The ``(bus_ids, profiles_kw)`` blocks of a schedule file, as read."""
+    return ((bus_ids, kw) for _, bus_ids, kw in read_schedule_blocks(path))
+
+
+class TestStreamedAggregation:
+    @round_trip
+    @given(data=st.data(), block_rows=st.sampled_from([1, 3, 7]))
+    def test_file_blocks_match_per_row_oracle(self, tmp_path, data, block_rows):
+        """write -> blocks -> sum equals the per-row sum byte for byte, and the
+        concatenated blocks round-trip, whatever the block size."""
+        n = data.draw(st.integers(1, 23))
+        slots = data.draw(st.integers(1, 5))
+        ev_ids = data.draw(st.lists(cell_text, min_size=n, max_size=n))
+        bus_ids = data.draw(st.lists(st.sampled_from([5, 7, 9]), min_size=n, max_size=n))
+        kw = np.array(data.draw(st.lists(st.floats(-1e300, 1e300), min_size=n * slots,
+                                         max_size=n * slots))).reshape(n, slots)
+        base = constant_base({5: 90.0, 7: 100.0, 9: 125.0}, slots)
+        path = tmp_path / "schedules.csv"
+        write_schedules(path, ev_ids, bus_ids, kw)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fileio, "_BLOCK_ROWS", block_rows)
+            sizes = [len(ids) for ids, _, _ in read_schedule_blocks(path)]
+            loads = aggregate_load(base, bus_blocks(path))
+            got_ids, got_buses, got_kw = read_schedules(path)
+        assert sizes == [min(block_rows, n - start) for start in range(0, n, block_rows)]
+        want = reference_aggregate(base, zip(bus_ids, kw))
+        assert loads.ev_mw.tobytes() == want.tobytes()
+        assert loads.base_mw.tobytes() == base.mw.tobytes()
+        assert_identical(got_ids, ev_ids)
+        assert_identical(got_buses, bus_ids)
+        assert got_kw.shape == kw.shape and got_kw.tobytes() == kw.tobytes()
+
+    def test_streamed_file_stays_small(self, tmp_path):
+        """Summing a 20,000 x 96 file holds a block at a time, not the matrix
+        (15 MB of doubles alone)."""
+        n, slots = 20_000, 96
+        rng = np.random.default_rng(7)
+        arrive = rng.integers(0, slots - 8, n)
+        charging = ((np.arange(slots) >= arrive[:, None])
+                    & (np.arange(slots) < arrive[:, None] + 8))
+        path = tmp_path / "schedules.csv"
+        write_schedules(path, [f"ev{k}" for k in range(n)],
+                        rng.choice([5, 7, 9], n).tolist(), np.where(charging, 3.6, 0.0))
+        base = constant_base({5: 90.0, 7: 100.0, 9: 125.0}, slots)
+        tracemalloc.start()
+        try:
+            loads = aggregate_load(base, bus_blocks(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6, f"peak {peak / 1e6:.1f} MB"
+        assert loads.ev_mw.sum() == pytest.approx(n * 8 * 3.6 / 1000.0, rel=1e-12)
 
 
 class TestEvaluateGridAtSlot:
@@ -175,7 +233,7 @@ class TestEvaluateGridAtSlot:
 
     def test_matches_direct_injection_setup(self, wscc_case):
         base = constant_base({5: 90.0, 7: 100.0, 9: 125.0}, slots=2)
-        loads = aggregate_load(base, [(5, np.full(2, 2000.0))])
+        loads = aggregate_load(base, [([5], np.full((1, 2), 2000.0))])
         assumptions = ReactiveAssumptions(0.9, 1.0)
         solution, _ = evaluate_grid_at_slot(wscc_case, loads, 1, assumptions)
 
@@ -222,8 +280,11 @@ class TestEvaluateGridAtSlot:
 
 def compare(case, base, uncoordinated, coordinated, **options):
     """``compare_scenarios`` on two lists of (bus_id, kW profile) over ``base``."""
-    return compare_scenarios(case, aggregate_load(base, uncoordinated),
-                             aggregate_load(base, coordinated), **options)
+    def one_row_blocks(profiles):
+        return [([bus_id], np.reshape(kw, (1, -1))) for bus_id, kw in profiles]
+
+    return compare_scenarios(case, aggregate_load(base, one_row_blocks(uncoordinated)),
+                             aggregate_load(base, one_row_blocks(coordinated)), **options)
 
 
 class TestCompareScenarios:
