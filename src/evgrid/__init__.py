@@ -10,47 +10,8 @@ The package couples three layers:
 * scenario evaluation that compares uncoordinated and coordinated charging
   through peak, voltage, line-current, and generation metrics (``metrics``).
 
-``cli`` wires everything into a single ``evgrid`` command.
+``cli`` wires everything into a single ``evgrid`` command.  Import names
+from these submodules, such as ``from evgrid.scheduler import SchedulerConfig``.
 """
 
 __version__ = "0.1.0"
-
-from .grid import Bus, Branch, GridCase, BusKind, build_admittance_matrix, load_grid_case
-from .fleet import EvSession, FleetScenario, HistoricalRecord, generate_fleet, uncoordinated_profile
-from .scheduler import (
-    ControlSignal,
-    ConvergenceTrace,
-    SchedulerConfig,
-    run_until_converged,
-)
-from .coordinator import LoopbackTransport, ScriptedEvent, run_receding_horizon
-from .powerflow import PowerFlowSolution, LineFlow, solve_power_flow
-from .metrics import BaseLoadProfile, ReactiveAssumptions, ScenarioReport, compare_scenarios
-
-__all__ = [
-    "Bus",
-    "Branch",
-    "BusKind",
-    "GridCase",
-    "build_admittance_matrix",
-    "load_grid_case",
-    "EvSession",
-    "FleetScenario",
-    "HistoricalRecord",
-    "generate_fleet",
-    "uncoordinated_profile",
-    "ControlSignal",
-    "ConvergenceTrace",
-    "SchedulerConfig",
-    "run_until_converged",
-    "LoopbackTransport",
-    "ScriptedEvent",
-    "run_receding_horizon",
-    "PowerFlowSolution",
-    "LineFlow",
-    "solve_power_flow",
-    "BaseLoadProfile",
-    "ReactiveAssumptions",
-    "ScenarioReport",
-    "compare_scenarios",
-]

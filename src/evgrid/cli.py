@@ -27,7 +27,7 @@ from .scheduler import SchedulerConfig, run_until_converged
 
 # every input error of the package (grid, fleet, scheduler, coordinator,
 # metrics) is a ValueError
-USER_ERRORS = (ValueError, OSError, PowerFlowError, coordinator.ProtocolError)
+USER_ERRORS = (ValueError, OSError, PowerFlowError)
 
 # top-level config keys, with the numbers typed as for ``_keys``
 _CONFIG_KEYS = {
@@ -168,6 +168,11 @@ def _parse_config(raw, overrides: dict, base_dir: Path) -> RunConfig:
     scheduler = SchedulerConfig(**sched_raw)
     pf_raw = _keys("power_flow", raw.get("power_flow", {}),
                    {"tol": "float", "max_iter": "int"})
+    pf_tol, pf_max_iter = pf_raw.get("tol", 1e-8), pf_raw.get("max_iter", 20)
+    if not 0 < pf_tol < math.inf:
+        raise ValueError(f"power_flow.tol: expected a finite positive number, got {pf_tol!r}")
+    if pf_max_iter < 1:
+        raise ValueError(f"power_flow.max_iter: expected at least 1, got {pf_max_iter!r}")
     reactive_raw = _keys("reactive", raw.get("reactive", {}), _kinds(ReactiveAssumptions))
 
     if overrides.get("output") is not None:
@@ -188,8 +193,8 @@ def _parse_config(raw, overrides: dict, base_dir: Path) -> RunConfig:
         seed=pick("seed", "seed", 1),
         scheduler=scheduler,
         horizon_steps=pick("steps", "horizon_steps", 24),
-        pf_tol=pf_raw.get("tol", 1e-8),
-        pf_max_iter=pf_raw.get("max_iter", 20),
+        pf_tol=pf_tol,
+        pf_max_iter=pf_max_iter,
         reactive=ReactiveAssumptions(**reactive_raw),
         pv_mw=_by_bus("pv_mw", raw.get("pv_mw", {}), float),
         fleet_spec=_fleet_spec(raw["fleet"], scheduler) if "fleet" in raw else None,

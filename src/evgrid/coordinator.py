@@ -1,14 +1,11 @@
-"""Broadcast-gather protocol shell and the real-time receding-horizon loop.
+"""Scripted session events and the real-time receding-horizon loop.
 
-The coordinator broadcasts the control signal to every station, gathers one
-profile update per station, and repeats until convergence (the scheduler
-module owns the math).  A pluggable in-process loopback transport makes the
-message exchange explicit and inspectable; a networked transport would slot
-in behind the same interface but is not provided.
-
-The horizon loop re-optimizes the full day at every step with the already
-committed slots pinned (lower bound = upper bound = committed value) and the
-session's total energy target kept on the full horizon.  Pinning past slots
+At every re-planning step the coordinator runs the scheduler's
+broadcast/gather fixed point over the active stations (the scheduler module
+owns the math).  The horizon loop re-optimizes the full day at every step
+with the already committed slots pinned (lower bound = upper bound =
+committed value) and the session's total energy target kept on the full
+horizon.  Pinning past slots
 while retaining the full-horizon energy equality is arithmetically the same
 as shrinking the remaining demand by the delivered energy: the free slots
 must supply exactly the signed remainder, so mid-horizon discharge increases
@@ -28,6 +25,7 @@ station per round.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,159 +35,16 @@ from .fleet import EvSession, FleetError, FleetScenario
 from .scheduler import (
     ControlSignal,
     ConvergenceTrace,
-    FixedPointResult,
     SchedulerConfig,
     StationTask,
     run_fixed_point,
-    solve_task,
 )
+# unused here; kept because perfbench/traced.py wraps coordinator.solve_task
+from .scheduler import solve_task  # noqa: F401
 
 
 class CoordinatorError(ValueError):
     pass
-
-
-class ProtocolError(RuntimeError):
-    pass
-
-
-@dataclass(frozen=True)
-class Broadcast:
-    signal: ControlSignal
-
-    @property
-    def iteration(self) -> int:
-        return self.signal.iteration
-
-
-@dataclass(frozen=True)
-class ProfileUpdate:
-    ev_id: str
-    profile_kw: np.ndarray
-    iteration: int
-
-
-@dataclass(frozen=True)
-class Converged:
-    iteration: int
-
-
-@dataclass(frozen=True)
-class Delivery:
-    sender: str
-    recipient: str
-    message: Broadcast | ProfileUpdate | Converged
-
-
-class Station:
-    """One charging station: holds its task and its latest profile, and
-    answers each broadcast with the proximal subproblem solution."""
-
-    def __init__(self, task: StationTask, initial_profile_kw: np.ndarray,
-                 config: SchedulerConfig):
-        self.task = task
-        self.profile_kw = np.array(initial_profile_kw, dtype=float, copy=True)
-        self.config = config
-
-    @property
-    def ev_id(self) -> str:
-        return self.task.ev_id
-
-    def respond(self, message: Broadcast) -> ProfileUpdate:
-        self.profile_kw = solve_task(message.signal, self.profile_kw, self.task,
-                                     self.config)
-        return ProfileUpdate(self.ev_id, self.profile_kw, message.iteration)
-
-
-class LoopbackTransport:
-    """In-process transport with a delivery log.
-
-    ``silent_stations`` lists stations that receive broadcasts but never
-    reply, for fault-injection tests.
-    """
-
-    def __init__(self, silent_stations: frozenset[str] | set[str] = frozenset()):
-        self.silent_stations = frozenset(silent_stations)
-        self.log: list[Delivery] = []
-
-    def broadcast(self, message: Broadcast, stations: list[Station]) -> list[ProfileUpdate]:
-        self.log.append(Delivery("coordinator", "*", message))
-        replies: list[ProfileUpdate] = []
-        for station in stations:
-            if station.ev_id in self.silent_stations:
-                continue
-            reply = station.respond(message)
-            self.log.append(Delivery(station.ev_id, "coordinator", reply))
-            replies.append(reply)
-        return replies
-
-    def announce(self, message: Converged) -> None:
-        self.log.append(Delivery("coordinator", "*", message))
-
-    def serialize(self) -> list[dict]:
-        rows = []
-        for entry in self.log:
-            msg = entry.message
-            row = {
-                "sender": entry.sender,
-                "recipient": entry.recipient,
-                "kind": type(msg).__name__.lower(),
-                "iteration": msg.iteration,
-            }
-            if isinstance(msg, ProfileUpdate):
-                row["ev_id"] = msg.ev_id
-            rows.append(row)
-        return rows
-
-
-def transport_respond(stations: list[Station], transport: LoopbackTransport):
-    """Respond hook for the fixed-point loop that routes every exchange
-    through the transport and gathers replies in fixed station order."""
-
-    def respond(signal: ControlSignal, profiles_kw: np.ndarray) -> np.ndarray:
-        replies = transport.broadcast(Broadcast(signal), stations)
-        by_id = {reply.ev_id: reply.profile_kw for reply in replies}
-        missing = [st.ev_id for st in stations if st.ev_id not in by_id]
-        if missing:
-            raise ProtocolError(
-                "no profile update from stations: " + ", ".join(missing)
-            )
-        out = np.empty_like(profiles_kw)
-        for k, station in enumerate(stations):
-            out[k] = by_id[station.ev_id]
-        return out
-
-    return respond
-
-
-def run_with_transport(config: SchedulerConfig, base_load_mw: np.ndarray,
-                       tasks: list[StationTask], transport: LoopbackTransport,
-                       initial_profiles: np.ndarray | None = None,
-                       initial_signal: ControlSignal | None = None) -> FixedPointResult:
-    """One convergence run with every exchange logged on the transport.
-
-    With zero stations the coordinator still emits one Broadcast (the scaled
-    base load) and then Converged, so the degenerate message pattern is
-    visible in the log.
-    """
-    if not tasks:
-        signal = ControlSignal(values=base_load_mw / config.lam, iteration=0)
-        transport.log.append(Delivery("coordinator", "*", Broadcast(signal)))
-        result = run_fixed_point(config, base_load_mw, tasks, initial_profiles)
-        transport.announce(Converged(result.trace.iterations))
-        return result
-
-    if initial_profiles is None:
-        initial_profiles = np.zeros((len(tasks), config.slots))
-    stations = [
-        Station(task, initial_profiles[k], config) for k, task in enumerate(tasks)
-    ]
-    result = run_fixed_point(
-        config, base_load_mw, tasks, initial_profiles, initial_signal,
-        respond=transport_respond(stations, transport),
-    )
-    transport.announce(Converged(result.trace.iterations))
-    return result
 
 
 EVENT_KINDS = ("add_session", "update_energy", "remove_session")
@@ -220,6 +75,11 @@ class ScriptedEvent:
             raise CoordinatorError(f"event slot {self.slot} is negative")
         if not fileio.is_plain_cell(self.ev_id):
             raise CoordinatorError(f"ev_id {self.ev_id!r} contains a comma or line break")
+        for name in ("energy_kwh", "p_max_kw", "d_max_kw"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise CoordinatorError(f"event for {self.ev_id!r}: {name} {value!r} "
+                                       "is not finite")
         if self.kind == "add_session":
             needed = (self.bus_id, self.t_start, self.t_end, self.energy_kwh,
                       self.p_max_kw, self.d_max_kw)
@@ -249,10 +109,9 @@ def write_events(path, events: list[ScriptedEvent]) -> None:
 
 
 def read_events(path) -> list[ScriptedEvent]:
-    events = []
-    for row in fileio.read_rows(path, EVENT_COLUMNS):
+    def parse(row):
         slot, kind, ev_id, bus, t0, t1, energy, pmax, dmax = row
-        events.append(ScriptedEvent(
+        return ScriptedEvent(
             slot=int(slot),
             kind=kind,
             ev_id=ev_id,
@@ -262,8 +121,9 @@ def read_events(path) -> list[ScriptedEvent]:
             energy_kwh=float(energy) if energy else None,
             p_max_kw=float(pmax) if pmax else None,
             d_max_kw=float(dmax) if dmax else None,
-        ))
-    return events
+        )
+
+    return fileio.read_rows(path, EVENT_COLUMNS, parse)
 
 
 @dataclass
@@ -371,8 +231,7 @@ def _apply_event(event: ScriptedEvent, state: HorizonState, tau: int,
 
 def run_receding_horizon(config: SchedulerConfig, base_load_mw: np.ndarray,
                          scenario: FleetScenario, steps: int,
-                         events: list[ScriptedEvent] = (),
-                         transport: LoopbackTransport | None = None) -> HorizonResult:
+                         events: list[ScriptedEvent] = ()) -> HorizonResult:
     """Commit the schedule step by step, re-optimizing as predictions change.
 
     Each step pins all previously committed slots, applies this step's
@@ -461,12 +320,7 @@ def run_receding_horizon(config: SchedulerConfig, base_load_mw: np.ndarray,
 
         init = profiles[rows]
         initial_signal = carried if not changed else None
-        if transport is not None:
-            result = run_with_transport(config, base_load_mw, tasks, transport,
-                                        init, initial_signal)
-        else:
-            result = run_fixed_point(config, base_load_mw, tasks, init,
-                                     initial_signal)
+        result = run_fixed_point(config, base_load_mw, tasks, init, initial_signal)
         if not result.trace.converged:
             flags.append(
                 f"step {tau}: fixed point not converged after "

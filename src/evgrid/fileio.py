@@ -6,7 +6,8 @@ produces byte-identical files.  Cells are not quoted, so text written as a
 cell must not contain a comma or a line break (see ``is_plain_cell``).  Every
 reader goes through ``read_table``, which streams the data rows from the open
 file, checks each row's cell count against the header and reports a bad row
-as ``path:line``.  Schedule files are read in blocks of rows
+as ``path:line``; ``read_rows`` locates a row that does not parse the same
+way.  Schedule files are read in blocks of rows
 (``read_schedule_blocks``), so a caller that only sums them never holds the
 whole per-EV matrix.
 """
@@ -76,11 +77,19 @@ def _checked_rows(path, numbered, cells: int) -> Iterator[tuple[int, str]]:
         yield n, line
 
 
-def read_rows(path: str | os.PathLike, expected_header: list[str]) -> list[list[str]]:
+def read_rows(path: str | os.PathLike, expected_header: list[str], parse) -> list:
+    """``parse(cells)`` for every data row, in file order.  A ValueError that
+    ``parse`` raises is reported at the row's ``path:line``."""
     header, rows = read_table(path)
     if header != expected_header:
         raise ValueError(f"{path}: expected header {expected_header}, got {header}")
-    return [line.split(",") for _, line in rows]
+    parsed = []
+    for n, line in rows:
+        try:
+            parsed.append(parse(line.split(",")))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{n}: {exc}") from None
+    return parsed
 
 
 # --- schedules: one row per EV, wide slot columns ---------------------------

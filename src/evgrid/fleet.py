@@ -1,4 +1,4 @@
-"""EV session model, history-based prediction, fleet generation, baseline.
+"""EV session model, synthetic fleet generation, and the uncoordinated baseline.
 
 Charging rates are kW at the session plug (positive = charging, negative =
 V2G discharge); energies are kWh.  Slot width and horizon length come from
@@ -8,6 +8,7 @@ MW; ``KW_PER_MW`` is the one conversion factor between the two.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,29 +62,16 @@ class EvSession:
             )
 
     def validate_rates(self) -> None:
+        if not (math.isfinite(self.p_max_kw) and math.isfinite(self.d_max_kw)):
+            raise FleetError(
+                f"session {self.ev_id}: rate bounds must be finite, "
+                f"got [{self.d_max_kw}, {self.p_max_kw}]"
+            )
         if self.p_max_kw < 0 or self.d_max_kw > 0:
             raise FleetError(
                 f"session {self.ev_id}: rate bounds must satisfy "
                 f"d_max <= 0 <= p_max, got [{self.d_max_kw}, {self.p_max_kw}]"
             )
-
-
-@dataclass(frozen=True)
-class HistoricalRecord:
-    ev_id: str
-    date: str
-    start_slot: int
-    end_slot: int
-    energy_kwh: float
-
-    def __post_init__(self):
-        for name, cell in (("ev_id", self.ev_id), ("date", self.date)):
-            if not fileio.is_plain_cell(cell):
-                raise FleetError(f"record {name} {cell!r} contains a comma or line break")
-        if self.start_slot >= self.end_slot:
-            raise FleetError(f"record {self.ev_id}@{self.date}: start must precede end")
-        if self.energy_kwh < 0:
-            raise FleetError(f"record {self.ev_id}@{self.date}: negative energy")
 
 
 @dataclass(frozen=True)
@@ -103,53 +91,6 @@ class FleetScenario:
             s.validate(self.slots_per_horizon, self.slot_hours)
             counts[s.bus_id] = counts.get(s.bus_id, 0) + 1
         object.__setattr__(self, "per_bus_counts", counts)
-
-
-# --- prediction from history -------------------------------------------------
-
-def predict_sessions(history: list[HistoricalRecord], slots: int, slot_hours: float,
-                     p_max_kw: float, d_max_kw: float,
-                     bus_assignment: dict[str, int] | int = 0,
-                     ev_ids: list[str] | None = None,
-                     ) -> tuple[list[EvSession], list[str]]:
-    """Per-EV empirical-mean prediction of window and energy demand.
-
-    Returns the predicted sessions (sorted by ev_id) and a list of flags for
-    sessions that had to be clamped to feasibility.  Raises FleetError when a
-    requested EV has no records.
-    """
-    by_ev: dict[str, list[HistoricalRecord]] = {}
-    for rec in history:
-        by_ev.setdefault(rec.ev_id, []).append(rec)
-
-    wanted = sorted(set(ev_ids)) if ev_ids is not None else sorted(by_ev)
-    if not wanted:
-        raise FleetError("no historical records to predict from")
-
-    sessions, flags = [], []
-    for ev in wanted:
-        recs = by_ev.get(ev)
-        if not recs:
-            raise FleetError(f"no historical records for EV {ev!r}")
-        start = int(round(float(np.mean([r.start_slot for r in recs]))))
-        end = int(round(float(np.mean([r.end_slot for r in recs]))))
-        energy = float(np.mean([r.energy_kwh for r in recs]))
-
-        start = min(max(start, 0), slots - 1)
-        end = min(max(end, start + 1), slots)
-        bus = bus_assignment[ev] if isinstance(bus_assignment, dict) else bus_assignment
-
-        window_h = (end - start) * slot_hours
-        lo, hi = d_max_kw * window_h, p_max_kw * window_h
-        if not (lo <= energy <= hi):
-            clamped = min(max(energy, lo), hi)
-            flags.append(
-                f"predicted session {ev}: energy {energy:.3f} kWh clamped to "
-                f"{clamped:.3f} kWh (feasible [{lo:.3f}, {hi:.3f}])"
-            )
-            energy = clamped
-        sessions.append(EvSession(ev, bus, start, end, energy, p_max_kw, d_max_kw))
-    return sessions, flags
 
 
 # --- synthetic fleet generation ----------------------------------------------
@@ -239,7 +180,6 @@ def uncoordinated_profile(session: EvSession, slots: int, slot_hours: float) -> 
 # --- file formats -------------------------------------------------------------
 
 _SESSION_HEADER = ["ev_id", "bus_id", "t_start", "t_end", "energy_kwh", "p_max_kw", "d_max_kw"]
-_HISTORY_HEADER = ["ev_id", "date", "start_slot", "end_slot", "energy_kwh"]
 
 
 def write_sessions(path, sessions) -> None:
@@ -252,32 +192,12 @@ def write_sessions(path, sessions) -> None:
 
 
 def read_sessions(path) -> list[EvSession]:
-    rows = fileio.read_rows(path, _SESSION_HEADER)
-    return [
-        EvSession(
-            ev_id=r[0],
-            bus_id=int(r[1]),
-            t_start=int(r[2]),
-            t_end=int(r[3]),
-            energy_kwh=float(r[4]),
-            p_max_kw=float(r[5]),
-            d_max_kw=float(r[6]),
-        )
-        for r in rows
-    ]
-
-
-def write_history(path, records) -> None:
-    fileio.write_rows(
-        path,
-        _HISTORY_HEADER,
-        ([r.ev_id, r.date, r.start_slot, r.end_slot, r.energy_kwh] for r in records),
-    )
-
-
-def read_history(path) -> list[HistoricalRecord]:
-    rows = fileio.read_rows(path, _HISTORY_HEADER)
-    return [
-        HistoricalRecord(r[0], r[1], int(r[2]), int(r[3]), float(r[4]))
-        for r in rows
-    ]
+    return fileio.read_rows(path, _SESSION_HEADER, lambda r: EvSession(
+        ev_id=r[0],
+        bus_id=int(r[1]),
+        t_start=int(r[2]),
+        t_end=int(r[3]),
+        energy_kwh=float(r[4]),
+        p_max_kw=float(r[5]),
+        d_max_kw=float(r[6]),
+    ))

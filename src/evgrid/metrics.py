@@ -77,8 +77,9 @@ def write_base_load(path, profile: BaseLoadProfile) -> None:
 
 def read_base_load(path) -> BaseLoadProfile:
     cells: dict[tuple[int, int], float] = {}
-    for row in fileio.read_rows(path, BASE_LOAD_HEADER):
-        slot, bus_id, mw = int(row[0]), int(row[1]), float(row[2])
+    rows = fileio.read_rows(path, BASE_LOAD_HEADER,
+                            lambda r: (int(r[0]), int(r[1]), float(r[2])))
+    for slot, bus_id, mw in rows:
         if (slot, bus_id) in cells:
             raise MetricsError(f"{path}: duplicate entry for slot {slot}, bus {bus_id}")
         cells[(slot, bus_id)] = mw

@@ -136,7 +136,7 @@ def solve_power_flow(case: GridCase, ybus: np.ndarray, tol: float = 1e-8,
     Raises NonConvergenceError / SingularJacobianError; on success the
     returned injections are the computed values at the solution state.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")

@@ -18,7 +18,7 @@ for the continuous quadratic knapsack; Kiwiel 2008, Condat 2016).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -53,8 +53,12 @@ class SchedulerConfig:
     slot_hours: float = 0.25
 
     def __post_init__(self):
-        if min(self.lam, self.epsilon, self.max_iterations, self.slots, self.slot_hours) <= 0:
-            raise SchedulerError("scheduler parameters must all be positive")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not 0 < value < math.inf:
+                key = "lambda" if f.name == "lam" else f.name
+                raise SchedulerError(
+                    f"scheduler.{key}: expected a finite positive number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -276,8 +280,8 @@ def run_fixed_point(config: SchedulerConfig, base_load_mw: np.ndarray,
 
 
 def run_until_converged(config: SchedulerConfig, base_load_mw: np.ndarray,
-                        sessions, initial_profiles: np.ndarray | None = None,
-                        respond=None) -> tuple[np.ndarray, ConvergenceTrace]:
+                        sessions, initial_profiles: np.ndarray | None = None
+                        ) -> tuple[np.ndarray, ConvergenceTrace]:
     """Solve the one-shot coordination problem for a list of sessions (or
     prepared tasks) and return the per-EV kW profiles plus the trace.
     """
@@ -285,6 +289,5 @@ def run_until_converged(config: SchedulerConfig, base_load_mw: np.ndarray,
         item if isinstance(item, StationTask) else task_from_session(item, config.slots)
         for item in sessions
     ]
-    result = run_fixed_point(config, base_load_mw, tasks, initial_profiles,
-                             respond=respond)
+    result = run_fixed_point(config, base_load_mw, tasks, initial_profiles)
     return result.profiles_kw, result.trace

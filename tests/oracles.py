@@ -33,9 +33,7 @@ from evgrid.coordinator import (
     CoordinatorError,
     HorizonResult,
     HorizonState,
-    LoopbackTransport,
     ScriptedEvent,
-    run_with_transport,
     schedule_events,
 )
 from evgrid.fleet import KW_PER_MW, EvSession, FleetScenario
@@ -285,8 +283,7 @@ def _reference_apply_event(event: ScriptedEvent, state: HorizonState, tau: int,
 
 def reference_horizon(config: SchedulerConfig, base_load_mw: np.ndarray,
                       scenario: FleetScenario, steps: int,
-                      events: list[ScriptedEvent] = (),
-                      transport: LoopbackTransport | None = None) -> HorizonResult:
+                      events: list[ScriptedEvent] = ()) -> HorizonResult:
     """``coordinator.run_receding_horizon`` as a per-station loop: every
     step rebuilds each active station's bounds from its session, pins its
     committed slots and checks its reachable energy on its own, and commits
@@ -349,12 +346,7 @@ def reference_horizon(config: SchedulerConfig, base_load_mw: np.ndarray,
                 init[k] = profiles[ev_id]
 
         initial_signal = carried if not changed else None
-        if transport is not None:
-            result = run_with_transport(config, base_load_mw, tasks, transport,
-                                        init, initial_signal)
-        else:
-            result = run_fixed_point(config, base_load_mw, tasks, init,
-                                     initial_signal)
+        result = run_fixed_point(config, base_load_mw, tasks, init, initial_signal)
         if not result.trace.converged:
             flags.append(
                 f"step {tau}: fixed point not converged after "

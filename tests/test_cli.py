@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import (UNITY_CASE_TEXT, DATA_DIR, DESK_DIR, assert_identical, cell_text,
                       file_ints, finite_floats, make_session, round_trip)
-from evgrid import fileio
+from evgrid import coordinator, fileio
 from evgrid.cli import main
 from evgrid.fileio import read_schedule_blocks, read_schedules, write_schedules
 from evgrid.fleet import write_sessions
@@ -82,6 +82,15 @@ def fails_before_any_work(tmp_path, capsys, argv, message) -> None:
     assert err.startswith("error:") and err.count("\n") == 1, err
     assert message in err
     assert not out.exists()
+
+
+@pytest.fixture
+def no_horizon(monkeypatch):
+    """Fail the test if the receding horizon starts."""
+    def fail(*args, **kwargs):
+        raise AssertionError("run_receding_horizon was called")
+
+    monkeypatch.setattr(coordinator, "run_receding_horizon", fail)
 
 
 class TestConfigErrors:
@@ -222,6 +231,27 @@ class TestPreflight:
                               "session bad1: rate bounds must satisfy d_max <= 0 <= p_max, "
                               "got [-200.0, -300.0]")
 
+    @pytest.mark.parametrize("line,message", [
+        ("30,bogus,zz1,5,40,60,10.0,3.0,-3.0", "unknown event kind 'bogus'"),
+        ("30,update_energy,b5e0001,,,,nan,,",
+         "event for 'b5e0001': energy_kwh nan is not finite"),
+        ("30,add_session,zz1,5,40,60,10.0,nan,-3.0",
+         "event for 'zz1': p_max_kw nan is not finite"),
+    ])
+    def test_bad_event_row_located(self, tmp_path, capsys, no_horizon, line, message):
+        shipped = (DESK_DIR / "events.csv").read_text()
+        events = tmp_path / "events.csv"
+        events.write_text(shipped + line + "\n")
+        argv = ["simulate", "-c", str(DESK_DIR / "config.json"), "--events", str(events)]
+        fails_before_any_work(tmp_path, capsys, argv,
+                              f"events.csv:{len(shipped.splitlines()) + 1}: {message}")
+
+    @pytest.mark.parametrize("flag,value", [("--epsilon", "nan"), ("--lambda", "inf")])
+    def test_non_finite_flag_names_its_key(self, tmp_path, capsys, no_horizon, flag, value):
+        argv = ["simulate", "-c", str(DESK_DIR / "config.json"), flag, value]
+        fails_before_any_work(tmp_path, capsys, argv, f"config.json: scheduler.{flag[2:]}: "
+                              f"expected a finite positive number, got {value}")
+
     def test_empty_schedule_file(self, tmp_path, capsys):
         config = small_inputs(tmp_path)
         good, empty = tmp_path / "good.csv", tmp_path / "empty.csv"
@@ -246,9 +276,15 @@ class TestPreflight:
         ("fleet", {"energy_kwh_range": 100.0}, "fleet.energy_kwh_range: expected [lo, hi]"),
         ("pv_mw", {"2": "10"}, "pv_mw.2: expected a number, got '10'"),
         ("pv_mw", {"two": 10.0}, "pv_mw: bus id 'two' is not an integer"),
+        ("scheduler", {"slot_hours": float("nan")},
+         "scheduler.slot_hours: expected a finite positive number, got nan"),
+        ("power_flow", {"tol": 0}, "power_flow.tol: expected a finite positive number, got 0.0"),
+        ("power_flow", {"tol": float("nan")},
+         "power_flow.tol: expected a finite positive number, got nan"),
+        ("power_flow", {"max_iter": 0}, "power_flow.max_iter: expected at least 1, got 0"),
     ])
-    def test_wrong_typed_value_names_its_key(self, tmp_path, capsys, section, values,
-                                             message):
+    def test_wrong_typed_value_names_its_key(self, tmp_path, capsys, no_horizon, section,
+                                             values, message):
         config = desk_variant(tmp_path, **{section: values})
         fails_before_any_work(tmp_path, capsys, ["simulate", "-c", str(config)],
                               f"desk.json: {message}")
@@ -344,7 +380,9 @@ class TestSchedulesFile:
 
 
 def test_benchmark_tracer_binds_every_layer(tmp_path):
-    """The benchmark's tracer wraps functions by name; a rename breaks it."""
+    """The benchmark's tracer looks up every function it wraps by name
+    before the command runs, so deleting or renaming any of them (such as
+    ``coordinator.solve_task``) fails this run."""
     spans = tmp_path / "spans.json"
     done = subprocess.run(
         [sys.executable, "perfbench/traced.py", str(spans), "powerflow",

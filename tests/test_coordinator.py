@@ -1,6 +1,4 @@
-"""Broadcast-gather message protocol and the receding-horizon loop."""
-
-import json
+"""Scripted events and the receding-horizon loop."""
 
 import numpy as np
 import pytest
@@ -13,28 +11,16 @@ from conftest import (assert_identical, cell_text, file_ints, finite_floats, mak
 from evgrid import coordinator, scheduler
 from evgrid.cli import load_run_config, preflight
 from evgrid.coordinator import (
-    Broadcast,
-    Converged,
     EVENT_KINDS,
     CoordinatorError,
-    Delivery,
-    LoopbackTransport,
-    ProfileUpdate,
-    ProtocolError,
     ScriptedEvent,
-    Station,
     read_events,
     run_receding_horizon,
-    run_with_transport,
     schedule_events,
     write_events,
 )
 from evgrid.fleet import EvSession, FleetScenario
-from evgrid.scheduler import (
-    ControlSignal,
-    run_until_converged,
-    task_from_session,
-)
+from evgrid.scheduler import run_until_converged
 
 
 def scenario_of(*sessions, slots=16):
@@ -43,29 +29,6 @@ def scenario_of(*sessions, slots=16):
 
 def shaped_base(slots=16):
     return 50.0 + 10.0 * np.sin(np.linspace(0.0, 2.0 * np.pi, slots))
-
-
-class TestMessages:
-    def test_broadcast_carries_signal_iteration(self):
-        signal = ControlSignal(values=np.ones(4), iteration=7)
-        assert Broadcast(signal).iteration == 7
-
-    def test_profile_update_fields(self):
-        update = ProfileUpdate("e1", np.zeros(4), 3)
-        assert update.ev_id == "e1"
-        assert update.iteration == 3
-
-    def test_station_answers_broadcast(self):
-        config = small_config(slots=4)
-        task = task_from_session(make_session(t_start=0, t_end=4, energy_kwh=2.0), 4)
-        station = Station(task, np.zeros(4), config)
-        signal = ControlSignal(values=np.full(4, 10.0), iteration=0)
-        reply = station.respond(Broadcast(signal))
-        assert reply.ev_id == "ev1"
-        assert reply.iteration == 0
-        assert float(reply.profile_kw.sum()) * 0.25 == pytest.approx(2.0, abs=1e-9)
-        # the station keeps its own latest profile
-        assert np.array_equal(station.profile_kw, reply.profile_kw)
 
 
 class TestScriptedEvent:
@@ -127,79 +90,6 @@ class TestEventsFile:
         assert {e.kind for e in events} <= {"add_session", "update_energy",
                                             "remove_session"}
         assert all(0 <= e.slot < 96 for e in events)
-
-
-class TestLoopbackTransport:
-    def test_zero_stations_message_pattern(self):
-        config = small_config(slots=4)
-        base = np.full(4, 40.0)
-        transport = LoopbackTransport()
-        result = run_with_transport(config, base, [], transport)
-        kinds = [type(d.message).__name__ for d in transport.log]
-        assert kinds == ["Broadcast", "Converged"]
-        assert np.array_equal(transport.log[0].message.signal.values,
-                              base / config.lam)
-        assert transport.log[1].message.iteration == result.trace.iterations == 1
-
-    def test_matches_direct_fixed_point(self):
-        config = small_config()
-        base = shaped_base()
-        sessions = [make_session(ev_id=f"e{k}", t_start=k, t_end=12 + k,
-                                 energy_kwh=5.0 + k) for k in range(3)]
-        tasks = [task_from_session(s, 16) for s in sessions]
-        direct_profiles, direct_trace = run_until_converged(config, base, tasks)
-
-        transport = LoopbackTransport()
-        result = run_with_transport(config, base, tasks, transport)
-        assert np.array_equal(result.profiles_kw, direct_profiles)
-        assert result.trace == direct_trace
-
-    def test_log_structure(self):
-        config = small_config(slots=8)
-        base = np.full(8, 30.0)
-        tasks = [task_from_session(
-            make_session(ev_id="e1", t_start=0, t_end=8, energy_kwh=4.0), 8)]
-        transport = LoopbackTransport()
-        result = run_with_transport(config, base, tasks, transport)
-        kinds = [type(d.message).__name__ for d in transport.log]
-        assert kinds[-1] == "Converged"
-        assert kinds[:-1] == ["Broadcast", "ProfileUpdate"] * result.trace.iterations
-        broadcasts = [d for d in transport.log if isinstance(d.message, Broadcast)]
-        assert [b.message.iteration for b in broadcasts] == list(
-            range(result.trace.iterations))
-        for entry in transport.log:
-            if isinstance(entry.message, ProfileUpdate):
-                assert entry.sender == "e1"
-                assert entry.recipient == "coordinator"
-            else:
-                assert entry.sender == "coordinator"
-                assert entry.recipient == "*"
-
-    def test_silent_station_raises(self):
-        config = small_config(slots=8)
-        base = np.full(8, 30.0)
-        tasks = [task_from_session(
-            make_session(ev_id=f"e{k}", t_start=0, t_end=8, energy_kwh=4.0), 8)
-            for k in range(3)]
-        transport = LoopbackTransport(silent_stations={"e1", "e2"})
-        with pytest.raises(ProtocolError, match="e1, e2"):
-            run_with_transport(config, base, tasks, transport)
-
-    def test_serialize_is_json_ready(self):
-        config = small_config(slots=4)
-        base = np.full(4, 20.0)
-        tasks = [task_from_session(
-            make_session(ev_id="e1", t_start=0, t_end=4, energy_kwh=1.0), 4)]
-        transport = LoopbackTransport()
-        run_with_transport(config, base, tasks, transport)
-        rows = transport.serialize()
-        assert len(rows) == len(transport.log)
-        text = json.dumps(rows)
-        parsed = json.loads(text)
-        assert parsed[0]["kind"] == "broadcast"
-        assert parsed[-1]["kind"] == "converged"
-        update_rows = [r for r in parsed if r["kind"] == "profileupdate"]
-        assert update_rows and all(r["ev_id"] == "e1" for r in update_rows)
 
 
 class TestRecedingHorizon:
@@ -384,19 +274,6 @@ class TestRecedingHorizon:
                 total, abs=1e-9)
             assert total == pytest.approx(targets[ev_id], abs=1e-6)
 
-    def test_transport_integration_matches(self):
-        config = small_config()
-        base = shaped_base()
-        scenario = self.base_scenario()
-        plain = run_receding_horizon(config, base, scenario, steps=4)
-        transport = LoopbackTransport()
-        routed = run_receding_horizon(config, base, scenario, steps=4,
-                                      transport=transport)
-        assert np.array_equal(routed.committed_kw, plain.committed_kw)
-        assert routed.step_traces == plain.step_traces
-        kinds = {type(d.message).__name__ for d in transport.log}
-        assert kinds == {"Broadcast", "ProfileUpdate", "Converged"}
-
     def test_rerun_is_bit_identical(self):
         config = small_config()
         base = shaped_base()
@@ -490,16 +367,13 @@ class TestAgainstReferenceLoop:
     """The array-backed horizon loop against the per-station loop it
     replaced (``oracles.reference_horizon``): identical results, bit for bit."""
 
-    @given(horizon_scripts(), st.booleans())
+    @given(horizon_scripts())
     @settings(max_examples=80, deadline=None)
-    def test_random_scripts(self, script, routed):
+    def test_random_scripts(self, script):
         config, base, scenario, steps, events = script
-        transports = (LoopbackTransport(), LoopbackTransport()) if routed else (None, None)
-        got = run_receding_horizon(config, base, scenario, steps, events, transports[0])
-        want = oracles.reference_horizon(config, base, scenario, steps, events, transports[1])
+        got = run_receding_horizon(config, base, scenario, steps, events)
+        want = oracles.reference_horizon(config, base, scenario, steps, events)
         assert_same_horizon(got, want)
-        if routed:
-            assert transports[0].serialize() == transports[1].serialize()
 
     def run_both(self, events, extra=()):
         config = small_config()
@@ -554,8 +428,7 @@ class TestAgainstReferenceLoop:
         assert result.flags[0].startswith("step 3: session e3 removed")
 
 
-@pytest.mark.parametrize("routed", [False, True])
-def test_one_solve_per_station_per_round(monkeypatch, desk_config_path, routed):
+def test_one_solve_per_station_per_round(monkeypatch, desk_config_path):
     """The desk horizon calls ``solve_task`` once per active station per
     round, the count the benchmark's traced runs cross-check."""
     cfg = load_run_config(str(desk_config_path), {})
@@ -572,8 +445,7 @@ def test_one_solve_per_station_per_round(monkeypatch, desk_config_path, routed):
     monkeypatch.setattr(coordinator, "solve_task", counting)
     steps, scenario = cfg.horizon_steps, inputs.scenario
     result = run_receding_horizon(cfg.scheduler, inputs.base.mw.sum(axis=0), scenario,
-                                  steps, inputs.events,
-                                  LoopbackTransport() if routed else None)
+                                  steps, inputs.events)
 
     by_step = schedule_events(inputs.events, [s.ev_id for s in scenario.sessions],
                               cfg.scheduler.slots, steps)

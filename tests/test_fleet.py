@@ -1,4 +1,4 @@
-"""EV session model, prediction, synthetic fleets, and the baseline profile."""
+"""EV session model, synthetic fleets, and the baseline profile."""
 
 import numpy as np
 import pytest
@@ -11,13 +11,9 @@ from evgrid.fleet import (
     FleetError,
     FleetScenario,
     FleetSpec,
-    HistoricalRecord,
     generate_fleet,
-    predict_sessions,
-    read_history,
     read_sessions,
     uncoordinated_profile,
-    write_history,
     write_sessions,
 )
 
@@ -63,71 +59,15 @@ class TestEvSession:
         with pytest.raises(FleetError):
             make_session(d_max_kw=1.0).validate(96, 0.25)
 
+    @pytest.mark.parametrize("rates", [{"p_max_kw": float("inf")},
+                                       {"d_max_kw": float("-inf")},
+                                       {"p_max_kw": float("nan")}])
+    def test_rates_must_be_finite(self, rates):
+        with pytest.raises(FleetError, match="rate bounds must be finite"):
+            make_session(**rates).validate(96, 0.25)
+
     def test_net_discharge_session_allowed(self):
         make_session(energy_kwh=-5.0).validate(96, 0.25)
-
-
-class TestPredictSessions:
-    def test_single_record_mean(self):
-        history = [HistoricalRecord("a", "2026-01-05", 30, 60, 12.0)]
-        sessions, flags = predict_sessions(history, 96, 0.25, 6.6, -6.6)
-        assert flags == []
-        s = sessions[0]
-        assert (s.t_start, s.t_end, s.energy_kwh) == (30, 60, 12.0)
-
-    def test_two_record_mean(self):
-        history = [
-            HistoricalRecord("a", "2026-01-05", 20, 60, 10.0),
-            HistoricalRecord("a", "2026-01-06", 40, 80, 14.0),
-        ]
-        sessions, _ = predict_sessions(history, 96, 0.25, 6.6, -6.6)
-        s = sessions[0]
-        assert (s.t_start, s.t_end, s.energy_kwh) == (30, 70, 12.0)
-
-    def test_missing_ev_named_in_error(self):
-        history = [HistoricalRecord("a", "2026-01-05", 30, 60, 12.0)]
-        with pytest.raises(FleetError, match="ghost"):
-            predict_sessions(history, 96, 0.25, 6.6, -6.6, ev_ids=["a", "ghost"])
-
-    def test_empty_history_rejected(self):
-        with pytest.raises(FleetError):
-            predict_sessions([], 96, 0.25, 6.6, -6.6)
-
-    def test_end_forced_after_start(self):
-        history = [
-            HistoricalRecord("a", "2026-01-05", 40, 41, 0.5),
-            HistoricalRecord("a", "2026-01-06", 41, 42, 0.5),
-        ]
-        sessions, _ = predict_sessions(history, 96, 0.25, 6.6, -6.6)
-        assert sessions[0].t_end > sessions[0].t_start
-
-    def test_infeasible_energy_clamped_and_flagged(self):
-        # a 2-slot window cannot absorb 50 kWh at 6.6 kW
-        history = [HistoricalRecord("a", "2026-01-05", 10, 12, 50.0)]
-        sessions, flags = predict_sessions(history, 96, 0.25, 6.6, -6.6)
-        assert sessions[0].energy_kwh == pytest.approx(6.6 * 0.5)
-        assert len(flags) == 1 and "a" in flags[0]
-        sessions[0].validate(96, 0.25)
-
-    def test_bus_assignment_mapping(self):
-        history = [HistoricalRecord("a", "2026-01-05", 30, 60, 12.0)]
-        sessions, _ = predict_sessions(history, 96, 0.25, 6.6, -6.6,
-                                       bus_assignment={"a": 7})
-        assert sessions[0].bus_id == 7
-
-    @settings(max_examples=30, deadline=None)
-    @given(rnd=st.randoms(use_true_random=False))
-    def test_record_order_invariant(self, rnd):
-        history = [
-            HistoricalRecord("a", f"2026-01-{d:02d}", 10 + d, 50 + d, 5.0 + d)
-            for d in range(1, 8)
-        ] + [
-            HistoricalRecord("b", f"2026-01-{d:02d}", 20 + d, 60 + d, 9.0 + d)
-            for d in range(1, 5)
-        ]
-        baseline = predict_sessions(history, 96, 0.25, 6.6, -6.6)
-        rnd.shuffle(history)
-        assert predict_sessions(history, 96, 0.25, 6.6, -6.6) == baseline
 
 
 class TestGenerateFleet:
@@ -221,14 +161,6 @@ sessions_lists = st.lists(st.builds(
     energy_kwh=finite_floats, p_max_kw=finite_floats, d_max_kw=finite_floats,
 ), max_size=5)
 
-# start precedes end and the energy is not negative (-0.0 included)
-history_lists = st.lists(st.builds(
-    lambda ev_id, date, start, width, energy:
-        HistoricalRecord(ev_id, date, start, start + width, energy),
-    cell_text, cell_text, file_ints, st.integers(1, 10**9),
-    finite_floats.filter(lambda x: x >= 0.0),
-), max_size=5)
-
 
 class TestFiles:
     @round_trip
@@ -252,6 +184,13 @@ class TestFiles:
         with pytest.raises(ValueError, match=r"sessions\.csv:3: 6 cells, header has 7"):
             read_sessions(path)
 
+    def test_unparsable_cell_reports_line(self, tmp_path):
+        path = tmp_path / "sessions.csv"
+        write_sessions(path, [make_session("a"), make_session("b")])
+        path.write_text(path.read_text().replace("b,5,", "b,five,"))
+        with pytest.raises(ValueError, match=r"sessions\.csv:3: invalid literal .* 'five'"):
+            read_sessions(path)
+
     def test_sessions_round_trip_bit_exact_bytes(self, tmp_path):
         scenario = generate_fleet(4, default_spec())
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -265,29 +204,8 @@ class TestFiles:
         assert read_sessions(path) == []
         assert len(path.read_text().strip().splitlines()) == 1
 
-    @round_trip
-    @given(records=history_lists)
-    def test_history_round_trip(self, tmp_path, records):
-        path = tmp_path / "history.csv"
-        write_history(path, records)
-        assert_identical(read_history(path), records)
-
-    @pytest.mark.parametrize("ev_id,date", [
-        ("a,b", "2026-01-05"), ("a\nb", "2026-01-05"), ("a", "2026-01-05\r"),
-        ("a", "2026,01,05"),
-    ])
-    def test_history_cell_that_breaks_a_row_rejected(self, ev_id, date):
-        with pytest.raises(FleetError, match="comma or line break"):
-            HistoricalRecord(ev_id, date, 30, 60, 12.0)
-
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("who,what\n1,2\n")
         with pytest.raises(ValueError, match="header"):
             read_sessions(path)
-
-    def test_record_validation(self):
-        with pytest.raises(FleetError):
-            HistoricalRecord("a", "2026-01-05", 30, 30, 12.0)
-        with pytest.raises(FleetError):
-            HistoricalRecord("a", "2026-01-05", 10, 30, -1.0)

@@ -101,6 +101,12 @@ class TestBaseLoadProfile:
         with pytest.raises(MetricsError, match="missing entry for slot 1, bus 7"):
             read_base_load(path)
 
+    def test_read_locates_an_unparsable_cell(self, tmp_path):
+        path = tmp_path / "base.csv"
+        path.write_text("slot,bus_id,mw\n0,5,10\n\n1,5,ten\n")
+        with pytest.raises(ValueError, match=r"base\.csv:4: could not convert string to float"):
+            read_base_load(path)
+
     def test_read_rejects_duplicate_cell(self, tmp_path):
         path = tmp_path / "base.csv"
         path.write_text("slot,bus_id,mw\n0,5,10\n0,5,11\n")

@@ -154,6 +154,8 @@ class TestSolvePowerFlow:
     def test_parameter_validation(self, wscc_case, wscc_ybus):
         with pytest.raises(ValueError, match="tol"):
             solve_power_flow(wscc_case, wscc_ybus, tol=0.0)
+        with pytest.raises(ValueError, match="tol must be positive, got nan"):
+            solve_power_flow(wscc_case, wscc_ybus, tol=float("nan"))
         with pytest.raises(ValueError, match="max_iter"):
             solve_power_flow(wscc_case, wscc_ybus, max_iter=0)
 
