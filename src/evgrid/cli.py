@@ -123,6 +123,10 @@ def _fleet_spec(section, scheduler: SchedulerConfig) -> FleetSpec:
     if not isinstance(bounds, list) or len(bounds) != 2:
         raise ValueError(f"fleet.energy_kwh_range: expected [lo, hi], got {bounds!r}")
     spec["energy_kwh_range"] = tuple(_number("fleet.energy_kwh_range", v) for v in bounds)
+    floats = [(key, spec[key]) for key in section if kinds[key] == "float"]
+    for key, value in [*floats, *(("energy_kwh_range", v) for v in spec["energy_kwh_range"])]:
+        if not math.isfinite(value):
+            raise ValueError(f"fleet.{key}: expected a finite number, got {value!r}")
     return FleetSpec(**spec)
 
 

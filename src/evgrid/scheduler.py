@@ -13,6 +13,17 @@ with the scalar multiplier mu fixed exactly by the energy equality: a sort of
 the 2T breakpoints of the piecewise-linear energy curve and one closed-form
 interpolation on the segment that holds the target (the breakpoint search
 for the continuous quadratic knapsack; Kiwiel 2008, Condat 2016).
+
+The work is split by how often its inputs change:
+
+- once per fixed point, just before its first round (``prepare_stations``):
+  every task's kW bounds stacked into one (N, 2, T) MW array, their totals,
+  the MW energy targets and the +/-1 slope of each breakpoint.  A step that
+  converges on the carried signal runs no round and prepares nothing;
+- once per round, for all rows at once: previous - c in MW, and the
+  conversion of the new profiles back to kW;
+- per station, per round (``solve_task``): the feasibility and snap checks
+  on its totals and the breakpoint search, written into its own row.
 """
 
 from __future__ import annotations
@@ -127,6 +138,83 @@ def flattening_objective(base_load_mw: np.ndarray, profiles_kw: np.ndarray) -> f
     return float(np.sum(total * total))
 
 
+@dataclass(frozen=True)
+class PreparedStations:
+    """The round-invariant part of every station's subproblem, in MW.
+
+    Built once per fixed point from its tasks; row k belongs to task k.
+    """
+
+    ev_ids: list[str]
+    bounds: np.ndarray               # (N, 2, T): each row's lo and hi, MW
+    lo_total: list[float]            # sum of each row's lo, MW
+    hi_total: list[float]            # sum of each row's hi, MW
+    energy: list[float]              # energy targets, MWh
+    slopes: np.ndarray               # (2T,): +1 at a lo breakpoint, -1 at a hi one
+    dt: float
+
+
+def prepare_stations(tasks: list[StationTask], dt: float) -> PreparedStations:
+    """Stack the tasks' bounds and targets in MW and take their bound totals."""
+    bounds = np.array([(task.lo_kw, task.hi_kw) for task in tasks], dtype=float)
+    bounds /= KW_PER_MW
+    lo_total, hi_total = bounds.sum(axis=2).T.tolist()
+    energy = np.array([task.energy_kwh for task in tasks], dtype=float) / KW_PER_MW
+    return PreparedStations(
+        ev_ids=[task.ev_id for task in tasks],
+        bounds=bounds,
+        lo_total=lo_total,
+        hi_total=hi_total,
+        energy=energy.tolist(),
+        slopes=np.repeat((1.0, -1.0), bounds.shape[2]),
+        dt=dt,
+    )
+
+
+def _project(p: np.ndarray, bounds: np.ndarray, lo_total: float, hi_total: float,
+             energy: float, dt: float, slopes: np.ndarray, label: str) -> None:
+    """Overwrite ``p``, which holds previous - c, with the minimizer of
+    ``project_to_energy_box`` over the box ``bounds`` = (lo, hi)."""
+    lo_sum = lo_total * dt
+    hi_sum = hi_total * dt
+    slack = max(ENERGY_TOL, 1e-9 * max(1.0, abs(energy)))
+    if energy < lo_sum - slack or energy > hi_sum + slack:
+        raise InfeasibleSessionError(label, energy, lo_sum, hi_sum)
+    lo, hi = bounds
+    # compare the miss itself, so a snapped profile misses by at most
+    # ENERGY_TOL, not by ENERGY_TOL plus the rounding of hi_sum - ENERGY_TOL
+    if hi_sum - energy <= ENERGY_TOL:
+        p[:] = hi
+        return
+    if energy - lo_sum <= ENERGY_TOL:
+        p[:] = lo
+        return
+
+    # with nu = mu*dt, S(nu) = sum(clip(p + nu, lo, hi)) is piecewise
+    # linear: its slope steps up by one at each a = lo - p and down by one
+    # at each b = hi - p.  The stable sort keeps every a ahead of an equal
+    # b, so the running slope never goes negative.
+    ks = (bounds - p).ravel()
+    order = ks.argsort(kind="stable")
+    ks = ks[order]
+    slope = slopes[order]
+    slope.cumsum(out=slope)
+    # S at every breakpoint: lo_total plus the area under the slope so far
+    sk = np.empty_like(ks)
+    sk[0] = 0.0
+    rise = sk[1:]
+    np.subtract(ks[1:], ks[:-1], out=rise)
+    rise *= slope[:-1]
+    rise.cumsum(out=rise)
+    sk += lo_total
+    target = energy / dt
+    # the first breakpoint with S >= target closes the segment holding the
+    # root, whose slope is at least one
+    j = min(max(int(sk.searchsorted(target)), 1), ks.size - 1)
+    p += ks[j - 1] + (target - sk[j - 1]) / slope[j - 1]
+    p.clip(lo, hi, out=p)
+
+
 def project_to_energy_box(c: np.ndarray, previous: np.ndarray, lo: np.ndarray,
                           hi: np.ndarray, energy: float, dt: float,
                           label: str = "station") -> np.ndarray:
@@ -139,58 +227,24 @@ def project_to_energy_box(c: np.ndarray, previous: np.ndarray, lo: np.ndarray,
     sorting its 2T breakpoints and interpolating on the segment that reaches
     the energy target; no iteration, no stopping tolerance.
     """
-    lo_total = float(lo.sum())
-    lo_sum = lo_total * dt
-    hi_sum = float(hi.sum()) * dt
-    slack = max(ENERGY_TOL, 1e-9 * max(1.0, abs(energy)))
-    if energy < lo_sum - slack or energy > hi_sum + slack:
-        raise InfeasibleSessionError(label, energy, lo_sum, hi_sum)
-    # compare the miss itself, so a snapped profile misses by at most
-    # ENERGY_TOL, not by ENERGY_TOL plus the rounding of hi_sum - ENERGY_TOL
-    if hi_sum - energy <= ENERGY_TOL:
-        return hi.copy()
-    if energy - lo_sum <= ENERGY_TOL:
-        return lo.copy()
-
-    # with nu = mu*dt, S(nu) = sum(clip(base + nu, lo, hi)) is piecewise
-    # linear: its slope steps up by one at each a = lo - base and down by one
-    # at each b = hi - base.  The stable sort keeps every a ahead of an equal
-    # b, so the running slope never goes negative.
-    base = previous - c
-    t = base.size
-    ks = np.concatenate((lo - base, hi - base))
-    order = ks.argsort(kind="stable")
-    ks = ks[order]
-    slope = np.cumsum(np.where(order < t, 1.0, -1.0))
-    # S at every breakpoint
-    sk = lo_total + np.concatenate(([0.0], np.cumsum(slope[:-1] * np.diff(ks))))
-    target = energy / dt
-    # the first breakpoint with S >= target closes the segment holding the
-    # root, whose slope is at least one
-    j = min(max(int(np.searchsorted(sk, target)), 1), 2 * t - 1)
-    nu = ks[j - 1] + (target - sk[j - 1]) / slope[j - 1]
-    return np.clip(base + nu, lo, hi)
+    p = np.subtract(previous, c, dtype=float)
+    _project(p, np.array((lo, hi), dtype=float), float(lo.sum()),
+             float(hi.sum()), energy, dt, np.repeat((1.0, -1.0), p.size), label)
+    return p
 
 
-def solve_task(signal: ControlSignal, previous_kw: np.ndarray, task: StationTask,
-               config: SchedulerConfig) -> np.ndarray:
-    """One station's proximal update against the broadcast signal, in kW."""
+def solve_task(stations: PreparedStations, k: int, p: np.ndarray) -> None:
+    """Station k's proximal update against the broadcast signal, in MW and in
+    place: ``p`` holds its previous profile minus the signal on entry and its
+    new profile on exit."""
     try:
-        p_mw = project_to_energy_box(
-            c=signal.values,
-            previous=previous_kw / KW_PER_MW,
-            lo=task.lo_kw / KW_PER_MW,
-            hi=task.hi_kw / KW_PER_MW,
-            energy=task.energy_kwh / KW_PER_MW,
-            dt=config.slot_hours,
-            label=task.ev_id,
-        )
+        _project(p, stations.bounds[k], stations.lo_total[k], stations.hi_total[k],
+                 stations.energy[k], stations.dt, stations.slopes, stations.ev_ids[k])
     except InfeasibleSessionError as exc:
         # the projection works in MW units; report the interval in kWh
         raise InfeasibleSessionError(
-            task.ev_id, exc.energy_kwh * KW_PER_MW,
+            exc.ev_id, exc.energy_kwh * KW_PER_MW,
             exc.feasible_kwh[0] * KW_PER_MW, exc.feasible_kwh[1] * KW_PER_MW) from None
-    return p_mw * KW_PER_MW
 
 
 @dataclass(frozen=True)
@@ -227,13 +281,6 @@ def run_fixed_point(config: SchedulerConfig, base_load_mw: np.ndarray,
         trace = ConvergenceTrace((math.nan,), tuple(objectives), 1, True)
         return FixedPointResult(profiles, trace, None)
 
-    if respond is None:
-        def respond(signal, profiles_kw):
-            out = np.empty_like(profiles_kw)
-            for k, task in enumerate(tasks):
-                out[k] = solve_task(signal, profiles_kw[k], task, config)
-            return out
-
     signal = compute_control_signal(base_load_mw, profiles, config.lam, 0)
     residuals: list[float] = []
     diagnostics: list[str] = []
@@ -248,6 +295,19 @@ def run_fixed_point(config: SchedulerConfig, base_load_mw: np.ndarray,
             return FixedPointResult(profiles, trace, signal)
     else:
         residuals.append(math.nan)
+
+    if respond is None:
+        # prepared only now, so that a step that converges on the carried
+        # signal prepares nothing
+        stations = prepare_stations(tasks, config.slot_hours)
+
+        def respond(signal, profiles_kw):
+            out = profiles_kw / KW_PER_MW
+            out -= signal.values
+            for k in range(n):
+                solve_task(stations, k, out[k])
+            out *= KW_PER_MW
+            return out
 
     while iterations < config.max_iterations:
         profiles = respond(signal, profiles)

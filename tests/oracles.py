@@ -18,6 +18,10 @@ algorithmic route than the library code it checks:
   with per-id dicts, instead of the library's row-indexed arrays.
 * ``reference_aggregate`` adds EV profiles onto their buses one row at a
   time instead of the library's per-bus cumulative sums over row blocks.
+* ``reference_solve`` runs one station's breakpoint search from its task
+  alone, converting and summing its bounds on every call, instead of the
+  library's per-row search over bounds prepared once per fixed point.  It
+  must agree with the library byte for byte.
 """
 
 from __future__ import annotations
@@ -40,8 +44,10 @@ from evgrid.fleet import KW_PER_MW, EvSession, FleetScenario
 from evgrid.grid import BusKind, GridCase
 from evgrid.metrics import BaseLoadProfile
 from evgrid.scheduler import (
+    ENERGY_TOL,
     ControlSignal,
     ConvergenceTrace,
+    InfeasibleSessionError,
     SchedulerConfig,
     StationTask,
     run_fixed_point,
@@ -191,6 +197,55 @@ def active_set_minimize(c: np.ndarray, previous: np.ndarray, lo: np.ndarray,
     objective = (p * c[None, :]).sum(axis=1) + 0.5 * ((p - previous[None, :]) ** 2).sum(axis=1)
     objective[~ok] = np.inf
     return p[int(np.argmin(objective))]
+
+
+# ---------------------------------------------------------------------------
+# One station's breakpoint search, from its task alone
+
+
+def _reference_project(c, previous, lo, hi, energy, dt, label):
+    lo_total = float(lo.sum())
+    lo_sum = lo_total * dt
+    hi_sum = float(hi.sum()) * dt
+    slack = max(ENERGY_TOL, 1e-9 * max(1.0, abs(energy)))
+    if energy < lo_sum - slack or energy > hi_sum + slack:
+        raise InfeasibleSessionError(label, energy, lo_sum, hi_sum)
+    if hi_sum - energy <= ENERGY_TOL:
+        return hi.copy()
+    if energy - lo_sum <= ENERGY_TOL:
+        return lo.copy()
+    base = previous - c
+    t = base.size
+    ks = np.concatenate((lo - base, hi - base))
+    order = ks.argsort(kind="stable")
+    ks = ks[order]
+    slope = np.cumsum(np.where(order < t, 1.0, -1.0))
+    sk = lo_total + np.concatenate(([0.0], np.cumsum(slope[:-1] * np.diff(ks))))
+    target = energy / dt
+    j = min(max(int(np.searchsorted(sk, target)), 1), 2 * t - 1)
+    nu = ks[j - 1] + (target - sk[j - 1]) / slope[j - 1]
+    return np.clip(base + nu, lo, hi)
+
+
+def reference_solve(signal: ControlSignal, previous_kw: np.ndarray, task: StationTask,
+                    config: SchedulerConfig) -> np.ndarray:
+    """One station's proximal update against the broadcast signal, in kW,
+    with every per-station quantity derived inside the call."""
+    try:
+        p_mw = _reference_project(
+            c=signal.values,
+            previous=previous_kw / KW_PER_MW,
+            lo=task.lo_kw / KW_PER_MW,
+            hi=task.hi_kw / KW_PER_MW,
+            energy=task.energy_kwh / KW_PER_MW,
+            dt=config.slot_hours,
+            label=task.ev_id,
+        )
+    except InfeasibleSessionError as exc:
+        raise InfeasibleSessionError(
+            task.ev_id, exc.energy_kwh * KW_PER_MW,
+            exc.feasible_kwh[0] * KW_PER_MW, exc.feasible_kwh[1] * KW_PER_MW) from None
+    return p_mw * KW_PER_MW
 
 
 # ---------------------------------------------------------------------------

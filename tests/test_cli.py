@@ -497,6 +497,19 @@ class TestGenFleetCommand:
         assert ((out1 / "sessions.csv").read_bytes()
                 != (out2 / "sessions.csv").read_bytes())
 
+    @pytest.mark.parametrize("key,value", [
+        ("arrival_mean_slot", float("nan")), ("p_max_kw", float("inf")),
+        ("energy_kwh_range", [2.0, float("-inf")])])
+    def test_non_finite_spec_float_names_its_key(self, tmp_path, capsys, key, value):
+        config = self.fleet_config(tmp_path, {"5": 3, "9": 2})
+        raw = json.loads(config.read_text())
+        raw["fleet"][key] = value
+        config.write_text(json.dumps(raw))
+        shown = value[1] if isinstance(value, list) else value
+        fails_before_any_work(tmp_path, capsys, ["gen-fleet", "-c", str(config)],
+                              f"fleet.json: fleet.{key}: expected a finite number, "
+                              f"got {shown!r}")
+
     def test_shipped_sessions_regenerate(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["gen-fleet", "-c", str(DESK_DIR / "config.json"),

@@ -455,3 +455,25 @@ def test_one_solve_per_station_per_round(monkeypatch, desk_config_path):
             stations += {"add_session": 1, "remove_session": -1}.get(event.kind, 0)
         expected += stations * trace.iterations
     assert solves == expected > 0
+
+
+def test_stations_prepared_once_per_fixed_point(monkeypatch, desk_config_path):
+    """The desk horizon prepares its stations once for each step that runs
+    a round, never once per round; a step that converges on the carried
+    signal prepares nothing."""
+    cfg = load_run_config(str(desk_config_path), {})
+    inputs = preflight(cfg, "simulate")
+    prepared = 0
+    real_prepare = scheduler.prepare_stations
+
+    def counting(*args, **kwargs):
+        nonlocal prepared
+        prepared += 1
+        return real_prepare(*args, **kwargs)
+
+    monkeypatch.setattr(scheduler, "prepare_stations", counting)
+    result = run_receding_horizon(cfg.scheduler, inputs.base.mw.sum(axis=0),
+                                  inputs.scenario, cfg.horizon_steps, inputs.events)
+    traces = result.step_traces
+    active = sum(1 for trace in traces if trace.iterations > 0)
+    assert prepared == active < sum(trace.iterations for trace in traces)

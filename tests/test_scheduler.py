@@ -1,6 +1,7 @@
 """Control signal, proximal subproblem, and the fixed-point iteration."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,15 +9,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import make_session, small_config
+from conftest import assert_identical, make_session, small_config
+from evgrid import scheduler
+from evgrid.fleet import KW_PER_MW
 from evgrid.scheduler import (
+    ENERGY_TOL,
     ControlSignal,
     InfeasibleSessionError,
     SchedulerConfig,
     SchedulerError,
+    StationTask,
     aggregate_ev_mw,
     compute_control_signal,
     flattening_objective,
+    prepare_stations,
     project_to_energy_box,
     run_fixed_point,
     run_until_converged,
@@ -39,6 +45,14 @@ def random_box(rng, slots=8, dt=0.25):
     c = rng.normal(0.0, 1.0, slots)
     previous = rng.uniform(lo, hi)
     return c, previous, lo, hi, energy
+
+
+def solve_one(signal, previous_kw, task, config):
+    """``solve_task`` for a single prepared station, in and out in kW."""
+    p = previous_kw / KW_PER_MW
+    p -= signal.values
+    solve_task(prepare_stations([task], config.slot_hours), 0, p)
+    return p * KW_PER_MW
 
 
 @st.composite
@@ -241,8 +255,8 @@ class TestStationSubproblem:
                 p_max_kw=float(hi.max()) * 1000.0,
                 d_max_kw=float(lo.min()) * 1000.0,
             )
-            got_kw = solve_task(ControlSignal(c, 0), prev_mw * 1000.0,
-                                task_from_session(session, config.slots), config)
+            got_kw = solve_one(ControlSignal(c, 0), prev_mw * 1000.0,
+                               task_from_session(session, config.slots), config)
             want = oracles.active_set_minimize(
                 c, prev_mw, lo, hi, energy, 0.25) * 1000.0
             assert np.max(np.abs(got_kw - want)) < 1e-6
@@ -262,8 +276,8 @@ class TestStationSubproblem:
                 d_max_kw=float(lo.min()) * 1000.0,
             )
             prev_kw = prev_mw * 1000.0
-            p = solve_task(ControlSignal(c, 0), prev_kw,
-                           task_from_session(session, config.slots), config)
+            p = solve_one(ControlSignal(c, 0), prev_kw,
+                          task_from_session(session, config.slots), config)
             lo_kw, hi_kw = session_bounds(session, 8)
             c_kw = c * 1000.0
 
@@ -293,8 +307,8 @@ class TestStationSubproblem:
             sig = compute_control_signal(base, profiles, lam=config.lam)
             scaled = compute_control_signal(base, profiles, lam=config.lam * k)
             rescaled = ControlSignal(scaled.values * k, scaled.iteration)
-            a = solve_task(sig, profiles[0], task, config)
-            b = solve_task(rescaled, profiles[0], task, config)
+            a = solve_one(sig, profiles[0], task, config)
+            b = solve_one(rescaled, profiles[0], task, config)
             assert np.array_equal(a, b)
 
     def test_infeasible_session_error_in_kwh(self):
@@ -302,12 +316,155 @@ class TestStationSubproblem:
         task = task_from_session(make_session(energy_kwh=10.0), config.slots)
         bad = task.__class__(task.ev_id, task.bus_id, task.lo_kw, task.hi_kw, 1e6)
         with pytest.raises(InfeasibleSessionError) as err:
-            solve_task(ControlSignal(np.zeros(16), 0), np.zeros(16), bad, config)
+            solve_one(ControlSignal(np.zeros(16), 0), np.zeros(16), bad, config)
         lo_kwh, hi_kwh = err.value.feasible_kwh
         # the window holds 8 slots x 0.25 h x 6.6 kW = 13.2 kWh
         assert hi_kwh == pytest.approx(13.2, abs=1e-9)
         assert lo_kwh == pytest.approx(-13.2, abs=1e-9)
         assert err.value.energy_kwh == pytest.approx(1e6)
+
+
+DT = 0.25
+
+
+def _target_kwh(rng, lo, hi, grid):
+    """An energy target for the box: inside it, on or within ENERGY_TOL of
+    either bound, at a V2G discharge, or, on the integer grid, at a
+    breakpoint of the energy curve."""
+    lo_kwh, hi_kwh = float(lo.sum()) * DT, float(hi.sum()) * DT
+    tol_kwh = ENERGY_TOL * KW_PER_MW
+    mode = int(rng.integers(0, 12))
+    if mode == 0:
+        return lo_kwh
+    if mode == 1:
+        return hi_kwh
+    if mode == 2:
+        return lo_kwh + tol_kwh * float(rng.choice([-0.5, 0.5, 1.0, 2.0]))
+    if mode == 3:
+        return hi_kwh - tol_kwh * float(rng.choice([-0.5, 0.5, 1.0, 2.0]))
+    if mode == 4 and lo_kwh < 0.0:
+        return float(rng.uniform(lo_kwh, min(0.0, hi_kwh)))
+    if mode == 5 and grid:
+        # the signal is zero on the grid, so the breakpoints are lo and hi
+        nu = float(rng.choice(np.concatenate((lo, hi))))
+        return float(np.clip(nu, lo, hi).sum()) * DT
+    return float(rng.uniform(lo_kwh, hi_kwh))
+
+
+@st.composite
+def station_stacks(draw):
+    """(config, base load MW, tasks, starting kW profiles) for one fixed
+    point.  Windows may be empty and slots pinned (lo == hi).  On the
+    integer grid the bounds are whole MW and the signal is zero, so the
+    breakpoints are integers and tie; otherwise a random base load and
+    starting profiles give a slot-varying signal, from far below to far above
+    the stations' rates.  At most one station may have a target beyond its
+    reachable interval."""
+    t = draw(st.sampled_from([1, 2, 7, 96]))
+    n = draw(st.integers(1, 6))
+    grid = draw(st.booleans())
+    unreachable = draw(st.sampled_from([None] * 3 * n + list(range(n))))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    tasks = []
+    for k in range(n):
+        a = int(rng.integers(0, t + 1))
+        b = int(rng.integers(a, t + 1))
+        lo, hi = np.zeros(t), np.zeros(t)
+        if grid:
+            lo[a:b] = -KW_PER_MW * rng.integers(0, 3, b - a)
+            hi[a:b] = lo[a:b] + KW_PER_MW * rng.integers(0, 4, b - a)
+        else:
+            lo[a:b] = -rng.uniform(0.0, 7.0, b - a) * (rng.random() < 0.7)
+            hi[a:b] = rng.uniform(0.0, 7.0, b - a)
+            pinned = np.flatnonzero(rng.random(b - a) < 0.2) + a
+            lo[pinned] = hi[pinned] = rng.uniform(lo[pinned], hi[pinned])
+        energy = _target_kwh(rng, lo, hi, grid)
+        if k == unreachable:
+            above = rng.random() < 0.5
+            energy = float((hi if above else lo).sum()) * DT + (1.0 if above else -1.0)
+        tasks.append(StationTask(f"s{k}", 5, lo, hi, energy))
+    config = small_config(slots=t, slot_hours=DT, lam=float(rng.choice([0.5, 2.0, 10.0])),
+                          max_iterations=40)
+    if grid:
+        return config, np.zeros(t), tasks, np.zeros((n, t))
+    init = rng.uniform(np.array([task.lo_kw for task in tasks]),
+                       np.array([task.hi_kw for task in tasks]))
+    scale = float(rng.choice([0.01, 1.0, 100.0]))
+    return config, rng.uniform(0.0, scale, t), tasks, init
+
+
+def outcome(run):
+    """What ``run()`` returns, or the infeasibility it raises."""
+    try:
+        return run()
+    except InfeasibleSessionError as exc:
+        return exc.ev_id, exc.energy_kwh, exc.feasible_kwh, str(exc)
+
+
+def reference_respond(tasks, config):
+    def respond(signal, profiles_kw):
+        return np.array([oracles.reference_solve(signal, profiles_kw[k], task, config)
+                         for k, task in enumerate(tasks)])
+    return respond
+
+
+class TestPreparedStations:
+    """The prepared per-row search against the per-call form it replaced
+    (``oracles.reference_solve``): identical bytes, identical errors."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(stack=station_stacks())
+    def test_one_round_matches_reference_solve(self, stack):
+        config, base, tasks, init = stack
+        one_round = replace(config, max_iterations=1)
+        signal = compute_control_signal(base, init, config.lam, 0)
+        got = outcome(lambda: run_fixed_point(one_round, base, tasks, init).profiles_kw)
+        want = outcome(lambda: reference_respond(tasks, config)(signal, init))
+        if isinstance(want, np.ndarray):
+            assert isinstance(got, np.ndarray)
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert_identical(got, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(stack=station_stacks())
+    def test_fixed_point_matches_reference_respond(self, stack):
+        config, base, tasks, init = stack
+        got = outcome(lambda: run_fixed_point(config, base, tasks, init))
+        want = outcome(lambda: run_fixed_point(config, base, tasks, init,
+                                               respond=reference_respond(tasks, config)))
+        if isinstance(want, tuple):
+            assert_identical(got, want)
+        else:
+            assert got.profiles_kw.tobytes() == want.profiles_kw.tobytes()
+            assert_identical(got.trace, want.trace)
+            assert got.signal.values.tobytes() == want.signal.values.tobytes()
+
+    def test_carried_signal_prepares_and_solves_nothing(self, monkeypatch):
+        config = small_config()
+        base = np.full(16, 50.0)
+        reachable = task_from_session(make_session(ev_id="ok"), config.slots)
+        far = StationTask("far", 5, reachable.lo_kw, reachable.hi_kw, 1e6)
+        init = np.zeros((2, 16))
+        carried = compute_control_signal(base, init, config.lam)
+        prepared = 0
+        real_prepare = scheduler.prepare_stations
+
+        def counting(*args, **kwargs):
+            nonlocal prepared
+            prepared += 1
+            return real_prepare(*args, **kwargs)
+
+        monkeypatch.setattr(scheduler, "prepare_stations", counting)
+        result = run_fixed_point(config, base, [reachable, far], init, carried)
+        assert (result.trace.iterations, result.trace.converged) == (0, True)
+        assert np.array_equal(result.profiles_kw, init)
+        assert prepared == 0
+        # without the carried signal the same stack runs a round and fails
+        with pytest.raises(InfeasibleSessionError) as err:
+            run_fixed_point(config, base, [reachable, far], init)
+        assert err.value.ev_id == "far"
+        assert prepared == 1
 
 
 class TestRunUntilConverged:
@@ -331,7 +488,7 @@ class TestRunUntilConverged:
         task = task_from_session(session, config.slots)
         for i in range(trace.iterations):
             signal = compute_control_signal(base, manual, config.lam, i)
-            manual = solve_task(signal, manual[0], task, config)[None, :]
+            manual = solve_one(signal, manual[0], task, config)[None, :]
         assert np.array_equal(profiles, manual)
 
     def test_converged_energy_and_window(self):
