@@ -108,13 +108,16 @@ def _by_bus(name: str, section, kind) -> dict:
         except ValueError:
             raise ValueError(f"{name}: bus id {key!r} is not an integer") from None
         out[bus_id] = _number(f"{name}.{key}", value, kind)
+        if not math.isfinite(out[bus_id]):
+            raise ValueError(f"{name}.{key}: expected a finite number, got {value!r}")
     return out
 
 
 def _fleet_spec(section, scheduler: SchedulerConfig) -> FleetSpec:
-    kinds = _kinds(FleetSpec)
-    spec = {"slots": scheduler.slots, "slot_hours": scheduler.slot_hours,
-            **_keys("fleet", section, kinds)}
+    # the slot grid is the scheduler's, so the fleet section cannot set it
+    kinds = {key: kind for key, kind in _kinds(FleetSpec).items()
+             if key not in ("slots", "slot_hours")}
+    spec = _keys("fleet", section, kinds)
     missing = sorted(set(kinds) - set(spec))
     if missing:
         raise ValueError(f"missing fleet keys {missing}")
@@ -127,7 +130,7 @@ def _fleet_spec(section, scheduler: SchedulerConfig) -> FleetSpec:
     for key, value in [*floats, *(("energy_kwh_range", v) for v in spec["energy_kwh_range"])]:
         if not math.isfinite(value):
             raise ValueError(f"fleet.{key}: expected a finite number, got {value!r}")
-    return FleetSpec(**spec)
+    return FleetSpec(slots=scheduler.slots, slot_hours=scheduler.slot_hours, **spec)
 
 
 def load_run_config(config_path: str | None, overrides: dict) -> RunConfig:
@@ -178,6 +181,9 @@ def _parse_config(raw, overrides: dict, base_dir: Path) -> RunConfig:
     if pf_max_iter < 1:
         raise ValueError(f"power_flow.max_iter: expected at least 1, got {pf_max_iter!r}")
     reactive_raw = _keys("reactive", raw.get("reactive", {}), _kinds(ReactiveAssumptions))
+    seed = pick("seed", "seed", 1)
+    if seed < 0:
+        raise ValueError(f"seed: expected a non-negative integer, got {seed!r}")
 
     if overrides.get("output") is not None:
         output_dir = _resolve(Path.cwd(), overrides["output"])
@@ -194,7 +200,7 @@ def _parse_config(raw, overrides: dict, base_dir: Path) -> RunConfig:
         uncoordinated_path=path_of("uncoordinated"),
         coordinated_path=path_of("coordinated"),
         output_dir=output_dir,
-        seed=pick("seed", "seed", 1),
+        seed=seed,
         scheduler=scheduler,
         horizon_steps=pick("steps", "horizon_steps", 24),
         pf_tol=pf_tol,

@@ -14,13 +14,12 @@ what is still owed.
 The loop's bookkeeping is array-backed.  Every id that can ever be active
 (the scenario's sessions and the ``add_session`` events) owns one row, in
 sorted id order, of the committed kW, the last profiles and the delivered
-kWh.  The window bounds of the active rows are ``(N, T)`` arrays, built
-with one broadcast mask and pinned to the committed prefix only when an
-event changes the active set or a target.  Every step checks reachability
-over all rows at once, commits its block in one array operation and pins
-that block into the bounds in place by slice.  Each station task holds row
-views of those bounds, and the fixed point still solves one task per
-station per round.
+kWh.  The bounds of the active stations are one ``(N, 2, T)`` kW array
+from ``scheduler.session_bounds``, rebuilt and pinned to the committed
+prefix only when an event changes the active set or a target.  Every step
+checks reachability over all rows at once, clamps the unreachable targets,
+hands the bounds and targets to the fixed point as they are, commits its
+block in one array operation and pins that block into the bounds in place.
 """
 
 from __future__ import annotations
@@ -36,8 +35,8 @@ from .scheduler import (
     ControlSignal,
     ConvergenceTrace,
     SchedulerConfig,
-    StationTask,
     run_fixed_point,
+    session_bounds,
 )
 # unused here; kept because perfbench/traced.py wraps coordinator.solve_task
 from .scheduler import solve_task  # noqa: F401
@@ -126,25 +125,6 @@ def read_events(path) -> list[ScriptedEvent]:
     return fileio.read_rows(path, EVENT_COLUMNS, parse)
 
 
-@dataclass
-class HorizonState:
-    """Mutable state of the receding-horizon loop.
-
-    ``sessions`` and ``removed`` follow the events as they are applied.  The
-    committed kW and the delivered kWh are kept in row-indexed arrays while
-    the loop runs (one row per id that can ever be active, see the module
-    docstring); when it ends, ``committed_kw`` maps every id that was ever
-    active to its row view of the committed array and ``delivered_kwh`` to
-    its delivered energy.
-    """
-
-    tau: int
-    committed_kw: dict[str, np.ndarray]
-    delivered_kwh: dict[str, float]
-    sessions: dict[str, EvSession]
-    removed: set[str]
-
-
 @dataclass(frozen=True)
 class HorizonResult:
     ev_ids: tuple[str, ...]              # every station ever active, sorted
@@ -152,7 +132,6 @@ class HorizonResult:
     committed_kw: np.ndarray             # rows follow ev_ids
     step_traces: tuple[ConvergenceTrace, ...]
     flags: tuple[str, ...]
-    state: HorizonState
 
 
 def schedule_events(events: list[ScriptedEvent], session_ids, slots: int,
@@ -210,19 +189,17 @@ def _added_session(event: ScriptedEvent) -> EvSession:
     )
 
 
-def _apply_event(event: ScriptedEvent, state: HorizonState, tau: int,
+def _apply_event(event: ScriptedEvent, sessions: dict[str, EvSession], tau: int,
                  flags: list[str], delivered_kwh: float) -> None:
-    """Apply one event that ``schedule_events`` has checked;
-    ``delivered_kwh`` is what the event's session has delivered so far."""
+    """Apply one event that ``schedule_events`` has checked to the live
+    ``sessions``; ``delivered_kwh`` is what the event's session has
+    delivered so far."""
     if event.kind == "add_session":
-        state.sessions[event.ev_id] = _added_session(event)
+        sessions[event.ev_id] = _added_session(event)
     elif event.kind == "update_energy":
-        state.sessions[event.ev_id] = replace(
-            state.sessions[event.ev_id], energy_kwh=event.energy_kwh
-        )
+        sessions[event.ev_id] = replace(sessions[event.ev_id], energy_kwh=event.energy_kwh)
     else:
-        session = state.sessions.pop(event.ev_id)
-        state.removed.add(event.ev_id)
+        session = sessions.pop(event.ev_id)
         flags.append(
             f"step {tau}: session {event.ev_id} removed before completion; "
             f"delivered {delivered_kwh!r} of {session.energy_kwh!r} kWh"
@@ -248,23 +225,15 @@ def run_receding_horizon(config: SchedulerConfig, base_load_mw: np.ndarray,
                                      t, steps)
     sps = t // steps
 
-    state = HorizonState(
-        tau=0,
-        committed_kw={},
-        delivered_kwh={},
-        sessions={s.ev_id: s for s in scenario.sessions},
-        removed=set(),
-    )
+    sessions = {s.ev_id: s for s in scenario.sessions}
     # one row per id that can ever be active, in sorted order, so the rows
     # of any active set are ascending and match its sorted ids
-    ids = sorted(set(state.sessions)
-                 | {e.ev_id for e in events if e.kind == "add_session"})
+    ids = sorted(set(sessions) | {e.ev_id for e in events if e.kind == "add_session"})
     row_of = {ev_id: k for k, ev_id in enumerate(ids)}
     committed = np.zeros((len(ids), t))
     profiles = np.zeros((len(ids), t))
     delivered = np.zeros(len(ids))
     ever_active = np.zeros(len(ids), dtype=bool)
-    slot_index = np.arange(t)
 
     bus_ids: dict[str, int] = {}
     carried: ControlSignal | None = None
@@ -272,55 +241,40 @@ def run_receding_horizon(config: SchedulerConfig, base_load_mw: np.ndarray,
     flags: list[str] = []
 
     for tau in range(steps):
-        state.tau = tau
         slot0 = tau * sps
         slot1 = (tau + 1) * sps if tau < steps - 1 else t
 
         step_events = events_by_step.get(tau, [])
         for event in step_events:
-            _apply_event(event, state, tau, flags,
-                         float(delivered[row_of[event.ev_id]]))
+            _apply_event(event, sessions, tau, flags, float(delivered[row_of[event.ev_id]]))
         changed = bool(step_events)
 
         if tau == 0 or changed:
-            active = [state.sessions[ev_id] for ev_id in sorted(state.sessions)]
-            rows = np.array([row_of[s.ev_id] for s in active], dtype=np.intp)
+            active_ids = sorted(sessions)
+            active = [sessions[ev_id] for ev_id in active_ids]
+            rows = np.array([row_of[ev_id] for ev_id in active_ids], dtype=np.intp)
             ever_active[rows] = True
             bus_ids.update((s.ev_id, s.bus_id) for s in active)
-            t_start, t_end, d_max, p_max, energy = np.array(
-                [(s.t_start, s.t_end, s.d_max_kw, s.p_max_kw, s.energy_kwh)
-                 for s in active], dtype=float).reshape(-1, 5).T
-            window = (slot_index >= t_start[:, None]) & (slot_index < t_end[:, None])
-            lo = np.where(window, d_max[:, None], 0.0)
-            hi = np.where(window, p_max[:, None], 0.0)
-            lo[:, :slot0] = hi[:, :slot0] = committed[rows, :slot0]
-            # the tasks see every later pin through their row views
-            tasks = [StationTask(s.ev_id, s.bus_id, lo[k], hi[k], s.energy_kwh)
-                     for k, s in enumerate(active)]
-            clamped = np.zeros(len(active), dtype=bool)
+            energy = np.array([s.energy_kwh for s in active], dtype=float)
+            bounds = session_bounds(active, t)
+            bounds[:, :, :slot0] = committed[rows, None, :slot0]
 
-        # a task gets a new target only while it is clamped, and once more
-        # when it stops being clamped
-        lo_kwh = lo.sum(axis=1) * dt
-        hi_kwh = hi.sum(axis=1) * dt
+        # a target beyond what the pinned bounds can still reach is clamped
+        # to the nearer end, and flagged at every step it stays so
+        lo_kwh, hi_kwh = bounds.sum(axis=2).T * dt
         unreachable = (energy < lo_kwh - 1e-9) | (energy > hi_kwh + 1e-9)
-        for k in np.flatnonzero(unreachable | clamped):
-            session = active[k]
-            target = session.energy_kwh
-            if unreachable[k]:
-                reachable = float(lo_kwh[k]), float(hi_kwh[k])
-                target = min(max(target, reachable[0]), reachable[1])
-                flags.append(
-                    f"step {tau}: session {session.ev_id} energy target "
-                    f"{session.energy_kwh!r} kWh outside reachable "
-                    f"[{reachable[0]!r}, {reachable[1]!r}]; clamped to {target!r}"
-                )
-            tasks[k] = StationTask(session.ev_id, session.bus_id, lo[k], hi[k], target)
-        clamped = unreachable
+        target = np.where(unreachable, np.clip(energy, lo_kwh, hi_kwh), energy)
+        for k in np.flatnonzero(unreachable):
+            flags.append(
+                f"step {tau}: session {active_ids[k]} energy target "
+                f"{active[k].energy_kwh!r} kWh outside reachable "
+                f"[{float(lo_kwh[k])!r}, {float(hi_kwh[k])!r}]; "
+                f"clamped to {float(target[k])!r}"
+            )
 
-        init = profiles[rows]
         initial_signal = carried if not changed else None
-        result = run_fixed_point(config, base_load_mw, tasks, init, initial_signal)
+        result = run_fixed_point(config, base_load_mw, bounds, target, active_ids,
+                                 profiles[rows], initial_signal)
         if not result.trace.converged:
             flags.append(
                 f"step {tau}: fixed point not converged after "
@@ -335,17 +289,12 @@ def run_receding_horizon(config: SchedulerConfig, base_load_mw: np.ndarray,
         committed[rows, slot0:slot1] = block
         delivered[rows] += block.sum(axis=1) * dt
         # pinned from the next step on
-        lo[:, slot0:slot1] = hi[:, slot0:slot1] = block
+        bounds[:, :, slot0:slot1] = block[:, None]
 
-    ev_ids = tuple(ids[k] for k in np.flatnonzero(ever_active))
-    state.committed_kw.update((ev_id, committed[row_of[ev_id]]) for ev_id in ev_ids)
-    state.delivered_kwh.update(zip(ev_ids, delivered[ever_active].tolist()))
-    state.tau = steps
     return HorizonResult(
-        ev_ids=ev_ids,
+        ev_ids=tuple(ids[k] for k in np.flatnonzero(ever_active)),
         bus_ids=bus_ids,
         committed_kw=committed[ever_active],
         step_traces=tuple(step_traces),
         flags=tuple(flags),
-        state=state,
     )

@@ -9,7 +9,7 @@ MW; ``KW_PER_MW`` is the one conversion factor between the two.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,18 +79,14 @@ class FleetScenario:
     sessions: tuple[EvSession, ...]
     slots_per_horizon: int
     slot_hours: float
-    per_bus_counts: dict[int, int] = field(init=False)   # derived from sessions
 
     def __post_init__(self):
         ids = [s.ev_id for s in self.sessions]
         if len(set(ids)) != len(ids):
             dupes = sorted({i for i in ids if ids.count(i) > 1})
             raise FleetError(f"duplicate ev_id(s) in scenario: {dupes}")
-        counts: dict[int, int] = {}
         for s in self.sessions:
             s.validate(self.slots_per_horizon, self.slot_hours)
-            counts[s.bus_id] = counts.get(s.bus_id, 0) + 1
-        object.__setattr__(self, "per_bus_counts", counts)
 
 
 # --- synthetic fleet generation ----------------------------------------------

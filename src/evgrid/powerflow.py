@@ -128,10 +128,8 @@ def _lu_solve(a: np.ndarray, b: np.ndarray, iteration: int) -> np.ndarray:
 
 
 def solve_power_flow(case: GridCase, ybus: np.ndarray, tol: float = 1e-8,
-                     max_iter: int = 20,
-                     warm_start: tuple[np.ndarray, np.ndarray] | None = None,
-                     ) -> PowerFlowSolution:
-    """Newton-Raphson solve from a flat start (or the supplied warm start).
+                     max_iter: int = 20) -> PowerFlowSolution:
+    """Newton-Raphson solve from a flat start.
 
     Raises NonConvergenceError / SingularJacobianError; on success the
     returned injections are the computed values at the solution state.
@@ -150,13 +148,9 @@ def solve_power_flow(case: GridCase, ybus: np.ndarray, tol: float = 1e-8,
     p_spec = np.array([b.p_inj for b in case.buses])
     q_spec = np.array([b.q_inj for b in case.buses])
 
-    if warm_start is not None:
-        v_mag = np.asarray(warm_start[0], dtype=float).copy()
-        v_angle = np.asarray(warm_start[1], dtype=float).copy()
-    else:
-        v_mag = np.ones(m)
-        v_angle = np.zeros(m)
-    # fixed quantities always come from the case, warm start or not
+    v_mag = np.ones(m)
+    v_angle = np.zeros(m)
+    # fixed quantities come from the case
     for i, b in enumerate(case.buses):
         if b.kind is BusKind.SWING:
             v_mag[i] = b.v_mag

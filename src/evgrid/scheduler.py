@@ -17,13 +17,17 @@ for the continuous quadratic knapsack; Kiwiel 2008, Condat 2016).
 The work is split by how often its inputs change:
 
 - once per fixed point, just before its first round (``prepare_stations``):
-  every task's kW bounds stacked into one (N, 2, T) MW array, their totals,
-  the MW energy targets and the +/-1 slope of each breakpoint.  A step that
-  converges on the carried signal runs no round and prepares nothing;
+  the (N, 2, T) kW bounds and the kWh targets the caller hands in, converted
+  to MW, the bound totals and the +/-1 slope of each breakpoint.  A step
+  that converges on the carried signal runs no round and prepares nothing;
 - once per round, for all rows at once: previous - c in MW, and the
   conversion of the new profiles back to kW;
 - per station, per round (``solve_task``): the feasibility and snap checks
   on its totals and the breakpoint search, written into its own row.
+
+Stations are rows throughout: row k of the bounds, the targets, the ids and
+the profiles is one station, which sees only the broadcast signal and its
+own row.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .fleet import KW_PER_MW, EvSession
+from .fleet import KW_PER_MW
 
 # a target this close to the box's energy bound (MWh, i.e. 1e-9 kWh) is met
 # by the bound profile itself
@@ -87,34 +91,16 @@ class ConvergenceTrace:
     diagnostics: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class StationTask:
-    """Effective per-station subproblem: slot bounds plus the energy target.
-
-    For a fresh session the bounds are the availability-masked rate limits;
-    the receding-horizon loop additionally pins already-committed slots by
-    setting lo = hi = committed value there.
-    """
-
-    ev_id: str
-    bus_id: int
-    lo_kw: np.ndarray
-    hi_kw: np.ndarray
-    energy_kwh: float
-
-
-def session_bounds(session: EvSession, slots: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rate bounds over the horizon: the limits inside the window, 0 outside."""
-    lo = np.zeros(slots)
-    hi = np.zeros(slots)
-    lo[session.t_start:session.t_end] = session.d_max_kw
-    hi[session.t_start:session.t_end] = session.p_max_kw
-    return lo, hi
-
-
-def task_from_session(session: EvSession, slots: int) -> StationTask:
-    lo, hi = session_bounds(session, slots)
-    return StationTask(session.ev_id, session.bus_id, lo, hi, session.energy_kwh)
+def session_bounds(sessions, slots: int) -> np.ndarray:
+    """The (N, 2, T) kW rate bounds of ``sessions``: row k holds session k's
+    d_max and p_max inside its window [t_start, t_end) and 0 outside."""
+    t_start, t_end, d_max, p_max = np.array(
+        [(s.t_start, s.t_end, s.d_max_kw, s.p_max_kw) for s in sessions],
+        dtype=float).reshape(-1, 4).T
+    slot = np.arange(slots)
+    window = (slot >= t_start[:, None]) & (slot < t_end[:, None])
+    rates = np.stack((d_max, p_max), axis=1)[:, :, None]
+    return np.where(window[:, None, :], rates, 0.0)
 
 
 def aggregate_ev_mw(profiles_kw: np.ndarray) -> np.ndarray:
@@ -142,7 +128,7 @@ def flattening_objective(base_load_mw: np.ndarray, profiles_kw: np.ndarray) -> f
 class PreparedStations:
     """The round-invariant part of every station's subproblem, in MW.
 
-    Built once per fixed point from its tasks; row k belongs to task k.
+    Built once per fixed point; row k is station k.
     """
 
     ev_ids: list[str]
@@ -154,14 +140,15 @@ class PreparedStations:
     dt: float
 
 
-def prepare_stations(tasks: list[StationTask], dt: float) -> PreparedStations:
-    """Stack the tasks' bounds and targets in MW and take their bound totals."""
-    bounds = np.array([(task.lo_kw, task.hi_kw) for task in tasks], dtype=float)
-    bounds /= KW_PER_MW
+def prepare_stations(bounds_kw: np.ndarray, energy_kwh, ev_ids: list[str],
+                     dt: float) -> PreparedStations:
+    """The stations' (N, 2, T) kW bounds and kWh targets in MW, with the
+    bound totals."""
+    bounds = bounds_kw / KW_PER_MW
     lo_total, hi_total = bounds.sum(axis=2).T.tolist()
-    energy = np.array([task.energy_kwh for task in tasks], dtype=float) / KW_PER_MW
+    energy = np.asarray(energy_kwh, dtype=float) / KW_PER_MW
     return PreparedStations(
-        ev_ids=[task.ev_id for task in tasks],
+        ev_ids=ev_ids,
         bounds=bounds,
         lo_total=lo_total,
         hi_total=hi_total,
@@ -255,18 +242,22 @@ class FixedPointResult:
 
 
 def run_fixed_point(config: SchedulerConfig, base_load_mw: np.ndarray,
-                    tasks: list[StationTask],
+                    bounds_kw: np.ndarray, energy_kwh, ev_ids: list[str],
                     initial_profiles: np.ndarray | None = None,
                     initial_signal: ControlSignal | None = None,
                     respond=None) -> FixedPointResult:
     """Iterate broadcast/gather until the signal residual drops below epsilon.
+
+    Station k has the kW bounds ``bounds_kw[k]`` = (lo, hi), the energy
+    target ``energy_kwh[k]`` and the id ``ev_ids[k]``, which names it in an
+    infeasibility error.
 
     When ``initial_signal`` is supplied and the first computed signal already
     matches it within epsilon the state is taken as converged with zero
     response rounds; the receding-horizon loop uses this so an unchanged
     problem re-solves to the identical profiles.
     """
-    n = len(tasks)
+    n = len(bounds_kw)
     t = config.slots
     if initial_profiles is None:
         profiles = np.zeros((n, t))
@@ -299,7 +290,7 @@ def run_fixed_point(config: SchedulerConfig, base_load_mw: np.ndarray,
     if respond is None:
         # prepared only now, so that a step that converges on the carried
         # signal prepares nothing
-        stations = prepare_stations(tasks, config.slot_hours)
+        stations = prepare_stations(bounds_kw, energy_kwh, ev_ids, config.slot_hours)
 
         def respond(signal, profiles_kw):
             out = profiles_kw / KW_PER_MW
@@ -342,12 +333,10 @@ def run_fixed_point(config: SchedulerConfig, base_load_mw: np.ndarray,
 def run_until_converged(config: SchedulerConfig, base_load_mw: np.ndarray,
                         sessions, initial_profiles: np.ndarray | None = None
                         ) -> tuple[np.ndarray, ConvergenceTrace]:
-    """Solve the one-shot coordination problem for a list of sessions (or
-    prepared tasks) and return the per-EV kW profiles plus the trace.
+    """Solve the one-shot coordination problem for a list of sessions and
+    return the per-EV kW profiles plus the trace.
     """
-    tasks = [
-        item if isinstance(item, StationTask) else task_from_session(item, config.slots)
-        for item in sessions
-    ]
-    result = run_fixed_point(config, base_load_mw, tasks, initial_profiles)
+    result = run_fixed_point(config, base_load_mw, session_bounds(sessions, config.slots),
+                             [s.energy_kwh for s in sessions],
+                             [s.ev_id for s in sessions], initial_profiles)
     return result.profiles_kw, result.trace

@@ -15,13 +15,14 @@ algorithmic route than the library code it checks:
 * ``compute_injection`` evaluates one bus's injection from the polar sums
   instead of the library's complex ``V * conj(Y V)`` product.
 * ``reference_horizon`` runs the receding-horizon loop station by station,
-  with per-id dicts, instead of the library's row-indexed arrays.
+  with per-id dicts and each session's bounds sliced from its own window,
+  instead of the library's row-indexed arrays and broadcast window mask.
 * ``reference_aggregate`` adds EV profiles onto their buses one row at a
   time instead of the library's per-bus cumulative sums over row blocks.
-* ``reference_solve`` runs one station's breakpoint search from its task
-  alone, converting and summing its bounds on every call, instead of the
-  library's per-row search over bounds prepared once per fixed point.  It
-  must agree with the library byte for byte.
+* ``reference_solve`` runs one station's breakpoint search from its own
+  bounds and target alone, converting and summing its bounds on every call,
+  instead of the library's per-row search over bounds prepared once per
+  fixed point.  It must agree with the library byte for byte.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ import numpy as np
 from evgrid.coordinator import (
     CoordinatorError,
     HorizonResult,
-    HorizonState,
     ScriptedEvent,
     schedule_events,
 )
@@ -49,9 +49,7 @@ from evgrid.scheduler import (
     ConvergenceTrace,
     InfeasibleSessionError,
     SchedulerConfig,
-    StationTask,
     run_fixed_point,
-    session_bounds,
 )
 
 
@@ -227,7 +225,8 @@ def _reference_project(c, previous, lo, hi, energy, dt, label):
     return np.clip(base + nu, lo, hi)
 
 
-def reference_solve(signal: ControlSignal, previous_kw: np.ndarray, task: StationTask,
+def reference_solve(signal: ControlSignal, previous_kw: np.ndarray, lo_kw: np.ndarray,
+                    hi_kw: np.ndarray, energy_kwh: float, ev_id: str,
                     config: SchedulerConfig) -> np.ndarray:
     """One station's proximal update against the broadcast signal, in kW,
     with every per-station quantity derived inside the call."""
@@ -235,15 +234,15 @@ def reference_solve(signal: ControlSignal, previous_kw: np.ndarray, task: Statio
         p_mw = _reference_project(
             c=signal.values,
             previous=previous_kw / KW_PER_MW,
-            lo=task.lo_kw / KW_PER_MW,
-            hi=task.hi_kw / KW_PER_MW,
-            energy=task.energy_kwh / KW_PER_MW,
+            lo=lo_kw / KW_PER_MW,
+            hi=hi_kw / KW_PER_MW,
+            energy=energy_kwh / KW_PER_MW,
             dt=config.slot_hours,
-            label=task.ev_id,
+            label=ev_id,
         )
     except InfeasibleSessionError as exc:
         raise InfeasibleSessionError(
-            task.ev_id, exc.energy_kwh * KW_PER_MW,
+            ev_id, exc.energy_kwh * KW_PER_MW,
             exc.feasible_kwh[0] * KW_PER_MW, exc.feasible_kwh[1] * KW_PER_MW) from None
     return p_mw * KW_PER_MW
 
@@ -314,22 +313,20 @@ def finite_difference_jacobian(v_mag: np.ndarray, v_angle: np.ndarray,
 # Receding horizon, one station at a time
 
 
-def _reference_apply_event(event: ScriptedEvent, state: HorizonState, tau: int,
+def _reference_apply_event(event: ScriptedEvent, sessions: dict[str, EvSession],
+                           delivered_kwh: dict[str, float], tau: int,
                            flags: list[str]) -> None:
     if event.kind == "add_session":
-        state.sessions[event.ev_id] = EvSession(
+        sessions[event.ev_id] = EvSession(
             ev_id=event.ev_id, bus_id=event.bus_id, t_start=event.t_start,
             t_end=event.t_end, energy_kwh=event.energy_kwh,
             p_max_kw=event.p_max_kw, d_max_kw=event.d_max_kw,
         )
     elif event.kind == "update_energy":
-        state.sessions[event.ev_id] = replace(
-            state.sessions[event.ev_id], energy_kwh=event.energy_kwh
-        )
+        sessions[event.ev_id] = replace(sessions[event.ev_id], energy_kwh=event.energy_kwh)
     else:
-        session = state.sessions.pop(event.ev_id)
-        state.removed.add(event.ev_id)
-        delivered = state.delivered_kwh.get(event.ev_id, 0.0)
+        session = sessions.pop(event.ev_id)
+        delivered = delivered_kwh.get(event.ev_id, 0.0)
         flags.append(
             f"step {tau}: session {event.ev_id} removed before completion; "
             f"delivered {delivered!r} of {session.energy_kwh!r} kWh"
@@ -340,9 +337,9 @@ def reference_horizon(config: SchedulerConfig, base_load_mw: np.ndarray,
                       scenario: FleetScenario, steps: int,
                       events: list[ScriptedEvent] = ()) -> HorizonResult:
     """``coordinator.run_receding_horizon`` as a per-station loop: every
-    step rebuilds each active station's bounds from its session, pins its
-    committed slots and checks its reachable energy on its own, and commits
-    through per-id dicts."""
+    step slices each active station's bounds from its session's window,
+    pins its committed slots and checks its reachable energy on its own, and
+    commits through per-id dicts."""
     t = config.slots
     dt = config.slot_hours
     if scenario.slots_per_horizon != t or scenario.slot_hours != dt:
@@ -351,13 +348,9 @@ def reference_horizon(config: SchedulerConfig, base_load_mw: np.ndarray,
                                      t, steps)
     sps = t // steps
 
-    state = HorizonState(
-        tau=0,
-        committed_kw={},
-        delivered_kwh={},
-        sessions={s.ev_id: s for s in scenario.sessions},
-        removed=set(),
-    )
+    sessions = {s.ev_id: s for s in scenario.sessions}
+    committed_kw: dict[str, np.ndarray] = {}
+    delivered_kwh: dict[str, float] = {}
     profiles: dict[str, np.ndarray] = {}
     bus_ids: dict[str, int] = {}
     carried: ControlSignal | None = None
@@ -365,24 +358,26 @@ def reference_horizon(config: SchedulerConfig, base_load_mw: np.ndarray,
     flags: list[str] = []
 
     for tau in range(steps):
-        state.tau = tau
         slot0 = tau * sps
         slot1 = (tau + 1) * sps if tau < steps - 1 else t
 
         changed = False
         for event in events_by_step.get(tau, []):
-            _reference_apply_event(event, state, tau, flags)
+            _reference_apply_event(event, sessions, delivered_kwh, tau, flags)
             changed = True
 
-        active_ids = sorted(state.sessions)
-        tasks: list[StationTask] = []
+        active_ids = sorted(sessions)
+        bounds = np.zeros((len(active_ids), 2, t))
+        targets = []
         init = np.zeros((len(active_ids), t))
         for k, ev_id in enumerate(active_ids):
-            session = state.sessions[ev_id]
+            session = sessions[ev_id]
             bus_ids[ev_id] = session.bus_id
-            committed = state.committed_kw.setdefault(ev_id, np.zeros(t))
-            state.delivered_kwh.setdefault(ev_id, 0.0)
-            lo, hi = session_bounds(session, t)
+            committed = committed_kw.setdefault(ev_id, np.zeros(t))
+            delivered_kwh.setdefault(ev_id, 0.0)
+            lo, hi = bounds[k]
+            lo[session.t_start:session.t_end] = session.d_max_kw
+            hi[session.t_start:session.t_end] = session.p_max_kw
             lo[:slot0] = committed[:slot0]
             hi[:slot0] = committed[:slot0]
             lo_kwh = float(lo.sum()) * dt
@@ -396,12 +391,13 @@ def reference_horizon(config: SchedulerConfig, base_load_mw: np.ndarray,
                     f"clamped to {clamped!r}"
                 )
                 energy = clamped
-            tasks.append(StationTask(ev_id, session.bus_id, lo, hi, energy))
+            targets.append(energy)
             if ev_id in profiles:
                 init[k] = profiles[ev_id]
 
         initial_signal = carried if not changed else None
-        result = run_fixed_point(config, base_load_mw, tasks, init, initial_signal)
+        result = run_fixed_point(config, base_load_mw, bounds, targets, active_ids,
+                                 init, initial_signal)
         if not result.trace.converged:
             flags.append(
                 f"step {tau}: fixed point not converged after "
@@ -413,23 +409,19 @@ def reference_horizon(config: SchedulerConfig, base_load_mw: np.ndarray,
 
         for k, ev_id in enumerate(active_ids):
             profiles[ev_id] = result.profiles_kw[k]
-            state.committed_kw[ev_id][slot0:slot1] = result.profiles_kw[k][slot0:slot1]
-            state.delivered_kwh[ev_id] += (
-                float(result.profiles_kw[k][slot0:slot1].sum()) * dt
-            )
+            committed_kw[ev_id][slot0:slot1] = result.profiles_kw[k][slot0:slot1]
+            delivered_kwh[ev_id] += float(result.profiles_kw[k][slot0:slot1].sum()) * dt
 
-    ev_ids = tuple(sorted(state.committed_kw))
+    ev_ids = tuple(sorted(committed_kw))
     committed = np.zeros((len(ev_ids), t))
     for k, ev_id in enumerate(ev_ids):
-        committed[k] = state.committed_kw[ev_id]
-    state.tau = steps
+        committed[k] = committed_kw[ev_id]
     return HorizonResult(
         ev_ids=ev_ids,
         bus_ids=dict(bus_ids),
         committed_kw=committed,
         step_traces=tuple(step_traces),
         flags=tuple(flags),
-        state=state,
     )
 
 

@@ -295,6 +295,35 @@ class TestPreflight:
         fails_before_any_work(tmp_path, capsys, ["simulate", "-c", str(config)],
                               "desk.json: config.horizon_steps: expected an integer, got '24'")
 
+    @pytest.mark.parametrize("command", ["gen-fleet", "schedule", "simulate"])
+    @pytest.mark.parametrize("key,value", [("slots", 48), ("slot_hours", 0.5)])
+    def test_fleet_cannot_set_the_slot_grid(self, tmp_path, capsys, no_horizon, command,
+                                            key, value):
+        config = desk_variant(tmp_path, fleet={key: value})
+        raw = json.loads(config.read_text())
+        del raw["sessions"]
+        write_config(config, **raw)
+        fails_before_any_work(tmp_path, capsys, [command, "-c", str(config)],
+                              f"desk.json: unknown fleet keys ['{key}']")
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_pv_dispatch_names_its_bus(self, tmp_path, capsys, no_horizon, value):
+        config = desk_variant(tmp_path, pv_mw={"3": 5.0, "2": value})
+        fails_before_any_work(tmp_path, capsys, ["simulate", "-c", str(config)],
+                              f"desk.json: pv_mw.2: expected a finite number, got {value!r}")
+
+    def test_negative_seed_in_the_config(self, tmp_path, capsys, no_horizon):
+        config = desk_variant(tmp_path)
+        write_config(config, **{**json.loads(config.read_text()), "seed": -1})
+        fails_before_any_work(tmp_path, capsys, ["simulate", "-c", str(config)],
+                              "desk.json: seed: expected a non-negative integer, got -1")
+
+    @pytest.mark.parametrize("command", ["gen-fleet", "simulate"])
+    def test_negative_seed_flag(self, tmp_path, capsys, no_horizon, command):
+        argv = [command, "-c", str(DESK_DIR / "config.json"), "--seed", "-1"]
+        fails_before_any_work(tmp_path, capsys, argv,
+                              "config.json: seed: expected a non-negative integer, got -1")
+
 
 class TestSchedulesFile:
     @round_trip

@@ -177,7 +177,6 @@ class TestRecedingHorizon:
         assert len(result.flags) == 1
         assert "session e3 removed before completion" in result.flags[0]
         assert "e3" in result.ev_ids
-        assert result.state.removed == {"e3"}
         row = list(result.ev_ids).index("e3")
         # the committed prefix stays on the books; nothing runs afterwards
         assert np.array_equal(result.committed_kw[row, 8:], np.zeros(8))
@@ -270,8 +269,6 @@ class TestRecedingHorizon:
         targets = {"e1": 8.0, "e2": 6.0, "e3": -2.0}
         for k, ev_id in enumerate(result.ev_ids):
             total = float(result.committed_kw[k].sum()) * dt
-            assert result.state.delivered_kwh[ev_id] == pytest.approx(
-                total, abs=1e-9)
             assert total == pytest.approx(targets[ev_id], abs=1e-6)
 
     def test_rerun_is_bit_identical(self):
@@ -297,13 +294,6 @@ def assert_same_horizon(got, want):
     assert got.committed_kw.tobytes() == want.committed_kw.tobytes()
     assert got.flags == want.flags
     assert repr(got.step_traces) == repr(want.step_traces)
-    assert (repr(sorted(got.state.delivered_kwh.items()))
-            == repr(sorted(want.state.delivered_kwh.items())))
-    assert ({k: v.tobytes() for k, v in got.state.committed_kw.items()}
-            == {k: v.tobytes() for k, v in want.state.committed_kw.items()})
-    assert got.state.removed == want.state.removed
-    assert got.state.sessions == want.state.sessions
-    assert got.state.tau == want.state.tau
 
 
 @st.composite
@@ -390,7 +380,6 @@ class TestAgainstReferenceLoop:
             ScriptedEvent(6, "remove_session", "late"),
         ])
         assert "late" not in result.ev_ids
-        assert "late" not in result.state.delivered_kwh
         assert result.flags == (
             "step 2: session late removed before completion; delivered 0.0 of 5.0 kWh",)
 

@@ -89,7 +89,6 @@ class TestGenerateFleet:
         for s in scenario.sessions:
             by_bus[s.bus_id] = by_bus.get(s.bus_id, 0) + 1
         assert by_bus == {5: 3, 7: 2}
-        assert scenario.per_bus_counts == {5: 3, 7: 2}
 
     def test_all_sessions_feasible(self):
         scenario = generate_fleet(11, default_spec(counts={5: 40, 9: 40}))

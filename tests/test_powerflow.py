@@ -134,13 +134,6 @@ class TestSolvePowerFlow:
         for a, b in zip(tail, tail[1:]):
             assert b <= 10.0 * a * a
 
-    def test_warm_start_skips_iterations(self, wscc_case, wscc_ybus):
-        sol = solve_power_flow(wscc_case, wscc_ybus)
-        again = solve_power_flow(wscc_case, wscc_ybus,
-                                 warm_start=(sol.v_mag, sol.v_angle))
-        assert again.iterations == 0
-        assert np.array_equal(again.v_mag, sol.v_mag)
-
     def test_non_convergence_reports_mismatch(self, wscc_case, wscc_ybus):
         with pytest.raises(NonConvergenceError, match="mismatch"):
             solve_power_flow(wscc_case, wscc_ybus, tol=1e-12, max_iter=1)

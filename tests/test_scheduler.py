@@ -18,7 +18,6 @@ from evgrid.scheduler import (
     InfeasibleSessionError,
     SchedulerConfig,
     SchedulerError,
-    StationTask,
     aggregate_ev_mw,
     compute_control_signal,
     flattening_objective,
@@ -28,7 +27,6 @@ from evgrid.scheduler import (
     run_until_converged,
     session_bounds,
     solve_task,
-    task_from_session,
 )
 
 
@@ -47,12 +45,22 @@ def random_box(rng, slots=8, dt=0.25):
     return c, previous, lo, hi, energy
 
 
-def solve_one(signal, previous_kw, task, config):
-    """``solve_task`` for a single prepared station, in and out in kW."""
+def solve_one(signal, previous_kw, session, config):
+    """``solve_task`` for one session as a prepared station, in and out in kW."""
     p = previous_kw / KW_PER_MW
     p -= signal.values
-    solve_task(prepare_stations([task], config.slot_hours), 0, p)
+    stations = prepare_stations(session_bounds([session], config.slots),
+                                [session.energy_kwh], [session.ev_id], config.slot_hours)
+    solve_task(stations, 0, p)
     return p * KW_PER_MW
+
+
+def sliced_bounds(session, slots):
+    """One session's (2, T) kW bounds, by slicing its window."""
+    lo, hi = np.zeros(slots), np.zeros(slots)
+    lo[session.t_start:session.t_end] = session.d_max_kw
+    hi[session.t_start:session.t_end] = session.p_max_kw
+    return np.array((lo, hi))
 
 
 @st.composite
@@ -66,6 +74,21 @@ def knapsack_boxes(draw):
     widths = st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0, 3.0]), min_size=t, max_size=t)
     hi = lo + np.array(draw(widths))
     return np.array(draw(cells)), np.array(draw(cells)), lo, hi
+
+
+@st.composite
+def session_lists(draw):
+    """(sessions, slots): up to six windows anywhere on the horizon, one slot
+    long to all of it, with rates that may be zero, -0.0 or subnormal."""
+    slots = draw(st.integers(1, 20))
+    rates = st.sampled_from([0.0, -0.0, 3.3, 7.0, 5e-324])
+    sessions = []
+    for k in range(draw(st.integers(0, 6))):
+        t_start = draw(st.integers(0, slots - 1))
+        sessions.append(make_session(
+            ev_id=f"e{k}", t_start=t_start, t_end=draw(st.integers(t_start + 1, slots)),
+            p_max_kw=draw(rates), d_max_kw=-draw(rates)))
+    return sessions, slots
 
 
 class TestConfig:
@@ -132,14 +155,26 @@ class TestFlatteningObjective:
 class TestSessionBounds:
     def test_window_mask(self):
         s = make_session(t_start=2, t_end=5, p_max_kw=6.6, d_max_kw=-3.3)
-        lo, hi = session_bounds(s, 8)
+        lo, hi = session_bounds([s], 8)[0]
         assert list(hi) == [0, 0, 6.6, 6.6, 6.6, 0, 0, 0]
         assert list(lo) == [0, 0, -3.3, -3.3, -3.3, 0, 0, 0]
 
-    def test_task_carries_identity(self):
-        task = task_from_session(make_session(ev_id="x9", bus_id=7), 16)
-        assert (task.ev_id, task.bus_id) == ("x9", 7)
-        assert task.energy_kwh == 10.0
+    @settings(max_examples=100, deadline=None)
+    @given(case=session_lists())
+    @example(case=([
+        make_session(ev_id="first", t_start=0, t_end=3),
+        make_session(ev_id="last", t_start=9, t_end=12, p_max_kw=3.3, d_max_kw=-7.0),
+        make_session(ev_id="one", t_start=5, t_end=6),
+        make_session(ev_id="whole", t_start=0, t_end=12),
+        make_session(ev_id="idle", t_start=2, t_end=8, p_max_kw=0.0, d_max_kw=0.0),
+        make_session(ev_id="signed", t_start=4, t_end=10, p_max_kw=-0.0, d_max_kw=-0.0),
+    ], 12))
+    def test_rows_match_per_session_slicing(self, case):
+        sessions, slots = case
+        got = session_bounds(sessions, slots)
+        want = np.array([sliced_bounds(s, slots) for s in sessions]).reshape(-1, 2, slots)
+        assert (got.shape, got.dtype) == (want.shape, want.dtype)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestProjection:
@@ -152,21 +187,21 @@ class TestProjection:
 
     def test_uniform_inside_window(self):
         s = make_session(t_start=2, t_end=10, energy_kwh=10.0)
-        lo, hi = session_bounds(s, 16)
+        lo, hi = session_bounds([s], 16)[0]
         p = project_to_energy_box(np.zeros(16), np.zeros(16), lo, hi, 10.0, 0.25)
         assert np.allclose(p[2:10], 10.0 / (8 * 0.25), atol=1e-12)
         assert not p[:2].any() and not p[10:].any()
 
     def test_tight_box_ignores_signal(self):
         s = make_session(t_start=0, t_end=4, energy_kwh=6.6, p_max_kw=6.6)
-        lo, hi = session_bounds(s, 4)
+        lo, hi = session_bounds([s], 4)[0]
         c = np.array([5.0, -3.0, 40.0, 0.1])
         p = project_to_energy_box(c, np.zeros(4), lo, hi, 6.6, 0.25)
         assert np.array_equal(p, hi)
 
     def test_lo_edge(self):
         s = make_session(t_start=0, t_end=4, energy_kwh=-6.6, d_max_kw=-6.6)
-        lo, hi = session_bounds(s, 4)
+        lo, hi = session_bounds([s], 4)[0]
         p = project_to_energy_box(np.ones(4), np.zeros(4), lo, hi, -6.6, 0.25)
         assert np.array_equal(p, lo)
 
@@ -255,8 +290,7 @@ class TestStationSubproblem:
                 p_max_kw=float(hi.max()) * 1000.0,
                 d_max_kw=float(lo.min()) * 1000.0,
             )
-            got_kw = solve_one(ControlSignal(c, 0), prev_mw * 1000.0,
-                               task_from_session(session, config.slots), config)
+            got_kw = solve_one(ControlSignal(c, 0), prev_mw * 1000.0, session, config)
             want = oracles.active_set_minimize(
                 c, prev_mw, lo, hi, energy, 0.25) * 1000.0
             assert np.max(np.abs(got_kw - want)) < 1e-6
@@ -276,9 +310,8 @@ class TestStationSubproblem:
                 d_max_kw=float(lo.min()) * 1000.0,
             )
             prev_kw = prev_mw * 1000.0
-            p = solve_one(ControlSignal(c, 0), prev_kw,
-                          task_from_session(session, config.slots), config)
-            lo_kw, hi_kw = session_bounds(session, 8)
+            p = solve_one(ControlSignal(c, 0), prev_kw, session, config)
+            lo_kw, hi_kw = session_bounds([session], 8)[0]
             c_kw = c * 1000.0
 
             def objective(x):
@@ -302,19 +335,17 @@ class TestStationSubproblem:
         profiles = np.zeros((1, 16))
         session = make_session(t_start=1, t_end=13, energy_kwh=9.0)
         config = small_config()
-        task = task_from_session(session, config.slots)
         for k in (2.0, 10.0, 0.5):
             sig = compute_control_signal(base, profiles, lam=config.lam)
             scaled = compute_control_signal(base, profiles, lam=config.lam * k)
             rescaled = ControlSignal(scaled.values * k, scaled.iteration)
-            a = solve_one(sig, profiles[0], task, config)
-            b = solve_one(rescaled, profiles[0], task, config)
+            a = solve_one(sig, profiles[0], session, config)
+            b = solve_one(rescaled, profiles[0], session, config)
             assert np.array_equal(a, b)
 
     def test_infeasible_session_error_in_kwh(self):
         config = small_config()
-        task = task_from_session(make_session(energy_kwh=10.0), config.slots)
-        bad = task.__class__(task.ev_id, task.bus_id, task.lo_kw, task.hi_kw, 1e6)
+        bad = make_session(energy_kwh=1e6)
         with pytest.raises(InfeasibleSessionError) as err:
             solve_one(ControlSignal(np.zeros(16), 0), np.zeros(16), bad, config)
         lo_kwh, hi_kwh = err.value.feasible_kwh
@@ -353,8 +384,8 @@ def _target_kwh(rng, lo, hi, grid):
 
 @st.composite
 def station_stacks(draw):
-    """(config, base load MW, tasks, starting kW profiles) for one fixed
-    point.  Windows may be empty and slots pinned (lo == hi).  On the
+    """(config, base load MW, (N, 2, T) kW bounds, kWh targets, ids,
+    starting kW profiles) for one fixed point.  Windows may be empty and slots pinned (lo == hi).  On the
     integer grid the bounds are whole MW and the signal is zero, so the
     breakpoints are integers and tie; otherwise a random base load and
     starting profiles give a slot-varying signal, from far below to far above
@@ -365,11 +396,11 @@ def station_stacks(draw):
     grid = draw(st.booleans())
     unreachable = draw(st.sampled_from([None] * 3 * n + list(range(n))))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    tasks = []
+    bounds, targets = np.zeros((n, 2, t)), []
     for k in range(n):
         a = int(rng.integers(0, t + 1))
         b = int(rng.integers(a, t + 1))
-        lo, hi = np.zeros(t), np.zeros(t)
+        lo, hi = bounds[k]
         if grid:
             lo[a:b] = -KW_PER_MW * rng.integers(0, 3, b - a)
             hi[a:b] = lo[a:b] + KW_PER_MW * rng.integers(0, 4, b - a)
@@ -382,15 +413,15 @@ def station_stacks(draw):
         if k == unreachable:
             above = rng.random() < 0.5
             energy = float((hi if above else lo).sum()) * DT + (1.0 if above else -1.0)
-        tasks.append(StationTask(f"s{k}", 5, lo, hi, energy))
+        targets.append(energy)
     config = small_config(slots=t, slot_hours=DT, lam=float(rng.choice([0.5, 2.0, 10.0])),
                           max_iterations=40)
+    ids = [f"s{k}" for k in range(n)]
     if grid:
-        return config, np.zeros(t), tasks, np.zeros((n, t))
-    init = rng.uniform(np.array([task.lo_kw for task in tasks]),
-                       np.array([task.hi_kw for task in tasks]))
+        return config, np.zeros(t), bounds, targets, ids, np.zeros((n, t))
+    init = rng.uniform(bounds[:, 0], bounds[:, 1])
     scale = float(rng.choice([0.01, 1.0, 100.0]))
-    return config, rng.uniform(0.0, scale, t), tasks, init
+    return config, rng.uniform(0.0, scale, t), bounds, targets, ids, init
 
 
 def outcome(run):
@@ -401,10 +432,11 @@ def outcome(run):
         return exc.ev_id, exc.energy_kwh, exc.feasible_kwh, str(exc)
 
 
-def reference_respond(tasks, config):
+def reference_respond(bounds, targets, ids, config):
     def respond(signal, profiles_kw):
-        return np.array([oracles.reference_solve(signal, profiles_kw[k], task, config)
-                         for k, task in enumerate(tasks)])
+        return np.array([oracles.reference_solve(signal, profiles_kw[k], lo, hi,
+                                                 targets[k], ids[k], config)
+                         for k, (lo, hi) in enumerate(bounds)])
     return respond
 
 
@@ -415,11 +447,11 @@ class TestPreparedStations:
     @settings(max_examples=300, deadline=None)
     @given(stack=station_stacks())
     def test_one_round_matches_reference_solve(self, stack):
-        config, base, tasks, init = stack
+        config, base, *stations, init = stack
         one_round = replace(config, max_iterations=1)
         signal = compute_control_signal(base, init, config.lam, 0)
-        got = outcome(lambda: run_fixed_point(one_round, base, tasks, init).profiles_kw)
-        want = outcome(lambda: reference_respond(tasks, config)(signal, init))
+        got = outcome(lambda: run_fixed_point(one_round, base, *stations, init).profiles_kw)
+        want = outcome(lambda: reference_respond(*stations, config)(signal, init))
         if isinstance(want, np.ndarray):
             assert isinstance(got, np.ndarray)
             assert got.tobytes() == want.tobytes()
@@ -429,10 +461,10 @@ class TestPreparedStations:
     @settings(max_examples=100, deadline=None)
     @given(stack=station_stacks())
     def test_fixed_point_matches_reference_respond(self, stack):
-        config, base, tasks, init = stack
-        got = outcome(lambda: run_fixed_point(config, base, tasks, init))
-        want = outcome(lambda: run_fixed_point(config, base, tasks, init,
-                                               respond=reference_respond(tasks, config)))
+        config, base, *stations, init = stack
+        got = outcome(lambda: run_fixed_point(config, base, *stations, init))
+        want = outcome(lambda: run_fixed_point(
+            config, base, *stations, init, respond=reference_respond(*stations, config)))
         if isinstance(want, tuple):
             assert_identical(got, want)
         else:
@@ -443,8 +475,9 @@ class TestPreparedStations:
     def test_carried_signal_prepares_and_solves_nothing(self, monkeypatch):
         config = small_config()
         base = np.full(16, 50.0)
-        reachable = task_from_session(make_session(ev_id="ok"), config.slots)
-        far = StationTask("far", 5, reachable.lo_kw, reachable.hi_kw, 1e6)
+        reachable, far = make_session(ev_id="ok"), make_session(ev_id="far", energy_kwh=1e6)
+        stations = (session_bounds([reachable, far], config.slots),
+                    [reachable.energy_kwh, far.energy_kwh], ["ok", "far"])
         init = np.zeros((2, 16))
         carried = compute_control_signal(base, init, config.lam)
         prepared = 0
@@ -456,13 +489,13 @@ class TestPreparedStations:
             return real_prepare(*args, **kwargs)
 
         monkeypatch.setattr(scheduler, "prepare_stations", counting)
-        result = run_fixed_point(config, base, [reachable, far], init, carried)
+        result = run_fixed_point(config, base, *stations, init, carried)
         assert (result.trace.iterations, result.trace.converged) == (0, True)
         assert np.array_equal(result.profiles_kw, init)
         assert prepared == 0
         # without the carried signal the same stack runs a round and fails
         with pytest.raises(InfeasibleSessionError) as err:
-            run_fixed_point(config, base, [reachable, far], init)
+            run_fixed_point(config, base, *stations, init)
         assert err.value.ev_id == "far"
         assert prepared == 1
 
@@ -485,10 +518,9 @@ class TestRunUntilConverged:
         assert trace.converged
         # replay the broadcast/respond loop by hand
         manual = np.zeros((1, 16))
-        task = task_from_session(session, config.slots)
         for i in range(trace.iterations):
             signal = compute_control_signal(base, manual, config.lam, i)
-            manual = solve_one(signal, manual[0], task, config)[None, :]
+            manual = solve_one(signal, manual[0], session, config)[None, :]
         assert np.array_equal(profiles, manual)
 
     def test_converged_energy_and_window(self):
@@ -530,8 +562,7 @@ class TestRunUntilConverged:
         # jump from the empty start must not be
         config = small_config(slots=4, epsilon=1e-9)
         base = np.full(4, 50.0)
-        task = task_from_session(
-            make_session(t_start=0, t_end=4, energy_kwh=3.3), slots=4)
+        session = make_session(t_start=0, t_end=4, energy_kwh=3.3)
         scripted = iter([
             np.array([[3.3, 3.3, 3.3, 3.3]]),
             np.array([[6.6, 6.6, 0.0, 0.0]]),
@@ -541,7 +572,8 @@ class TestRunUntilConverged:
         def respond(signal, profiles_kw):
             return next(scripted)
 
-        result = run_fixed_point(config, base, [task], respond=respond)
+        result = run_fixed_point(config, base, session_bounds([session], 4),
+                                 [session.energy_kwh], [session.ev_id], respond=respond)
         assert result.trace.converged
         assert len(result.trace.diagnostics) == 1
         assert "iteration 2" in result.trace.diagnostics[0]
