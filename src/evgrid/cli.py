@@ -254,6 +254,11 @@ def preflight(cfg: RunConfig, command: str) -> Inputs:
         raise ValueError(f"pv_mw: bus(es) {not_pv} are not PV buses of "
                          f"{cfg.case_path}; its PV buses are {pv_buses}")
     if cfg.base_load_path is None:
+        if cfg.pv_mw:
+            # only the slot evaluation applies a dispatch; the case alone is
+            # solved as written
+            raise ValueError(f"pv_mw: powerflow without a base load solves {cfg.case_path} "
+                             "as written; give a base_load or drop pv_mw")
         return inputs
 
     base = inputs.base = metrics.read_base_load(cfg.base_load_path)

@@ -145,6 +145,7 @@ def aggregate_load(base: BaseLoadProfile, blocks) -> ScenarioLoads:
     bit-identical and the sum does not depend on how the rows are blocked.
     """
     ev_mw = np.zeros_like(base.mw)
+    index = {bus_id: k for k, bus_id in enumerate(base.bus_ids)}
     for bus_ids, profiles_kw in blocks:
         profiles_kw = np.asarray(profiles_kw, dtype=float)
         if profiles_kw.shape != (len(bus_ids), base.slots):
@@ -152,7 +153,9 @@ def aggregate_load(base: BaseLoadProfile, blocks) -> ScenarioLoads:
                 f"profiles of {len(bus_ids)} EVs have shape {profiles_kw.shape}, "
                 f"expected ({len(bus_ids)}, {base.slots})"
             )
-        rows = np.array([base.row_of(bus_id) for bus_id in bus_ids], dtype=np.intp)
+        # row_of raises the error for a bus with no row
+        rows = np.array([index[bus_id] if bus_id in index else base.row_of(bus_id)
+                         for bus_id in bus_ids], dtype=np.intp)
         scaled = profiles_kw / KW_PER_MW
         for k in range(len(base.bus_ids)):
             # cumsum adds row after row, as a per-row loop would

@@ -17,13 +17,17 @@ for the continuous quadratic knapsack; Kiwiel 2008, Condat 2016).
 The work is split by how often its inputs change:
 
 - once per fixed point, just before its first round (``prepare_stations``):
-  the (N, 2, T) kW bounds and the kWh targets the caller hands in, converted
-  to MW, the bound totals and the +/-1 slope of each breakpoint.  A step
-  that converges on the carried signal runs no round and prepares nothing;
-- once per round, for all rows at once: previous - c in MW, and the
-  conversion of the new profiles back to kW;
-- per station, per round (``solve_task``): the feasibility and snap checks
-  on its totals and the breakpoint search, written into its own row.
+  the (N, 2, T) kW bounds and the kWh targets the caller hands in,
+  converted to MW; the bound totals; the reach check, which names the first
+  station in row order whose target lies outside its box; the snap of each
+  row whose target lies on a bound total to that bound row; and the +/-1
+  slope of each breakpoint.  A step that converges on the carried signal
+  runs no round and prepares nothing;
+- once per round, for all rows at once: previous - c in MW, the (N, 2T)
+  breakpoints, each row's shift by its nu, one clip to the bounds, the
+  snapped rows' bound profiles, and the conversion back to kW;
+- per station, per round (``solve_task``): the breakpoint search alone,
+  which returns the station's nu.
 
 Stations are rows throughout: row k of the bounds, the targets, the ids and
 the profiles is one station, which sees only the broadcast signal and its
@@ -128,78 +132,79 @@ def flattening_objective(base_load_mw: np.ndarray, profiles_kw: np.ndarray) -> f
 class PreparedStations:
     """The round-invariant part of every station's subproblem, in MW.
 
-    Built once per fixed point; row k is station k.
+    Built once per fixed point by ``prepare_stations``, which has already
+    rejected any row whose target lies outside its box; row k is station k.
+    A row whose target lies on one of its bound totals, within
+    ``ENERGY_TOL``, is snapped: its profile is that bound row whatever the
+    signal, so each round writes the row from ``snap_profiles`` and
+    ``solve_task`` returns no shift for it.
     """
 
-    ev_ids: list[str]
     bounds: np.ndarray               # (N, 2, T): each row's lo and hi, MW
     lo_total: list[float]            # sum of each row's lo, MW
-    hi_total: list[float]            # sum of each row's hi, MW
-    energy: list[float]              # energy targets, MWh
+    target: list[float]              # energy target / dt, MW summed over slots
+    free: list[bool]                 # False on a snapped row
+    snap_rows: np.ndarray            # indices of the snapped rows
+    snap_profiles: np.ndarray        # (len(snap_rows), T): their bound rows, MW
     slopes: np.ndarray               # (2T,): +1 at a lo breakpoint, -1 at a hi one
-    dt: float
+
+
+def _prepare(bounds: np.ndarray, energy: np.ndarray, labels: list[str],
+             dt: float) -> PreparedStations:
+    """Stations from their (N, 2, T) bounds and energy targets in one
+    consistent unit system; the first row in row order whose target is out of
+    reach raises ``InfeasibleSessionError`` in those units."""
+    lo_total, hi_total = bounds.sum(axis=2).T
+    lo_sum = lo_total * dt
+    hi_sum = hi_total * dt
+    slack = np.maximum(ENERGY_TOL, 1e-9 * np.maximum(1.0, np.abs(energy)))
+    bad = (energy < lo_sum - slack) | (energy > hi_sum + slack)
+    if bad.any():
+        k = int(bad.argmax())
+        raise InfeasibleSessionError(labels[k], float(energy[k]), float(lo_sum[k]),
+                                     float(hi_sum[k]))
+    # compare the miss itself, so a snapped profile misses by at most
+    # ENERGY_TOL, not by ENERGY_TOL plus the rounding of hi_sum - ENERGY_TOL
+    at_hi = hi_sum - energy <= ENERGY_TOL
+    snapped = at_hi | (energy - lo_sum <= ENERGY_TOL)
+    rows = np.flatnonzero(snapped)
+    return PreparedStations(
+        bounds=bounds,
+        lo_total=lo_total.tolist(),
+        target=(energy / dt).tolist(),
+        free=(~snapped).tolist(),
+        snap_rows=rows,
+        # copied, not clipped to, so that a -0.0 bound stays -0.0
+        snap_profiles=bounds[rows, at_hi[rows].astype(np.intp)],
+        slopes=np.repeat((1.0, -1.0), bounds.shape[2]),
+    )
 
 
 def prepare_stations(bounds_kw: np.ndarray, energy_kwh, ev_ids: list[str],
                      dt: float) -> PreparedStations:
-    """The stations' (N, 2, T) kW bounds and kWh targets in MW, with the
-    bound totals."""
-    bounds = bounds_kw / KW_PER_MW
-    lo_total, hi_total = bounds.sum(axis=2).T.tolist()
-    energy = np.asarray(energy_kwh, dtype=float) / KW_PER_MW
-    return PreparedStations(
-        ev_ids=ev_ids,
-        bounds=bounds,
-        lo_total=lo_total,
-        hi_total=hi_total,
-        energy=energy.tolist(),
-        slopes=np.repeat((1.0, -1.0), bounds.shape[2]),
-        dt=dt,
-    )
+    """The stations' (N, 2, T) kW bounds and kWh targets in MW, checked for
+    reach and sorted into free and snapped rows.  An unreachable target
+    raises ``InfeasibleSessionError`` naming the first such station, with
+    its interval in kWh."""
+    try:
+        return _prepare(bounds_kw / KW_PER_MW,
+                        np.asarray(energy_kwh, dtype=float) / KW_PER_MW, ev_ids, dt)
+    except InfeasibleSessionError as exc:
+        # the stations work in MW; report the interval in kWh
+        raise InfeasibleSessionError(
+            exc.ev_id, exc.energy_kwh * KW_PER_MW,
+            exc.feasible_kwh[0] * KW_PER_MW, exc.feasible_kwh[1] * KW_PER_MW) from None
 
 
-def _project(p: np.ndarray, bounds: np.ndarray, lo_total: float, hi_total: float,
-             energy: float, dt: float, slopes: np.ndarray, label: str) -> None:
-    """Overwrite ``p``, which holds previous - c, with the minimizer of
-    ``project_to_energy_box`` over the box ``bounds`` = (lo, hi)."""
-    lo_sum = lo_total * dt
-    hi_sum = hi_total * dt
-    slack = max(ENERGY_TOL, 1e-9 * max(1.0, abs(energy)))
-    if energy < lo_sum - slack or energy > hi_sum + slack:
-        raise InfeasibleSessionError(label, energy, lo_sum, hi_sum)
-    lo, hi = bounds
-    # compare the miss itself, so a snapped profile misses by at most
-    # ENERGY_TOL, not by ENERGY_TOL plus the rounding of hi_sum - ENERGY_TOL
-    if hi_sum - energy <= ENERGY_TOL:
-        p[:] = hi
-        return
-    if energy - lo_sum <= ENERGY_TOL:
-        p[:] = lo
-        return
-
-    # with nu = mu*dt, S(nu) = sum(clip(p + nu, lo, hi)) is piecewise
-    # linear: its slope steps up by one at each a = lo - p and down by one
-    # at each b = hi - p.  The stable sort keeps every a ahead of an equal
-    # b, so the running slope never goes negative.
-    ks = (bounds - p).ravel()
-    order = ks.argsort(kind="stable")
-    ks = ks[order]
-    slope = slopes[order]
-    slope.cumsum(out=slope)
-    # S at every breakpoint: lo_total plus the area under the slope so far
-    sk = np.empty_like(ks)
-    sk[0] = 0.0
-    rise = sk[1:]
-    np.subtract(ks[1:], ks[:-1], out=rise)
-    rise *= slope[:-1]
-    rise.cumsum(out=rise)
-    sk += lo_total
-    target = energy / dt
-    # the first breakpoint with S >= target closes the segment holding the
-    # root, whose slope is at least one
-    j = min(max(int(sk.searchsorted(target)), 1), ks.size - 1)
-    p += ks[j - 1] + (target - sk[j - 1]) / slope[j - 1]
-    p.clip(lo, hi, out=p)
+def _project(stations: PreparedStations, p: np.ndarray) -> None:
+    """Overwrite ``p``, whose row k holds station k's previous - c, with
+    every station's minimizer of ``project_to_energy_box``."""
+    n, t = p.shape
+    ks = (stations.bounds - p[:, None, :]).reshape(n, 2 * t)
+    nu = np.array([solve_task(stations, k, ks[k]) for k in range(n)])
+    p += nu[:, None]
+    np.clip(p, stations.bounds[:, 0], stations.bounds[:, 1], out=p)
+    p[stations.snap_rows] = stations.snap_profiles
 
 
 def project_to_energy_box(c: np.ndarray, previous: np.ndarray, lo: np.ndarray,
@@ -214,24 +219,44 @@ def project_to_energy_box(c: np.ndarray, previous: np.ndarray, lo: np.ndarray,
     sorting its 2T breakpoints and interpolating on the segment that reaches
     the energy target; no iteration, no stopping tolerance.
     """
-    p = np.subtract(previous, c, dtype=float)
-    _project(p, np.array((lo, hi), dtype=float), float(lo.sum()),
-             float(hi.sum()), energy, dt, np.repeat((1.0, -1.0), p.size), label)
-    return p
+    p = np.subtract(previous, c, dtype=float)[None]
+    stations = _prepare(np.array((lo, hi), dtype=float)[None],
+                        np.array([energy], dtype=float), [label], dt)
+    _project(stations, p)
+    return p[0]
 
 
-def solve_task(stations: PreparedStations, k: int, p: np.ndarray) -> None:
-    """Station k's proximal update against the broadcast signal, in MW and in
-    place: ``p`` holds its previous profile minus the signal on entry and its
-    new profile on exit."""
-    try:
-        _project(p, stations.bounds[k], stations.lo_total[k], stations.hi_total[k],
-                 stations.energy[k], stations.dt, stations.slopes, stations.ev_ids[k])
-    except InfeasibleSessionError as exc:
-        # the projection works in MW units; report the interval in kWh
-        raise InfeasibleSessionError(
-            exc.ev_id, exc.energy_kwh * KW_PER_MW,
-            exc.feasible_kwh[0] * KW_PER_MW, exc.feasible_kwh[1] * KW_PER_MW) from None
+def solve_task(stations: PreparedStations, k: int, ks: np.ndarray) -> float:
+    """Station k's shift nu = mu*dt against the broadcast signal, in MW.
+
+    ``ks`` holds the station's 2T breakpoints, lo - base then hi - base,
+    where base is its previous profile minus the signal; its new profile is
+    clip(base + nu, lo, hi).  A snapped station returns 0.0, because the
+    round writes its bound row instead.
+    """
+    if not stations.free[k]:
+        return 0.0
+    # S(nu) = sum(clip(base + nu, lo, hi)) is piecewise linear: its slope
+    # steps up by one at each a = lo - base and down by one at each
+    # b = hi - base.  The stable sort keeps every a ahead of an equal b, so
+    # the running slope never goes negative.
+    order = ks.argsort(kind="stable")
+    ks = ks[order]
+    # np.add.accumulate is the cumsum, without ndarray.cumsum's dispatch
+    slope = np.add.accumulate(stations.slopes[order])
+    # S at every breakpoint: lo_total plus the area under the slope so far
+    sk = np.empty(ks.size)
+    sk[0] = 0.0
+    rise = sk[1:]
+    np.subtract(ks[1:], ks[:-1], out=rise)
+    rise *= slope[:-1]
+    np.add.accumulate(rise, out=rise)
+    sk += stations.lo_total[k]
+    target = stations.target[k]
+    # the first breakpoint with S >= target closes the segment holding the
+    # root, whose slope is at least one
+    j = min(max(int(sk.searchsorted(target)), 1), ks.size - 1)
+    return ks[j - 1] + (target - sk[j - 1]) / slope[j - 1]
 
 
 @dataclass(frozen=True)
@@ -295,8 +320,7 @@ def run_fixed_point(config: SchedulerConfig, base_load_mw: np.ndarray,
         def respond(signal, profiles_kw):
             out = profiles_kw / KW_PER_MW
             out -= signal.values
-            for k in range(n):
-                solve_task(stations, k, out[k])
+            _project(stations, out)
             out *= KW_PER_MW
             return out
 

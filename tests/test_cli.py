@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import (UNITY_CASE_TEXT, DATA_DIR, DESK_DIR, assert_identical, cell_text,
                       file_ints, finite_floats, make_session, round_trip)
-from evgrid import coordinator, fileio
+from evgrid import cli, coordinator, fileio
 from evgrid.cli import main
 from evgrid.fileio import read_schedule_blocks, read_schedules, write_schedules
 from evgrid.fleet import write_sessions
@@ -82,6 +82,10 @@ def fails_before_any_work(tmp_path, capsys, argv, message) -> None:
     assert err.startswith("error:") and err.count("\n") == 1, err
     assert message in err
     assert not out.exists()
+
+
+def no_power_flow(*args, **kwargs):
+    raise AssertionError("solve_power_flow was called")
 
 
 @pytest.fixture
@@ -170,6 +174,15 @@ class TestPreflight:
         config = desk_variant(tmp_path, pv_mw={bus: 5.0})
         fails_before_any_work(tmp_path, capsys, ["simulate", "-c", str(config)],
                               f"pv_mw: bus(es) [{bus}] are not PV buses")
+
+    def test_pv_dispatch_without_a_base_load(self, tmp_path, capsys, monkeypatch):
+        # without a base load the case is solved as written, so a PV
+        # dispatch would be dropped without a word
+        monkeypatch.setattr(cli, "solve_power_flow", no_power_flow)
+        config = write_config(tmp_path / "pv.json", case=str(DATA_DIR / "wscc9.case"),
+                              pv_mw={"2": 50.0})
+        fails_before_any_work(tmp_path, capsys, ["powerflow", "-c", str(config)],
+                              "pv_mw: powerflow without a base load solves")
 
     def test_added_session_on_a_bus_without_base_load(self, tmp_path, capsys):
         config = small_inputs(tmp_path)
@@ -411,15 +424,27 @@ class TestSchedulesFile:
 def test_benchmark_tracer_binds_every_layer(tmp_path):
     """The benchmark's tracer looks up every function it wraps by name
     before the command runs, so deleting or renaming any of them (such as
-    ``coordinator.solve_task``) fails this run."""
-    spans = tmp_path / "spans.json"
-    done = subprocess.run(
-        [sys.executable, "perfbench/traced.py", str(spans), "powerflow",
-         "--case", "src/evgrid/data/wscc9.case", "-o", str(tmp_path / "out")],
-        cwd=ROOT, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    names = {span[0] for span in json.loads(spans.read_text())}
+    ``coordinator.solve_task``) fails this run.  A traced desk ``simulate``
+    records one ``scheduler.solve`` span per station per round, the count
+    the benchmark cross-checks against the stations and rounds of every
+    ``scheduler.fixed_point`` span."""
+    def traced(name, *argv):
+        spans = tmp_path / f"{name}.json"
+        done = subprocess.run(
+            [sys.executable, "perfbench/traced.py", str(spans), name, *argv,
+             "-o", str(tmp_path / name)],
+            cwd=ROOT, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        return json.loads(spans.read_text())
+
+    spans = traced("powerflow", "--case", "src/evgrid/data/wscc9.case")
+    names = {span[0] for span in spans}
     assert {"fileio.read", "powerflow.solve", "fileio.write"} <= names
+    spans = traced("simulate", "-c", "src/evgrid/data/desk/config.json")
+    solves = sum(1 for span in spans if span[0] == "scheduler.solve")
+    stations_x_rounds = sum(span[4]["stations"] * span[4]["rounds"]
+                            for span in spans if span[0] == "scheduler.fixed_point")
+    assert solves == stations_x_rounds > 0
 
 
 def test_cli_import_loads_no_scipy():

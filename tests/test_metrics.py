@@ -160,8 +160,8 @@ class TestAggregateLoad:
 
     def test_unknown_bus_rejected(self):
         base = constant_base({5: 1.0}, slots=3)
-        with pytest.raises(MetricsError, match="no base load row"):
-            aggregate_load(base, [([9], np.zeros((1, 3)))])
+        with pytest.raises(MetricsError, match="^bus 9 carries no base load row$"):
+            aggregate_load(base, [([5, 9], np.zeros((2, 3)))])
 
     def test_wrong_length_rejected(self):
         base = constant_base({5: 1.0}, slots=3)

@@ -46,13 +46,15 @@ def random_box(rng, slots=8, dt=0.25):
 
 
 def solve_one(signal, previous_kw, session, config):
-    """``solve_task`` for one session as a prepared station, in and out in kW."""
+    """``solve_task`` for one session as a prepared station, in and out in
+    kW; the session's target lies strictly inside its box."""
     p = previous_kw / KW_PER_MW
     p -= signal.values
     stations = prepare_stations(session_bounds([session], config.slots),
                                 [session.energy_kwh], [session.ev_id], config.slot_hours)
-    solve_task(stations, 0, p)
-    return p * KW_PER_MW
+    lo, hi = stations.bounds[0]
+    nu = solve_task(stations, 0, np.concatenate((lo - p, hi - p)))
+    return np.clip(p + nu, lo, hi) * KW_PER_MW
 
 
 def sliced_bounds(session, slots):
@@ -440,12 +442,21 @@ def reference_respond(bounds, targets, ids, config):
     return respond
 
 
+# a station whose target is its lo total, with -0.0 lower bounds: its profile
+# is the lo row, -0.0 included, which clipping to (-0.0, 0.0) would turn
+# into 0.0
+NEGATIVE_ZERO_SNAP = (small_config(slots=2, slot_hours=DT, max_iterations=40), np.zeros(2),
+                      np.array([[[-0.0, -0.0], [0.0, 1000.0]]]), [0.0], ["s0"],
+                      np.zeros((1, 2)))
+
+
 class TestPreparedStations:
     """The prepared per-row search against the per-call form it replaced
     (``oracles.reference_solve``): identical bytes, identical errors."""
 
     @settings(max_examples=300, deadline=None)
     @given(stack=station_stacks())
+    @example(stack=NEGATIVE_ZERO_SNAP)
     def test_one_round_matches_reference_solve(self, stack):
         config, base, *stations, init = stack
         one_round = replace(config, max_iterations=1)
@@ -460,6 +471,7 @@ class TestPreparedStations:
 
     @settings(max_examples=100, deadline=None)
     @given(stack=station_stacks())
+    @example(stack=NEGATIVE_ZERO_SNAP)
     def test_fixed_point_matches_reference_respond(self, stack):
         config, base, *stations, init = stack
         got = outcome(lambda: run_fixed_point(config, base, *stations, init))
@@ -471,6 +483,28 @@ class TestPreparedStations:
             assert got.profiles_kw.tobytes() == want.profiles_kw.tobytes()
             assert_identical(got.trace, want.trace)
             assert got.signal.values.tobytes() == want.signal.values.tobytes()
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_first_unreachable_row_is_named(self, reverse):
+        """With several unreachable targets the first in row order is named,
+        with the kWh interval text of the per-station reference."""
+        config = small_config()
+        base = np.full(16, 50.0)
+        sessions = [make_session(ev_id="ok"), make_session(ev_id="high", energy_kwh=1e6),
+                    make_session(ev_id="fine", energy_kwh=-3.0),
+                    make_session(ev_id="low", energy_kwh=-1e6)]
+        if reverse:
+            sessions.reverse()
+        bounds = session_bounds(sessions, config.slots)
+        targets, ids = [s.energy_kwh for s in sessions], [s.ev_id for s in sessions]
+        init = np.zeros((4, 16))
+        first = 0 if reverse else 1
+        signal = compute_control_signal(base, init, config.lam, 0)
+        want = outcome(lambda: oracles.reference_solve(
+            signal, init[first], *bounds[first], targets[first], ids[first], config))
+        got = outcome(lambda: run_fixed_point(config, base, bounds, targets, ids, init))
+        assert got[0] == ("low" if reverse else "high")
+        assert_identical(got, want)
 
     def test_carried_signal_prepares_and_solves_nothing(self, monkeypatch):
         config = small_config()
