@@ -254,11 +254,14 @@ def preflight(cfg: RunConfig, command: str) -> Inputs:
         raise ValueError(f"pv_mw: bus(es) {not_pv} are not PV buses of "
                          f"{cfg.case_path}; its PV buses are {pv_buses}")
     if cfg.base_load_path is None:
+        # only the slot evaluation picks a slot and applies a dispatch; the
+        # case alone is solved as written
         if cfg.pv_mw:
-            # only the slot evaluation applies a dispatch; the case alone is
-            # solved as written
             raise ValueError(f"pv_mw: powerflow without a base load solves {cfg.case_path} "
                              "as written; give a base_load or drop pv_mw")
+        if cfg.slot is not None:
+            raise ValueError(f"slot: powerflow without a base load has no slots and solves "
+                             f"{cfg.case_path} as written; give a base_load or drop slot")
         return inputs
 
     base = inputs.base = metrics.read_base_load(cfg.base_load_path)
@@ -319,9 +322,9 @@ def _write_json(path: Path, payload) -> None:
         fh.write("\n")
 
 
-def _write_report(out: Path, report: metrics.ScenarioReport) -> None:
+def _write_report(out: Path, report: dict) -> None:
     """``report.json`` and ``report.txt`` in ``out``, and the text on stdout."""
-    _write_json(out / "report.json", metrics.report_to_dict(report))
+    _write_json(out / "report.json", report)
     text = metrics.render_report(report)
     with open(out / "report.txt", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)

@@ -32,7 +32,6 @@ import numpy as np
 from . import fileio
 from .fleet import EvSession, FleetError, FleetScenario
 from .scheduler import (
-    ControlSignal,
     ConvergenceTrace,
     SchedulerConfig,
     run_fixed_point,
@@ -236,7 +235,7 @@ def run_receding_horizon(config: SchedulerConfig, base_load_mw: np.ndarray,
     ever_active = np.zeros(len(ids), dtype=bool)
 
     bus_ids: dict[str, int] = {}
-    carried: ControlSignal | None = None
+    carried: np.ndarray | None = None
     step_traces: list[ConvergenceTrace] = []
     flags: list[str] = []
 

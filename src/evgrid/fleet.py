@@ -154,14 +154,14 @@ def uncoordinated_profile(session: EvSession, slots: int, slot_hours: float) -> 
     """Plug-in-and-charge-at-full-rate baseline; no V2G.
 
     Charges at p_max from arrival, with a fractional final slot so the
-    delivered energy matches the demand exactly.
+    delivered energy matches the demand exactly.  ``session`` is taken as
+    validated for this slot grid, as ``FleetScenario`` does at load.
     """
     if session.energy_kwh < 0:
         raise FleetError(
             f"session {session.ev_id}: baseline undefined for net-discharge "
             f"energy {session.energy_kwh} kWh"
         )
-    session.validate(slots, slot_hours)
     profile = np.zeros(slots)
     remaining = session.energy_kwh
     for t in range(session.t_start, session.t_end):

@@ -1,6 +1,10 @@
 """Scenario comparison: peak shaving, voltage profile, line currents, and
 generation split, evaluated by power flow at each scenario's worst-case slot.
 
+``compare_scenarios`` returns the report as the JSON-ready dict that
+``report.json`` holds, and ``render_report`` prints that dict as the text of
+``report.txt``.
+
 Loads are modeled per bus as base load (configurable power factor, default
 0.95 lagging) plus EV load (default unity power factor).  PV buses hold their
 scheduled active power; the swing bus absorbs the residual.
@@ -194,255 +198,157 @@ def evaluate_grid_at_slot(case: GridCase, loads: ScenarioLoads, slot: int,
     return solution, compute_line_flows(solution, loaded)
 
 
-@dataclass(frozen=True)
-class GenerationRecord:
-    bus_id: int
-    p_mw: float
-    q_mvar: float
-
-
-@dataclass(frozen=True)
-class BusVoltageRow:
-    bus_id: int
-    v_before: float
-    v_after: float
-
-
-@dataclass(frozen=True)
-class BranchCurrentRow:
-    from_bus: int
-    to_bus: int
-    amps_before: float
-    amps_after: float
-    is_line: bool                     # same voltage base at both ends
-
-
-@dataclass(frozen=True)
-class ScenarioReport:
-    peak_before_mw: float
-    peak_after_mw: float
-    peak_shaving_pct: float
-    slot_before: int
-    slot_after: int
-    bus_voltages: tuple[BusVoltageRow, ...]
-    branch_currents: tuple[BranchCurrentRow, ...]
-    line_current_total_before_a: float
-    line_current_total_after_a: float
-    line_current_reduction_pct: float
-    swing_before: GenerationRecord
-    swing_after: GenerationRecord
-    pv_before: tuple[GenerationRecord, ...]
-    pv_after: tuple[GenerationRecord, ...]
-    flags: tuple[str, ...] = ()
-    diagnostics: tuple[str, ...] = ()
-
-
-def _generation(case: GridCase, solution: PowerFlowSolution,
-                kind: BusKind) -> list[GenerationRecord]:
-    records = []
-    for i in case.indices_of_kind(kind):
-        bus = case.buses[i]
-        records.append(GenerationRecord(
-            bus_id=bus.id,
-            p_mw=float(solution.p_inj[i]) * case.s_base,
-            q_mvar=float(solution.q_inj[i]) * case.s_base,
-        ))
-    return records
-
-
 def compare_scenarios(case: GridCase, loads_before: ScenarioLoads,
                       loads_after: ScenarioLoads,
                       assumptions: ReactiveAssumptions = ReactiveAssumptions(),
                       pv_mw: dict[int, float] | None = None,
                       flags: tuple[str, ...] = (),
-                      tol: float = 1e-8, max_iter: int = 20) -> ScenarioReport:
+                      tol: float = 1e-8, max_iter: int = 20) -> dict:
     """Evaluate the uncoordinated and coordinated loads (from
     ``aggregate_load`` over one base load checked against ``case``) at their
-    worst-case slots and tabulate the before/after quantities.  ``flags``
-    carries run-level notes (clamped sessions, non-converged steps) into the
-    report."""
-    total_before = loads_before.system_total()
-    total_after = loads_after.system_total()
-    slot_before = int(np.argmax(total_before))
-    slot_after = int(np.argmax(total_after))
-    peak_before = float(total_before[slot_before])
-    peak_after = float(total_after[slot_after])
-
+    worst-case slots and return the report, the dict that ``report.json``
+    holds (see ``report_to_dict``).  ``flags`` carries run-level notes
+    (clamped sessions, non-converged steps) into the report."""
     ybus = build_admittance_matrix(case)
-    results = {}
-    for label, loads, slot in (("uncoordinated", loads_before, slot_before),
-                               ("coordinated", loads_after, slot_after)):
+    solved = []
+    for label, loads in (("uncoordinated", loads_before), ("coordinated", loads_after)):
+        total = loads.system_total()
+        slot = int(np.argmax(total))
         try:
-            results[label] = evaluate_grid_at_slot(
+            solution, flows = evaluate_grid_at_slot(
                 case, loads, slot, assumptions, pv_mw, ybus, tol, max_iter
             )
         except PowerFlowError as exc:
             raise MetricsError(
                 f"power flow failed for the {label} scenario at slot {slot}: {exc}"
             ) from exc
-    sol_before, flows_before = results["uncoordinated"]
-    sol_after, flows_after = results["coordinated"]
+        solved.append((slot, float(total[slot]), solution, flows))
+    dominated = bool(np.all(loads_after.total_mw <= loads_before.total_mw + 1e-9))
+    return report_to_dict(case, *solved, dominated, flags)
 
-    voltage_rows = tuple(
-        BusVoltageRow(case.buses[i].id,
-                      float(sol_before.v_mag[i]), float(sol_after.v_mag[i]))
+
+def _pct_drop(before: float, after: float) -> float:
+    return 100.0 * (before - after) / before if before else 0.0
+
+
+def report_to_dict(case: GridCase, before: tuple, after: tuple, dominated: bool,
+                   flags=()) -> dict:
+    """Tabulate two solved scenarios as the JSON-ready report.
+
+    ``before`` and ``after`` are each ``(slot, peak_mw, solution,
+    line_flows)``, the uncoordinated and the coordinated scenario at its
+    worst-case slot.  ``dominated`` says the coordinated load is nowhere
+    above the uncoordinated one; a voltage drop is then a diagnostic, as is
+    a swing output that did not fall."""
+    slot_b, peak_b, sol_b, flows_b = before
+    slot_a, peak_a, sol_a, flows_a = after
+
+    def output(i: int) -> dict:
+        return {label: {"p_mw": float(sol.p_inj[i]) * case.s_base,
+                        "q_mvar": float(sol.q_inj[i]) * case.s_base}
+                for label, sol in (("before", sol_b), ("after", sol_a))}
+
+    voltages = [
+        {"bus": case.buses[i].id,
+         "before_pu": float(sol_b.v_mag[i]), "after_pu": float(sol_a.v_mag[i])}
         for i in case.indices_of_kind(BusKind.PQ)
-    )
-
-    current_rows = []
-    total_a_before = 0.0
-    total_a_after = 0.0
-    for fb, fa in zip(flows_before, flows_after):
+    ]
+    currents = []
+    total_b = total_a = 0.0
+    for fb, fa in zip(flows_b, flows_a):
         br = fb.branch
+        # a line has the same voltage base at both ends; a transformer does not
         is_line = case.bus(br.from_bus).base_kv == case.bus(br.to_bus).base_kv
-        current_rows.append(BranchCurrentRow(
-            br.from_bus, br.to_bus, fb.i_from_amps, fa.i_from_amps, is_line
-        ))
+        currents.append({"from_bus": br.from_bus, "to_bus": br.to_bus,
+                         "before_a": fb.i_from_amps, "after_a": fa.i_from_amps,
+                         "is_line": is_line})
         if is_line:
-            total_a_before += fb.i_from_amps
-            total_a_after += fa.i_from_amps
-
-    swing_id = case.buses[case.swing_index].id
-    swing_before = _generation(case, sol_before, BusKind.SWING)[0]
-    swing_after = _generation(case, sol_after, BusKind.SWING)[0]
+            total_b += fb.i_from_amps
+            total_a += fa.i_from_amps
+    swing = {"bus": case.buses[case.swing_index].id, **output(case.swing_index)}
 
     diagnostics = []
-    dominated = bool(np.all(loads_after.total_mw <= loads_before.total_mw + 1e-9))
     if dominated:
-        worse = [row.bus_id for row in voltage_rows
-                 if row.v_after < row.v_before - 1e-12]
+        worse = [r["bus"] for r in voltages if r["after_pu"] < r["before_pu"] - 1e-12]
         if worse:
             diagnostics.append(
                 "coordinated load is slot-wise dominated yet voltage dropped "
                 f"at buses {worse}"
             )
-    if swing_after.p_mw >= swing_before.p_mw:
+    p_before, p_after = swing["before"]["p_mw"], swing["after"]["p_mw"]
+    if p_after >= p_before:
         diagnostics.append(
-            f"swing bus {swing_id} active power did not fall: "
-            f"{swing_before.p_mw!r} -> {swing_after.p_mw!r} MW"
+            f"swing bus {swing['bus']} active power did not fall: "
+            f"{p_before!r} -> {p_after!r} MW"
         )
 
-    return ScenarioReport(
-        peak_before_mw=peak_before,
-        peak_after_mw=peak_after,
-        peak_shaving_pct=100.0 * (peak_before - peak_after) / peak_before,
-        slot_before=slot_before,
-        slot_after=slot_after,
-        bus_voltages=voltage_rows,
-        branch_currents=tuple(current_rows),
-        line_current_total_before_a=total_a_before,
-        line_current_total_after_a=total_a_after,
-        line_current_reduction_pct=(
-            100.0 * (total_a_before - total_a_after) / total_a_before
-            if total_a_before else 0.0
-        ),
-        swing_before=swing_before,
-        swing_after=swing_after,
-        pv_before=tuple(_generation(case, sol_before, BusKind.PV)),
-        pv_after=tuple(_generation(case, sol_after, BusKind.PV)),
-        flags=tuple(flags),
-        diagnostics=tuple(diagnostics),
-    )
-
-
-def report_to_dict(report: ScenarioReport) -> dict:
     return {
-        "peak": {
-            "before_mw": report.peak_before_mw,
-            "after_mw": report.peak_after_mw,
-            "shaving_pct": report.peak_shaving_pct,
-            "slot_before": report.slot_before,
-            "slot_after": report.slot_after,
-        },
-        "bus_voltages": [
-            {"bus": r.bus_id, "before_pu": r.v_before, "after_pu": r.v_after}
-            for r in report.bus_voltages
-        ],
-        "branch_currents": [
-            {
-                "from_bus": r.from_bus,
-                "to_bus": r.to_bus,
-                "before_a": r.amps_before,
-                "after_a": r.amps_after,
-                "is_line": r.is_line,
-            }
-            for r in report.branch_currents
-        ],
-        "line_current_total": {
-            "before_a": report.line_current_total_before_a,
-            "after_a": report.line_current_total_after_a,
-            "reduction_pct": report.line_current_reduction_pct,
-        },
+        "peak": {"before_mw": peak_b, "after_mw": peak_a,
+                 "shaving_pct": _pct_drop(peak_b, peak_a),
+                 "slot_before": slot_b, "slot_after": slot_a},
+        "bus_voltages": voltages,
+        "branch_currents": currents,
+        "line_current_total": {"before_a": total_b, "after_a": total_a,
+                               "reduction_pct": _pct_drop(total_b, total_a)},
         "generation": {
-            "swing": {
-                "bus": report.swing_before.bus_id,
-                "before": {"p_mw": report.swing_before.p_mw,
-                           "q_mvar": report.swing_before.q_mvar},
-                "after": {"p_mw": report.swing_after.p_mw,
-                          "q_mvar": report.swing_after.q_mvar},
-            },
-            "pv": [
-                {
-                    "bus": b.bus_id,
-                    "before": {"p_mw": b.p_mw, "q_mvar": b.q_mvar},
-                    "after": {"p_mw": a.p_mw, "q_mvar": a.q_mvar},
-                }
-                for b, a in zip(report.pv_before, report.pv_after)
-            ],
+            "swing": swing,
+            "pv": [{"bus": case.buses[i].id, **output(i)}
+                   for i in case.indices_of_kind(BusKind.PV)],
         },
-        "flags": list(report.flags),
-        "diagnostics": list(report.diagnostics),
+        "flags": list(flags),
+        "diagnostics": diagnostics,
     }
 
 
-def render_report(report: ScenarioReport) -> str:
-    """Aligned, human-readable before/after tables."""
+def render_report(report: dict) -> str:
+    """Aligned, human-readable before/after tables of a ``report_to_dict``
+    report."""
+    peak, lines = report["peak"], report["line_current_total"]
     out = []
     out.append(
-        f"Peak load: {report.peak_before_mw:.3f} MW (slot {report.slot_before})"
-        f" -> {report.peak_after_mw:.3f} MW (slot {report.slot_after})"
-        f"   shaving {report.peak_shaving_pct:.2f}%"
+        f"Peak load: {peak['before_mw']:.3f} MW (slot {peak['slot_before']})"
+        f" -> {peak['after_mw']:.3f} MW (slot {peak['slot_after']})"
+        f"   shaving {peak['shaving_pct']:.2f}%"
     )
     out.append("")
     out.append("Branch currents, from side (A)")
     out.append(f"  {'branch':<10}{'before':>12}{'after':>12}{'change %':>12}")
-    for r in report.branch_currents:
-        change = (100.0 * (r.amps_after - r.amps_before) / r.amps_before
-                  if r.amps_before else 0.0)
-        tag = "" if r.is_line else "  (transformer)"
-        out.append(
-            f"  {f'{r.from_bus}-{r.to_bus}':<10}{r.amps_before:>12.1f}"
-            f"{r.amps_after:>12.1f}{change:>12.1f}{tag}"
-        )
+    for r in report["branch_currents"]:
+        before, after = r["before_a"], r["after_a"]
+        change = 100.0 * (after - before) / before if before else 0.0
+        branch = f"{r['from_bus']}-{r['to_bus']}"
+        tag = "" if r["is_line"] else "  (transformer)"
+        out.append(f"  {branch:<10}{before:>12.1f}{after:>12.1f}{change:>12.1f}{tag}")
     out.append(
-        f"  {'lines total':<10}{report.line_current_total_before_a:>11.1f}"
-        f"{report.line_current_total_after_a:>12.1f}"
-        f"{-report.line_current_reduction_pct:>12.1f}"
+        f"  {'lines total':<10}{lines['before_a']:>11.1f}"
+        f"{lines['after_a']:>12.1f}"
+        f"{-lines['reduction_pct']:>12.1f}"
     )
     out.append("")
     out.append("Generation (MW, MVAr)")
     out.append(f"  {'bus':<6}{'role':<8}{'P before':>12}{'Q before':>12}"
                f"{'P after':>12}{'Q after':>12}")
-    rows = [(report.swing_before, report.swing_after, "swing")]
-    rows += [(b, a, "pv") for b, a in zip(report.pv_before, report.pv_after)]
-    for before, after, role in rows:
+    generation = report["generation"]
+    rows = [(generation["swing"], "swing")] + [(g, "pv") for g in generation["pv"]]
+    for g, role in rows:
+        before, after = g["before"], g["after"]
         out.append(
-            f"  {before.bus_id:<6}{role:<8}{before.p_mw:>12.2f}{before.q_mvar:>12.2f}"
-            f"{after.p_mw:>12.2f}{after.q_mvar:>12.2f}"
+            f"  {g['bus']:<6}{role:<8}{before['p_mw']:>12.2f}{before['q_mvar']:>12.2f}"
+            f"{after['p_mw']:>12.2f}{after['q_mvar']:>12.2f}"
         )
     out.append("")
     out.append("PQ bus voltages (pu)")
     out.append(f"  {'bus':<6}{'before':>10}{'after':>10}{'delta':>10}")
-    for r in report.bus_voltages:
+    for r in report["bus_voltages"]:
         out.append(
-            f"  {r.bus_id:<6}{r.v_before:>10.4f}{r.v_after:>10.4f}"
-            f"{r.v_after - r.v_before:>10.4f}"
+            f"  {r['bus']:<6}{r['before_pu']:>10.4f}{r['after_pu']:>10.4f}"
+            f"{r['after_pu'] - r['before_pu']:>10.4f}"
         )
-    for title, lines in (("Flags", report.flags), ("Diagnostics", report.diagnostics)):
-        if lines:
+    for title, key in (("Flags", "flags"), ("Diagnostics", "diagnostics")):
+        if report[key]:
             out.append("")
             out.append(title)
-            for line in lines:
+            for line in report[key]:
                 out.append(f"  - {line}")
     out.append("")
     return "\n".join(out)

@@ -81,12 +81,6 @@ class SchedulerConfig:
 
 
 @dataclass(frozen=True)
-class ControlSignal:
-    values: np.ndarray               # length T, MW scale
-    iteration: int
-
-
-@dataclass(frozen=True)
 class ConvergenceTrace:
     residuals: tuple[float, ...]     # inf-norm signal change; nan before the first
     objectives: tuple[float, ...]    # entry 0 at the starting profiles, then one per iteration, MW^2
@@ -113,13 +107,13 @@ def aggregate_ev_mw(profiles_kw: np.ndarray) -> np.ndarray:
 
 
 def compute_control_signal(base_load_mw: np.ndarray, profiles_kw: np.ndarray,
-                           lam: float, iteration: int = 0) -> ControlSignal:
-    """Scaled aggregate load broadcast to every station."""
+                           lam: float) -> np.ndarray:
+    """Scaled aggregate load broadcast to every station: length T, MW scale."""
     n = profiles_kw.shape[0]
     if n == 0:
         raise SchedulerError("control signal undefined for zero stations")
     total = base_load_mw + aggregate_ev_mw(profiles_kw)
-    return ControlSignal(values=total / (lam * n), iteration=iteration)
+    return total / (lam * n)
 
 
 def flattening_objective(base_load_mw: np.ndarray, profiles_kw: np.ndarray) -> float:
@@ -263,13 +257,13 @@ def solve_task(stations: PreparedStations, k: int, ks: np.ndarray) -> float:
 class FixedPointResult:
     profiles_kw: np.ndarray
     trace: ConvergenceTrace
-    signal: ControlSignal | None    # last computed signal; None when no stations
+    signal: np.ndarray | None       # last computed signal; None when no stations
 
 
 def run_fixed_point(config: SchedulerConfig, base_load_mw: np.ndarray,
                     bounds_kw: np.ndarray, energy_kwh, ev_ids: list[str],
                     initial_profiles: np.ndarray | None = None,
-                    initial_signal: ControlSignal | None = None,
+                    initial_signal: np.ndarray | None = None,
                     respond=None) -> FixedPointResult:
     """Iterate broadcast/gather until the signal residual drops below epsilon.
 
@@ -297,14 +291,14 @@ def run_fixed_point(config: SchedulerConfig, base_load_mw: np.ndarray,
         trace = ConvergenceTrace((math.nan,), tuple(objectives), 1, True)
         return FixedPointResult(profiles, trace, None)
 
-    signal = compute_control_signal(base_load_mw, profiles, config.lam, 0)
+    signal = compute_control_signal(base_load_mw, profiles, config.lam)
     residuals: list[float] = []
     diagnostics: list[str] = []
     converged = False
     iterations = 0
 
     if initial_signal is not None:
-        r0 = float(np.max(np.abs(signal.values - initial_signal.values)))
+        r0 = float(np.max(np.abs(signal - initial_signal)))
         residuals.append(r0)
         if r0 <= config.epsilon:
             trace = ConvergenceTrace(tuple(residuals), tuple(objectives), 0, True)
@@ -319,7 +313,7 @@ def run_fixed_point(config: SchedulerConfig, base_load_mw: np.ndarray,
 
         def respond(signal, profiles_kw):
             out = profiles_kw / KW_PER_MW
-            out -= signal.values
+            out -= signal
             _project(stations, out)
             out *= KW_PER_MW
             return out
@@ -327,8 +321,8 @@ def run_fixed_point(config: SchedulerConfig, base_load_mw: np.ndarray,
     while iterations < config.max_iterations:
         profiles = respond(signal, profiles)
         iterations += 1
-        new_signal = compute_control_signal(base_load_mw, profiles, config.lam, iterations)
-        residual = float(np.max(np.abs(new_signal.values - signal.values)))
+        new_signal = compute_control_signal(base_load_mw, profiles, config.lam)
+        residual = float(np.max(np.abs(new_signal - signal)))
         objective = flattening_objective(base_load_mw, profiles)
         # compare response rounds only: the starting profiles may not satisfy
         # the energy equalities yet, and restoring them can only add load

@@ -45,7 +45,6 @@ from evgrid.grid import BusKind, GridCase
 from evgrid.metrics import BaseLoadProfile
 from evgrid.scheduler import (
     ENERGY_TOL,
-    ControlSignal,
     ConvergenceTrace,
     InfeasibleSessionError,
     SchedulerConfig,
@@ -225,14 +224,14 @@ def _reference_project(c, previous, lo, hi, energy, dt, label):
     return np.clip(base + nu, lo, hi)
 
 
-def reference_solve(signal: ControlSignal, previous_kw: np.ndarray, lo_kw: np.ndarray,
+def reference_solve(signal: np.ndarray, previous_kw: np.ndarray, lo_kw: np.ndarray,
                     hi_kw: np.ndarray, energy_kwh: float, ev_id: str,
                     config: SchedulerConfig) -> np.ndarray:
     """One station's proximal update against the broadcast signal, in kW,
     with every per-station quantity derived inside the call."""
     try:
         p_mw = _reference_project(
-            c=signal.values,
+            c=signal,
             previous=previous_kw / KW_PER_MW,
             lo=lo_kw / KW_PER_MW,
             hi=hi_kw / KW_PER_MW,
@@ -353,7 +352,7 @@ def reference_horizon(config: SchedulerConfig, base_load_mw: np.ndarray,
     delivered_kwh: dict[str, float] = {}
     profiles: dict[str, np.ndarray] = {}
     bus_ids: dict[str, int] = {}
-    carried: ControlSignal | None = None
+    carried: np.ndarray | None = None
     step_traces: list[ConvergenceTrace] = []
     flags: list[str] = []
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import (UNITY_CASE_TEXT, DATA_DIR, DESK_DIR, assert_identical, cell_text,
                       file_ints, finite_floats, make_session, round_trip)
-from evgrid import cli, coordinator, fileio
+from evgrid import cli, coordinator, fileio, metrics
 from evgrid.cli import main
 from evgrid.fileio import read_schedule_blocks, read_schedules, write_schedules
 from evgrid.fleet import write_sessions
@@ -183,6 +183,14 @@ class TestPreflight:
                               pv_mw={"2": 50.0})
         fails_before_any_work(tmp_path, capsys, ["powerflow", "-c", str(config)],
                               "pv_mw: powerflow without a base load solves")
+
+    def test_slot_without_a_base_load(self, tmp_path, capsys, monkeypatch):
+        # without a base load there are no slots, so the slot would be
+        # dropped without a word
+        monkeypatch.setattr(cli, "solve_power_flow", no_power_flow)
+        argv = ["powerflow", "--case", str(DATA_DIR / "wscc9.case"), "--slot", "500"]
+        fails_before_any_work(tmp_path, capsys, argv,
+                              "slot: powerflow without a base load has no slots")
 
     def test_added_session_on_a_bus_without_base_load(self, tmp_path, capsys):
         config = small_inputs(tmp_path)
@@ -441,6 +449,7 @@ def test_benchmark_tracer_binds_every_layer(tmp_path):
     names = {span[0] for span in spans}
     assert {"fileio.read", "powerflow.solve", "fileio.write"} <= names
     spans = traced("simulate", "-c", "src/evgrid/data/desk/config.json")
+    assert {"metrics.compare", "metrics.report"} <= {span[0] for span in spans}
     solves = sum(1 for span in spans if span[0] == "scheduler.solve")
     stations_x_rounds = sum(span[4]["stations"] * span[4]["rounds"]
                             for span in spans if span[0] == "scheduler.fixed_point")
@@ -679,3 +688,43 @@ class TestCompareCommand:
         capsys.readouterr()
         for name in ("report.json", "report.txt"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_zero_peak_reports_no_shaving(self, tmp_path):
+        """An all-zero base load and no EVs peak at 0 MW: the report shows
+        0 % shaving instead of dividing by the zero peak."""
+        base = tmp_path / "base.csv"
+        base.write_text("slot,bus_id,mw\n" + "".join(
+            f"{t},{bus},0.0\n" for t in range(4) for bus in (5, 7, 9)))
+        none = tmp_path / "none.csv"
+        write_schedules(none, [], [], np.zeros((0, 4)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)}
+        done = subprocess.run(
+            [sys.executable, "-m", "evgrid.cli", "compare",
+             "--case", str(DATA_DIR / "wscc9.case"), "--base-load", str(base),
+             "--uncoordinated", str(none), "--coordinated", str(none),
+             "-o", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "Traceback" not in done.stderr
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["peak"]["shaving_pct"] == 0.0
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_report_text_is_rendered_from_the_written_dict(tmp_path, capsys, command):
+    """``report.txt`` and stdout are ``render_report`` of the dict that
+    ``report.json`` holds, read back from the file."""
+    out = tmp_path / "out"
+    if command == "simulate":
+        argv = ["simulate", "-c", str(DESK_DIR / "config.json")]
+    else:
+        unc, coord = tmp_path / "unc.csv", tmp_path / "coord.csv"
+        write_schedules(unc, ["a", "b"], [5, 9], np.full((2, 16), 30000.0))
+        write_schedules(coord, ["a", "b"], [5, 9], np.full((2, 16), 12000.0))
+        argv = ["compare", "-c", str(small_inputs(tmp_path)),
+                "--uncoordinated", str(unc), "--coordinated", str(coord)]
+    assert main([*argv, "-o", str(out)]) == 0
+    text = metrics.render_report(json.loads((out / "report.json").read_text()))
+    assert (out / "report.txt").read_bytes() == text.encode("utf-8")
+    assert capsys.readouterr().out == text

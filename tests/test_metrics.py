@@ -23,7 +23,6 @@ from evgrid.metrics import (
     evaluate_grid_at_slot,
     read_base_load,
     render_report,
-    report_to_dict,
     write_base_load,
 )
 from evgrid.powerflow import solve_power_flow
@@ -298,56 +297,63 @@ class TestCompareScenarios:
         base = constant_base({5: 90.0, 7: 100.0, 9: 125.0}, slots=4)
         profiles = [(5, np.full(4, 1500.0))]
         report = compare(wscc_case, base, profiles, profiles)
-        assert report.peak_shaving_pct == 0.0
-        assert report.slot_before == report.slot_after == 0
-        assert report.line_current_reduction_pct == 0.0
-        for row in report.bus_voltages:
-            assert row.v_after == row.v_before
+        assert report["peak"]["shaving_pct"] == 0.0
+        assert report["peak"]["slot_before"] == report["peak"]["slot_after"] == 0
+        assert report["line_current_total"]["reduction_pct"] == 0.0
+        for row in report["bus_voltages"]:
+            assert row["after_pu"] == row["before_pu"]
         # an unchanged swing dispatch is worth a note
-        assert any("did not fall" in d for d in report.diagnostics)
+        assert any("did not fall" in d for d in report["diagnostics"])
 
     def test_shaving_percentage(self, wscc_case):
         mw = np.array([[100.0, 180.0, 120.0, 90.0]])
         base = BaseLoadProfile((5,), mw)
         coordinated = [(5, np.array([25.0, -55.0, 5.0, 35.0]) * 1000.0)]
-        report = compare(wscc_case, base, [], coordinated)
-        assert report.peak_before_mw == 180.0
-        assert report.slot_before == 1
-        assert report.peak_after_mw == pytest.approx(125.0, abs=1e-9)
-        assert report.slot_after == 0
-        assert report.peak_shaving_pct == pytest.approx(
+        peak = compare(wscc_case, base, [], coordinated)["peak"]
+        assert peak["before_mw"] == 180.0
+        assert peak["slot_before"] == 1
+        assert peak["after_mw"] == pytest.approx(125.0, abs=1e-9)
+        assert peak["slot_after"] == 0
+        assert peak["shaving_pct"] == pytest.approx(
             100.0 * (180.0 - 125.0) / 180.0, rel=1e-12)
+
+    def test_zero_peak_shaves_nothing(self, wscc_case):
+        # no load at all: the shaving is 0 %, as a zero line total's is
+        base = constant_base({5: 0.0, 7: 0.0, 9: 0.0}, slots=3)
+        peak = compare(wscc_case, base, [], [])["peak"]
+        assert peak["before_mw"] == peak["after_mw"] == 0.0
+        assert_identical(peak["shaving_pct"], 0.0)
 
     def test_peak_tie_goes_to_earliest_slot(self, wscc_case):
         mw = np.array([[150.0, 150.0, 140.0]])
         base = BaseLoadProfile((5,), mw)
-        report = compare(wscc_case, base, [], [])
-        assert report.slot_before == 0
-        assert report.slot_after == 0
+        peak = compare(wscc_case, base, [], [])["peak"]
+        assert peak["slot_before"] == 0
+        assert peak["slot_after"] == 0
 
     def test_transformers_excluded_from_line_total(self, wscc_case):
         base = constant_base({5: 90.0, 7: 100.0, 9: 125.0}, slots=2)
         report = compare(wscc_case, base, [], [])
         transformer_ends = {(1, 4), (3, 6), (8, 2)}
         line_sum = 0.0
-        for row in report.branch_currents:
-            expected_line = (row.from_bus, row.to_bus) not in transformer_ends
-            assert row.is_line is expected_line
-            if row.is_line:
-                line_sum += row.amps_before
-        assert report.line_current_total_before_a == pytest.approx(
+        for row in report["branch_currents"]:
+            expected_line = (row["from_bus"], row["to_bus"]) not in transformer_ends
+            assert row["is_line"] is expected_line
+            if row["is_line"]:
+                line_sum += row["before_a"]
+        assert report["line_current_total"]["before_a"] == pytest.approx(
             line_sum, rel=1e-12)
-        assert len(report.branch_currents) == 9
+        assert len(report["branch_currents"]) == 9
 
     def test_voltage_rows_cover_pq_buses(self, wscc_case):
         base = constant_base({5: 90.0, 7: 100.0, 9: 125.0}, slots=2)
         report = compare(wscc_case, base, [], [])
-        assert [r.bus_id for r in report.bus_voltages] == [4, 5, 6, 7, 8, 9]
+        assert [r["bus"] for r in report["bus_voltages"]] == [4, 5, 6, 7, 8, 9]
 
     def test_flags_passed_through(self, wscc_case):
         base = constant_base({5: 90.0}, slots=2)
         report = compare(wscc_case, base, [], [], flags=("step 3: something notable",))
-        assert report.flags == ("step 3: something notable",)
+        assert report["flags"] == ["step 3: something notable"]
 
     def test_divergent_power_flow_reported_with_label(self, wscc_case):
         base = constant_base({5: 5000.0}, slots=2)
@@ -364,12 +370,14 @@ class TestCompareScenarios:
         coordinated = [(5, np.full(slots, 20000.0)),
                        (9, np.full(slots, 22500.0))]
         report = compare(wscc_case, base, uncoordinated, coordinated)
-        assert report.peak_shaving_pct > 0.0
-        assert report.line_current_total_after_a < report.line_current_total_before_a
-        assert report.swing_after.p_mw < report.swing_before.p_mw
-        assert report.diagnostics == ()
-        for row in report.bus_voltages:
-            assert row.v_after > row.v_before
+        assert report["peak"]["shaving_pct"] > 0.0
+        lines = report["line_current_total"]
+        assert lines["after_a"] < lines["before_a"]
+        swing = report["generation"]["swing"]
+        assert swing["after"]["p_mw"] < swing["before"]["p_mw"]
+        assert report["diagnostics"] == []
+        for row in report["bus_voltages"]:
+            assert row["after_pu"] > row["before_pu"]
 
 
 class TestReportOutput:
@@ -381,10 +389,10 @@ class TestReportOutput:
         return compare(wscc_case, base, uncoordinated, coordinated, flags=("note one",))
 
     def test_dict_is_json_ready(self, report):
-        payload = report_to_dict(report)
-        parsed = json.loads(json.dumps(payload))
-        assert parsed["peak"]["before_mw"] == report.peak_before_mw
-        assert parsed["peak"]["shaving_pct"] == report.peak_shaving_pct
+        parsed = json.loads(json.dumps(report))
+        assert parsed == report
+        assert parsed["peak"]["before_mw"] == report["peak"]["before_mw"]
+        assert parsed["peak"]["shaving_pct"] == report["peak"]["shaving_pct"]
         assert len(parsed["bus_voltages"]) == 6
         assert len(parsed["branch_currents"]) == 9
         assert parsed["generation"]["swing"]["bus"] == 1
@@ -400,4 +408,4 @@ class TestReportOutput:
         assert "PQ bus voltages (pu)" in text
         assert "note one" in text
         # percent strings match the stored numbers
-        assert f"{report.peak_shaving_pct:.2f}%" in text
+        assert f"{report['peak']['shaving_pct']:.2f}%" in text

@@ -14,7 +14,6 @@ from evgrid import scheduler
 from evgrid.fleet import KW_PER_MW
 from evgrid.scheduler import (
     ENERGY_TOL,
-    ControlSignal,
     InfeasibleSessionError,
     SchedulerConfig,
     SchedulerError,
@@ -49,7 +48,7 @@ def solve_one(signal, previous_kw, session, config):
     """``solve_task`` for one session as a prepared station, in and out in
     kW; the session's target lies strictly inside its box."""
     p = previous_kw / KW_PER_MW
-    p -= signal.values
+    p -= signal
     stations = prepare_stations(session_bounds([session], config.slots),
                                 [session.energy_kwh], [session.ev_id], config.slot_hours)
     lo, hi = stations.bounds[0]
@@ -107,21 +106,21 @@ class TestControlSignal:
     def test_zero_profiles(self):
         base = np.full(4, 80.0)
         signal = compute_control_signal(base, np.zeros((5, 4)), lam=2.0)
-        assert np.array_equal(signal.values, base / 10.0)
+        assert np.array_equal(signal, base / 10.0)
 
     def test_doubling_lambda_halves(self):
         base = np.linspace(50.0, 120.0, 8)
         profiles = np.random.default_rng(0).uniform(0, 6.6, (3, 8))
         one = compute_control_signal(base, profiles, lam=2.0)
         two = compute_control_signal(base, profiles, lam=4.0)
-        assert np.allclose(two.values * 2.0, one.values, rtol=0, atol=1e-15)
+        assert np.allclose(two * 2.0, one, rtol=0, atol=1e-15)
 
     def test_worked_example(self):
         # B = 100 MW flat, N = 2, lambda = 2, profiles sum to 10 MW flat
         base = np.full(6, 100.0)
         profiles = np.full((2, 6), 5000.0)    # kW
         signal = compute_control_signal(base, profiles, lam=2.0)
-        assert np.array_equal(signal.values, np.full(6, 27.5))
+        assert np.array_equal(signal, np.full(6, 27.5))
 
     def test_zero_stations_rejected(self):
         with pytest.raises(SchedulerError, match="zero"):
@@ -292,7 +291,7 @@ class TestStationSubproblem:
                 p_max_kw=float(hi.max()) * 1000.0,
                 d_max_kw=float(lo.min()) * 1000.0,
             )
-            got_kw = solve_one(ControlSignal(c, 0), prev_mw * 1000.0, session, config)
+            got_kw = solve_one(c, prev_mw * 1000.0, session, config)
             want = oracles.active_set_minimize(
                 c, prev_mw, lo, hi, energy, 0.25) * 1000.0
             assert np.max(np.abs(got_kw - want)) < 1e-6
@@ -312,7 +311,7 @@ class TestStationSubproblem:
                 d_max_kw=float(lo.min()) * 1000.0,
             )
             prev_kw = prev_mw * 1000.0
-            p = solve_one(ControlSignal(c, 0), prev_kw, session, config)
+            p = solve_one(c, prev_kw, session, config)
             lo_kw, hi_kw = session_bounds([session], 8)[0]
             c_kw = c * 1000.0
 
@@ -340,7 +339,7 @@ class TestStationSubproblem:
         for k in (2.0, 10.0, 0.5):
             sig = compute_control_signal(base, profiles, lam=config.lam)
             scaled = compute_control_signal(base, profiles, lam=config.lam * k)
-            rescaled = ControlSignal(scaled.values * k, scaled.iteration)
+            rescaled = scaled * k
             a = solve_one(sig, profiles[0], session, config)
             b = solve_one(rescaled, profiles[0], session, config)
             assert np.array_equal(a, b)
@@ -349,7 +348,7 @@ class TestStationSubproblem:
         config = small_config()
         bad = make_session(energy_kwh=1e6)
         with pytest.raises(InfeasibleSessionError) as err:
-            solve_one(ControlSignal(np.zeros(16), 0), np.zeros(16), bad, config)
+            solve_one(np.zeros(16), np.zeros(16), bad, config)
         lo_kwh, hi_kwh = err.value.feasible_kwh
         # the window holds 8 slots x 0.25 h x 6.6 kW = 13.2 kWh
         assert hi_kwh == pytest.approx(13.2, abs=1e-9)
@@ -460,7 +459,7 @@ class TestPreparedStations:
     def test_one_round_matches_reference_solve(self, stack):
         config, base, *stations, init = stack
         one_round = replace(config, max_iterations=1)
-        signal = compute_control_signal(base, init, config.lam, 0)
+        signal = compute_control_signal(base, init, config.lam)
         got = outcome(lambda: run_fixed_point(one_round, base, *stations, init).profiles_kw)
         want = outcome(lambda: reference_respond(*stations, config)(signal, init))
         if isinstance(want, np.ndarray):
@@ -482,7 +481,7 @@ class TestPreparedStations:
         else:
             assert got.profiles_kw.tobytes() == want.profiles_kw.tobytes()
             assert_identical(got.trace, want.trace)
-            assert got.signal.values.tobytes() == want.signal.values.tobytes()
+            assert got.signal.tobytes() == want.signal.tobytes()
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_first_unreachable_row_is_named(self, reverse):
@@ -499,7 +498,7 @@ class TestPreparedStations:
         targets, ids = [s.energy_kwh for s in sessions], [s.ev_id for s in sessions]
         init = np.zeros((4, 16))
         first = 0 if reverse else 1
-        signal = compute_control_signal(base, init, config.lam, 0)
+        signal = compute_control_signal(base, init, config.lam)
         want = outcome(lambda: oracles.reference_solve(
             signal, init[first], *bounds[first], targets[first], ids[first], config))
         got = outcome(lambda: run_fixed_point(config, base, bounds, targets, ids, init))
@@ -552,8 +551,8 @@ class TestRunUntilConverged:
         assert trace.converged
         # replay the broadcast/respond loop by hand
         manual = np.zeros((1, 16))
-        for i in range(trace.iterations):
-            signal = compute_control_signal(base, manual, config.lam, i)
+        for _ in range(trace.iterations):
+            signal = compute_control_signal(base, manual, config.lam)
             manual = solve_one(signal, manual[0], session, config)[None, :]
         assert np.array_equal(profiles, manual)
 
