@@ -241,6 +241,9 @@ def preflight(cfg: RunConfig, command: str) -> Inputs:
     missing = [n for n in _REQUIRED[command] if getattr(cfg, f"{n}_path") is None]
     if missing:
         raise ValueError(f"missing required input(s): {', '.join(missing)}")
+    if cfg.slot is not None and command != "powerflow":
+        raise ValueError(f"slot: only powerflow takes a snapshot slot; drop slot "
+                         f"from {command}")
     if command == "gen-fleet":
         if cfg.fleet_spec is None:
             raise ValueError("config has no fleet spec")
@@ -310,7 +313,10 @@ def _load_sessions(cfg: RunConfig) -> FleetScenario:
     if cfg.sessions_path is not None:
         sessions = sorted(fleet.read_sessions(cfg.sessions_path),
                           key=lambda s: s.ev_id)
-        return FleetScenario(tuple(sessions), sched.slots, sched.slot_hours)
+        try:
+            return FleetScenario(tuple(sessions), sched.slots, sched.slot_hours)
+        except fleet.FleetError as exc:
+            raise ValueError(f"{cfg.sessions_path}: {exc}") from None
     if cfg.fleet_spec is not None:
         return fleet.generate_fleet(cfg.seed, cfg.fleet_spec)
     raise ValueError("config provides neither sessions nor a fleet spec")

@@ -17,9 +17,10 @@ sorted id order, of the committed kW, the last profiles and the delivered
 kWh.  The bounds of the active stations are one ``(N, 2, T)`` kW array
 from ``scheduler.session_bounds``, rebuilt and pinned to the committed
 prefix only when an event changes the active set or a target.  Every step
-checks reachability over all rows at once, clamps the unreachable targets,
-hands the bounds and targets to the fixed point as they are, commits its
-block in one array operation and pins that block into the bounds in place.
+checks reachability over all rows at once and flags the unreachable
+targets, hands the bounds and targets to the fixed point as they are (an
+unreachable target gets its nearer bound row there), commits its block in
+one array operation and pins that block into the bounds in place.
 """
 
 from __future__ import annotations
@@ -137,7 +138,8 @@ def schedule_events(events: list[ScriptedEvent], session_ids, slots: int,
                     steps: int) -> dict[int, list[ScriptedEvent]]:
     """Group ``events`` by the re-planning step that applies them, after
     checking the step count, every event slot and every added session's
-    window and rate bounds, and replaying the ev_ids in that order:
+    rate box (``EvSession.validate_box``), and replaying the ev_ids in that
+    order:
     ``update_energy`` and ``remove_session`` need a live id, and
     ``add_session`` a new one (a removed id is not reused)."""
     if steps < 1 or steps > slots:
@@ -148,12 +150,8 @@ def schedule_events(events: list[ScriptedEvent], session_ids, slots: int,
         if not 0 <= event.slot < slots:
             raise CoordinatorError(f"event slot {event.slot} outside 0..{slots - 1}")
         if event.kind == "add_session":
-            if not 0 <= event.t_start < event.t_end <= slots:
-                raise CoordinatorError(
-                    f"event at slot {event.slot}: window [{event.t_start}, {event.t_end}) "
-                    f"of {event.ev_id!r} outside horizon of {slots} slots")
             try:
-                _added_session(event).validate_rates()
+                _added_session(event).validate_box(slots)
             except FleetError as exc:
                 raise CoordinatorError(f"event at slot {event.slot}: {exc}") from None
         # an event lands at the first re-planning instant at or after its
@@ -258,22 +256,21 @@ def run_receding_horizon(config: SchedulerConfig, base_load_mw: np.ndarray,
             bounds = session_bounds(active, t)
             bounds[:, :, :slot0] = committed[rows, None, :slot0]
 
-        # a target beyond what the pinned bounds can still reach is clamped
-        # to the nearer end, and flagged at every step it stays so
+        # a target the pinned bounds can no longer reach is flagged at every
+        # step it stays so; the fixed point gives it the nearer bound row
         lo_kwh, hi_kwh = bounds.sum(axis=2).T * dt
         unreachable = (energy < lo_kwh - 1e-9) | (energy > hi_kwh + 1e-9)
-        target = np.where(unreachable, np.clip(energy, lo_kwh, hi_kwh), energy)
         for k in np.flatnonzero(unreachable):
             flags.append(
                 f"step {tau}: session {active_ids[k]} energy target "
                 f"{active[k].energy_kwh!r} kWh outside reachable "
                 f"[{float(lo_kwh[k])!r}, {float(hi_kwh[k])!r}]; "
-                f"clamped to {float(target[k])!r}"
+                f"clamped to {float(np.clip(energy[k], lo_kwh[k], hi_kwh[k]))!r}"
             )
 
         initial_signal = carried if not changed else None
-        result = run_fixed_point(config, base_load_mw, bounds, target, active_ids,
-                                 profiles[rows], initial_signal)
+        result = run_fixed_point(config, base_load_mw, bounds, energy, profiles[rows],
+                                 initial_signal)
         if not result.trace.converged:
             flags.append(
                 f"step {tau}: fixed point not converged after "

@@ -39,29 +39,24 @@ class EvSession:
         if not fileio.is_plain_cell(self.ev_id):
             raise FleetError(f"ev_id {self.ev_id!r} contains a comma or line break")
 
-    @property
-    def window_slots(self) -> int:
-        return self.t_end - self.t_start
-
-    def energy_bounds_kwh(self, slot_hours: float) -> tuple[float, float]:
-        w = self.window_slots * slot_hours
-        return self.d_max_kw * w, self.p_max_kw * w
-
     def validate(self, slots: int, slot_hours: float) -> None:
-        if not (0 <= self.t_start < self.t_end <= slots):
-            raise FleetError(
-                f"session {self.ev_id}: window [{self.t_start}, {self.t_end}) "
-                f"outside horizon of {slots} slots"
-            )
-        self.validate_rates()
-        lo, hi = self.energy_bounds_kwh(slot_hours)
+        """The rate box (``validate_box``) and an energy target it can reach."""
+        self.validate_box(slots)
+        hours = (self.t_end - self.t_start) * slot_hours
+        lo, hi = self.d_max_kw * hours, self.p_max_kw * hours
         if not (lo - 1e-9 <= self.energy_kwh <= hi + 1e-9):
             raise FleetError(
                 f"session {self.ev_id}: energy {self.energy_kwh} kWh outside "
                 f"feasible interval [{lo}, {hi}] kWh"
             )
 
-    def validate_rates(self) -> None:
+    def validate_box(self, slots: int) -> None:
+        """A window inside ``slots`` and finite rates with d_max <= 0 <= p_max."""
+        if not (0 <= self.t_start < self.t_end <= slots):
+            raise FleetError(
+                f"session {self.ev_id}: window [{self.t_start}, {self.t_end}) "
+                f"outside horizon of {slots} slots"
+            )
         if not (math.isfinite(self.p_max_kw) and math.isfinite(self.d_max_kw)):
             raise FleetError(
                 f"session {self.ev_id}: rate bounds must be finite, "

@@ -16,22 +16,22 @@ for the continuous quadratic knapsack; Kiwiel 2008, Condat 2016).
 
 The work is split by how often its inputs change:
 
-- once per fixed point, just before its first round (``prepare_stations``):
-  the (N, 2, T) kW bounds and the kWh targets the caller hands in,
-  converted to MW; the bound totals; the reach check, which names the first
-  station in row order whose target lies outside its box; the snap of each
-  row whose target lies on a bound total to that bound row; and the +/-1
-  slope of each breakpoint.  A step that converges on the carried signal
-  runs no round and prepares nothing;
+- once per fixed point, just before its first round: the (N, 2, T) kW
+  bounds and the kWh targets the caller hands in, converted to MW, and
+  (``prepare_stations``) the bound totals; the snap of each row whose
+  target lies on or beyond one of its bound totals to that bound row; and
+  the +/-1 slope of each breakpoint.  A step that converges on the carried
+  signal runs no round and prepares nothing;
 - once per round, for all rows at once: previous - c in MW, the (N, 2T)
   breakpoints, each row's shift by its nu, one clip to the bounds, the
   snapped rows' bound profiles, and the conversion back to kW;
 - per station, per round (``solve_task``): the breakpoint search alone,
   which returns the station's nu.
 
-Stations are rows throughout: row k of the bounds, the targets, the ids and
-the profiles is one station, which sees only the broadcast signal and its
-own row.
+Stations are rows throughout: row k of the bounds, the targets and the
+profiles is one station, which sees only the broadcast signal and its own
+row.  A target out of reach is not an error here (the session loader is
+what rejects one): it gets the nearer bound row.
 """
 
 from __future__ import annotations
@@ -50,17 +50,6 @@ ENERGY_TOL = 1e-12
 
 class SchedulerError(ValueError):
     pass
-
-
-class InfeasibleSessionError(SchedulerError):
-    def __init__(self, ev_id: str, energy_kwh: float, lo_kwh: float, hi_kwh: float):
-        self.ev_id = ev_id
-        self.energy_kwh = energy_kwh
-        self.feasible_kwh = (lo_kwh, hi_kwh)
-        super().__init__(
-            f"station {ev_id}: energy target {energy_kwh!r} kWh outside the "
-            f"box-reachable interval [{lo_kwh!r}, {hi_kwh!r}] kWh"
-        )
 
 
 @dataclass(frozen=True)
@@ -126,9 +115,8 @@ def flattening_objective(base_load_mw: np.ndarray, profiles_kw: np.ndarray) -> f
 class PreparedStations:
     """The round-invariant part of every station's subproblem, in MW.
 
-    Built once per fixed point by ``prepare_stations``, which has already
-    rejected any row whose target lies outside its box; row k is station k.
-    A row whose target lies on one of its bound totals, within
+    Built once per fixed point by ``prepare_stations``; row k is station k.
+    A row whose target lies on or beyond one of its bound totals, within
     ``ENERGY_TOL``, is snapped: its profile is that bound row whatever the
     signal, so each round writes the row from ``snap_profiles`` and
     ``solve_task`` returns no shift for it.
@@ -143,24 +131,16 @@ class PreparedStations:
     slopes: np.ndarray               # (2T,): +1 at a lo breakpoint, -1 at a hi one
 
 
-def _prepare(bounds: np.ndarray, energy: np.ndarray, labels: list[str],
-             dt: float) -> PreparedStations:
-    """Stations from their (N, 2, T) bounds and energy targets in one
-    consistent unit system; the first row in row order whose target is out of
-    reach raises ``InfeasibleSessionError`` in those units."""
+def prepare_stations(bounds: np.ndarray, energy: np.ndarray,
+                     dt: float) -> PreparedStations:
+    """Stations from their (N, 2, T) bounds and energy targets in one unit
+    system, sorted into free rows and rows snapped to the bound row whose
+    total their target lies on (within ``ENERGY_TOL``) or beyond, hi first."""
     lo_total, hi_total = bounds.sum(axis=2).T
-    lo_sum = lo_total * dt
-    hi_sum = hi_total * dt
-    slack = np.maximum(ENERGY_TOL, 1e-9 * np.maximum(1.0, np.abs(energy)))
-    bad = (energy < lo_sum - slack) | (energy > hi_sum + slack)
-    if bad.any():
-        k = int(bad.argmax())
-        raise InfeasibleSessionError(labels[k], float(energy[k]), float(lo_sum[k]),
-                                     float(hi_sum[k]))
     # compare the miss itself, so a snapped profile misses by at most
-    # ENERGY_TOL, not by ENERGY_TOL plus the rounding of hi_sum - ENERGY_TOL
-    at_hi = hi_sum - energy <= ENERGY_TOL
-    snapped = at_hi | (energy - lo_sum <= ENERGY_TOL)
+    # ENERGY_TOL, not by ENERGY_TOL plus the rounding of a shifted bound total
+    at_hi = hi_total * dt - energy <= ENERGY_TOL
+    snapped = at_hi | (energy - lo_total * dt <= ENERGY_TOL)
     rows = np.flatnonzero(snapped)
     return PreparedStations(
         bounds=bounds,
@@ -172,22 +152,6 @@ def _prepare(bounds: np.ndarray, energy: np.ndarray, labels: list[str],
         snap_profiles=bounds[rows, at_hi[rows].astype(np.intp)],
         slopes=np.repeat((1.0, -1.0), bounds.shape[2]),
     )
-
-
-def prepare_stations(bounds_kw: np.ndarray, energy_kwh, ev_ids: list[str],
-                     dt: float) -> PreparedStations:
-    """The stations' (N, 2, T) kW bounds and kWh targets in MW, checked for
-    reach and sorted into free and snapped rows.  An unreachable target
-    raises ``InfeasibleSessionError`` naming the first such station, with
-    its interval in kWh."""
-    try:
-        return _prepare(bounds_kw / KW_PER_MW,
-                        np.asarray(energy_kwh, dtype=float) / KW_PER_MW, ev_ids, dt)
-    except InfeasibleSessionError as exc:
-        # the stations work in MW; report the interval in kWh
-        raise InfeasibleSessionError(
-            exc.ev_id, exc.energy_kwh * KW_PER_MW,
-            exc.feasible_kwh[0] * KW_PER_MW, exc.feasible_kwh[1] * KW_PER_MW) from None
 
 
 def _project(stations: PreparedStations, p: np.ndarray) -> None:
@@ -202,8 +166,7 @@ def _project(stations: PreparedStations, p: np.ndarray) -> None:
 
 
 def project_to_energy_box(c: np.ndarray, previous: np.ndarray, lo: np.ndarray,
-                          hi: np.ndarray, energy: float, dt: float,
-                          label: str = "station") -> np.ndarray:
+                          hi: np.ndarray, energy: float, dt: float) -> np.ndarray:
     """Minimize sum(c*p) + 0.5*||p - previous||^2 over the box with an energy
     equality sum(p)*dt == energy.
 
@@ -211,11 +174,12 @@ def project_to_energy_box(c: np.ndarray, previous: np.ndarray, lo: np.ndarray,
     is p = clip(previous - c + mu*dt, lo, hi).  sum(p(mu)) is continuous,
     nondecreasing and piecewise linear in mu, so mu is found exactly by
     sorting its 2T breakpoints and interpolating on the segment that reaches
-    the energy target; no iteration, no stopping tolerance.
+    the energy target; no iteration, no stopping tolerance.  A target on or
+    beyond a bound total returns that bound row.
     """
     p = np.subtract(previous, c, dtype=float)[None]
-    stations = _prepare(np.array((lo, hi), dtype=float)[None],
-                        np.array([energy], dtype=float), [label], dt)
+    stations = prepare_stations(np.array((lo, hi), dtype=float)[None],
+                                np.array([energy], dtype=float), dt)
     _project(stations, p)
     return p[0]
 
@@ -261,15 +225,14 @@ class FixedPointResult:
 
 
 def run_fixed_point(config: SchedulerConfig, base_load_mw: np.ndarray,
-                    bounds_kw: np.ndarray, energy_kwh, ev_ids: list[str],
+                    bounds_kw: np.ndarray, energy_kwh,
                     initial_profiles: np.ndarray | None = None,
                     initial_signal: np.ndarray | None = None,
                     respond=None) -> FixedPointResult:
     """Iterate broadcast/gather until the signal residual drops below epsilon.
 
-    Station k has the kW bounds ``bounds_kw[k]`` = (lo, hi), the energy
-    target ``energy_kwh[k]`` and the id ``ev_ids[k]``, which names it in an
-    infeasibility error.
+    Station k has the kW bounds ``bounds_kw[k]`` = (lo, hi) and the energy
+    target ``energy_kwh[k]``; a target out of reach gets the nearer bound row.
 
     When ``initial_signal`` is supplied and the first computed signal already
     matches it within epsilon the state is taken as converged with zero
@@ -309,7 +272,9 @@ def run_fixed_point(config: SchedulerConfig, base_load_mw: np.ndarray,
     if respond is None:
         # prepared only now, so that a step that converges on the carried
         # signal prepares nothing
-        stations = prepare_stations(bounds_kw, energy_kwh, ev_ids, config.slot_hours)
+        stations = prepare_stations(bounds_kw / KW_PER_MW,
+                                    np.asarray(energy_kwh, dtype=float) / KW_PER_MW,
+                                    config.slot_hours)
 
         def respond(signal, profiles_kw):
             out = profiles_kw / KW_PER_MW
@@ -355,6 +320,5 @@ def run_until_converged(config: SchedulerConfig, base_load_mw: np.ndarray,
     return the per-EV kW profiles plus the trace.
     """
     result = run_fixed_point(config, base_load_mw, session_bounds(sessions, config.slots),
-                             [s.energy_kwh for s in sessions],
-                             [s.ev_id for s in sessions], initial_profiles)
+                             [s.energy_kwh for s in sessions], initial_profiles)
     return result.profiles_kw, result.trace

@@ -46,7 +46,6 @@ from evgrid.metrics import BaseLoadProfile
 from evgrid.scheduler import (
     ENERGY_TOL,
     ConvergenceTrace,
-    InfeasibleSessionError,
     SchedulerConfig,
     run_fixed_point,
 )
@@ -200,16 +199,12 @@ def active_set_minimize(c: np.ndarray, previous: np.ndarray, lo: np.ndarray,
 # One station's breakpoint search, from its task alone
 
 
-def _reference_project(c, previous, lo, hi, energy, dt, label):
+def _reference_project(c, previous, lo, hi, energy, dt):
     lo_total = float(lo.sum())
-    lo_sum = lo_total * dt
-    hi_sum = float(hi.sum()) * dt
-    slack = max(ENERGY_TOL, 1e-9 * max(1.0, abs(energy)))
-    if energy < lo_sum - slack or energy > hi_sum + slack:
-        raise InfeasibleSessionError(label, energy, lo_sum, hi_sum)
-    if hi_sum - energy <= ENERGY_TOL:
+    # a target on or beyond a bound total gets that bound row, hi first
+    if float(hi.sum()) * dt - energy <= ENERGY_TOL:
         return hi.copy()
-    if energy - lo_sum <= ENERGY_TOL:
+    if energy - lo_total * dt <= ENERGY_TOL:
         return lo.copy()
     base = previous - c
     t = base.size
@@ -225,24 +220,18 @@ def _reference_project(c, previous, lo, hi, energy, dt, label):
 
 
 def reference_solve(signal: np.ndarray, previous_kw: np.ndarray, lo_kw: np.ndarray,
-                    hi_kw: np.ndarray, energy_kwh: float, ev_id: str,
+                    hi_kw: np.ndarray, energy_kwh: float,
                     config: SchedulerConfig) -> np.ndarray:
     """One station's proximal update against the broadcast signal, in kW,
     with every per-station quantity derived inside the call."""
-    try:
-        p_mw = _reference_project(
-            c=signal,
-            previous=previous_kw / KW_PER_MW,
-            lo=lo_kw / KW_PER_MW,
-            hi=hi_kw / KW_PER_MW,
-            energy=energy_kwh / KW_PER_MW,
-            dt=config.slot_hours,
-            label=ev_id,
-        )
-    except InfeasibleSessionError as exc:
-        raise InfeasibleSessionError(
-            ev_id, exc.energy_kwh * KW_PER_MW,
-            exc.feasible_kwh[0] * KW_PER_MW, exc.feasible_kwh[1] * KW_PER_MW) from None
+    p_mw = _reference_project(
+        c=signal,
+        previous=previous_kw / KW_PER_MW,
+        lo=lo_kw / KW_PER_MW,
+        hi=hi_kw / KW_PER_MW,
+        energy=energy_kwh / KW_PER_MW,
+        dt=config.slot_hours,
+    )
     return p_mw * KW_PER_MW
 
 
@@ -383,6 +372,8 @@ def reference_horizon(config: SchedulerConfig, base_load_mw: np.ndarray,
             hi_kwh = float(hi.sum()) * dt
             energy = session.energy_kwh
             if energy < lo_kwh - 1e-9 or energy > hi_kwh + 1e-9:
+                # clamped here, where the library hands the target on as it
+                # is and its station snaps to the nearer bound row instead
                 clamped = min(max(energy, lo_kwh), hi_kwh)
                 flags.append(
                     f"step {tau}: session {ev_id} energy target {energy!r} kWh "
@@ -395,8 +386,8 @@ def reference_horizon(config: SchedulerConfig, base_load_mw: np.ndarray,
                 init[k] = profiles[ev_id]
 
         initial_signal = carried if not changed else None
-        result = run_fixed_point(config, base_load_mw, bounds, targets, active_ids,
-                                 init, initial_signal)
+        result = run_fixed_point(config, base_load_mw, bounds, targets, init,
+                                 initial_signal)
         if not result.trace.converged:
             flags.append(
                 f"step {tau}: fixed point not converged after "

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from conftest import (UNITY_CASE_TEXT, DATA_DIR, DESK_DIR, assert_identical, cel
 from evgrid import cli, coordinator, fileio, metrics
 from evgrid.cli import main
 from evgrid.fileio import read_schedule_blocks, read_schedules, write_schedules
-from evgrid.fleet import write_sessions
+from evgrid.fleet import read_sessions, write_sessions
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -192,6 +193,42 @@ class TestPreflight:
         fails_before_any_work(tmp_path, capsys, argv,
                               "slot: powerflow without a base load has no slots")
 
+    @pytest.mark.parametrize("command", ["simulate", "schedule", "compare"])
+    @pytest.mark.parametrize("in_config", [False, True])
+    def test_slot_outside_powerflow(self, tmp_path, capsys, no_horizon, command, in_config):
+        # only powerflow solves a snapshot slot; any other command would
+        # drop it without a word
+        config = small_inputs(tmp_path)
+        schedule = tmp_path / "schedule.csv"
+        write_schedules(schedule, ["a"], [5], np.ones((1, 16)))
+        argv = [command, "-c", str(config), "--uncoordinated", str(schedule),
+                "--coordinated", str(schedule)]
+        if in_config:
+            write_config(config, **{**json.loads(config.read_text()), "slot": 5})
+        else:
+            argv += ["--slot", "5"]
+        fails_before_any_work(tmp_path, capsys, argv, "slot: only powerflow takes a "
+                              f"snapshot slot; drop slot from {command}")
+
+    @pytest.mark.parametrize("command", ["schedule", "simulate"])
+    @pytest.mark.parametrize("change,message", [
+        ({"energy_kwh": 99999.0},
+         "session b5e2: energy 99999.0 kWh outside feasible interval [-600.0, 600.0] kWh"),
+        ({"t_end": 20}, "session b5e2: window [2, 20) outside horizon of 16 slots"),
+        ({"ev_id": "b5e1"}, "duplicate ev_id(s) in scenario: ['b5e1']"),
+    ], ids=["unreachable", "window", "duplicate"])
+    def test_bad_session_names_the_sessions_file(self, tmp_path, capsys, no_horizon,
+                                                  command, change, message):
+        # the loader is the only reach and window check: the solver takes
+        # any target, so an unreachable one must stop here
+        config = small_inputs(tmp_path)
+        path = tmp_path / "sessions.csv"
+        sessions = read_sessions(path)
+        sessions[2] = replace(sessions[2], **change)
+        write_sessions(path, sessions)
+        fails_before_any_work(tmp_path, capsys, [command, "-c", str(config)],
+                              f"{path}: {message}")
+
     def test_added_session_on_a_bus_without_base_load(self, tmp_path, capsys):
         config = small_inputs(tmp_path)
         events = tmp_path / "events.csv"
@@ -241,7 +278,7 @@ class TestPreflight:
                           + "30,add_session,late5z,5,-2,90,10.0,200.0,-200.0\n")
         argv = ["simulate", "-c", str(DESK_DIR / "config.json"), "--events", str(events)]
         fails_before_any_work(tmp_path, capsys, argv, "events.csv: event at slot 30: "
-                              "window [-2, 90) of 'late5z' outside horizon of 96 slots")
+                              "session late5z: window [-2, 90) outside horizon of 96 slots")
 
     def test_added_session_rate_bounds(self, tmp_path, capsys):
         events = tmp_path / "events.csv"
@@ -572,6 +609,17 @@ class TestGenFleetCommand:
         fails_before_any_work(tmp_path, capsys, ["gen-fleet", "-c", str(config)],
                               f"fleet.json: fleet.{key}: expected a finite number, "
                               f"got {shown!r}")
+
+    @pytest.mark.parametrize("in_config", [False, True])
+    def test_slot_rejected(self, tmp_path, capsys, in_config):
+        config = self.fleet_config(tmp_path, {"5": 3})
+        argv = ["gen-fleet", "-c", str(config)]
+        if in_config:
+            write_config(config, **{**json.loads(config.read_text()), "slot": 5})
+        else:
+            argv += ["--slot", "5"]
+        fails_before_any_work(tmp_path, capsys, argv, "slot: only powerflow takes a "
+                              "snapshot slot; drop slot from gen-fleet")
 
     def test_shipped_sessions_regenerate(self, tmp_path, capsys):
         out = tmp_path / "out"

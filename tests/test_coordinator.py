@@ -210,6 +210,10 @@ class TestRecedingHorizon:
         # everything still inside the window and rate box
         assert np.array_equal(committed[12:], np.zeros(4))
         assert np.all(committed <= 6.6 + 1e-12)
+        # from the step that applies the update on, the target is out of
+        # reach and the station answers with its hi row, p_max in every
+        # open slot
+        assert np.array_equal(committed[8:12], np.full(4, 6.6))
 
     def test_non_convergence_flagged(self):
         config = small_config(max_iterations=1, epsilon=1e-12)
@@ -238,7 +242,7 @@ class TestRecedingHorizon:
                               t_start=t_start, t_end=t_end, energy_kwh=1.0,
                               p_max_kw=6.6, d_max_kw=-6.6)
         with pytest.raises(CoordinatorError, match=(
-                rf"event at slot 6: window \[{t_start}, {t_end}\) of 'late' "
+                rf"event at slot 6: session late: window \[{t_start}, {t_end}\) "
                 "outside horizon of 16 slots")):
             run_receding_horizon(small_config(), shaped_base(), self.base_scenario(),
                                  steps=4, events=[event])

@@ -14,7 +14,6 @@ from evgrid import scheduler
 from evgrid.fleet import KW_PER_MW
 from evgrid.scheduler import (
     ENERGY_TOL,
-    InfeasibleSessionError,
     SchedulerConfig,
     SchedulerError,
     aggregate_ev_mw,
@@ -49,8 +48,8 @@ def solve_one(signal, previous_kw, session, config):
     kW; the session's target lies strictly inside its box."""
     p = previous_kw / KW_PER_MW
     p -= signal
-    stations = prepare_stations(session_bounds([session], config.slots),
-                                [session.energy_kwh], [session.ev_id], config.slot_hours)
+    stations = prepare_stations(session_bounds([session], config.slots) / KW_PER_MW,
+                                np.array([session.energy_kwh]) / KW_PER_MW, config.slot_hours)
     lo, hi = stations.bounds[0]
     nu = solve_task(stations, 0, np.concatenate((lo - p, hi - p)))
     return np.clip(p + nu, lo, hi) * KW_PER_MW
@@ -206,13 +205,15 @@ class TestProjection:
         p = project_to_energy_box(np.ones(4), np.zeros(4), lo, hi, -6.6, 0.25)
         assert np.array_equal(p, lo)
 
-    def test_infeasible_reports_interval(self):
-        lo = np.zeros(4)
+    def test_unreachable_target_gets_the_nearer_bound_row(self):
+        # the box reaches [-0.5, 2.0]; a target past either end is not an
+        # error, it gets the bound row on that side
+        lo = np.array([-0.5, -0.0, -1.5, -0.0])
         hi = np.full(4, 2.0)
-        with pytest.raises(InfeasibleSessionError) as err:
-            project_to_energy_box(np.zeros(4), np.zeros(4), lo, hi, 99.0, 0.25)
-        assert err.value.feasible_kwh == (0.0, 2.0)
-        assert "99.0" in str(err.value)
+        c = np.array([5.0, -3.0, 40.0, 0.1])
+        for energy, row in ((99.0, hi), (2.5, hi), (-0.6, lo), (-99.0, lo)):
+            p = project_to_energy_box(c, np.zeros(4), lo, hi, energy, 0.25)
+            assert p.tobytes() == row.tobytes()
 
     @settings(max_examples=120, deadline=None)
     @given(seed=st.integers(0, 10_000))
@@ -271,11 +272,12 @@ class TestProjection:
         within = edge + (step if above else -step) * 1e-4
         p = project_to_energy_box(c, previous, lo, hi, within, dt)
         assert np.array_equal(p, hi if above else lo)
+        # beyond it, the nearer bound row, bit for bit, as the reference gives
         beyond = edge + (step if above else -step)
-        with pytest.raises(InfeasibleSessionError) as err:
-            project_to_energy_box(c, previous, lo, hi, beyond, dt, label="ev")
-        assert err.value.ev_id == "ev"
-        assert err.value.feasible_kwh == (lo_sum, hi_sum)
+        p = project_to_energy_box(c, previous, lo, hi, beyond, dt)
+        assert p.tobytes() == (hi if above else lo).tobytes()
+        want = oracles._reference_project(c, previous, lo, hi, beyond, dt)
+        assert p.tobytes() == want.tobytes()
 
 
 class TestStationSubproblem:
@@ -344,16 +346,22 @@ class TestStationSubproblem:
             b = solve_one(rescaled, profiles[0], session, config)
             assert np.array_equal(a, b)
 
-    def test_infeasible_session_error_in_kwh(self):
-        config = small_config()
-        bad = make_session(energy_kwh=1e6)
-        with pytest.raises(InfeasibleSessionError) as err:
-            solve_one(np.zeros(16), np.zeros(16), bad, config)
-        lo_kwh, hi_kwh = err.value.feasible_kwh
-        # the window holds 8 slots x 0.25 h x 6.6 kW = 13.2 kWh
-        assert hi_kwh == pytest.approx(13.2, abs=1e-9)
-        assert lo_kwh == pytest.approx(-13.2, abs=1e-9)
-        assert err.value.energy_kwh == pytest.approx(1e6)
+    def test_unreachable_session_gets_its_bound_row(self):
+        """A kWh target out of reach is taken as given: the station
+        answers with its nearer kW bound row, as the per-station reference
+        does, and delivers the box's end, 8 slots x 0.25 h x 6.6 kW."""
+        config = small_config(max_iterations=1)
+        base = np.linspace(40.0, 90.0, config.slots)
+        init = np.zeros((1, config.slots))
+        signal = compute_control_signal(base, init, config.lam)
+        for energy_kwh, side, delivered in ((1e6, 1, 13.2), (-1e6, 0, -13.2)):
+            session = make_session(energy_kwh=energy_kwh)
+            bounds = session_bounds([session], config.slots)
+            got = run_fixed_point(config, base, bounds, [energy_kwh], init).profiles_kw[0]
+            want = oracles.reference_solve(signal, init[0], *bounds[0], energy_kwh, config)
+            assert got.tobytes() == want.tobytes()
+            assert got.tobytes() == (bounds[0, side] / KW_PER_MW * KW_PER_MW).tobytes()
+            assert float(got.sum()) * config.slot_hours == pytest.approx(delivered, abs=1e-9)
 
 
 DT = 0.25
@@ -385,13 +393,13 @@ def _target_kwh(rng, lo, hi, grid):
 
 @st.composite
 def station_stacks(draw):
-    """(config, base load MW, (N, 2, T) kW bounds, kWh targets, ids,
-    starting kW profiles) for one fixed point.  Windows may be empty and slots pinned (lo == hi).  On the
-    integer grid the bounds are whole MW and the signal is zero, so the
-    breakpoints are integers and tie; otherwise a random base load and
-    starting profiles give a slot-varying signal, from far below to far above
-    the stations' rates.  At most one station may have a target beyond its
-    reachable interval."""
+    """(config, base load MW, (N, 2, T) kW bounds, kWh targets, starting kW
+    profiles) for one fixed point.  Windows may be empty and slots pinned
+    (lo == hi).  On the integer grid the bounds are whole MW and the signal
+    is zero, so the breakpoints are integers and tie; otherwise a random base
+    load and starting profiles give a slot-varying signal, from far below to
+    far above the stations' rates.  At most one station may have a target
+    1 kWh beyond its reachable interval."""
     t = draw(st.sampled_from([1, 2, 7, 96]))
     n = draw(st.integers(1, 6))
     grid = draw(st.booleans())
@@ -417,76 +425,72 @@ def station_stacks(draw):
         targets.append(energy)
     config = small_config(slots=t, slot_hours=DT, lam=float(rng.choice([0.5, 2.0, 10.0])),
                           max_iterations=40)
-    ids = [f"s{k}" for k in range(n)]
     if grid:
-        return config, np.zeros(t), bounds, targets, ids, np.zeros((n, t))
+        return config, np.zeros(t), bounds, targets, np.zeros((n, t))
     init = rng.uniform(bounds[:, 0], bounds[:, 1])
     scale = float(rng.choice([0.01, 1.0, 100.0]))
-    return config, rng.uniform(0.0, scale, t), bounds, targets, ids, init
+    return config, rng.uniform(0.0, scale, t), bounds, targets, init
 
 
-def outcome(run):
-    """What ``run()`` returns, or the infeasibility it raises."""
-    try:
-        return run()
-    except InfeasibleSessionError as exc:
-        return exc.ev_id, exc.energy_kwh, exc.feasible_kwh, str(exc)
-
-
-def reference_respond(bounds, targets, ids, config):
+def reference_respond(bounds, targets, config):
     def respond(signal, profiles_kw):
         return np.array([oracles.reference_solve(signal, profiles_kw[k], lo, hi,
-                                                 targets[k], ids[k], config)
+                                                 targets[k], config)
                          for k, (lo, hi) in enumerate(bounds)])
     return respond
+
+
+def unreachable_rows(bounds, targets):
+    """``(row, side)`` for every target more than 0.5 kWh beyond its box,
+    side 1 above it and 0 below."""
+    lo_kwh, hi_kwh = bounds.sum(axis=2).T * DT
+    targets = np.asarray(targets)
+    return [(int(k), int(targets[k] > hi_kwh[k]))
+            for k in np.flatnonzero((targets > hi_kwh + 0.5) | (targets < lo_kwh - 0.5))]
 
 
 # a station whose target is its lo total, with -0.0 lower bounds: its profile
 # is the lo row, -0.0 included, which clipping to (-0.0, 0.0) would turn
 # into 0.0
 NEGATIVE_ZERO_SNAP = (small_config(slots=2, slot_hours=DT, max_iterations=40), np.zeros(2),
-                      np.array([[[-0.0, -0.0], [0.0, 1000.0]]]), [0.0], ["s0"],
-                      np.zeros((1, 2)))
+                      np.array([[[-0.0, -0.0], [0.0, 1000.0]]]), [0.0], np.zeros((1, 2)))
 
 
 class TestPreparedStations:
     """The prepared per-row search against the per-call form it replaced
-    (``oracles.reference_solve``): identical bytes, identical errors."""
+    (``oracles.reference_solve``): identical bytes, an unreachable row
+    included."""
 
     @settings(max_examples=300, deadline=None)
     @given(stack=station_stacks())
     @example(stack=NEGATIVE_ZERO_SNAP)
     def test_one_round_matches_reference_solve(self, stack):
-        config, base, *stations, init = stack
+        config, base, bounds, targets, init = stack
         one_round = replace(config, max_iterations=1)
         signal = compute_control_signal(base, init, config.lam)
-        got = outcome(lambda: run_fixed_point(one_round, base, *stations, init).profiles_kw)
-        want = outcome(lambda: reference_respond(*stations, config)(signal, init))
-        if isinstance(want, np.ndarray):
-            assert isinstance(got, np.ndarray)
-            assert got.tobytes() == want.tobytes()
-        else:
-            assert_identical(got, want)
+        got = run_fixed_point(one_round, base, bounds, targets, init).profiles_kw
+        want = reference_respond(bounds, targets, config)(signal, init)
+        assert got.tobytes() == want.tobytes()
+        for k, side in unreachable_rows(bounds, targets):
+            assert got[k].tobytes() == (bounds[k, side] / KW_PER_MW * KW_PER_MW).tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(stack=station_stacks())
     @example(stack=NEGATIVE_ZERO_SNAP)
     def test_fixed_point_matches_reference_respond(self, stack):
-        config, base, *stations, init = stack
-        got = outcome(lambda: run_fixed_point(config, base, *stations, init))
-        want = outcome(lambda: run_fixed_point(
-            config, base, *stations, init, respond=reference_respond(*stations, config)))
-        if isinstance(want, tuple):
-            assert_identical(got, want)
-        else:
-            assert got.profiles_kw.tobytes() == want.profiles_kw.tobytes()
-            assert_identical(got.trace, want.trace)
-            assert got.signal.tobytes() == want.signal.tobytes()
+        config, base, bounds, targets, init = stack
+        got = run_fixed_point(config, base, bounds, targets, init)
+        want = run_fixed_point(config, base, bounds, targets, init,
+                               respond=reference_respond(bounds, targets, config))
+        assert got.profiles_kw.tobytes() == want.profiles_kw.tobytes()
+        assert_identical(got.trace, want.trace)
+        assert got.signal.tobytes() == want.signal.tobytes()
 
     @pytest.mark.parametrize("reverse", [False, True])
-    def test_first_unreachable_row_is_named(self, reverse):
-        """With several unreachable targets the first in row order is named,
-        with the kWh interval text of the per-station reference."""
+    def test_unreachable_rows_get_their_bound_rows(self, reverse):
+        """Several unreachable targets, in either row order: each row ends
+        the fixed point on its own nearer bound row, and the reachable rows
+        still meet their targets."""
         config = small_config()
         base = np.full(16, 50.0)
         sessions = [make_session(ev_id="ok"), make_session(ev_id="high", energy_kwh=1e6),
@@ -495,22 +499,24 @@ class TestPreparedStations:
         if reverse:
             sessions.reverse()
         bounds = session_bounds(sessions, config.slots)
-        targets, ids = [s.energy_kwh for s in sessions], [s.ev_id for s in sessions]
-        init = np.zeros((4, 16))
-        first = 0 if reverse else 1
-        signal = compute_control_signal(base, init, config.lam)
-        want = outcome(lambda: oracles.reference_solve(
-            signal, init[first], *bounds[first], targets[first], ids[first], config))
-        got = outcome(lambda: run_fixed_point(config, base, bounds, targets, ids, init))
-        assert got[0] == ("low" if reverse else "high")
-        assert_identical(got, want)
+        targets = [s.energy_kwh for s in sessions]
+        result = run_fixed_point(config, base, bounds, targets, np.zeros((4, 16)))
+        assert result.trace.converged
+        sides = dict(unreachable_rows(bounds, targets))
+        assert sorted(sides.values()) == [0, 1]
+        for k, (row, energy) in enumerate(zip(result.profiles_kw, targets)):
+            if k in sides:
+                assert row.tobytes() == (bounds[k, sides[k]] / KW_PER_MW
+                                         * KW_PER_MW).tobytes()
+            else:
+                assert float(row.sum()) * config.slot_hours == pytest.approx(energy, abs=1e-9)
 
     def test_carried_signal_prepares_and_solves_nothing(self, monkeypatch):
         config = small_config()
         base = np.full(16, 50.0)
         reachable, far = make_session(ev_id="ok"), make_session(ev_id="far", energy_kwh=1e6)
         stations = (session_bounds([reachable, far], config.slots),
-                    [reachable.energy_kwh, far.energy_kwh], ["ok", "far"])
+                    [reachable.energy_kwh, far.energy_kwh])
         init = np.zeros((2, 16))
         carried = compute_control_signal(base, init, config.lam)
         prepared = 0
@@ -526,11 +532,13 @@ class TestPreparedStations:
         assert (result.trace.iterations, result.trace.converged) == (0, True)
         assert np.array_equal(result.profiles_kw, init)
         assert prepared == 0
-        # without the carried signal the same stack runs a round and fails
-        with pytest.raises(InfeasibleSessionError) as err:
-            run_fixed_point(config, base, *stations, init)
-        assert err.value.ev_id == "far"
+        # without the carried signal the same stack prepares once and runs
+        # its rounds; the unreachable row ends on its hi row
+        result = run_fixed_point(config, base, *stations, init)
+        assert result.trace.iterations > 1
         assert prepared == 1
+        hi = stations[0][1, 1]
+        assert result.profiles_kw[1].tobytes() == (hi / KW_PER_MW * KW_PER_MW).tobytes()
 
 
 class TestRunUntilConverged:
@@ -606,7 +614,7 @@ class TestRunUntilConverged:
             return next(scripted)
 
         result = run_fixed_point(config, base, session_bounds([session], 4),
-                                 [session.energy_kwh], [session.ev_id], respond=respond)
+                                 [session.energy_kwh], respond=respond)
         assert result.trace.converged
         assert len(result.trace.diagnostics) == 1
         assert "iteration 2" in result.trace.diagnostics[0]
