@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import coordinator, fileio, fleet, metrics
-from .fleet import FleetScenario, FleetSpec
+from .fleet import EvSession, FleetSpec
 from .grid import BusKind, GridCase, build_admittance_matrix, load_grid_case
 from .metrics import ReactiveAssumptions
 from .powerflow import PowerFlowError, compute_line_flows, solve_power_flow
@@ -113,10 +113,8 @@ def _by_bus(name: str, section, kind) -> dict:
     return out
 
 
-def _fleet_spec(section, scheduler: SchedulerConfig) -> FleetSpec:
-    # the slot grid is the scheduler's, so the fleet section cannot set it
-    kinds = {key: kind for key, kind in _kinds(FleetSpec).items()
-             if key not in ("slots", "slot_hours")}
+def _fleet_spec(section) -> FleetSpec:
+    kinds = _kinds(FleetSpec)
     spec = _keys("fleet", section, kinds)
     missing = sorted(set(kinds) - set(spec))
     if missing:
@@ -130,7 +128,7 @@ def _fleet_spec(section, scheduler: SchedulerConfig) -> FleetSpec:
     for key, value in [*floats, *(("energy_kwh_range", v) for v in spec["energy_kwh_range"])]:
         if not math.isfinite(value):
             raise ValueError(f"fleet.{key}: expected a finite number, got {value!r}")
-    return FleetSpec(slots=scheduler.slots, slot_hours=scheduler.slot_hours, **spec)
+    return FleetSpec(**spec)
 
 
 def load_run_config(config_path: str | None, overrides: dict) -> RunConfig:
@@ -207,7 +205,7 @@ def _parse_config(raw, overrides: dict, base_dir: Path) -> RunConfig:
         pf_max_iter=pf_max_iter,
         reactive=ReactiveAssumptions(**reactive_raw),
         pv_mw=_by_bus("pv_mw", raw.get("pv_mw", {}), float),
-        fleet_spec=_fleet_spec(raw["fleet"], scheduler) if "fleet" in raw else None,
+        fleet_spec=_fleet_spec(raw["fleet"]) if "fleet" in raw else None,
         slot=pick("slot", "slot", None),
     )
 
@@ -218,7 +216,7 @@ class Inputs:
 
     case: GridCase | None = None
     base: metrics.BaseLoadProfile | None = None
-    scenario: FleetScenario | None = None
+    sessions: tuple[EvSession, ...] = ()
     events: list[coordinator.ScriptedEvent] = field(default_factory=list)
     # uncoordinated, coordinated
     loads: list[metrics.ScenarioLoads] = field(default_factory=list)
@@ -247,7 +245,8 @@ def preflight(cfg: RunConfig, command: str) -> Inputs:
     if command == "gen-fleet":
         if cfg.fleet_spec is None:
             raise ValueError("config has no fleet spec")
-        return Inputs(scenario=fleet.generate_fleet(cfg.seed, cfg.fleet_spec))
+        return Inputs(sessions=fleet.generate_fleet(
+            cfg.seed, cfg.fleet_spec, cfg.scheduler.slots, cfg.scheduler.slot_hours))
 
     case = load_grid_case(cfg.case_path)
     inputs = Inputs(case=case)
@@ -276,9 +275,14 @@ def preflight(cfg: RunConfig, command: str) -> Inputs:
             raise ValueError(
                 f"base load has {base.slots} slots, scheduler expects {cfg.scheduler.slots}"
             )
-        inputs.scenario = _load_sessions(cfg)
-        _on_load_buses(cfg.sessions_path or "fleet",
-                       [s.bus_id for s in inputs.scenario.sessions], base)
+        inputs.sessions = _load_sessions(cfg)
+        label = cfg.sessions_path or "fleet"
+        _on_load_buses(label, [s.bus_id for s in inputs.sessions], base)
+        # simulate's uncoordinated baseline only charges; schedule runs V2G
+        for s in inputs.sessions if command == "simulate" else ():
+            if s.energy_kwh < 0:
+                raise ValueError(f"{label}: session {s.ev_id}: the uncoordinated baseline "
+                                 f"needs a non-negative energy target, got {s.energy_kwh} kWh")
     if command == "simulate" and not 1 <= cfg.horizon_steps <= base.slots:
         raise ValueError(f"horizon_steps {cfg.horizon_steps} must be in 1..{base.slots}")
     if command == "simulate" and cfg.events_path is not None:
@@ -287,7 +291,7 @@ def preflight(cfg: RunConfig, command: str) -> Inputs:
                        [e.bus_id for e in inputs.events if e.kind == "add_session"], base)
         try:
             coordinator.schedule_events(inputs.events,
-                                        [s.ev_id for s in inputs.scenario.sessions],
+                                        [s.ev_id for s in inputs.sessions],
                                         cfg.scheduler.slots, cfg.horizon_steps)
         except coordinator.CoordinatorError as exc:
             raise ValueError(f"{cfg.events_path}: {exc}") from None
@@ -308,17 +312,17 @@ def _checked_blocks(path, base: metrics.BaseLoadProfile):
         yield bus_ids, profiles_kw
 
 
-def _load_sessions(cfg: RunConfig) -> FleetScenario:
+def _load_sessions(cfg: RunConfig) -> tuple[EvSession, ...]:
     sched = cfg.scheduler
     if cfg.sessions_path is not None:
         sessions = sorted(fleet.read_sessions(cfg.sessions_path),
                           key=lambda s: s.ev_id)
         try:
-            return FleetScenario(tuple(sessions), sched.slots, sched.slot_hours)
+            return fleet.check_sessions(sessions, sched.slots, sched.slot_hours)
         except fleet.FleetError as exc:
             raise ValueError(f"{cfg.sessions_path}: {exc}") from None
     if cfg.fleet_spec is not None:
-        return fleet.generate_fleet(cfg.seed, cfg.fleet_spec)
+        return fleet.generate_fleet(cfg.seed, cfg.fleet_spec, sched.slots, sched.slot_hours)
     raise ValueError("config provides neither sessions nor a fleet spec")
 
 
@@ -400,15 +404,14 @@ def cmd_powerflow(cfg: RunConfig, inputs: Inputs) -> int:
 
 
 def cmd_schedule(cfg: RunConfig, inputs: Inputs) -> int:
-    scenario = inputs.scenario
+    sessions = inputs.sessions
     base_total = inputs.base.mw.sum(axis=0)
-    profiles, trace = run_until_converged(cfg.scheduler, base_total,
-                                          list(scenario.sessions))
+    profiles, trace = run_until_converged(cfg.scheduler, base_total, list(sessions))
 
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     fileio.write_schedules(cfg.output_dir / "schedules_coordinated.csv",
-                           [s.ev_id for s in scenario.sessions],
-                           [s.bus_id for s in scenario.sessions], profiles)
+                           [s.ev_id for s in sessions], [s.bus_id for s in sessions],
+                           profiles)
     fileio.write_traces(cfg.output_dir / "traces.csv", [trace])
 
     status = "converged" if trace.converged else "did not converge"
@@ -420,17 +423,17 @@ def cmd_schedule(cfg: RunConfig, inputs: Inputs) -> int:
 
 
 def cmd_simulate(cfg: RunConfig, inputs: Inputs) -> int:
-    case, base, scenario = inputs.case, inputs.base, inputs.scenario
-    slots = scenario.slots_per_horizon
+    case, base, sessions = inputs.case, inputs.base, inputs.sessions
+    slots = cfg.scheduler.slots
     uncoordinated = np.array([
-        fleet.uncoordinated_profile(s, slots, scenario.slot_hours) for s in scenario.sessions
+        fleet.uncoordinated_profile(s, slots, cfg.scheduler.slot_hours) for s in sessions
     ]).reshape(-1, slots)
-    unc_ids = [s.ev_id for s in scenario.sessions]
-    unc_buses = [s.bus_id for s in scenario.sessions]
+    unc_ids = [s.ev_id for s in sessions]
+    unc_buses = [s.bus_id for s in sessions]
 
     base_total = base.mw.sum(axis=0)
     result = coordinator.run_receding_horizon(
-        cfg.scheduler, base_total, scenario, cfg.horizon_steps, inputs.events
+        cfg.scheduler, base_total, sessions, cfg.horizon_steps, inputs.events
     )
     coord_buses = [result.bus_ids[e] for e in result.ev_ids]
 
@@ -470,7 +473,7 @@ def cmd_compare(cfg: RunConfig, inputs: Inputs) -> int:
 
 
 def cmd_gen_fleet(cfg: RunConfig, inputs: Inputs) -> int:
-    sessions = inputs.scenario.sessions
+    sessions = inputs.sessions
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     fleet.write_sessions(cfg.output_dir / "sessions.csv", sessions)
     print(f"wrote {len(sessions)} sessions")

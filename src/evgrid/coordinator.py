@@ -5,22 +5,22 @@ broadcast/gather fixed point over the active stations (the scheduler module
 owns the math).  The horizon loop re-optimizes the full day at every step
 with the already committed slots pinned (lower bound = upper bound =
 committed value) and the session's total energy target kept on the full
-horizon.  Pinning past slots
-while retaining the full-horizon energy equality is arithmetically the same
-as shrinking the remaining demand by the delivered energy: the free slots
-must supply exactly the signed remainder, so mid-horizon discharge increases
-what is still owed.
+horizon.  Pinning past slots while retaining the full-horizon energy
+equality is arithmetically the same as shrinking the remaining demand by
+the delivered energy: the free slots must supply exactly the signed
+remainder, so mid-horizon discharge increases what is still owed.
 
-The loop's bookkeeping is array-backed.  Every id that can ever be active
-(the scenario's sessions and the ``add_session`` events) owns one row, in
-sorted id order, of the committed kW, the last profiles and the delivered
-kWh.  The bounds of the active stations are one ``(N, 2, T)`` kW array
-from ``scheduler.session_bounds``, rebuilt and pinned to the committed
+The slot grid is the scheduler config's, and the sessions come checked on it
+(``fleet.check_sessions``).  The loop's bookkeeping is array-backed.  Every
+id that can ever be active (the sessions and the ``add_session`` events) owns
+one row, in sorted id order, of the committed kW, the last profiles and the
+delivered kWh.  The bounds of the active stations are one ``(N, 2, T)`` kW
+array from ``scheduler.session_bounds``, rebuilt and pinned to the committed
 prefix only when an event changes the active set or a target.  Every step
-checks reachability over all rows at once and flags the unreachable
-targets, hands the bounds and targets to the fixed point as they are (an
-unreachable target gets its nearer bound row there), commits its block in
-one array operation and pins that block into the bounds in place.
+checks reachability over all rows at once and flags the unreachable targets,
+hands the bounds and targets to the fixed point as they are (an unreachable
+target gets its nearer bound row there), commits its block in one array
+operation and pins that block into the bounds in place.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import fileio
-from .fleet import EvSession, FleetError, FleetScenario
+from .fleet import EvSession, FleetError
 from .scheduler import (
     ConvergenceTrace,
     SchedulerConfig,
@@ -204,7 +204,7 @@ def _apply_event(event: ScriptedEvent, sessions: dict[str, EvSession], tau: int,
 
 
 def run_receding_horizon(config: SchedulerConfig, base_load_mw: np.ndarray,
-                         scenario: FleetScenario, steps: int,
+                         sessions, steps: int,
                          events: list[ScriptedEvent] = ()) -> HorizonResult:
     """Commit the schedule step by step, re-optimizing as predictions change.
 
@@ -216,17 +216,14 @@ def run_receding_horizon(config: SchedulerConfig, base_load_mw: np.ndarray,
     """
     t = config.slots
     dt = config.slot_hours
-    if scenario.slots_per_horizon != t or scenario.slot_hours != dt:
-        raise CoordinatorError("scenario slot grid differs from scheduler config")
-    events_by_step = schedule_events(events, [s.ev_id for s in scenario.sessions],
-                                     t, steps)
+    events_by_step = schedule_events(events, [s.ev_id for s in sessions], t, steps)
     sps = t // steps
 
-    sessions = {s.ev_id: s for s in scenario.sessions}
+    live = {s.ev_id: s for s in sessions}
     # one row per id that can ever be active, in sorted order, so the rows
     # of any active set are ascending and match its sorted ids
-    ids = sorted(set(sessions) | {e.ev_id for e in events if e.kind == "add_session"})
-    row_of = {ev_id: k for k, ev_id in enumerate(ids)}
+    ids = sorted(set(live) | {e.ev_id for e in events if e.kind == "add_session"})
+    row_by_id = {ev_id: k for k, ev_id in enumerate(ids)}
     committed = np.zeros((len(ids), t))
     profiles = np.zeros((len(ids), t))
     delivered = np.zeros(len(ids))
@@ -243,13 +240,13 @@ def run_receding_horizon(config: SchedulerConfig, base_load_mw: np.ndarray,
 
         step_events = events_by_step.get(tau, [])
         for event in step_events:
-            _apply_event(event, sessions, tau, flags, float(delivered[row_of[event.ev_id]]))
+            _apply_event(event, live, tau, flags, float(delivered[row_by_id[event.ev_id]]))
         changed = bool(step_events)
 
         if tau == 0 or changed:
-            active_ids = sorted(sessions)
-            active = [sessions[ev_id] for ev_id in active_ids]
-            rows = np.array([row_of[ev_id] for ev_id in active_ids], dtype=np.intp)
+            active_ids = sorted(live)
+            active = [live[ev_id] for ev_id in active_ids]
+            rows = np.array([row_by_id[ev_id] for ev_id in active_ids], dtype=np.intp)
             ever_active[rows] = True
             bus_ids.update((s.ev_id, s.bus_id) for s in active)
             energy = np.array([s.energy_kwh for s in active], dtype=float)

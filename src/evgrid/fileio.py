@@ -7,9 +7,9 @@ cell must not contain a comma or a line break (see ``is_plain_cell``).  Every
 reader goes through ``read_table``, which streams the data rows from the open
 file, checks each row's cell count against the header and reports a bad row
 as ``path:line``; ``read_rows`` locates a row that does not parse the same
-way.  Schedule files are read in blocks of rows
-(``read_schedule_blocks``), so a caller that only sums them never holds the
-whole per-EV matrix.
+way, and the schedule reader a row with a non-finite kW cell.  Schedule
+files are read in blocks of rows (``read_schedule_blocks``), so a caller
+that only sums them never holds the whole per-EV matrix.
 """
 
 from __future__ import annotations
@@ -152,12 +152,16 @@ def _parse_schedule_rows(path, rows, slots: int) -> tuple[list[str], list[int], 
         profiles = (np.loadtxt([line for _, line in rows], delimiter=",", comments=None,
                                usecols=range(2, slots + 2), ndmin=2)
                     if slots else np.zeros((len(rows), 0)))
+        if not np.isfinite(profiles).all():
+            raise ValueError("non-finite kW cell")
     except ValueError:
         for n, line in rows:                 # name the first bad row
             _, bus_id, *kw = line.split(",")
             try:
                 int(bus_id)
-                np.array(kw, dtype=float)
+                bad = np.flatnonzero(~np.isfinite(np.array(kw, dtype=float)))
+                if bad.size:
+                    raise ValueError(f"kw_{bad[0]} {kw[bad[0]]} is not finite")
             except ValueError as exc:
                 raise ValueError(f"{path}:{n}: {exc}") from None
         raise

@@ -1,9 +1,9 @@
 """EV session model, synthetic fleet generation, and the uncoordinated baseline.
 
 Charging rates are kW at the session plug (positive = charging, negative =
-V2G discharge); energies are kWh.  Slot width and horizon length come from
-the scenario so sessions themselves stay unit-light.  The grid side works in
-MW; ``KW_PER_MW`` is the one conversion factor between the two.
+V2G discharge); energies are kWh.  The slot grid is the scheduler config's,
+so sessions stay unit-light.  The grid side works in MW; ``KW_PER_MW`` is
+the one conversion factor between the two.
 """
 
 from __future__ import annotations
@@ -69,19 +69,17 @@ class EvSession:
             )
 
 
-@dataclass(frozen=True)
-class FleetScenario:
-    sessions: tuple[EvSession, ...]
-    slots_per_horizon: int
-    slot_hours: float
-
-    def __post_init__(self):
-        ids = [s.ev_id for s in self.sessions]
-        if len(set(ids)) != len(ids):
-            dupes = sorted({i for i in ids if ids.count(i) > 1})
-            raise FleetError(f"duplicate ev_id(s) in scenario: {dupes}")
-        for s in self.sessions:
-            s.validate(self.slots_per_horizon, self.slot_hours)
+def check_sessions(sessions, slots: int, slot_hours: float) -> tuple[EvSession, ...]:
+    """``sessions`` as a tuple, once their ev_ids are checked unique and each
+    session is checked (``EvSession.validate``) on the slot grid."""
+    sessions = tuple(sessions)
+    ids = [s.ev_id for s in sessions]
+    if len(set(ids)) != len(ids):
+        dupes = sorted({i for i in ids if ids.count(i) > 1})
+        raise FleetError(f"duplicate ev_id(s) in scenario: {dupes}")
+    for s in sessions:
+        s.validate(slots, slot_hours)
+    return sessions
 
 
 # --- synthetic fleet generation ----------------------------------------------
@@ -91,8 +89,6 @@ class FleetSpec:
     """Distribution parameters for deterministic fleet generation."""
 
     counts: dict[int, int]            # bus id -> number of sessions
-    slots: int
-    slot_hours: float
     arrival_mean_slot: float
     arrival_std_slots: float
     duration_mean_slots: float
@@ -111,23 +107,27 @@ class FleetSpec:
             raise FleetError("rates must satisfy d_max <= 0 <= p_max")
         if lo > 0 and self.p_max_kw == 0:
             raise FleetError("positive energy demanded but p_max is zero")
-        if self.duration_mean_slots < 1 or self.slots < 2:
+        if self.duration_mean_slots < 1:
             raise FleetError("horizon/duration too short to place sessions")
 
 
-def generate_fleet(seed: int, spec: FleetSpec) -> FleetScenario:
-    """Deterministic synthetic fleet; identical (seed, spec) give identical output."""
+def generate_fleet(seed: int, spec: FleetSpec, slots: int,
+                   slot_hours: float) -> tuple[EvSession, ...]:
+    """Deterministic synthetic fleet, checked (``check_sessions``) on the slot
+    grid; identical arguments give identical output."""
     spec.validate()
+    if slots < 2:
+        raise FleetError("horizon/duration too short to place sessions")
     rng = np.random.default_rng(seed)
     sessions = []
     for bus in sorted(spec.counts):
         for n in range(spec.counts[bus]):
             start = int(round(rng.normal(spec.arrival_mean_slot, spec.arrival_std_slots)))
             duration = int(round(rng.normal(spec.duration_mean_slots, spec.duration_std_slots)))
-            start = min(max(start, 0), spec.slots - 2)
-            end = min(max(start + max(duration, 1), start + 1), spec.slots)
+            start = min(max(start, 0), slots - 2)
+            end = min(max(start + max(duration, 1), start + 1), slots)
             energy = float(rng.uniform(*spec.energy_kwh_range))
-            cap = spec.p_max_kw * (end - start) * spec.slot_hours
+            cap = spec.p_max_kw * (end - start) * slot_hours
             energy = min(max(energy, 0.0), cap)
             sessions.append(
                 EvSession(
@@ -140,7 +140,7 @@ def generate_fleet(seed: int, spec: FleetSpec) -> FleetScenario:
                     d_max_kw=spec.d_max_kw,
                 )
             )
-    return FleetScenario(tuple(sessions), spec.slots, spec.slot_hours)
+    return check_sessions(sessions, slots, slot_hours)
 
 
 # --- uncoordinated baseline ----------------------------------------------
@@ -149,14 +149,9 @@ def uncoordinated_profile(session: EvSession, slots: int, slot_hours: float) -> 
     """Plug-in-and-charge-at-full-rate baseline; no V2G.
 
     Charges at p_max from arrival, with a fractional final slot so the
-    delivered energy matches the demand exactly.  ``session`` is taken as
-    validated for this slot grid, as ``FleetScenario`` does at load.
+    delivered energy matches the demand exactly.  ``session`` is checked at
+    load (``check_sessions``; ``simulate`` requires a non-negative target).
     """
-    if session.energy_kwh < 0:
-        raise FleetError(
-            f"session {session.ev_id}: baseline undefined for net-discharge "
-            f"energy {session.energy_kwh} kWh"
-        )
     profile = np.zeros(slots)
     remaining = session.energy_kwh
     for t in range(session.t_start, session.t_end):

@@ -155,6 +155,12 @@ _BUS_COLUMNS = 7
 _BRANCH_COLUMNS = 6
 
 
+def _finite(text: str) -> float:
+    if not math.isfinite(value := float(text)):
+        raise ValueError(f"expected a finite number, got {text.strip()!r}")
+    return value
+
+
 def parse_grid_case(text: str, name: str = "<case>") -> GridCase:
     """Parse the sectioned case format; raises GridCaseError with file:line."""
     s_base = None
@@ -177,9 +183,9 @@ def parse_grid_case(text: str, name: str = "<case>") -> GridCase:
             if key.strip() != "s_base_mva" or not value.strip():
                 raise GridCaseError(f"{loc}: expected 's_base_mva = <MVA>', got {line!r}")
             try:
-                s_base = float(value)
-            except ValueError:
-                raise GridCaseError(f"{loc}: s_base_mva is not a number: {value.strip()!r}") from None
+                s_base = _finite(value)
+            except ValueError as exc:
+                raise GridCaseError(f"{loc}: s_base_mva: {exc}") from None
         elif section == "buses":
             bus_rows.append((lineno, line.split()))
         elif section == "branches":
@@ -200,7 +206,7 @@ def parse_grid_case(text: str, name: str = "<case>") -> GridCase:
         try:
             bus_id = int(cols[0])
             kind = BusKind(cols[1].lower())
-            v_mag, angle_deg, p_mw, q_mvar, base_kv = map(float, cols[2:])
+            v_mag, angle_deg, p_mw, q_mvar, base_kv = map(_finite, cols[2:])
         except ValueError as exc:
             raise GridCaseError(f"{loc}: {exc}") from None
         buses.append(
@@ -226,8 +232,8 @@ def parse_grid_case(text: str, name: str = "<case>") -> GridCase:
             )
         try:
             f, t = int(cols[0]), int(cols[1])
-            r, x, b = map(float, cols[2:5])
-            tap = float(cols[5]) if len(cols) == _BRANCH_COLUMNS else 1.0
+            r, x, b = map(_finite, cols[2:5])
+            tap = _finite(cols[5]) if len(cols) == _BRANCH_COLUMNS else 1.0
         except ValueError as exc:
             raise GridCaseError(f"{loc}: {exc}") from None
         branches.append(Branch(from_bus=f, to_bus=t, r=r, x=x, b_shunt=b, tap=tap))

@@ -38,7 +38,7 @@ BASE_LOAD_HEADER = ["slot", "bus_id", "mw"]
 
 @dataclass(frozen=True)
 class BaseLoadProfile:
-    """Per-bus base load in MW over the horizon; rows follow bus_ids."""
+    """Per-bus base load in MW (values checked by ``read_base_load``); rows follow bus_ids."""
 
     bus_ids: tuple[int, ...]
     mw: np.ndarray                    # shape (len(bus_ids), T)
@@ -50,18 +50,10 @@ class BaseLoadProfile:
             raise MetricsError(
                 f"base load shape {self.mw.shape} does not match {len(self.bus_ids)} buses"
             )
-        if not np.all(np.isfinite(self.mw)) or np.any(self.mw < 0):
-            raise MetricsError("base load must be finite and non-negative")
 
     @property
     def slots(self) -> int:
         return self.mw.shape[1]
-
-    def row_of(self, bus_id: int) -> int:
-        try:
-            return self.bus_ids.index(bus_id)
-        except ValueError:
-            raise MetricsError(f"bus {bus_id} carries no base load row") from None
 
     def validate_against(self, case: GridCase) -> None:
         for bus_id in self.bus_ids:
@@ -79,10 +71,16 @@ def write_base_load(path, profile: BaseLoadProfile) -> None:
     fileio.write_rows(path, BASE_LOAD_HEADER, rows)
 
 
+def _base_load_row(cells: list[str]) -> tuple[int, int, float]:
+    slot, bus_id, mw = int(cells[0]), int(cells[1]), float(cells[2])
+    if not 0.0 <= mw < math.inf:
+        raise MetricsError(f"base load {mw} MW must be finite and non-negative")
+    return slot, bus_id, mw
+
+
 def read_base_load(path) -> BaseLoadProfile:
     cells: dict[tuple[int, int], float] = {}
-    rows = fileio.read_rows(path, BASE_LOAD_HEADER,
-                            lambda r: (int(r[0]), int(r[1]), float(r[2])))
+    rows = fileio.read_rows(path, BASE_LOAD_HEADER, _base_load_row)
     for slot, bus_id, mw in rows:
         if (slot, bus_id) in cells:
             raise MetricsError(f"{path}: duplicate entry for slot {slot}, bus {bus_id}")
@@ -142,24 +140,16 @@ class ScenarioLoads:
 def aggregate_load(base: BaseLoadProfile, blocks) -> ScenarioLoads:
     """Add EV profiles onto the base load.
 
-    ``blocks`` yields ``(bus_ids, profiles_kw)`` pairs, with one kW row per
-    EV in ``profiles_kw`` (shape ``(len(bus_ids), T)``); each block is used
-    as it arrives, so a file can be summed while it is read.  Each bus's rows
-    are accumulated one after another in the given order, so reruns are
+    ``blocks`` yields ``(bus_ids, profiles_kw)`` pairs on ``base``'s buses, one kW
+    row per EV in ``profiles_kw`` (shape ``(len(bus_ids), T)``); each block is
+    used as it arrives, so a file can be summed while it is read.  Each bus's
+    rows are accumulated one after another in the given order, so reruns are
     bit-identical and the sum does not depend on how the rows are blocked.
     """
     ev_mw = np.zeros_like(base.mw)
     index = {bus_id: k for k, bus_id in enumerate(base.bus_ids)}
     for bus_ids, profiles_kw in blocks:
-        profiles_kw = np.asarray(profiles_kw, dtype=float)
-        if profiles_kw.shape != (len(bus_ids), base.slots):
-            raise MetricsError(
-                f"profiles of {len(bus_ids)} EVs have shape {profiles_kw.shape}, "
-                f"expected ({len(bus_ids)}, {base.slots})"
-            )
-        # row_of raises the error for a bus with no row
-        rows = np.array([index[bus_id] if bus_id in index else base.row_of(bus_id)
-                         for bus_id in bus_ids], dtype=np.intp)
+        rows = np.array([index[bus_id] for bus_id in bus_ids], dtype=np.intp)
         scaled = profiles_kw / KW_PER_MW
         for k in range(len(base.bus_ids)):
             # cumsum adds row after row, as a per-row loop would
@@ -173,9 +163,8 @@ def evaluate_grid_at_slot(case: GridCase, loads: ScenarioLoads, slot: int,
                           ybus: np.ndarray | None = None,
                           tol: float = 1e-8, max_iter: int = 20,
                           ) -> tuple[PowerFlowSolution, list[LineFlow]]:
-    """Power flow with PQ injections taken from the scenario at one slot."""
-    if not 0 <= slot < loads.base_mw.shape[1]:
-        raise MetricsError(f"slot {slot} outside horizon")
+    """Power flow with PQ injections taken from the scenario at one slot; the
+    slot and the PV dispatch come checked (``cli.preflight``)."""
     base_mw = loads.base_mw[:, slot]
     ev_mw = loads.ev_mw[:, slot]
     q_mvar = assumptions.reactive_mvar(base_mw, ev_mw)
@@ -185,11 +174,8 @@ def evaluate_grid_at_slot(case: GridCase, loads: ScenarioLoads, slot: int,
     for k, bus_id in enumerate(loads.bus_ids):
         p_pu[bus_id] = -(base_mw[k] + ev_mw[k]) / case.s_base
         q_pu[bus_id] = -q_mvar[k] / case.s_base
-    if pv_mw:
-        for bus_id, mw in pv_mw.items():
-            if case.bus(bus_id).kind is not BusKind.PV:
-                raise MetricsError(f"generation override on non-PV bus {bus_id}")
-            p_pu[bus_id] = mw / case.s_base
+    for bus_id, mw in (pv_mw or {}).items():
+        p_pu[bus_id] = mw / case.s_base
 
     loaded = case.with_injections(p_pu, q_pu)
     if ybus is None:

@@ -134,11 +134,6 @@ def solve_power_flow(case: GridCase, ybus: np.ndarray, tol: float = 1e-8,
     Raises NonConvergenceError / SingularJacobianError; on success the
     returned injections are the computed values at the solution state.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-
     m = case.order
     kinds = [b.kind for b in case.buses]
     pv = [i for i in range(m) if kinds[i] is BusKind.PV]

@@ -97,12 +97,10 @@ def aggregate_ev_mw(profiles_kw: np.ndarray) -> np.ndarray:
 
 def compute_control_signal(base_load_mw: np.ndarray, profiles_kw: np.ndarray,
                            lam: float) -> np.ndarray:
-    """Scaled aggregate load broadcast to every station: length T, MW scale."""
-    n = profiles_kw.shape[0]
-    if n == 0:
-        raise SchedulerError("control signal undefined for zero stations")
+    """Scaled aggregate load broadcast to every station: length T, MW scale.
+    ``run_fixed_point`` computes none for zero stations."""
     total = base_load_mw + aggregate_ev_mw(profiles_kw)
-    return total / (lam * n)
+    return total / (lam * profiles_kw.shape[0])
 
 
 def flattening_objective(base_load_mw: np.ndarray, profiles_kw: np.ndarray) -> float:

@@ -35,12 +35,11 @@ from dataclasses import replace
 import numpy as np
 
 from evgrid.coordinator import (
-    CoordinatorError,
     HorizonResult,
     ScriptedEvent,
     schedule_events,
 )
-from evgrid.fleet import KW_PER_MW, EvSession, FleetScenario
+from evgrid.fleet import KW_PER_MW, EvSession
 from evgrid.grid import BusKind, GridCase
 from evgrid.metrics import BaseLoadProfile
 from evgrid.scheduler import (
@@ -322,7 +321,7 @@ def _reference_apply_event(event: ScriptedEvent, sessions: dict[str, EvSession],
 
 
 def reference_horizon(config: SchedulerConfig, base_load_mw: np.ndarray,
-                      scenario: FleetScenario, steps: int,
+                      sessions, steps: int,
                       events: list[ScriptedEvent] = ()) -> HorizonResult:
     """``coordinator.run_receding_horizon`` as a per-station loop: every
     step slices each active station's bounds from its session's window,
@@ -330,13 +329,10 @@ def reference_horizon(config: SchedulerConfig, base_load_mw: np.ndarray,
     commits through per-id dicts."""
     t = config.slots
     dt = config.slot_hours
-    if scenario.slots_per_horizon != t or scenario.slot_hours != dt:
-        raise CoordinatorError("scenario slot grid differs from scheduler config")
-    events_by_step = schedule_events(events, [s.ev_id for s in scenario.sessions],
-                                     t, steps)
+    events_by_step = schedule_events(events, [s.ev_id for s in sessions], t, steps)
     sps = t // steps
 
-    sessions = {s.ev_id: s for s in scenario.sessions}
+    sessions = {s.ev_id: s for s in sessions}
     committed_kw: dict[str, np.ndarray] = {}
     delivered_kwh: dict[str, float] = {}
     profiles: dict[str, np.ndarray] = {}

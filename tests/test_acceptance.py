@@ -19,7 +19,7 @@ import oracles
 from conftest import DATA_DIR, DESK_DIR, two_bus_case
 from evgrid.cli import load_run_config, main
 from evgrid.coordinator import read_events, run_receding_horizon
-from evgrid.fleet import FleetScenario, read_sessions
+from evgrid.fleet import check_sessions, read_sessions
 from evgrid.grid import BusKind, build_admittance_matrix, load_grid_case, parse_grid_case
 from evgrid.metrics import read_base_load
 from evgrid.powerflow import solve_power_flow
@@ -57,11 +57,10 @@ def desk_problem():
     """The shipped scenario loaded through the public readers."""
     cfg = load_run_config(str(DESK_DIR / "config.json"), {})
     sessions = sorted(read_sessions(cfg.sessions_path), key=lambda s: s.ev_id)
-    scenario = FleetScenario(tuple(sessions), cfg.scheduler.slots,
-                             cfg.scheduler.slot_hours)
+    sessions = check_sessions(sessions, cfg.scheduler.slots, cfg.scheduler.slot_hours)
     base_total = read_base_load(cfg.base_load_path).mw.sum(axis=0)
     events = read_events(cfg.events_path)
-    return SimpleNamespace(cfg=cfg, scenario=scenario, base_total=base_total,
+    return SimpleNamespace(cfg=cfg, sessions=sessions, base_total=base_total,
                            events=events)
 
 
@@ -208,7 +207,7 @@ def test_criterion_6_line_current_and_swing(desk_run):
 def test_criterion_7_convergence_behavior(desk_problem, desk_run):
     sched = replace(desk_problem.cfg.scheduler, lam=2.0, epsilon=1e-3)
     result = run_receding_horizon(sched, desk_problem.base_total,
-                                  desk_problem.scenario,
+                                  desk_problem.sessions,
                                   desk_problem.cfg.horizon_steps,
                                   desk_problem.events)
     for tau, trace in enumerate(result.step_traces):
@@ -241,16 +240,16 @@ def test_criterion_8_receding_horizon_consistency(desk_problem):
     steps = desk_problem.cfg.horizon_steps
 
     one_shot, _ = run_until_converged(sched, desk_problem.base_total,
-                                      list(desk_problem.scenario.sessions))
+                                      list(desk_problem.sessions))
     stitched = run_receding_horizon(sched, desk_problem.base_total,
-                                    desk_problem.scenario, steps)
+                                    desk_problem.sessions, steps)
     assert stitched.ev_ids == tuple(
-        s.ev_id for s in desk_problem.scenario.sessions)
+        s.ev_id for s in desk_problem.sessions)
     gap = float(np.max(np.abs(stitched.committed_kw - one_shot)))
     assert gap <= 1e-9, f"stitched vs one-shot gap {gap} kW"
 
     scripted = run_receding_horizon(sched, desk_problem.base_total,
-                                    desk_problem.scenario, steps,
+                                    desk_problem.sessions, steps,
                                     desk_problem.events)
     first_event_slot = min(e.slot for e in desk_problem.events)
     assert first_event_slot == 25

@@ -229,6 +229,60 @@ class TestPreflight:
         fails_before_any_work(tmp_path, capsys, [command, "-c", str(config)],
                               f"{path}: {message}")
 
+    def test_net_discharge_session_stops_simulate_only(self, tmp_path, capsys, no_horizon):
+        # simulate's uncoordinated baseline only charges; schedule runs the
+        # same session as V2G
+        config = small_inputs(tmp_path)
+        path = tmp_path / "sessions.csv"
+        sessions = read_sessions(path)
+        sessions[2] = replace(sessions[2], energy_kwh=-5.0)
+        write_sessions(path, sessions)
+        fails_before_any_work(tmp_path, capsys, ["simulate", "-c", str(config)],
+                              f"{path}: session b5e2: the uncoordinated baseline needs a "
+                              "non-negative energy target, got -5.0 kWh")
+        out = tmp_path / "scheduled"
+        assert main(["schedule", "-c", str(config), "-o", str(out)]) == 0
+        capsys.readouterr()
+        ev_ids, _, profiles = read_schedules(out / "schedules_coordinated.csv")
+        assert profiles[ev_ids.index("b5e2")].sum() * 0.25 == pytest.approx(-5.0, abs=1e-6)
+
+    @pytest.mark.parametrize("value", ["nan", "-1.0"])
+    def test_bad_base_load_value_located(self, tmp_path, capsys, no_horizon, value):
+        config = small_inputs(tmp_path)
+        path = tmp_path / "base.csv"
+        lines = path.read_text().splitlines()
+        lines[4] = lines[4].rsplit(",", 1)[0] + "," + value
+        path.write_text("\n".join(lines) + "\n")
+        fails_before_any_work(tmp_path, capsys, ["simulate", "-c", str(config)],
+                              f"{path}:5: base load {value} MW must be finite and "
+                              "non-negative")
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_schedule_cell_located(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setattr(metrics, "solve_power_flow", no_power_flow)
+        config = small_inputs(tmp_path)
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        write_schedules(good, ["a", "b"], [5, 7], np.ones((2, 16)))
+        kw = np.ones((2, 16))
+        kw[1, 3] = float(value)
+        write_schedules(bad, ["a", "b"], [5, 7], kw)
+        argv = ["compare", "-c", str(config), "--uncoordinated", str(good),
+                "--coordinated", str(bad)]
+        fails_before_any_work(tmp_path, capsys, argv,
+                              f"{bad}:3: kw_3 {value} is not finite")
+
+    @pytest.mark.parametrize("old,new,message", [
+        ("s_base_mva = 100.0", "s_base_mva = inf",
+         "6: s_base_mva: expected a finite number, got 'inf'"),
+        ("1  swing  1.04", "1  swing  inf", "10: expected a finite number, got 'inf'"),
+        ("4  5  0.017", "4  5  nan", "23: expected a finite number, got 'nan'"),
+    ])
+    def test_non_finite_case_value_located(self, tmp_path, capsys, old, new, message):
+        case = tmp_path / "bad.case"
+        case.write_text((DATA_DIR / "wscc9.case").read_text().replace(old, new))
+        fails_before_any_work(tmp_path, capsys, ["powerflow", "--case", str(case)],
+                              f"{case}:{message}")
+
     def test_added_session_on_a_bus_without_base_load(self, tmp_path, capsys):
         config = small_inputs(tmp_path)
         events = tmp_path / "events.csv"
@@ -406,6 +460,8 @@ class TestSchedulesFile:
         (lambda cells: cells[:2] + ["x"] + cells[3:], "s.csv:3: could not convert"),
         (lambda cells: cells[:2] + ["1.0#x"] + cells[3:], "s.csv:3: could not convert"),
         (lambda cells: cells[:1] + ["five"] + cells[2:], "s.csv:3: invalid literal"),
+        (lambda cells: cells[:3] + ["inf"] + cells[4:],
+         "s.csv:3: kw_1 inf is not finite"),
     ])
     def test_bad_row_reports_line(self, tmp_path, edit, message):
         path = tmp_path / "s.csv"

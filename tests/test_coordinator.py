@@ -19,12 +19,12 @@ from evgrid.coordinator import (
     schedule_events,
     write_events,
 )
-from evgrid.fleet import EvSession, FleetScenario
+from evgrid.fleet import EvSession, check_sessions
 from evgrid.scheduler import run_until_converged
 
 
-def scenario_of(*sessions, slots=16):
-    return FleetScenario(tuple(sessions), slots_per_horizon=slots, slot_hours=0.25)
+def sessions_of(*sessions, slots=16):
+    return check_sessions(sessions, slots, slot_hours=0.25)
 
 
 def shaped_base(slots=16):
@@ -93,29 +93,29 @@ class TestEventsFile:
 
 
 class TestRecedingHorizon:
-    def base_scenario(self):
+    def base_sessions(self):
         sessions = [
             make_session(ev_id="e1", bus_id=5, t_start=0, t_end=12, energy_kwh=8.0),
             make_session(ev_id="e2", bus_id=7, t_start=2, t_end=14, energy_kwh=6.0),
             make_session(ev_id="e3", bus_id=9, t_start=4, t_end=16, energy_kwh=-2.0),
         ]
-        return scenario_of(*sessions)
+        return sessions_of(*sessions)
 
     def test_single_step_equals_one_shot(self):
         config = small_config()
         base = shaped_base()
-        scenario = self.base_scenario()
-        one_shot, _ = run_until_converged(config, base, list(scenario.sessions))
-        result = run_receding_horizon(config, base, scenario, steps=1)
+        sessions = self.base_sessions()
+        one_shot, _ = run_until_converged(config, base, list(sessions))
+        result = run_receding_horizon(config, base, sessions, steps=1)
         assert result.ev_ids == ("e1", "e2", "e3")
         assert np.array_equal(result.committed_kw, one_shot)
 
     def test_no_events_matches_one_shot(self):
         config = small_config()
         base = shaped_base()
-        scenario = self.base_scenario()
-        one_shot, _ = run_until_converged(config, base, list(scenario.sessions))
-        result = run_receding_horizon(config, base, scenario, steps=4)
+        sessions = self.base_sessions()
+        one_shot, _ = run_until_converged(config, base, list(sessions))
+        result = run_receding_horizon(config, base, sessions, steps=4)
         assert np.array_equal(result.committed_kw, one_shot)
         # the carried signal settles every later step without new rounds
         assert [t.iterations for t in result.step_traces[1:]] == [0, 0, 0]
@@ -124,11 +124,11 @@ class TestRecedingHorizon:
     def test_committed_prefix_survives_event(self):
         config = small_config()
         base = shaped_base()
-        scenario = self.base_scenario()
-        plain = run_receding_horizon(config, base, scenario, steps=4)
+        sessions = self.base_sessions()
+        plain = run_receding_horizon(config, base, sessions, steps=4)
         event = ScriptedEvent(slot=5, kind="update_energy", ev_id="e2",
                               energy_kwh=3.0)
-        bumped = run_receding_horizon(config, base, scenario, steps=4,
+        bumped = run_receding_horizon(config, base, sessions, steps=4,
                                       events=[event])
         # slot 5 lands at the step that re-plans from slot 8, so everything
         # committed before then is untouched, byte for byte
@@ -142,11 +142,11 @@ class TestRecedingHorizon:
     def test_add_session_event(self):
         config = small_config()
         base = shaped_base()
-        scenario = self.base_scenario()
+        sessions = self.base_sessions()
         event = ScriptedEvent(slot=6, kind="add_session", ev_id="late",
                               bus_id=5, t_start=9, t_end=16, energy_kwh=5.0,
                               p_max_kw=6.6, d_max_kw=-6.6)
-        result = run_receding_horizon(config, base, scenario, steps=4,
+        result = run_receding_horizon(config, base, sessions, steps=4,
                                       events=[event])
         assert "late" in result.ev_ids
         assert result.bus_ids["late"] == 5
@@ -159,20 +159,20 @@ class TestRecedingHorizon:
 
     def test_add_existing_id_rejected(self):
         config = small_config()
-        scenario = self.base_scenario()
+        sessions = self.base_sessions()
         event = ScriptedEvent(slot=6, kind="add_session", ev_id="e1",
                               bus_id=5, t_start=9, t_end=16, energy_kwh=5.0,
                               p_max_kw=6.6, d_max_kw=-6.6)
         with pytest.raises(CoordinatorError, match="already used"):
-            run_receding_horizon(config, shaped_base(), scenario, steps=4,
+            run_receding_horizon(config, shaped_base(), sessions, steps=4,
                                  events=[event])
 
     def test_remove_session_event(self):
         config = small_config()
         base = shaped_base()
-        scenario = self.base_scenario()
+        sessions = self.base_sessions()
         event = ScriptedEvent(slot=7, kind="remove_session", ev_id="e3")
-        result = run_receding_horizon(config, base, scenario, steps=4,
+        result = run_receding_horizon(config, base, sessions, steps=4,
                                       events=[event])
         assert len(result.flags) == 1
         assert "session e3 removed before completion" in result.flags[0]
@@ -185,23 +185,23 @@ class TestRecedingHorizon:
 
     def test_unknown_ev_rejected(self):
         config = small_config()
-        scenario = self.base_scenario()
+        sessions = self.base_sessions()
         for kind in ("update_energy", "remove_session"):
             event = ScriptedEvent(slot=7, kind=kind, ev_id="ghost",
                                   energy_kwh=1.0)
             with pytest.raises(CoordinatorError, match="unknown ev_id 'ghost'"):
-                run_receding_horizon(config, shaped_base(), scenario, steps=4,
+                run_receding_horizon(config, shaped_base(), sessions, steps=4,
                                      events=[event])
 
     def test_infeasible_update_clamped_and_flagged(self):
         config = small_config()
         base = shaped_base()
-        scenario = self.base_scenario()
+        sessions = self.base_sessions()
         # e1 can reach at most 6.6 kW * 12 slots * 0.25 h = 19.8 kWh, and by
         # slot 8 part of that window is already spent
         event = ScriptedEvent(slot=5, kind="update_energy", ev_id="e1",
                               energy_kwh=50.0)
-        result = run_receding_horizon(config, base, scenario, steps=4,
+        result = run_receding_horizon(config, base, sessions, steps=4,
                                       events=[event])
         clamp_flags = [f for f in result.flags if "clamped" in f]
         assert clamp_flags and "session e1" in clamp_flags[0]
@@ -218,22 +218,22 @@ class TestRecedingHorizon:
     def test_non_convergence_flagged(self):
         config = small_config(max_iterations=1, epsilon=1e-12)
         result = run_receding_horizon(config, shaped_base(),
-                                      self.base_scenario(), steps=2)
+                                      self.base_sessions(), steps=2)
         assert any("not converged" in f for f in result.flags)
         assert any(not t.converged for t in result.step_traces)
 
     def test_steps_bounds_checked(self):
         config = small_config()
-        scenario = self.base_scenario()
+        sessions = self.base_sessions()
         for steps in (0, 17):
             with pytest.raises(CoordinatorError, match="must be in 1..16"):
-                run_receding_horizon(config, shaped_base(), scenario, steps=steps)
+                run_receding_horizon(config, shaped_base(), sessions, steps=steps)
 
     def test_event_slot_bounds_checked(self):
         config = small_config()
         event = ScriptedEvent(slot=16, kind="remove_session", ev_id="e1")
         with pytest.raises(CoordinatorError, match="outside 0..15"):
-            run_receding_horizon(config, shaped_base(), self.base_scenario(),
+            run_receding_horizon(config, shaped_base(), self.base_sessions(),
                                  steps=4, events=[event])
 
     @pytest.mark.parametrize("t_start,t_end", [(-1, 8), (9, 17), (9, 9), (10, 9)])
@@ -244,7 +244,7 @@ class TestRecedingHorizon:
         with pytest.raises(CoordinatorError, match=(
                 rf"event at slot 6: session late: window \[{t_start}, {t_end}\) "
                 "outside horizon of 16 slots")):
-            run_receding_horizon(small_config(), shaped_base(), self.base_scenario(),
+            run_receding_horizon(small_config(), shaped_base(), self.base_sessions(),
                                  steps=4, events=[event])
 
     @pytest.mark.parametrize("p_max,d_max", [(-3.0, -6.6), (6.6, 1.0), (-300.0, -200.0)])
@@ -255,19 +255,13 @@ class TestRecedingHorizon:
         with pytest.raises(CoordinatorError, match=(
                 rf"event at slot 6: session late: rate bounds must satisfy "
                 rf"d_max <= 0 <= p_max, got \[{d_max}, {p_max}\]")):
-            run_receding_horizon(small_config(), shaped_base(), self.base_scenario(),
+            run_receding_horizon(small_config(), shaped_base(), self.base_sessions(),
                                  steps=4, events=[event])
-
-    def test_slot_grid_mismatch_rejected(self):
-        config = small_config(slots=24)
-        with pytest.raises(CoordinatorError, match="slot grid"):
-            run_receding_horizon(config, np.zeros(24), self.base_scenario(),
-                                 steps=4)
 
     def test_delivered_energy_accounting(self):
         config = small_config()
         base = shaped_base()
-        result = run_receding_horizon(config, base, self.base_scenario(),
+        result = run_receding_horizon(config, base, self.base_sessions(),
                                       steps=4)
         dt = 0.25
         targets = {"e1": 8.0, "e2": 6.0, "e3": -2.0}
@@ -278,12 +272,12 @@ class TestRecedingHorizon:
     def test_rerun_is_bit_identical(self):
         config = small_config()
         base = shaped_base()
-        scenario = self.base_scenario()
+        sessions = self.base_sessions()
         events = [ScriptedEvent(slot=5, kind="update_energy", ev_id="e2",
                                 energy_kwh=7.0)]
-        first = run_receding_horizon(config, base, scenario, steps=4,
+        first = run_receding_horizon(config, base, sessions, steps=4,
                                      events=events)
-        second = run_receding_horizon(config, base, scenario, steps=4,
+        second = run_receding_horizon(config, base, sessions, steps=4,
                                       events=events)
         assert np.array_equal(first.committed_kw, second.committed_kw)
         assert first.step_traces == second.step_traces
@@ -302,7 +296,7 @@ def assert_same_horizon(got, want):
 
 @st.composite
 def horizon_scripts(draw):
-    """A small scenario, base load, config, step count and an event script
+    """A small session set, base load, config, step count and an event script
     that ``schedule_events`` accepts."""
     slots = draw(st.integers(4, 12))
     steps = draw(st.integers(1, slots))
@@ -353,8 +347,7 @@ def horizon_scripts(draw):
 
     config = small_config(slots=slots, epsilon=draw(st.sampled_from([1e-4, 1e-2])),
                           max_iterations=draw(st.sampled_from([2, 60])))
-    scenario = FleetScenario(tuple(sessions), slots, dt)
-    return config, shaped_base(slots), scenario, steps, events
+    return config, shaped_base(slots), check_sessions(sessions, slots, dt), steps, events
 
 
 class TestAgainstReferenceLoop:
@@ -364,16 +357,16 @@ class TestAgainstReferenceLoop:
     @given(horizon_scripts())
     @settings(max_examples=80, deadline=None)
     def test_random_scripts(self, script):
-        config, base, scenario, steps, events = script
-        got = run_receding_horizon(config, base, scenario, steps, events)
-        want = oracles.reference_horizon(config, base, scenario, steps, events)
+        config, base, sessions, steps, events = script
+        got = run_receding_horizon(config, base, sessions, steps, events)
+        want = oracles.reference_horizon(config, base, sessions, steps, events)
         assert_same_horizon(got, want)
 
     def run_both(self, events, extra=()):
         config = small_config()
-        scenario = scenario_of(*TestRecedingHorizon().base_scenario().sessions, *extra)
-        got = run_receding_horizon(config, shaped_base(), scenario, 4, events)
-        want = oracles.reference_horizon(config, shaped_base(), scenario, 4, events)
+        sessions = sessions_of(*TestRecedingHorizon().base_sessions(), *extra)
+        got = run_receding_horizon(config, shaped_base(), sessions, 4, events)
+        want = oracles.reference_horizon(config, shaped_base(), sessions, 4, events)
         assert_same_horizon(got, want)
         return got
 
@@ -436,13 +429,13 @@ def test_one_solve_per_station_per_round(monkeypatch, desk_config_path):
 
     monkeypatch.setattr(scheduler, "solve_task", counting)
     monkeypatch.setattr(coordinator, "solve_task", counting)
-    steps, scenario = cfg.horizon_steps, inputs.scenario
-    result = run_receding_horizon(cfg.scheduler, inputs.base.mw.sum(axis=0), scenario,
+    steps, sessions = cfg.horizon_steps, inputs.sessions
+    result = run_receding_horizon(cfg.scheduler, inputs.base.mw.sum(axis=0), sessions,
                                   steps, inputs.events)
 
-    by_step = schedule_events(inputs.events, [s.ev_id for s in scenario.sessions],
+    by_step = schedule_events(inputs.events, [s.ev_id for s in sessions],
                               cfg.scheduler.slots, steps)
-    stations, expected = len(scenario.sessions), 0
+    stations, expected = len(sessions), 0
     for tau, trace in enumerate(result.step_traces):
         for event in by_step.get(tau, []):
             stations += {"add_session": 1, "remove_session": -1}.get(event.kind, 0)
@@ -466,7 +459,7 @@ def test_stations_prepared_once_per_fixed_point(monkeypatch, desk_config_path):
 
     monkeypatch.setattr(scheduler, "prepare_stations", counting)
     result = run_receding_horizon(cfg.scheduler, inputs.base.mw.sum(axis=0),
-                                  inputs.scenario, cfg.horizon_steps, inputs.events)
+                                  inputs.sessions, cfg.horizon_steps, inputs.events)
     traces = result.step_traces
     active = sum(1 for trace in traces if trace.iterations > 0)
     assert prepared == active < sum(trace.iterations for trace in traces)

@@ -9,8 +9,8 @@ from conftest import assert_identical, cell_text, file_ints, finite_floats, make
 from evgrid.fleet import (
     EvSession,
     FleetError,
-    FleetScenario,
     FleetSpec,
+    check_sessions,
     generate_fleet,
     read_sessions,
     uncoordinated_profile,
@@ -21,8 +21,6 @@ from evgrid.fleet import (
 def default_spec(**kwargs) -> FleetSpec:
     defaults = dict(
         counts={5: 3, 7: 2},
-        slots=96,
-        slot_hours=0.25,
         arrival_mean_slot=14.0,
         arrival_std_slots=7.0,
         duration_mean_slots=76.0,
@@ -33,6 +31,10 @@ def default_spec(**kwargs) -> FleetSpec:
     )
     defaults.update(kwargs)
     return FleetSpec(**defaults)
+
+
+def generate(seed: int, spec: FleetSpec, slots: int = 96):
+    return generate_fleet(seed, spec, slots, 0.25)
 
 
 class TestEvSession:
@@ -72,32 +74,28 @@ class TestEvSession:
 
 class TestGenerateFleet:
     def test_zero_count_empty(self):
-        scenario = generate_fleet(1, default_spec(counts={5: 0}))
-        assert scenario.sessions == ()
+        assert generate(1, default_spec(counts={5: 0})) == ()
 
     def test_seed_determinism(self):
         spec = default_spec()
-        assert generate_fleet(1, spec) == generate_fleet(1, spec)
+        assert generate(1, spec) == generate(1, spec)
 
     def test_seeds_differ(self):
         spec = default_spec()
-        assert generate_fleet(1, spec) != generate_fleet(2, spec)
+        assert generate(1, spec) != generate(2, spec)
 
     def test_counts_and_buses_honoured(self):
-        scenario = generate_fleet(3, default_spec(counts={5: 3, 7: 2}))
         by_bus = {}
-        for s in scenario.sessions:
+        for s in generate(3, default_spec(counts={5: 3, 7: 2})):
             by_bus[s.bus_id] = by_bus.get(s.bus_id, 0) + 1
         assert by_bus == {5: 3, 7: 2}
 
     def test_all_sessions_feasible(self):
-        scenario = generate_fleet(11, default_spec(counts={5: 40, 9: 40}))
-        for s in scenario.sessions:
-            s.validate(scenario.slots_per_horizon, scenario.slot_hours)
+        for s in generate(11, default_spec(counts={5: 40, 9: 40})):
+            s.validate(96, 0.25)
 
     def test_ev_ids_unique(self):
-        scenario = generate_fleet(5, default_spec(counts={5: 20, 7: 20}))
-        ids = [s.ev_id for s in scenario.sessions]
+        ids = [s.ev_id for s in generate(5, default_spec(counts={5: 20, 7: 20}))]
         assert len(set(ids)) == len(ids)
 
     def test_invalid_spec_rejected(self):
@@ -106,10 +104,14 @@ class TestGenerateFleet:
         with pytest.raises(FleetError):
             default_spec(counts={5: -1}).validate()
 
+    def test_too_few_slots_rejected(self):
+        with pytest.raises(FleetError, match="too short"):
+            generate(1, default_spec(), slots=1)
+
     def test_duplicate_ids_rejected_by_scenario(self):
         s = make_session()
         with pytest.raises(FleetError, match="duplicate"):
-            FleetScenario((s, s), 96, 0.25)
+            check_sessions((s, s), 96, 0.25)
 
 
 class TestUncoordinatedProfile:
@@ -130,10 +132,6 @@ class TestUncoordinatedProfile:
         profile = uncoordinated_profile(s, 16, 0.25)
         assert list(profile[:3]) == [8.0, 8.0, 4.0]
         assert not profile[3:].any()
-
-    def test_negative_energy_rejected(self):
-        with pytest.raises(FleetError, match="discharge"):
-            uncoordinated_profile(make_session(energy_kwh=-2.0), 16, 0.25)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -191,9 +189,8 @@ class TestFiles:
             read_sessions(path)
 
     def test_sessions_round_trip_bit_exact_bytes(self, tmp_path):
-        scenario = generate_fleet(4, default_spec())
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_sessions(a, scenario.sessions)
+        write_sessions(a, generate(4, default_spec()))
         write_sessions(b, read_sessions(a))
         assert a.read_bytes() == b.read_bytes()
 

@@ -89,6 +89,18 @@ s_base_mva = 100.0
         with pytest.raises(GridCaseError, match="branch"):
             parse_grid_case(minimal_case("1  2  0.0"))
 
+    @pytest.mark.parametrize("old,new,message", [
+        ("s_base_mva = 100.0", "s_base_mva = inf",
+         "<case>:3: s_base_mva: expected a finite number, got 'inf'"),
+        ("1  swing  1.0", "1  swing  inf", "<case>:6: expected a finite number, got 'inf'"),
+        ("1  2  0.0  0.1", "1  2  nan  0.1", "<case>:10: expected a finite number, got 'nan'"),
+        ("0.1  0.0", "0.1  0.0  -inf", "<case>:10: expected a finite number, got '-inf'"),
+    ])
+    def test_non_finite_number_located(self, old, new, message):
+        with pytest.raises(GridCaseError) as info:
+            parse_grid_case(minimal_case().replace(old, new))
+        assert str(info.value) == message
+
     def test_unknown_kind_rejected(self):
         text = minimal_case().replace("2  pq", "2  load")
         with pytest.raises(GridCaseError, match="load"):

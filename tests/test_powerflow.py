@@ -144,14 +144,6 @@ class TestSolvePowerFlow:
         with pytest.raises(SingularJacobianError, match="pivot"):
             solve_power_flow(case, build_admittance_matrix(case))
 
-    def test_parameter_validation(self, wscc_case, wscc_ybus):
-        with pytest.raises(ValueError, match="tol"):
-            solve_power_flow(wscc_case, wscc_ybus, tol=0.0)
-        with pytest.raises(ValueError, match="tol must be positive, got nan"):
-            solve_power_flow(wscc_case, wscc_ybus, tol=float("nan"))
-        with pytest.raises(ValueError, match="max_iter"):
-            solve_power_flow(wscc_case, wscc_ybus, max_iter=0)
-
 
 class TestJacobian:
     def test_matches_finite_differences_at_flat_start(self, wscc_case, wscc_ybus):

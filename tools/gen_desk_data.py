@@ -43,10 +43,9 @@ def main() -> None:
     raw = dict(cfg["fleet"])
     raw["counts"] = {int(k): int(v) for k, v in raw["counts"].items()}
     raw["energy_kwh_range"] = tuple(raw["energy_kwh_range"])
-    spec = fleet.FleetSpec(slots=cfg["scheduler"]["slots"],
-                           slot_hours=cfg["scheduler"]["slot_hours"], **raw)
-    scenario = fleet.generate_fleet(cfg["seed"], spec)
-    fleet.write_sessions(DESK / "sessions.csv", scenario.sessions)
+    sessions = fleet.generate_fleet(cfg["seed"], fleet.FleetSpec(**raw),
+                                    cfg["scheduler"]["slots"], cfg["scheduler"]["slot_hours"])
+    fleet.write_sessions(DESK / "sessions.csv", sessions)
 
     events = [
         coordinator.ScriptedEvent(slot=25, kind="add_session", ev_id="late5a",
