@@ -12,18 +12,24 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-import numpy as np
+# The largest BLAS calls are the power flow's 9 x 9 products, so OpenBLAS's
+# thread pool only costs start-up time.  This must run before numpy loads;
+# a value the user set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import coordinator, fileio, fleet, metrics
-from .fleet import EvSession, FleetSpec
-from .grid import BusKind, GridCase, build_admittance_matrix, load_grid_case
-from .metrics import ReactiveAssumptions
-from .powerflow import PowerFlowError, compute_line_flows, solve_power_flow
-from .scheduler import SchedulerConfig, run_until_converged
+import numpy as np  # noqa: E402
+
+from . import coordinator, fileio, fleet, metrics  # noqa: E402
+from .fleet import EvSession, FleetSpec  # noqa: E402
+from .grid import BusKind, GridCase, build_admittance_matrix, load_grid_case  # noqa: E402
+from .metrics import ReactiveAssumptions  # noqa: E402
+from .powerflow import PowerFlowError, compute_line_flows, solve_power_flow  # noqa: E402
+from .scheduler import SchedulerConfig, run_until_converged  # noqa: E402
 
 # every input error of the package (grid, fleet, scheduler, coordinator,
 # metrics) is a ValueError
@@ -128,6 +134,22 @@ def _fleet_spec(section) -> FleetSpec:
     for key, value in [*floats, *(("energy_kwh_range", v) for v in spec["energy_kwh_range"])]:
         if not math.isfinite(value):
             raise ValueError(f"fleet.{key}: expected a finite number, got {value!r}")
+    for bus, count in spec["counts"].items():
+        if count < 0:
+            raise ValueError(f"fleet.counts.{bus}: expected a non-negative count, got {count}")
+    lo, hi = spec["energy_kwh_range"]
+    if not 0.0 <= lo <= hi:
+        raise ValueError(f"fleet.energy_kwh_range: expected 0 <= lo <= hi, got [{lo}, {hi}]")
+    if spec["d_max_kw"] > 0:
+        raise ValueError(f"fleet.d_max_kw: expected at most 0, got {spec['d_max_kw']}")
+    if spec["p_max_kw"] < 0:
+        raise ValueError(f"fleet.p_max_kw: expected at least 0, got {spec['p_max_kw']}")
+    if lo > 0 and spec["p_max_kw"] == 0:
+        raise ValueError(f"fleet.p_max_kw: expected above 0 when fleet.energy_kwh_range "
+                         f"starts above 0, got {spec['p_max_kw']}")
+    if spec["duration_mean_slots"] < 1:
+        raise ValueError(f"fleet.duration_mean_slots: expected at least 1, "
+                         f"got {spec['duration_mean_slots']}")
     return FleetSpec(**spec)
 
 
@@ -217,7 +239,8 @@ class Inputs:
     case: GridCase | None = None
     base: metrics.BaseLoadProfile | None = None
     sessions: tuple[EvSession, ...] = ()
-    events: list[coordinator.ScriptedEvent] = field(default_factory=list)
+    # simulate's events, grouped by re-planning step (``schedule_events``)
+    events_by_step: dict[int, list[coordinator.ScriptedEvent]] = field(default_factory=dict)
     # uncoordinated, coordinated
     loads: list[metrics.ScenarioLoads] = field(default_factory=list)
 
@@ -286,13 +309,13 @@ def preflight(cfg: RunConfig, command: str) -> Inputs:
     if command == "simulate" and not 1 <= cfg.horizon_steps <= base.slots:
         raise ValueError(f"horizon_steps {cfg.horizon_steps} must be in 1..{base.slots}")
     if command == "simulate" and cfg.events_path is not None:
-        inputs.events = coordinator.read_events(cfg.events_path)
+        events = coordinator.read_events(cfg.events_path)
         _on_load_buses(cfg.events_path,
-                       [e.bus_id for e in inputs.events if e.kind == "add_session"], base)
+                       [e.bus_id for e in events if e.kind == "add_session"], base)
         try:
-            coordinator.schedule_events(inputs.events,
-                                        [s.ev_id for s in inputs.sessions],
-                                        cfg.scheduler.slots, cfg.horizon_steps)
+            inputs.events_by_step = coordinator.schedule_events(
+                events, [s.ev_id for s in inputs.sessions], cfg.scheduler.slots,
+                cfg.horizon_steps)
         except coordinator.CoordinatorError as exc:
             raise ValueError(f"{cfg.events_path}: {exc}") from None
     if command == "compare":
@@ -433,7 +456,7 @@ def cmd_simulate(cfg: RunConfig, inputs: Inputs) -> int:
 
     base_total = base.mw.sum(axis=0)
     result = coordinator.run_receding_horizon(
-        cfg.scheduler, base_total, sessions, cfg.horizon_steps, inputs.events
+        cfg.scheduler, base_total, sessions, cfg.horizon_steps, inputs.events_by_step
     )
     coord_buses = [result.bus_ids[e] for e in result.ev_ids]
 

@@ -136,14 +136,12 @@ class HorizonResult:
 
 def schedule_events(events: list[ScriptedEvent], session_ids, slots: int,
                     steps: int) -> dict[int, list[ScriptedEvent]]:
-    """Group ``events`` by the re-planning step that applies them, after
-    checking the step count, every event slot and every added session's
-    rate box (``EvSession.validate_box``), and replaying the ev_ids in that
-    order:
+    """Group ``events`` by the re-planning step that applies them, for
+    ``steps`` in 1..slots, after checking every event slot and every added
+    session's rate box (``EvSession.validate_box``), and replaying the
+    ev_ids in that order:
     ``update_energy`` and ``remove_session`` need a live id, and
     ``add_session`` a new one (a removed id is not reused)."""
-    if steps < 1 or steps > slots:
-        raise CoordinatorError(f"steps {steps} must be in 1..{slots}")
     sps = slots // steps
     by_step: dict[int, list[ScriptedEvent]] = {}
     for event in events:
@@ -205,24 +203,27 @@ def _apply_event(event: ScriptedEvent, sessions: dict[str, EvSession], tau: int,
 
 def run_receding_horizon(config: SchedulerConfig, base_load_mw: np.ndarray,
                          sessions, steps: int,
-                         events: list[ScriptedEvent] = ()) -> HorizonResult:
+                         events_by_step: dict[int, list[ScriptedEvent]] | None = None,
+                         ) -> HorizonResult:
     """Commit the schedule step by step, re-optimizing as predictions change.
 
     Each step pins all previously committed slots, applies this step's
     scripted events, and re-runs the fixed-point iteration.  When nothing
     changed, the carried control signal lets the run converge immediately
     with profiles untouched, so an event-free horizon reproduces the one-shot
-    solution slot for slot.
+    solution slot for slot.  ``steps`` is in 1..slots and ``events_by_step``
+    is what ``schedule_events`` returned for these sessions and steps.
     """
     t = config.slots
     dt = config.slot_hours
-    events_by_step = schedule_events(events, [s.ev_id for s in sessions], t, steps)
+    events_by_step = events_by_step or {}
     sps = t // steps
 
     live = {s.ev_id: s for s in sessions}
     # one row per id that can ever be active, in sorted order, so the rows
     # of any active set are ascending and match its sorted ids
-    ids = sorted(set(live) | {e.ev_id for e in events if e.kind == "add_session"})
+    ids = sorted(set(live) | {e.ev_id for step_events in events_by_step.values()
+                              for e in step_events if e.kind == "add_session"})
     row_by_id = {ev_id: k for k, ev_id in enumerate(ids)}
     committed = np.zeros((len(ids), t))
     profiles = np.zeros((len(ids), t))

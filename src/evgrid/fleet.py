@@ -86,7 +86,8 @@ def check_sessions(sessions, slots: int, slot_hours: float) -> tuple[EvSession, 
 
 @dataclass(frozen=True)
 class FleetSpec:
-    """Distribution parameters for deterministic fleet generation."""
+    """Distribution parameters for deterministic fleet generation, checked
+    where the config is read (``cli._fleet_spec``)."""
 
     counts: dict[int, int]            # bus id -> number of sessions
     arrival_mean_slot: float
@@ -97,25 +98,11 @@ class FleetSpec:
     p_max_kw: float
     d_max_kw: float
 
-    def validate(self) -> None:
-        if any(c < 0 for c in self.counts.values()):
-            raise FleetError(f"negative session count in {self.counts}")
-        lo, hi = self.energy_kwh_range
-        if not (0.0 <= lo <= hi):
-            raise FleetError(f"energy range [{lo}, {hi}] must satisfy 0 <= lo <= hi")
-        if self.p_max_kw < 0 or self.d_max_kw > 0:
-            raise FleetError("rates must satisfy d_max <= 0 <= p_max")
-        if lo > 0 and self.p_max_kw == 0:
-            raise FleetError("positive energy demanded but p_max is zero")
-        if self.duration_mean_slots < 1:
-            raise FleetError("horizon/duration too short to place sessions")
-
 
 def generate_fleet(seed: int, spec: FleetSpec, slots: int,
                    slot_hours: float) -> tuple[EvSession, ...]:
     """Deterministic synthetic fleet, checked (``check_sessions``) on the slot
     grid; identical arguments give identical output."""
-    spec.validate()
     if slots < 2:
         raise FleetError("horizon/duration too short to place sessions")
     rng = np.random.default_rng(seed)

@@ -18,7 +18,7 @@ import pytest
 import oracles
 from conftest import DATA_DIR, DESK_DIR, two_bus_case
 from evgrid.cli import load_run_config, main
-from evgrid.coordinator import read_events, run_receding_horizon
+from evgrid.coordinator import read_events, run_receding_horizon, schedule_events
 from evgrid.fleet import check_sessions, read_sessions
 from evgrid.grid import BusKind, build_admittance_matrix, load_grid_case, parse_grid_case
 from evgrid.metrics import read_base_load
@@ -60,8 +60,10 @@ def desk_problem():
     sessions = check_sessions(sessions, cfg.scheduler.slots, cfg.scheduler.slot_hours)
     base_total = read_base_load(cfg.base_load_path).mw.sum(axis=0)
     events = read_events(cfg.events_path)
+    events_by_step = schedule_events(events, [s.ev_id for s in sessions],
+                                     cfg.scheduler.slots, cfg.horizon_steps)
     return SimpleNamespace(cfg=cfg, sessions=sessions, base_total=base_total,
-                           events=events)
+                           events=events, events_by_step=events_by_step)
 
 
 def random_instance(rng, slots=8, dt=0.25):
@@ -209,7 +211,7 @@ def test_criterion_7_convergence_behavior(desk_problem, desk_run):
     result = run_receding_horizon(sched, desk_problem.base_total,
                                   desk_problem.sessions,
                                   desk_problem.cfg.horizon_steps,
-                                  desk_problem.events)
+                                  desk_problem.events_by_step)
     for tau, trace in enumerate(result.step_traces):
         assert trace.converged, f"step {tau} did not converge"
         assert trace.iterations <= 200, f"step {tau}: {trace.iterations}"
@@ -250,7 +252,7 @@ def test_criterion_8_receding_horizon_consistency(desk_problem):
 
     scripted = run_receding_horizon(sched, desk_problem.base_total,
                                     desk_problem.sessions, steps,
-                                    desk_problem.events)
+                                    desk_problem.events_by_step)
     first_event_slot = min(e.slot for e in desk_problem.events)
     assert first_event_slot == 25
     plain_rows = {e: stitched.committed_kw[k]

@@ -377,6 +377,10 @@ class TestPreflight:
         argv = ["simulate", "-c", str(DESK_DIR / "config.json"), "--steps", "97"]
         fails_before_any_work(tmp_path, capsys, argv, "horizon_steps 97 must be in 1..96")
 
+    def test_horizon_steps_below_one(self, tmp_path, capsys):
+        argv = ["simulate", "-c", str(DESK_DIR / "config.json"), "--steps", "0"]
+        fails_before_any_work(tmp_path, capsys, argv, "horizon_steps 0 must be in 1..96")
+
     @pytest.mark.parametrize("section,values,message", [
         ("scheduler", {"epsilon": "x"}, "scheduler.epsilon: expected a number, got 'x'"),
         ("scheduler", {"lambda": True}, "scheduler.lambda: expected a number, got True"),
@@ -563,6 +567,31 @@ def test_cli_import_loads_no_scipy():
     assert done.stdout.strip() == "[]"
 
 
+def test_cli_import_starts_one_blas_thread():
+    """A fresh ``import evgrid.cli`` sets ``OPENBLAS_NUM_THREADS=1`` before
+    numpy loads, so OpenBLAS starts no worker thread; a value the user set
+    is kept."""
+    src = str(ROOT / "src")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    probe = ("import os, evgrid.cli; print(os.environ.get('OPENBLAS_NUM_THREADS')); "
+             "print(len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') "
+             "else '')")
+
+    def child(**extra):
+        done = subprocess.run([sys.executable, "-c", probe], env={**env, **extra},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.split("\n")[:2]
+
+    value, threads = child()
+    assert value == "1"
+    if threads:
+        assert threads == "1"
+    assert child(OPENBLAS_NUM_THREADS="2")[0] == "2"
+
+
 class TestPowerflowCommand:
     def test_flat_network_solves_in_zero_iterations(self, tmp_path, capsys):
         case_path = tmp_path / "unity.case"
@@ -665,6 +694,36 @@ class TestGenFleetCommand:
         fails_before_any_work(tmp_path, capsys, ["gen-fleet", "-c", str(config)],
                               f"fleet.json: fleet.{key}: expected a finite number, "
                               f"got {shown!r}")
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("counts", {"5": -1}, "fleet.counts.5: expected a non-negative count, got -1"),
+        ("energy_kwh_range", [40.0, 10.0],
+         "fleet.energy_kwh_range: expected 0 <= lo <= hi, got [40.0, 10.0]"),
+        ("energy_kwh_range", [-1.0, 10.0],
+         "fleet.energy_kwh_range: expected 0 <= lo <= hi, got [-1.0, 10.0]"),
+        ("d_max_kw", 1.0, "fleet.d_max_kw: expected at most 0, got 1.0"),
+        ("p_max_kw", -1.0, "fleet.p_max_kw: expected at least 0, got -1.0"),
+        ("p_max_kw", 0.0, "fleet.p_max_kw: expected above 0 when fleet.energy_kwh_range "
+         "starts above 0, got 0.0"),
+        ("duration_mean_slots", 0.5, "fleet.duration_mean_slots: expected at least 1, "
+         "got 0.5"),
+    ])
+    def test_spec_rule_names_its_key(self, tmp_path, capsys, key, value, message):
+        config = self.fleet_config(tmp_path, {"5": 3, "9": 2})
+        raw = json.loads(config.read_text())
+        raw["fleet"][key] = value
+        config.write_text(json.dumps(raw))
+        fails_before_any_work(tmp_path, capsys, ["gen-fleet", "-c", str(config)],
+                              f"fleet.json: {message}")
+
+    def test_idle_fleet_may_have_no_charge_rate(self, tmp_path, capsys):
+        config = self.fleet_config(tmp_path, {"5": 3})
+        raw = json.loads(config.read_text())
+        raw["fleet"].update(energy_kwh_range=[0.0, 0.0], p_max_kw=0.0)
+        config.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["gen-fleet", "-c", str(config), "-o", str(out)]) == 0
+        assert "wrote 3 sessions" in capsys.readouterr().out
 
     @pytest.mark.parametrize("in_config", [False, True])
     def test_slot_rejected(self, tmp_path, capsys, in_config):

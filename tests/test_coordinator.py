@@ -31,6 +31,12 @@ def shaped_base(slots=16):
     return 50.0 + 10.0 * np.sin(np.linspace(0.0, 2.0 * np.pi, slots))
 
 
+def by_step(events, sessions, steps, slots=16):
+    """``events`` grouped by re-planning step, as the CLI preflight hands
+    them to ``run_receding_horizon``."""
+    return schedule_events(events, [s.ev_id for s in sessions], slots, steps)
+
+
 class TestScriptedEvent:
     def test_unknown_kind_rejected(self):
         with pytest.raises(CoordinatorError, match="unknown event kind"):
@@ -129,7 +135,7 @@ class TestRecedingHorizon:
         event = ScriptedEvent(slot=5, kind="update_energy", ev_id="e2",
                               energy_kwh=3.0)
         bumped = run_receding_horizon(config, base, sessions, steps=4,
-                                      events=[event])
+                                      events_by_step=by_step([event], sessions, 4))
         # slot 5 lands at the step that re-plans from slot 8, so everything
         # committed before then is untouched, byte for byte
         assert np.array_equal(bumped.committed_kw[:, :8], plain.committed_kw[:, :8])
@@ -147,7 +153,7 @@ class TestRecedingHorizon:
                               bus_id=5, t_start=9, t_end=16, energy_kwh=5.0,
                               p_max_kw=6.6, d_max_kw=-6.6)
         result = run_receding_horizon(config, base, sessions, steps=4,
-                                      events=[event])
+                                      events_by_step=by_step([event], sessions, 4))
         assert "late" in result.ev_ids
         assert result.bus_ids["late"] == 5
         row = list(result.ev_ids).index("late")
@@ -158,14 +164,12 @@ class TestRecedingHorizon:
         assert result.flags == ()
 
     def test_add_existing_id_rejected(self):
-        config = small_config()
         sessions = self.base_sessions()
         event = ScriptedEvent(slot=6, kind="add_session", ev_id="e1",
                               bus_id=5, t_start=9, t_end=16, energy_kwh=5.0,
                               p_max_kw=6.6, d_max_kw=-6.6)
         with pytest.raises(CoordinatorError, match="already used"):
-            run_receding_horizon(config, shaped_base(), sessions, steps=4,
-                                 events=[event])
+            by_step([event], sessions, 4)
 
     def test_remove_session_event(self):
         config = small_config()
@@ -173,7 +177,7 @@ class TestRecedingHorizon:
         sessions = self.base_sessions()
         event = ScriptedEvent(slot=7, kind="remove_session", ev_id="e3")
         result = run_receding_horizon(config, base, sessions, steps=4,
-                                      events=[event])
+                                      events_by_step=by_step([event], sessions, 4))
         assert len(result.flags) == 1
         assert "session e3 removed before completion" in result.flags[0]
         assert "e3" in result.ev_ids
@@ -184,14 +188,12 @@ class TestRecedingHorizon:
         assert f"delivered {delivered!r}" in result.flags[0]
 
     def test_unknown_ev_rejected(self):
-        config = small_config()
         sessions = self.base_sessions()
         for kind in ("update_energy", "remove_session"):
             event = ScriptedEvent(slot=7, kind=kind, ev_id="ghost",
                                   energy_kwh=1.0)
             with pytest.raises(CoordinatorError, match="unknown ev_id 'ghost'"):
-                run_receding_horizon(config, shaped_base(), sessions, steps=4,
-                                     events=[event])
+                by_step([event], sessions, 4)
 
     def test_infeasible_update_clamped_and_flagged(self):
         config = small_config()
@@ -202,7 +204,7 @@ class TestRecedingHorizon:
         event = ScriptedEvent(slot=5, kind="update_energy", ev_id="e1",
                               energy_kwh=50.0)
         result = run_receding_horizon(config, base, sessions, steps=4,
-                                      events=[event])
+                                      events_by_step=by_step([event], sessions, 4))
         clamp_flags = [f for f in result.flags if "clamped" in f]
         assert clamp_flags and "session e1" in clamp_flags[0]
         row = list(result.ev_ids).index("e1")
@@ -222,19 +224,10 @@ class TestRecedingHorizon:
         assert any("not converged" in f for f in result.flags)
         assert any(not t.converged for t in result.step_traces)
 
-    def test_steps_bounds_checked(self):
-        config = small_config()
-        sessions = self.base_sessions()
-        for steps in (0, 17):
-            with pytest.raises(CoordinatorError, match="must be in 1..16"):
-                run_receding_horizon(config, shaped_base(), sessions, steps=steps)
-
     def test_event_slot_bounds_checked(self):
-        config = small_config()
         event = ScriptedEvent(slot=16, kind="remove_session", ev_id="e1")
         with pytest.raises(CoordinatorError, match="outside 0..15"):
-            run_receding_horizon(config, shaped_base(), self.base_sessions(),
-                                 steps=4, events=[event])
+            by_step([event], self.base_sessions(), 4)
 
     @pytest.mark.parametrize("t_start,t_end", [(-1, 8), (9, 17), (9, 9), (10, 9)])
     def test_added_window_outside_the_horizon_rejected(self, t_start, t_end):
@@ -244,8 +237,7 @@ class TestRecedingHorizon:
         with pytest.raises(CoordinatorError, match=(
                 rf"event at slot 6: session late: window \[{t_start}, {t_end}\) "
                 "outside horizon of 16 slots")):
-            run_receding_horizon(small_config(), shaped_base(), self.base_sessions(),
-                                 steps=4, events=[event])
+            by_step([event], self.base_sessions(), 4)
 
     @pytest.mark.parametrize("p_max,d_max", [(-3.0, -6.6), (6.6, 1.0), (-300.0, -200.0)])
     def test_added_rate_bounds_rejected(self, p_max, d_max):
@@ -255,8 +247,7 @@ class TestRecedingHorizon:
         with pytest.raises(CoordinatorError, match=(
                 rf"event at slot 6: session late: rate bounds must satisfy "
                 rf"d_max <= 0 <= p_max, got \[{d_max}, {p_max}\]")):
-            run_receding_horizon(small_config(), shaped_base(), self.base_sessions(),
-                                 steps=4, events=[event])
+            by_step([event], self.base_sessions(), 4)
 
     def test_delivered_energy_accounting(self):
         config = small_config()
@@ -276,9 +267,9 @@ class TestRecedingHorizon:
         events = [ScriptedEvent(slot=5, kind="update_energy", ev_id="e2",
                                 energy_kwh=7.0)]
         first = run_receding_horizon(config, base, sessions, steps=4,
-                                     events=events)
+                                     events_by_step=by_step(events, sessions, 4))
         second = run_receding_horizon(config, base, sessions, steps=4,
-                                      events=events)
+                                      events_by_step=by_step(events, sessions, 4))
         assert np.array_equal(first.committed_kw, second.committed_kw)
         assert first.step_traces == second.step_traces
         assert first.flags == second.flags
@@ -358,14 +349,16 @@ class TestAgainstReferenceLoop:
     @settings(max_examples=80, deadline=None)
     def test_random_scripts(self, script):
         config, base, sessions, steps, events = script
-        got = run_receding_horizon(config, base, sessions, steps, events)
+        got = run_receding_horizon(config, base, sessions, steps,
+                                   by_step(events, sessions, steps, config.slots))
         want = oracles.reference_horizon(config, base, sessions, steps, events)
         assert_same_horizon(got, want)
 
     def run_both(self, events, extra=()):
         config = small_config()
         sessions = sessions_of(*TestRecedingHorizon().base_sessions(), *extra)
-        got = run_receding_horizon(config, shaped_base(), sessions, 4, events)
+        got = run_receding_horizon(config, shaped_base(), sessions, 4,
+                                   by_step(events, sessions, 4))
         want = oracles.reference_horizon(config, shaped_base(), sessions, 4, events)
         assert_same_horizon(got, want)
         return got
@@ -431,13 +424,11 @@ def test_one_solve_per_station_per_round(monkeypatch, desk_config_path):
     monkeypatch.setattr(coordinator, "solve_task", counting)
     steps, sessions = cfg.horizon_steps, inputs.sessions
     result = run_receding_horizon(cfg.scheduler, inputs.base.mw.sum(axis=0), sessions,
-                                  steps, inputs.events)
+                                  steps, inputs.events_by_step)
 
-    by_step = schedule_events(inputs.events, [s.ev_id for s in sessions],
-                              cfg.scheduler.slots, steps)
     stations, expected = len(sessions), 0
     for tau, trace in enumerate(result.step_traces):
-        for event in by_step.get(tau, []):
+        for event in inputs.events_by_step.get(tau, []):
             stations += {"add_session": 1, "remove_session": -1}.get(event.kind, 0)
         expected += stations * trace.iterations
     assert solves == expected > 0
@@ -459,7 +450,7 @@ def test_stations_prepared_once_per_fixed_point(monkeypatch, desk_config_path):
 
     monkeypatch.setattr(scheduler, "prepare_stations", counting)
     result = run_receding_horizon(cfg.scheduler, inputs.base.mw.sum(axis=0),
-                                  inputs.sessions, cfg.horizon_steps, inputs.events)
+                                  inputs.sessions, cfg.horizon_steps, inputs.events_by_step)
     traces = result.step_traces
     active = sum(1 for trace in traces if trace.iterations > 0)
     assert prepared == active < sum(trace.iterations for trace in traces)

@@ -98,12 +98,6 @@ class TestGenerateFleet:
         ids = [s.ev_id for s in generate(5, default_spec(counts={5: 20, 7: 20}))]
         assert len(set(ids)) == len(ids)
 
-    def test_invalid_spec_rejected(self):
-        with pytest.raises(FleetError):
-            default_spec(energy_kwh_range=(40.0, 10.0)).validate()
-        with pytest.raises(FleetError):
-            default_spec(counts={5: -1}).validate()
-
     def test_too_few_slots_rejected(self):
         with pytest.raises(FleetError, match="too short"):
             generate(1, default_spec(), slots=1)
