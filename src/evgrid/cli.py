@@ -239,8 +239,8 @@ class Inputs:
     case: GridCase | None = None
     base: metrics.BaseLoadProfile | None = None
     sessions: tuple[EvSession, ...] = ()
-    # simulate's events, grouped by re-planning step (``schedule_events``)
-    events_by_step: dict[int, list[coordinator.ScriptedEvent]] = field(default_factory=dict)
+    # simulate's session updates by re-planning step (``schedule_events``)
+    events_by_step: dict[int, list[tuple[str, EvSession | None]]] = field(default_factory=dict)
     # uncoordinated, coordinated
     loads: list[metrics.ScenarioLoads] = field(default_factory=list)
 
@@ -314,7 +314,7 @@ def preflight(cfg: RunConfig, command: str) -> Inputs:
                        [e.bus_id for e in events if e.kind == "add_session"], base)
         try:
             inputs.events_by_step = coordinator.schedule_events(
-                events, [s.ev_id for s in inputs.sessions], cfg.scheduler.slots,
+                events, inputs.sessions, cfg.scheduler.slots,
                 cfg.horizon_steps)
         except coordinator.CoordinatorError as exc:
             raise ValueError(f"{cfg.events_path}: {exc}") from None
@@ -336,6 +336,7 @@ def _checked_blocks(path, base: metrics.BaseLoadProfile):
 
 
 def _load_sessions(cfg: RunConfig) -> tuple[EvSession, ...]:
+    """The sessions file or the generated fleet, sorted by ev_id."""
     sched = cfg.scheduler
     if cfg.sessions_path is not None:
         sessions = sorted(fleet.read_sessions(cfg.sessions_path),
@@ -345,7 +346,8 @@ def _load_sessions(cfg: RunConfig) -> tuple[EvSession, ...]:
         except fleet.FleetError as exc:
             raise ValueError(f"{cfg.sessions_path}: {exc}") from None
     if cfg.fleet_spec is not None:
-        return fleet.generate_fleet(cfg.seed, cfg.fleet_spec, sched.slots, sched.slot_hours)
+        return tuple(sorted(fleet.generate_fleet(cfg.seed, cfg.fleet_spec, sched.slots,
+                                                 sched.slot_hours), key=lambda s: s.ev_id))
     raise ValueError("config provides neither sessions nor a fleet spec")
 
 

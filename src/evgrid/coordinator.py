@@ -11,16 +11,18 @@ the delivered energy: the free slots must supply exactly the signed
 remainder, so mid-horizon discharge increases what is still owed.
 
 The slot grid is the scheduler config's, and the sessions come checked on it
-(``fleet.check_sessions``).  The loop's bookkeeping is array-backed.  Every
-id that can ever be active (the sessions and the ``add_session`` events) owns
-one row, in sorted id order, of the committed kW, the last profiles and the
-delivered kWh.  The bounds of the active stations are one ``(N, 2, T)`` kW
-array from ``scheduler.session_bounds``, rebuilt and pinned to the committed
-prefix only when an event changes the active set or a target.  Every step
-checks reachability over all rows at once and flags the unreachable targets,
-hands the bounds and targets to the fixed point as they are (an unreachable
-target gets its nearer bound row there), commits its block in one array
-operation and pins that block into the bounds in place.
+(``fleet.check_sessions``).  ``schedule_events`` checks the event script and
+replays it once, into each step's session updates; the loop applies those and
+never reads an event.  The loop's bookkeeping is array-backed.  Every id that
+can ever be active (the sessions and the ids the updates name) owns one row,
+in sorted id order, of the committed kW, the last profiles and the delivered
+kWh.  The bounds of the active stations are one ``(N, 2, T)`` kW array from
+``scheduler.session_bounds``, rebuilt and pinned to the committed prefix only
+when an update changes the active set or a target.  Every step checks
+reachability over all rows at once and flags the unreachable targets, hands
+the bounds and targets to the fixed point as they are (an unreachable target
+gets its nearer bound row there), commits its block in one array operation
+and pins that block into the bounds in place.
 """
 
 from __future__ import annotations
@@ -134,18 +136,20 @@ class HorizonResult:
     flags: tuple[str, ...]
 
 
-def schedule_events(events: list[ScriptedEvent], session_ids, slots: int,
-                    steps: int) -> dict[int, list[ScriptedEvent]]:
-    """Group ``events`` by the re-planning step that applies them, for
-    ``steps`` in 1..slots, after checking every event slot and every added
-    session's rate box (``EvSession.validate_box``), and replaying the
-    ev_ids in that order:
-    ``update_energy`` and ``remove_session`` need a live id, and
-    ``add_session`` a new one (a removed id is not reused)."""
+def schedule_events(events: list[ScriptedEvent], sessions, slots: int,
+                    steps: int) -> dict[int, list[tuple[str, EvSession | None]]]:
+    """Resolve ``events`` into the session updates of each re-planning step,
+    for ``steps`` in 1..slots, after checking every event slot and every
+    added session's rate box (``EvSession.validate_box``), and replaying the
+    events on ``sessions`` in step order: ``update_energy`` and
+    ``remove_session`` need a live id, and ``add_session`` a new one (a
+    removed id is not reused).  Each step's updates follow the script; an
+    update is an ev_id and its session as the event leaves it, None once
+    removed."""
     sps = slots // steps
     by_step: dict[int, list[ScriptedEvent]] = {}
     for event in events:
-        if not 0 <= event.slot < slots:
+        if event.slot >= slots:
             raise CoordinatorError(f"event slot {event.slot} outside 0..{slots - 1}")
         if event.kind == "add_session":
             try:
@@ -158,22 +162,27 @@ def schedule_events(events: list[ScriptedEvent], session_ids, slots: int,
         step = min(-(-event.slot // sps), steps - 1)
         by_step.setdefault(step, []).append(event)
 
-    live = set(session_ids)
+    live = {s.ev_id: s for s in sessions}
     used = set(live)
+    updates: dict[int, list[tuple[str, EvSession | None]]] = {}
     for step in sorted(by_step):
         for event in by_step[step]:
+            ev_id = event.ev_id
             if event.kind == "add_session":
-                if event.ev_id in used:
+                if ev_id in used:
                     raise CoordinatorError(
-                        f"event at slot {event.slot}: ev_id {event.ev_id!r} already used")
-                live.add(event.ev_id)
-                used.add(event.ev_id)
-            elif event.ev_id not in live:
+                        f"event at slot {event.slot}: ev_id {ev_id!r} already used")
+                live[ev_id] = _added_session(event)
+                used.add(ev_id)
+            elif ev_id not in live:
                 raise CoordinatorError(
-                    f"event at slot {event.slot}: unknown ev_id {event.ev_id!r}")
-            elif event.kind == "remove_session":
-                live.remove(event.ev_id)
-    return by_step
+                    f"event at slot {event.slot}: unknown ev_id {ev_id!r}")
+            elif event.kind == "update_energy":
+                live[ev_id] = replace(live[ev_id], energy_kwh=event.energy_kwh)
+            else:
+                del live[ev_id]
+            updates.setdefault(step, []).append((ev_id, live.get(ev_id)))
+    return updates
 
 
 def _added_session(event: ScriptedEvent) -> EvSession:
@@ -184,31 +193,14 @@ def _added_session(event: ScriptedEvent) -> EvSession:
     )
 
 
-def _apply_event(event: ScriptedEvent, sessions: dict[str, EvSession], tau: int,
-                 flags: list[str], delivered_kwh: float) -> None:
-    """Apply one event that ``schedule_events`` has checked to the live
-    ``sessions``; ``delivered_kwh`` is what the event's session has
-    delivered so far."""
-    if event.kind == "add_session":
-        sessions[event.ev_id] = _added_session(event)
-    elif event.kind == "update_energy":
-        sessions[event.ev_id] = replace(sessions[event.ev_id], energy_kwh=event.energy_kwh)
-    else:
-        session = sessions.pop(event.ev_id)
-        flags.append(
-            f"step {tau}: session {event.ev_id} removed before completion; "
-            f"delivered {delivered_kwh!r} of {session.energy_kwh!r} kWh"
-        )
-
-
 def run_receding_horizon(config: SchedulerConfig, base_load_mw: np.ndarray,
                          sessions, steps: int,
-                         events_by_step: dict[int, list[ScriptedEvent]] | None = None,
-                         ) -> HorizonResult:
+                         events_by_step: dict[int, list[tuple[str, EvSession | None]]]
+                         | None = None) -> HorizonResult:
     """Commit the schedule step by step, re-optimizing as predictions change.
 
     Each step pins all previously committed slots, applies this step's
-    scripted events, and re-runs the fixed-point iteration.  When nothing
+    session updates, and re-runs the fixed-point iteration.  When nothing
     changed, the carried control signal lets the run converge immediately
     with profiles untouched, so an event-free horizon reproduces the one-shot
     solution slot for slot.  ``steps`` is in 1..slots and ``events_by_step``
@@ -222,8 +214,8 @@ def run_receding_horizon(config: SchedulerConfig, base_load_mw: np.ndarray,
     live = {s.ev_id: s for s in sessions}
     # one row per id that can ever be active, in sorted order, so the rows
     # of any active set are ascending and match its sorted ids
-    ids = sorted(set(live) | {e.ev_id for step_events in events_by_step.values()
-                              for e in step_events if e.kind == "add_session"})
+    ids = sorted(set(live) | {ev_id for updates in events_by_step.values()
+                              for ev_id, _ in updates})
     row_by_id = {ev_id: k for k, ev_id in enumerate(ids)}
     committed = np.zeros((len(ids), t))
     profiles = np.zeros((len(ids), t))
@@ -239,10 +231,16 @@ def run_receding_horizon(config: SchedulerConfig, base_load_mw: np.ndarray,
         slot0 = tau * sps
         slot1 = (tau + 1) * sps if tau < steps - 1 else t
 
-        step_events = events_by_step.get(tau, [])
-        for event in step_events:
-            _apply_event(event, live, tau, flags, float(delivered[row_by_id[event.ev_id]]))
-        changed = bool(step_events)
+        updates = events_by_step.get(tau, [])
+        for ev_id, session in updates:
+            if session is None:
+                session = live.pop(ev_id)
+                flags.append(f"step {tau}: session {ev_id} removed before completion; "
+                             f"delivered {float(delivered[row_by_id[ev_id]])!r} of "
+                             f"{session.energy_kwh!r} kWh")
+            else:
+                live[ev_id] = session
+        changed = bool(updates)
 
         if tau == 0 or changed:
             active_ids = sorted(live)

@@ -108,9 +108,11 @@ class ReactiveAssumptions:
     ev_power_factor: float = 1.0
 
     def __post_init__(self):
-        for pf in (self.base_power_factor, self.ev_power_factor):
+        for key in ("base_power_factor", "ev_power_factor"):
+            pf = getattr(self, key)
             if not 0.0 < pf <= 1.0:
-                raise MetricsError(f"power factor {pf} outside (0, 1]")
+                raise MetricsError(f"reactive.{key}: expected a power factor in (0, 1], "
+                                   f"got {pf!r}")
 
     @staticmethod
     def _tan_phi(pf: float) -> float:

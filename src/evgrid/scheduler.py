@@ -223,14 +223,14 @@ class FixedPointResult:
 
 
 def run_fixed_point(config: SchedulerConfig, base_load_mw: np.ndarray,
-                    bounds_kw: np.ndarray, energy_kwh,
-                    initial_profiles: np.ndarray | None = None,
+                    bounds_kw: np.ndarray, energy_kwh, initial_profiles: np.ndarray,
                     initial_signal: np.ndarray | None = None,
                     respond=None) -> FixedPointResult:
     """Iterate broadcast/gather until the signal residual drops below epsilon.
 
-    Station k has the kW bounds ``bounds_kw[k]`` = (lo, hi) and the energy
-    target ``energy_kwh[k]``; a target out of reach gets the nearer bound row.
+    Station k has the kW bounds ``bounds_kw[k]`` = (lo, hi), the energy
+    target ``energy_kwh[k]`` and the starting profile ``initial_profiles[k]``
+    (length T); a target out of reach gets the nearer bound row.
 
     When ``initial_signal`` is supplied and the first computed signal already
     matches it within epsilon the state is taken as converged with zero
@@ -238,13 +238,7 @@ def run_fixed_point(config: SchedulerConfig, base_load_mw: np.ndarray,
     problem re-solves to the identical profiles.
     """
     n = len(bounds_kw)
-    t = config.slots
-    if initial_profiles is None:
-        profiles = np.zeros((n, t))
-    else:
-        profiles = np.array(initial_profiles, dtype=float, copy=True)
-        if profiles.shape != (n, t):
-            raise SchedulerError(f"initial profiles shape {profiles.shape} != ({n}, {t})")
+    profiles = np.array(initial_profiles, dtype=float)
 
     objectives = [flattening_objective(base_load_mw, profiles)]
     if n == 0:
@@ -317,6 +311,8 @@ def run_until_converged(config: SchedulerConfig, base_load_mw: np.ndarray,
     """Solve the one-shot coordination problem for a list of sessions and
     return the per-EV kW profiles plus the trace.
     """
+    if initial_profiles is None:
+        initial_profiles = np.zeros((len(sessions), config.slots))
     result = run_fixed_point(config, base_load_mw, session_bounds(sessions, config.slots),
                              [s.energy_kwh for s in sessions], initial_profiles)
     return result.profiles_kw, result.trace

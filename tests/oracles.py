@@ -329,8 +329,12 @@ def reference_horizon(config: SchedulerConfig, base_load_mw: np.ndarray,
     commits through per-id dicts."""
     t = config.slots
     dt = config.slot_hours
-    events_by_step = schedule_events(events, [s.ev_id for s in sessions], t, steps)
+    schedule_events(events, sessions, t, steps)     # its checks only
     sps = t // steps
+    # grouped here by the documented rule, independently of schedule_events
+    events_by_step: dict[int, list[ScriptedEvent]] = {}
+    for event in events:
+        events_by_step.setdefault(min(-(-event.slot // sps), steps - 1), []).append(event)
 
     sessions = {s.ev_id: s for s in sessions}
     committed_kw: dict[str, np.ndarray] = {}

@@ -60,8 +60,8 @@ def desk_problem():
     sessions = check_sessions(sessions, cfg.scheduler.slots, cfg.scheduler.slot_hours)
     base_total = read_base_load(cfg.base_load_path).mw.sum(axis=0)
     events = read_events(cfg.events_path)
-    events_by_step = schedule_events(events, [s.ev_id for s in sessions],
-                                     cfg.scheduler.slots, cfg.horizon_steps)
+    events_by_step = schedule_events(events, sessions, cfg.scheduler.slots,
+                                     cfg.horizon_steps)
     return SimpleNamespace(cfg=cfg, sessions=sessions, base_total=base_total,
                            events=events, events_by_step=events_by_step)
 

@@ -398,6 +398,10 @@ class TestPreflight:
         ("power_flow", {"tol": float("nan")},
          "power_flow.tol: expected a finite positive number, got nan"),
         ("power_flow", {"max_iter": 0}, "power_flow.max_iter: expected at least 1, got 0"),
+        *(("reactive", {key: value},
+           f"reactive.{key}: expected a power factor in (0, 1], got {value!r}")
+          for key in ("base_power_factor", "ev_power_factor")
+          for value in (0.0, 1.5, float("nan"))),
     ])
     def test_wrong_typed_value_names_its_key(self, tmp_path, capsys, no_horizon, section,
                                              values, message):
@@ -427,6 +431,16 @@ class TestPreflight:
         config = desk_variant(tmp_path, pv_mw={"3": 5.0, "2": value})
         fails_before_any_work(tmp_path, capsys, ["simulate", "-c", str(config)],
                               f"desk.json: pv_mw.2: expected a finite number, got {value!r}")
+
+    def test_generated_fleet_comes_back_sorted(self, tmp_path):
+        # generated in bus-then-number order, where b5e10000 follows b5e9999
+        config = desk_variant(tmp_path, fleet={"counts": {"5": 10001}})
+        raw = json.loads(config.read_text())
+        del raw["sessions"]
+        write_config(config, **raw)
+        sessions = cli.preflight(cli.load_run_config(str(config), {}), "schedule").sessions
+        ids = [s.ev_id for s in sessions]
+        assert len(ids) == 10001 and ids == sorted(ids)
 
     def test_negative_seed_in_the_config(self, tmp_path, capsys, no_horizon):
         config = desk_variant(tmp_path)

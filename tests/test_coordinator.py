@@ -1,5 +1,7 @@
 """Scripted events and the receding-horizon loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,9 +34,9 @@ def shaped_base(slots=16):
 
 
 def by_step(events, sessions, steps, slots=16):
-    """``events`` grouped by re-planning step, as the CLI preflight hands
-    them to ``run_receding_horizon``."""
-    return schedule_events(events, [s.ev_id for s in sessions], slots, steps)
+    """``events`` resolved into session updates by re-planning step, as the
+    CLI preflight hands them to ``run_receding_horizon``."""
+    return schedule_events(events, sessions, slots, steps)
 
 
 class TestScriptedEvent:
@@ -223,6 +225,25 @@ class TestRecedingHorizon:
                                       self.base_sessions(), steps=2)
         assert any("not converged" in f for f in result.flags)
         assert any(not t.converged for t in result.step_traces)
+
+    def test_events_resolve_into_session_updates(self):
+        # each step's updates keep script order, not slot order, and carry
+        # the session as its event leaves it
+        sessions = self.base_sessions()
+        events = [
+            ScriptedEvent(slot=7, kind="remove_session", ev_id="e3"),
+            ScriptedEvent(slot=1, kind="update_energy", ev_id="e2", energy_kwh=3.0),
+            ScriptedEvent(slot=6, kind="add_session", ev_id="late", bus_id=5,
+                          t_start=9, t_end=16, energy_kwh=5.0, p_max_kw=6.6,
+                          d_max_kw=-6.6),
+            ScriptedEvent(slot=8, kind="update_energy", ev_id="late", energy_kwh=4.0),
+        ]
+        late = EvSession(ev_id="late", bus_id=5, t_start=9, t_end=16, energy_kwh=5.0,
+                         p_max_kw=6.6, d_max_kw=-6.6)
+        assert by_step(events, sessions, 4) == {
+            1: [("e2", replace(sessions[1], energy_kwh=3.0))],
+            2: [("e3", None), ("late", late), ("late", replace(late, energy_kwh=4.0))],
+        }
 
     def test_event_slot_bounds_checked(self):
         event = ScriptedEvent(slot=16, kind="remove_session", ev_id="e1")
@@ -426,11 +447,14 @@ def test_one_solve_per_station_per_round(monkeypatch, desk_config_path):
     result = run_receding_horizon(cfg.scheduler, inputs.base.mw.sum(axis=0), sessions,
                                   steps, inputs.events_by_step)
 
-    stations, expected = len(sessions), 0
+    live, expected = {s.ev_id for s in sessions}, 0
     for tau, trace in enumerate(result.step_traces):
-        for event in inputs.events_by_step.get(tau, []):
-            stations += {"add_session": 1, "remove_session": -1}.get(event.kind, 0)
-        expected += stations * trace.iterations
+        for ev_id, session in inputs.events_by_step.get(tau, []):
+            if session is None:
+                live.discard(ev_id)
+            else:
+                live.add(ev_id)
+        expected += len(live) * trace.iterations
     assert solves == expected > 0
 
 

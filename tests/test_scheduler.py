@@ -610,7 +610,7 @@ class TestRunUntilConverged:
             return next(scripted)
 
         result = run_fixed_point(config, base, session_bounds([session], 4),
-                                 [session.energy_kwh], respond=respond)
+                                 [session.energy_kwh], np.zeros((1, 4)), respond=respond)
         assert result.trace.converged
         assert len(result.trace.diagnostics) == 1
         assert "iteration 2" in result.trace.diagnostics[0]

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from evgrid import coordinator, fleet, metrics
+from evgrid import cli, coordinator, fleet, metrics
 
 DESK = Path(__file__).resolve().parents[1] / "src" / "evgrid" / "data" / "desk"
 
@@ -40,10 +40,7 @@ def main() -> None:
 
     with open(DESK / "config.json", "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
-    raw = dict(cfg["fleet"])
-    raw["counts"] = {int(k): int(v) for k, v in raw["counts"].items()}
-    raw["energy_kwh_range"] = tuple(raw["energy_kwh_range"])
-    sessions = fleet.generate_fleet(cfg["seed"], fleet.FleetSpec(**raw),
+    sessions = fleet.generate_fleet(cfg["seed"], cli._fleet_spec(cfg["fleet"]),
                                     cfg["scheduler"]["slots"], cfg["scheduler"]["slot_hours"])
     fleet.write_sessions(DESK / "sessions.csv", sessions)
 
