@@ -19,10 +19,11 @@ in sorted id order, of the committed kW, the last profiles and the delivered
 kWh.  The bounds of the active stations are one ``(N, 2, T)`` kW array from
 ``scheduler.session_bounds``, rebuilt and pinned to the committed prefix only
 when an update changes the active set or a target.  Every step checks
-reachability over all rows at once and flags the unreachable targets, hands
-the bounds and targets to the fixed point as they are (an unreachable target
-gets its nearer bound row there), commits its block in one array operation
-and pins that block into the bounds in place.
+reachability over all rows at once and flags the unreachable targets.  The
+first step and each step with updates hand the bounds and targets to the
+fixed point as they are (an unreachable target gets its nearer bound row
+there); any other step keeps its last profiles.  Every step commits its block
+in one array operation and pins that block into the bounds in place.
 """
 
 from __future__ import annotations
@@ -147,32 +148,38 @@ def schedule_events(events: list[ScriptedEvent], sessions, slots: int,
     update is an ev_id and its session as the event leaves it, None once
     removed."""
     sps = slots // steps
-    by_step: dict[int, list[ScriptedEvent]] = {}
+    # each event with the session it adds, built and box-checked here so
+    # that a box error anywhere in the script surfaces before a replay error
+    by_step: dict[int, list[tuple[ScriptedEvent, EvSession | None]]] = {}
     for event in events:
         if event.slot >= slots:
             raise CoordinatorError(f"event slot {event.slot} outside 0..{slots - 1}")
+        added = None
         if event.kind == "add_session":
+            added = EvSession(ev_id=event.ev_id, bus_id=event.bus_id, t_start=event.t_start,
+                              t_end=event.t_end, energy_kwh=event.energy_kwh,
+                              p_max_kw=event.p_max_kw, d_max_kw=event.d_max_kw)
             try:
-                _added_session(event).validate_box(slots)
+                added.validate_box(slots)
             except FleetError as exc:
                 raise CoordinatorError(f"event at slot {event.slot}: {exc}") from None
         # an event lands at the first re-planning instant at or after its
         # slot, so slots committed earlier are never re-opened; events past
         # the final re-plan fold into the last step
         step = min(-(-event.slot // sps), steps - 1)
-        by_step.setdefault(step, []).append(event)
+        by_step.setdefault(step, []).append((event, added))
 
     live = {s.ev_id: s for s in sessions}
     used = set(live)
     updates: dict[int, list[tuple[str, EvSession | None]]] = {}
     for step in sorted(by_step):
-        for event in by_step[step]:
+        for event, added in by_step[step]:
             ev_id = event.ev_id
-            if event.kind == "add_session":
+            if added is not None:
                 if ev_id in used:
                     raise CoordinatorError(
                         f"event at slot {event.slot}: ev_id {ev_id!r} already used")
-                live[ev_id] = _added_session(event)
+                live[ev_id] = added
                 used.add(ev_id)
             elif ev_id not in live:
                 raise CoordinatorError(
@@ -185,14 +192,6 @@ def schedule_events(events: list[ScriptedEvent], sessions, slots: int,
     return updates
 
 
-def _added_session(event: ScriptedEvent) -> EvSession:
-    return EvSession(
-        ev_id=event.ev_id, bus_id=event.bus_id, t_start=event.t_start,
-        t_end=event.t_end, energy_kwh=event.energy_kwh,
-        p_max_kw=event.p_max_kw, d_max_kw=event.d_max_kw,
-    )
-
-
 def run_receding_horizon(config: SchedulerConfig, base_load_mw: np.ndarray,
                          sessions, steps: int,
                          events_by_step: dict[int, list[tuple[str, EvSession | None]]]
@@ -200,11 +199,12 @@ def run_receding_horizon(config: SchedulerConfig, base_load_mw: np.ndarray,
     """Commit the schedule step by step, re-optimizing as predictions change.
 
     Each step pins all previously committed slots, applies this step's
-    session updates, and re-runs the fixed-point iteration.  When nothing
-    changed, the carried control signal lets the run converge immediately
-    with profiles untouched, so an event-free horizon reproduces the one-shot
-    solution slot for slot.  ``steps`` is in 1..slots and ``events_by_step``
-    is what ``schedule_events`` returned for these sessions and steps.
+    session updates, and re-runs the fixed-point iteration.  A later step
+    with no update runs none: its last profiles still are the fixed point,
+    so it commits them with a zero-round trace, and an event-free horizon
+    reproduces the one-shot solution slot for slot.  ``steps`` is in
+    1..slots and ``events_by_step`` is what ``schedule_events`` returned for
+    these sessions and steps.
     """
     t = config.slots
     dt = config.slot_hours
@@ -223,7 +223,6 @@ def run_receding_horizon(config: SchedulerConfig, base_load_mw: np.ndarray,
     ever_active = np.zeros(len(ids), dtype=bool)
 
     bus_ids: dict[str, int] = {}
-    carried: np.ndarray | None = None
     step_traces: list[ConvergenceTrace] = []
     flags: list[str] = []
 
@@ -240,9 +239,9 @@ def run_receding_horizon(config: SchedulerConfig, base_load_mw: np.ndarray,
                              f"{session.energy_kwh!r} kWh")
             else:
                 live[ev_id] = session
-        changed = bool(updates)
+        solve = tau == 0 or bool(updates)
 
-        if tau == 0 or changed:
+        if solve:
             active_ids = sorted(live)
             active = [live[ev_id] for ev_id in active_ids]
             rows = np.array([row_by_id[ev_id] for ev_id in active_ids], dtype=np.intp)
@@ -264,20 +263,22 @@ def run_receding_horizon(config: SchedulerConfig, base_load_mw: np.ndarray,
                 f"clamped to {float(np.clip(energy[k], lo_kwh[k], hi_kwh[k]))!r}"
             )
 
-        initial_signal = carried if not changed else None
-        result = run_fixed_point(config, base_load_mw, bounds, energy, profiles[rows],
-                                 initial_signal)
-        if not result.trace.converged:
-            flags.append(
-                f"step {tau}: fixed point not converged after "
-                f"{result.trace.iterations} iterations "
-                f"(residual {result.trace.residuals[-1]!r})"
-            )
-        step_traces.append(result.trace)
-        carried = result.signal
+        if solve:
+            result = run_fixed_point(config, base_load_mw, bounds, energy, profiles[rows])
+            trace = result.trace
+            if not trace.converged:
+                flags.append(
+                    f"step {tau}: fixed point not converged after "
+                    f"{trace.iterations} iterations (residual {trace.residuals[-1]!r})"
+                )
+            profiles[rows] = result.profiles_kw
+        else:
+            # nothing changed: the last profiles, and their signal, still stand
+            trace = ConvergenceTrace((math.nan if rows.size == 0 else 0.0,),
+                                     step_traces[-1].objectives[-1:], 0, True)
+        step_traces.append(trace)
 
-        block = result.profiles_kw[:, slot0:slot1]
-        profiles[rows] = result.profiles_kw
+        block = profiles[rows, slot0:slot1]
         committed[rows, slot0:slot1] = block
         delivered[rows] += block.sum(axis=1) * dt
         # pinned from the next step on

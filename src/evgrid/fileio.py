@@ -5,11 +5,11 @@ that parses back to the same double), so rerunning a deterministic pipeline
 produces byte-identical files.  Cells are not quoted, so text written as a
 cell must not contain a comma or a line break (see ``is_plain_cell``).  Every
 reader goes through ``read_table``, which streams the data rows from the open
-file, checks each row's cell count against the header and reports a bad row
-as ``path:line``; ``read_rows`` locates a row that does not parse the same
-way, and the schedule reader a row with a non-finite kW cell.  Schedule
-files are read in blocks of rows (``read_schedule_blocks``), so a caller
-that only sums them never holds the whole per-EV matrix.
+file.  The reader that splits a row checks its cell count against the header
+and reports a bad row as ``path:line``: ``read_rows`` also a row that does not
+parse, the schedule reader one with a bad bus or kW cell.  Schedule files are
+read in blocks of rows (``read_schedule_blocks``), so a caller that only sums
+them never holds the whole per-EV matrix.
 """
 
 from __future__ import annotations
@@ -48,18 +48,14 @@ def write_rows(path: str | os.PathLike, header: list[str], rows) -> None:
 
 def read_table(path: str | os.PathLike) -> tuple[list[str], Iterator[tuple[int, str]]]:
     """Header cells and an iterator over the ``(line number, text)`` of every
-    data row, read from the open file as it is consumed.
-
-    Blank lines are skipped.  A data row whose cell count differs from the
-    header's is an error located at its ``path:line``.
-    """
+    data row, read from the open file as it is consumed; blank lines are
+    skipped.  The rows' cell counts are the caller's to check."""
     numbered = _numbered_lines(path)
     try:
         _, first = next(numbered)
     except StopIteration:
         raise ValueError(f"{path}: empty file") from None
-    header = [h.strip() for h in first.split(",")]
-    return header, _checked_rows(path, numbered, len(header))
+    return [h.strip() for h in first.split(",")], numbered
 
 
 def _numbered_lines(path) -> Iterator[tuple[int, str]]:
@@ -69,27 +65,27 @@ def _numbered_lines(path) -> Iterator[tuple[int, str]]:
                 yield n, line.rstrip("\n")
 
 
-def _checked_rows(path, numbered, cells: int) -> Iterator[tuple[int, str]]:
-    commas = cells - 1
-    for n, line in numbered:
-        if line.count(",") != commas:
-            raise ValueError(f"{path}:{n}: {line.count(',') + 1} cells, header has {cells}")
-        yield n, line
-
-
 def read_rows(path: str | os.PathLike, expected_header: list[str], parse) -> list:
-    """``parse(cells)`` for every data row, in file order.  A ValueError that
-    ``parse`` raises is reported at the row's ``path:line``."""
+    """``parse(cells)`` for every data row, in file order.  A row whose cell
+    count differs from the header's, or for which ``parse`` raises a
+    ValueError, is reported at its ``path:line``."""
     header, rows = read_table(path)
     if header != expected_header:
         raise ValueError(f"{path}: expected header {expected_header}, got {header}")
     parsed = []
     for n, line in rows:
+        cells = line.split(",")
         try:
-            parsed.append(parse(line.split(",")))
+            _check_cells(cells, len(header))
+            parsed.append(parse(cells))
         except ValueError as exc:
             raise ValueError(f"{path}:{n}: {exc}") from None
     return parsed
+
+
+def _check_cells(cells: list[str], expected: int) -> None:
+    if len(cells) != expected:
+        raise ValueError(f"{len(cells)} cells, header has {expected}")
 
 
 # --- schedules: one row per EV, wide slot columns ---------------------------
@@ -145,27 +141,33 @@ def _schedule_blocks(path) -> tuple[int, Iterator]:
 
 
 def _parse_schedule_rows(path, rows, slots: int) -> tuple[list[str], list[int], np.ndarray]:
-    heads = [line.split(",", 2)[:2] for _, line in rows]
+    split = [line.split(",", 2) for _, line in rows]     # ev_id, bus_id, kW cells
     try:
-        bus_ids = [int(bus_id) for _, bus_id in heads]
-        # one C-level parse of the block's slot cells, exact like float()
-        profiles = (np.loadtxt([line for _, line in rows], delimiter=",", comments=None,
-                               usecols=range(2, slots + 2), ndmin=2)
+        bus_ids = [int(cells[1]) for cells in split]
+        tails = [cells[2] for cells in split] if slots else []
+        # loadtxt would skip an empty tail, not parse it; with no slots, any
+        # third cell is one too many
+        if "" in tails or (not slots and max(map(len, split)) > 2):
+            raise ValueError("bad schedule row")
+        # one C-level parse of the block's kW cells, exact like float()
+        profiles = (np.loadtxt(tails, delimiter=",", comments=None, ndmin=2)
                     if slots else np.zeros((len(rows), 0)))
-        if not np.isfinite(profiles).all():
-            raise ValueError("non-finite kW cell")
-    except ValueError:
+        if profiles.shape[1] != slots or not np.isfinite(profiles).all():
+            raise ValueError("bad schedule block")
+    except (IndexError, ValueError):
         for n, line in rows:                 # name the first bad row
-            _, bus_id, *kw = line.split(",")
+            cells = line.split(",")
             try:
-                int(bus_id)
+                _check_cells(cells, slots + 2)
+                int(cells[1])
+                kw = cells[2:]
                 bad = np.flatnonzero(~np.isfinite(np.array(kw, dtype=float)))
                 if bad.size:
                     raise ValueError(f"kw_{bad[0]} {kw[bad[0]]} is not finite")
             except ValueError as exc:
                 raise ValueError(f"{path}:{n}: {exc}") from None
         raise
-    return [ev_id for ev_id, _ in heads], bus_ids, profiles
+    return [cells[0] for cells in split], bus_ids, profiles
 
 
 # --- convergence traces ------------------------------------------------------

@@ -16,12 +16,11 @@ for the continuous quadratic knapsack; Kiwiel 2008, Condat 2016).
 
 The work is split by how often its inputs change:
 
-- once per fixed point, just before its first round: the (N, 2, T) kW
-  bounds and the kWh targets the caller hands in, converted to MW, and
+- once per fixed point, before its first round: the (N, 2, T) kW bounds
+  and the kWh targets the caller hands in, converted to MW, and
   (``prepare_stations``) the bound totals; the snap of each row whose
   target lies on or beyond one of its bound totals to that bound row; and
-  the +/-1 slope of each breakpoint.  A step that converges on the carried
-  signal runs no round and prepares nothing;
+  the +/-1 slope of each breakpoint;
 - once per round, for all rows at once: previous - c in MW, the (N, 2T)
   breakpoints, each row's shift by its nu, one clip to the bounds, the
   snapped rows' bound profiles, and the conversion back to kW;
@@ -219,51 +218,33 @@ def solve_task(stations: PreparedStations, k: int, ks: np.ndarray) -> float:
 class FixedPointResult:
     profiles_kw: np.ndarray
     trace: ConvergenceTrace
-    signal: np.ndarray | None       # last computed signal; None when no stations
 
 
 def run_fixed_point(config: SchedulerConfig, base_load_mw: np.ndarray,
                     bounds_kw: np.ndarray, energy_kwh, initial_profiles: np.ndarray,
-                    initial_signal: np.ndarray | None = None,
                     respond=None) -> FixedPointResult:
     """Iterate broadcast/gather until the signal residual drops below epsilon.
 
     Station k has the kW bounds ``bounds_kw[k]`` = (lo, hi), the energy
     target ``energy_kwh[k]`` and the starting profile ``initial_profiles[k]``
-    (length T); a target out of reach gets the nearer bound row.
-
-    When ``initial_signal`` is supplied and the first computed signal already
-    matches it within epsilon the state is taken as converged with zero
-    response rounds; the receding-horizon loop uses this so an unchanged
-    problem re-solves to the identical profiles.
+    (length T); a target out of reach gets the nearer bound row.  With no
+    stations there is nothing to gather: the trace has no round.
     """
     n = len(bounds_kw)
     profiles = np.array(initial_profiles, dtype=float)
 
     objectives = [flattening_objective(base_load_mw, profiles)]
     if n == 0:
-        # a single degenerate round: nothing to gather, base load is final
-        trace = ConvergenceTrace((math.nan,), tuple(objectives), 1, True)
-        return FixedPointResult(profiles, trace, None)
+        trace = ConvergenceTrace((math.nan,), tuple(objectives), 0, True)
+        return FixedPointResult(profiles, trace)
 
     signal = compute_control_signal(base_load_mw, profiles, config.lam)
-    residuals: list[float] = []
+    residuals = [math.nan]
     diagnostics: list[str] = []
     converged = False
     iterations = 0
 
-    if initial_signal is not None:
-        r0 = float(np.max(np.abs(signal - initial_signal)))
-        residuals.append(r0)
-        if r0 <= config.epsilon:
-            trace = ConvergenceTrace(tuple(residuals), tuple(objectives), 0, True)
-            return FixedPointResult(profiles, trace, signal)
-    else:
-        residuals.append(math.nan)
-
     if respond is None:
-        # prepared only now, so that a step that converges on the carried
-        # signal prepares nothing
         stations = prepare_stations(bounds_kw / KW_PER_MW,
                                     np.asarray(energy_kwh, dtype=float) / KW_PER_MW,
                                     config.slot_hours)
@@ -302,7 +283,7 @@ def run_fixed_point(config: SchedulerConfig, base_load_mw: np.ndarray,
         converged=converged,
         diagnostics=tuple(diagnostics),
     )
-    return FixedPointResult(profiles, trace, signal)
+    return FixedPointResult(profiles, trace)
 
 
 def run_until_converged(config: SchedulerConfig, base_load_mw: np.ndarray,

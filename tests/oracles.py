@@ -46,6 +46,7 @@ from evgrid.scheduler import (
     ENERGY_TOL,
     ConvergenceTrace,
     SchedulerConfig,
+    flattening_objective,
     run_fixed_point,
 )
 
@@ -341,7 +342,6 @@ def reference_horizon(config: SchedulerConfig, base_load_mw: np.ndarray,
     delivered_kwh: dict[str, float] = {}
     profiles: dict[str, np.ndarray] = {}
     bus_ids: dict[str, int] = {}
-    carried: np.ndarray | None = None
     step_traces: list[ConvergenceTrace] = []
     flags: list[str] = []
 
@@ -385,22 +385,27 @@ def reference_horizon(config: SchedulerConfig, base_load_mw: np.ndarray,
             if ev_id in profiles:
                 init[k] = profiles[ev_id]
 
-        initial_signal = carried if not changed else None
-        result = run_fixed_point(config, base_load_mw, bounds, targets, init,
-                                 initial_signal)
-        if not result.trace.converged:
-            flags.append(
-                f"step {tau}: fixed point not converged after "
-                f"{result.trace.iterations} iterations "
-                f"(residual {result.trace.residuals[-1]!r})"
-            )
-        step_traces.append(result.trace)
-        carried = result.signal
+        if tau == 0 or changed:
+            result = run_fixed_point(config, base_load_mw, bounds, targets, init)
+            trace, solved = result.trace, result.profiles_kw
+            if not trace.converged:
+                flags.append(
+                    f"step {tau}: fixed point not converged after "
+                    f"{trace.iterations} iterations "
+                    f"(residual {trace.residuals[-1]!r})"
+                )
+        else:
+            # no round: the stored profiles stand, and their signal is the
+            # last step's, so it moved by exactly zero
+            solved = init
+            trace = ConvergenceTrace((0.0 if active_ids else math.nan,),
+                                     (flattening_objective(base_load_mw, init),), 0, True)
+        step_traces.append(trace)
 
         for k, ev_id in enumerate(active_ids):
-            profiles[ev_id] = result.profiles_kw[k]
-            committed_kw[ev_id][slot0:slot1] = result.profiles_kw[k][slot0:slot1]
-            delivered_kwh[ev_id] += float(result.profiles_kw[k][slot0:slot1].sum()) * dt
+            profiles[ev_id] = solved[k]
+            committed_kw[ev_id][slot0:slot1] = solved[k][slot0:slot1]
+            delivered_kwh[ev_id] += float(solved[k][slot0:slot1].sum()) * dt
 
     ev_ids = tuple(sorted(committed_kw))
     committed = np.zeros((len(ev_ids), t))

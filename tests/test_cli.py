@@ -533,6 +533,27 @@ class TestSchedulesFile:
         ids, buses, kw = read_schedules(path)
         assert (ids, buses, kw.shape) == ([], [], (0, text.count("kw_")))
 
+    def test_zero_slot_rows(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("ev_id,bus_id\na,5\n\nb,7\n")
+        ids, buses, kw = read_schedules(path)
+        assert (ids, buses, kw.shape) == (["a", "b"], [5, 7], (2, 0))
+        path.write_text("ev_id,bus_id\na,5\nb,7,\n")
+        with pytest.raises(ValueError, match="s.csv:3: 3 cells, header has 2"):
+            read_schedules(path)
+
+    def test_first_bad_row_in_file_order_is_named(self, tmp_path):
+        """Within one block the first bad row is named, whatever its fault:
+        a non-finite cell ahead of a short row, an empty kW cell (which the
+        block parse would skip as a blank line) ahead of a good row."""
+        path = tmp_path / "s.csv"
+        path.write_text("ev_id,bus_id,kw_0,kw_1\na,5,1.0,2.0\nb,7,nan,1.0\nc,9,1.0\n")
+        with pytest.raises(ValueError, match="s.csv:3: kw_0 nan is not finite"):
+            read_schedules(path)
+        path.write_text("ev_id,bus_id,kw_0\na,5,\nb,7,1.0\n")
+        with pytest.raises(ValueError, match="s.csv:2: could not convert"):
+            read_schedules(path)
+
     def test_slot_header_must_count_from_zero(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("ev_id,bus_id,kw_1,kw_2\na,5,1.0,2.0\n")

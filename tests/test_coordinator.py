@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import (assert_identical, cell_text, file_ints, finite_floats, make_session,
                       round_trip, small_config)
-from evgrid import coordinator, scheduler
+from evgrid import coordinator, fileio, scheduler
 from evgrid.cli import load_run_config, preflight
 from evgrid.coordinator import (
     EVENT_KINDS,
@@ -125,7 +125,7 @@ class TestRecedingHorizon:
         one_shot, _ = run_until_converged(config, base, list(sessions))
         result = run_receding_horizon(config, base, sessions, steps=4)
         assert np.array_equal(result.committed_kw, one_shot)
-        # the carried signal settles every later step without new rounds
+        # a step with no update runs no round and keeps its profiles
         assert [t.iterations for t in result.step_traces[1:]] == [0, 0, 0]
         assert result.flags == ()
 
@@ -164,6 +164,22 @@ class TestRecedingHorizon:
         assert float(result.committed_kw[row].sum()) * 0.25 == pytest.approx(
             5.0, abs=1e-6)
         assert result.flags == ()
+
+    def test_steps_without_stations_run_no_round(self, tmp_path):
+        """Once events remove every session, each later step gathers nothing:
+        it runs no round and writes one ``nan`` residual row, so the rounds
+        add up to the traces.csv rows minus one per step."""
+        config = small_config()
+        sessions = self.base_sessions()
+        events = [ScriptedEvent(slot=5, kind="remove_session", ev_id=s.ev_id)
+                  for s in sessions]
+        result = run_receding_horizon(config, shaped_base(), sessions, steps=4,
+                                      events_by_step=by_step(events, sessions, 4))
+        path = tmp_path / "traces.csv"
+        fileio.write_traces(path, result.step_traces)
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        assert sum(t.iterations for t in result.step_traces) == len(rows) - 4
+        assert [row[2] for row in rows if row[0] in ("3", "4")] == ["nan", "nan"]
 
     def test_add_existing_id_rejected(self):
         sessions = self.base_sessions()
@@ -269,6 +285,20 @@ class TestRecedingHorizon:
                 rf"event at slot 6: session late: rate bounds must satisfy "
                 rf"d_max <= 0 <= p_max, got \[{d_max}, {p_max}\]")):
             by_step([event], self.base_sessions(), 4)
+
+    def test_box_error_surfaces_before_an_earlier_replay_error(self):
+        """Every added session is built and box-checked before the replay, so
+        a later bad box wins over an earlier unknown id; the replay then
+        hands on the session the check built."""
+        ghost = ScriptedEvent(slot=1, kind="remove_session", ev_id="ghost")
+        bad = ScriptedEvent(slot=10, kind="add_session", ev_id="late", bus_id=5,
+                            t_start=8, t_end=12, energy_kwh=1.0, p_max_kw=-3.0,
+                            d_max_kw=-6.6)
+        with pytest.raises(CoordinatorError, match="event at slot 10: session late: rate"):
+            by_step([ghost, bad], self.base_sessions(), 4)
+        good = replace(bad, p_max_kw=6.6)
+        [(ev_id, session)] = by_step([good], self.base_sessions(), 4)[3]
+        assert (ev_id, session) == ("late", EvSession("late", 5, 8, 12, 1.0, 6.6, -6.6))
 
     def test_delivered_energy_accounting(self):
         config = small_config()
@@ -459,22 +489,27 @@ def test_one_solve_per_station_per_round(monkeypatch, desk_config_path):
 
 
 def test_stations_prepared_once_per_fixed_point(monkeypatch, desk_config_path):
-    """The desk horizon prepares its stations once for each step that runs
-    a round, never once per round; a step that converges on the carried
-    signal prepares nothing."""
+    """The desk horizon runs a fixed point only on its first step and on
+    its two event steps, and each prepares its stations once, never once
+    per round."""
     cfg = load_run_config(str(desk_config_path), {})
     inputs = preflight(cfg, "simulate")
-    prepared = 0
-    real_prepare = scheduler.prepare_stations
+    calls = {"prepare": 0, "fixed_point": 0}
 
-    def counting(*args, **kwargs):
-        nonlocal prepared
-        prepared += 1
-        return real_prepare(*args, **kwargs)
+    def counting(module, name, key):
+        real = getattr(module, name)
 
-    monkeypatch.setattr(scheduler, "prepare_stations", counting)
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(scheduler, "prepare_stations", "prepare")
+    counting(coordinator, "run_fixed_point", "fixed_point")
     result = run_receding_horizon(cfg.scheduler, inputs.base.mw.sum(axis=0),
                                   inputs.sessions, cfg.horizon_steps, inputs.events_by_step)
     traces = result.step_traces
     active = sum(1 for trace in traces if trace.iterations > 0)
-    assert prepared == active < sum(trace.iterations for trace in traces)
+    assert calls["fixed_point"] == calls["prepare"] == active == 3
+    assert active < sum(trace.iterations for trace in traces)
