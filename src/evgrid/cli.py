@@ -35,11 +35,11 @@ from .scheduler import SchedulerConfig, run_until_converged  # noqa: E402
 # metrics) is a ValueError
 USER_ERRORS = (ValueError, OSError, PowerFlowError)
 
-# top-level config keys, with the numbers typed as for ``_keys``
+# top-level config keys, with the numbers and paths typed as for ``_keys``
 _CONFIG_KEYS = {
     **dict.fromkeys(("case", "base_load", "sessions", "events", "uncoordinated",
-                     "coordinated", "output_dir", "scheduler", "power_flow",
-                     "reactive", "pv_mw", "fleet"), ""),
+                     "coordinated", "output_dir"), "path"),
+    **dict.fromkeys(("scheduler", "power_flow", "reactive", "pv_mw", "fleet"), ""),
     "seed": "int", "horizon_steps": "int", "slot": "int",
 }
 
@@ -89,10 +89,20 @@ def _number(key: str, value, kind=float):
 _NUMBER_KINDS = {"int": int, "float": float}
 
 
+def _typed(key: str, value, kind: str):
+    """``value`` checked as ``kind``: "int" or "float" as for ``_number``, and
+    "path" a string or null (absent); any other kind passes as it is."""
+    if kind in _NUMBER_KINDS:
+        return _number(key, value, _NUMBER_KINDS[kind])
+    if kind == "path" and not isinstance(value, (str, type(None))):
+        raise ValueError(f"{key}: expected a path string, got {value!r}")
+    return value
+
+
 def _keys(name: str, section, kinds: dict[str, str] | None = None) -> dict:
     """A copy of config section ``name``.  Given ``kinds``, a key outside it
-    is an error, and a value it types "int" or "float" must be a JSON number
-    of that kind; errors name the key as ``name.key``."""
+    is an error, and each value is checked by ``_typed`` against its kind;
+    errors name the key as ``name.key``."""
     if not isinstance(section, dict):
         raise ValueError(f"{name} must be a JSON object")
     if kinds is None:
@@ -100,8 +110,7 @@ def _keys(name: str, section, kinds: dict[str, str] | None = None) -> dict:
     unknown = sorted(set(section) - set(kinds))
     if unknown:
         raise ValueError(f"unknown {name} keys {unknown}")
-    return {key: _number(f"{name}.{key}", value, _NUMBER_KINDS[kinds[key]])
-            if kinds[key] in _NUMBER_KINDS else value
+    return {key: _typed(f"{name}.{key}", value, kinds[key])
             for key, value in section.items()}
 
 
@@ -167,8 +176,9 @@ def load_run_config(config_path: str | None, overrides: dict) -> RunConfig:
         raise ValueError(f"{config_path or 'command line'}: {exc}") from None
     for name in ("case", "base_load", "sessions", "events", "uncoordinated", "coordinated"):
         path = getattr(cfg, f"{name}_path")
-        if path is not None and not path.exists():
-            raise ValueError(f"{name} file not found: {path}")
+        if path is not None and not path.is_file():
+            raise ValueError(f"{name}: {path} is not a file" if path.exists()
+                             else f"{name} file not found: {path}")
     return cfg
 
 
@@ -241,8 +251,8 @@ class Inputs:
     sessions: tuple[EvSession, ...] = ()
     # simulate's session updates by re-planning step (``schedule_events``)
     events_by_step: dict[int, list[tuple[str, EvSession | None]]] = field(default_factory=dict)
-    # uncoordinated, coordinated
-    loads: list[metrics.ScenarioLoads] = field(default_factory=list)
+    # compare's uncoordinated and coordinated EV load (``metrics.aggregate_load``)
+    ev_mw: list[np.ndarray] = field(default_factory=list)
 
 
 _REQUIRED = {"powerflow": ("case",), "schedule": ("case", "base_load"),
@@ -320,7 +330,7 @@ def preflight(cfg: RunConfig, command: str) -> Inputs:
             raise ValueError(f"{cfg.events_path}: {exc}") from None
     if command == "compare":
         for path in (cfg.uncoordinated_path, cfg.coordinated_path):
-            inputs.loads.append(metrics.aggregate_load(base, _checked_blocks(path, base)))
+            inputs.ev_mw.append(metrics.aggregate_load(base, _checked_blocks(path, base)))
     return inputs
 
 
@@ -369,10 +379,9 @@ def _write_report(out: Path, report: dict) -> None:
 def cmd_powerflow(cfg: RunConfig, inputs: Inputs) -> int:
     case, base = inputs.case, inputs.base
     if base is not None:
-        loads = metrics.ScenarioLoads(base.bus_ids, base.mw, np.zeros_like(base.mw))
-        slot = cfg.slot if cfg.slot is not None else int(np.argmax(loads.system_total()))
+        slot = cfg.slot if cfg.slot is not None else int(np.argmax(base.mw.sum(axis=0)))
         solution, flows = metrics.evaluate_grid_at_slot(
-            case, loads, slot, cfg.reactive, cfg.pv_mw,
+            case, base, np.zeros_like(base.mw), slot, cfg.reactive, cfg.pv_mw,
             tol=cfg.pf_tol, max_iter=cfg.pf_max_iter,
         )
     else:
@@ -462,10 +471,10 @@ def cmd_simulate(cfg: RunConfig, inputs: Inputs) -> int:
     )
     coord_buses = [result.bus_ids[e] for e in result.ev_ids]
 
-    loads_unc = metrics.aggregate_load(base, [(unc_buses, uncoordinated)])
-    loads_coord = metrics.aggregate_load(base, [(coord_buses, result.committed_kw)])
+    ev_unc = metrics.aggregate_load(base, [(unc_buses, uncoordinated)])
+    ev_coord = metrics.aggregate_load(base, [(coord_buses, result.committed_kw)])
     report = metrics.compare_scenarios(
-        case, loads_unc, loads_coord, cfg.reactive, cfg.pv_mw,
+        case, base, ev_unc, ev_coord, cfg.reactive, cfg.pv_mw,
         flags=result.flags, tol=cfg.pf_tol, max_iter=cfg.pf_max_iter,
     )
 
@@ -477,19 +486,18 @@ def cmd_simulate(cfg: RunConfig, inputs: Inputs) -> int:
                            list(result.ev_ids), coord_buses, result.committed_kw)
     fileio.write_traces(out / "traces.csv", result.step_traces)
     _write_report(out, report)
-    fileio.write_system_aggregate(
-        out / "system_load.csv", base_total,
-        loads_unc.system_total(), loads_coord.system_total(),
-    )
+    total_unc, total_coord = base.mw + ev_unc, base.mw + ev_coord
+    fileio.write_system_aggregate(out / "system_load.csv", base_total,
+                                  total_unc.sum(axis=0), total_coord.sum(axis=0))
     fileio.write_bus_aggregate(out / "bus_load.csv", base.bus_ids, base.mw,
-                               loads_unc.total_mw, loads_coord.total_mw)
+                               total_unc, total_coord)
     return 0
 
 
 def cmd_compare(cfg: RunConfig, inputs: Inputs) -> int:
-    loads_unc, loads_coord = inputs.loads
+    ev_unc, ev_coord = inputs.ev_mw
     report = metrics.compare_scenarios(
-        inputs.case, loads_unc, loads_coord, cfg.reactive, cfg.pv_mw,
+        inputs.case, inputs.base, ev_unc, ev_coord, cfg.reactive, cfg.pv_mw,
         tol=cfg.pf_tol, max_iter=cfg.pf_max_iter,
     )
     cfg.output_dir.mkdir(parents=True, exist_ok=True)

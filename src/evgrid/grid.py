@@ -1,4 +1,4 @@
-"""Network data model, case-file parsing, and admittance-matrix assembly.
+"""Network data model, case-file parsing, the branch model and the admittance matrix.
 
 A grid case is a single structured text file with three sections::
 
@@ -14,7 +14,8 @@ A grid case is a single structured text file with three sections::
     1  4  0.0  0.0576  0.0  1.0
 
 Angles are degrees and powers MW/MVAr at the file boundary; everything is
-radians and per-unit on ``s_base`` once loaded.
+radians and per-unit on ``s_base`` once loaded.  ``branch_terms`` is the one pi
+model, which the admittance matrix and ``powerflow.compute_line_flows`` share.
 """
 
 from __future__ import annotations
@@ -265,30 +266,36 @@ def format_grid_case(case: GridCase) -> str:
     return "\n".join(out) + "\n"
 
 
-# --- admittance assembly -----------------------------------------------------
+# --- branch model and admittance assembly ------------------------------------
 
-def build_admittance_matrix(case: GridCase) -> np.ndarray:
-    """Nodal admittance matrix (complex, dense, order M).
-
-    Each branch stamps the standard pi-model: off-diagonals get -y/tap, the
-    from diagonal y/tap^2 and the to diagonal y, plus j*b/2 shunt on each
-    side.  Contributions are accumulated in (row, col, value) order so the
-    result is bit-identical under any permutation of the input branch list.
+def branch_terms(case: GridCase) -> list[tuple[int, int, complex, complex, complex, complex]]:
+    """The pi model of every branch, in branch order, as ``(f, t, yff, yft,
+    ytf, ytt)``: the from and to bus indices and the admittances that give
+    the branch's end currents ``i_from = yff*v_f + yft*v_t`` and
+    ``i_to = ytf*v_f + ytt*v_t``.  With ``y = 1/(r + jx)`` and the tap on the
+    from side, ``yff = y/tap^2 + jb/2``, ``yft = ytf = -y/tap`` and
+    ``ytt = y + jb/2``.
     """
-    m = case.order
-    contribs: list[tuple[int, int, complex]] = []
+    terms = []
     for br in case.branches:
-        i = case.index_of(br.from_bus)
-        j = case.index_of(br.to_bus)
         y = 1.0 / complex(br.r, br.x)
         shunt = complex(0.0, br.b_shunt / 2.0)
-        contribs.append((i, i, y / (br.tap * br.tap) + shunt))
-        contribs.append((j, j, y + shunt))
-        contribs.append((i, j, -y / br.tap))
-        contribs.append((j, i, -y / br.tap))
+        mutual = -y / br.tap
+        terms.append((case.index_of(br.from_bus), case.index_of(br.to_bus),
+                      y / (br.tap * br.tap) + shunt, mutual, mutual, y + shunt))
+    return terms
+
+
+def build_admittance_matrix(case: GridCase) -> np.ndarray:
+    """Nodal admittance matrix (complex, dense, order M) stamped from the
+    ``branch_terms``, accumulated in (row, col, value) order so that it is
+    bit-identical under any permutation of the input branch list."""
+    contribs: list[tuple[int, int, complex]] = []
+    for f, t, yff, yft, ytf, ytt in branch_terms(case):
+        contribs += [(f, f, yff), (t, t, ytt), (f, t, yft), (t, f, ytf)]
 
     contribs.sort(key=lambda c: (c[0], c[1], c[2].real, c[2].imag))
-    ybus = np.zeros((m, m), dtype=complex)
+    ybus = np.zeros((case.order, case.order), dtype=complex)
     for i, j, v in contribs:
         ybus[i, j] += v
     return ybus

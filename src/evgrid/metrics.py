@@ -1,6 +1,8 @@
 """Scenario comparison: peak shaving, voltage profile, line currents, and
 generation split, evaluated by power flow at each scenario's worst-case slot.
 
+A scenario's EV load is a plain ``(buses, T)`` MW array on the base load's
+buses, summed by ``aggregate_load``; its total is ``base.mw + ev_mw``.
 ``compare_scenarios`` returns the report as the JSON-ready dict that
 ``report.json`` holds, and ``render_report`` prints that dict as the text of
 ``report.txt``.
@@ -123,24 +125,9 @@ class ReactiveAssumptions:
                 + ev_mw * self._tan_phi(self.ev_power_factor))
 
 
-@dataclass(frozen=True)
-class ScenarioLoads:
-    """Per-bus active load split into base and EV components, MW over T."""
-
-    bus_ids: tuple[int, ...]
-    base_mw: np.ndarray
-    ev_mw: np.ndarray
-
-    @property
-    def total_mw(self) -> np.ndarray:
-        return self.base_mw + self.ev_mw
-
-    def system_total(self) -> np.ndarray:
-        return self.total_mw.sum(axis=0)
-
-
-def aggregate_load(base: BaseLoadProfile, blocks) -> ScenarioLoads:
-    """Add EV profiles onto the base load.
+def aggregate_load(base: BaseLoadProfile, blocks) -> np.ndarray:
+    """The EV load on ``base``'s buses, MW of shape ``(len(base.bus_ids), T)``
+    with rows in ``base.bus_ids`` order.
 
     ``blocks`` yields ``(bus_ids, profiles_kw)`` pairs on ``base``'s buses, one kW
     row per EV in ``profiles_kw`` (shape ``(len(bus_ids), T)``); each block is
@@ -156,62 +143,60 @@ def aggregate_load(base: BaseLoadProfile, blocks) -> ScenarioLoads:
         for k in range(len(base.bus_ids)):
             # cumsum adds row after row, as a per-row loop would
             ev_mw[k] = np.cumsum(np.vstack((ev_mw[k], scaled[rows == k])), axis=0)[-1]
-    return ScenarioLoads(base.bus_ids, base.mw.copy(), ev_mw)
+    return ev_mw
 
 
-def evaluate_grid_at_slot(case: GridCase, loads: ScenarioLoads, slot: int,
+def evaluate_grid_at_slot(case: GridCase, base: BaseLoadProfile, ev_mw: np.ndarray,
+                          slot: int,
                           assumptions: ReactiveAssumptions = ReactiveAssumptions(),
                           pv_mw: dict[int, float] | None = None,
-                          ybus: np.ndarray | None = None,
                           tol: float = 1e-8, max_iter: int = 20,
                           ) -> tuple[PowerFlowSolution, list[LineFlow]]:
-    """Power flow with PQ injections taken from the scenario at one slot; the
-    slot and the PV dispatch come checked (``cli.preflight``)."""
-    base_mw = loads.base_mw[:, slot]
-    ev_mw = loads.ev_mw[:, slot]
-    q_mvar = assumptions.reactive_mvar(base_mw, ev_mw)
+    """Power flow with PQ injections taken from the base load plus the EV
+    load ``ev_mw`` (an ``aggregate_load`` array) at one slot; the slot and
+    the PV dispatch come checked (``cli.preflight``)."""
+    base_mw, ev = base.mw[:, slot], ev_mw[:, slot]
+    q_mvar = assumptions.reactive_mvar(base_mw, ev)
 
     p_pu: dict[int, float] = {}
     q_pu: dict[int, float] = {}
-    for k, bus_id in enumerate(loads.bus_ids):
-        p_pu[bus_id] = -(base_mw[k] + ev_mw[k]) / case.s_base
+    for k, bus_id in enumerate(base.bus_ids):
+        p_pu[bus_id] = -(base_mw[k] + ev[k]) / case.s_base
         q_pu[bus_id] = -q_mvar[k] / case.s_base
     for bus_id, mw in (pv_mw or {}).items():
         p_pu[bus_id] = mw / case.s_base
 
     loaded = case.with_injections(p_pu, q_pu)
-    if ybus is None:
-        ybus = build_admittance_matrix(loaded)
-    solution = solve_power_flow(loaded, ybus, tol=tol, max_iter=max_iter)
+    solution = solve_power_flow(loaded, build_admittance_matrix(loaded),
+                                tol=tol, max_iter=max_iter)
     return solution, compute_line_flows(solution, loaded)
 
 
-def compare_scenarios(case: GridCase, loads_before: ScenarioLoads,
-                      loads_after: ScenarioLoads,
+def compare_scenarios(case: GridCase, base: BaseLoadProfile, ev_before: np.ndarray,
+                      ev_after: np.ndarray,
                       assumptions: ReactiveAssumptions = ReactiveAssumptions(),
                       pv_mw: dict[int, float] | None = None,
                       flags: tuple[str, ...] = (),
                       tol: float = 1e-8, max_iter: int = 20) -> dict:
-    """Evaluate the uncoordinated and coordinated loads (from
-    ``aggregate_load`` over one base load checked against ``case``) at their
-    worst-case slots and return the report, the dict that ``report.json``
-    holds (see ``report_to_dict``).  ``flags`` carries run-level notes
-    (clamped sessions, non-converged steps) into the report."""
-    ybus = build_admittance_matrix(case)
+    """Evaluate the uncoordinated and coordinated EV loads (``aggregate_load``
+    arrays over ``base``, checked against ``case``) at the worst-case slots
+    of their totals with the base load, and return the report, the dict
+    that ``report.json`` holds (see ``report_to_dict``).  ``flags`` carries
+    run-level notes (clamped sessions, non-converged steps) into the report."""
     solved = []
-    for label, loads in (("uncoordinated", loads_before), ("coordinated", loads_after)):
-        total = loads.system_total()
+    for label, ev_mw in (("uncoordinated", ev_before), ("coordinated", ev_after)):
+        total = (base.mw + ev_mw).sum(axis=0)
         slot = int(np.argmax(total))
         try:
             solution, flows = evaluate_grid_at_slot(
-                case, loads, slot, assumptions, pv_mw, ybus, tol, max_iter
+                case, base, ev_mw, slot, assumptions, pv_mw, tol, max_iter
             )
         except PowerFlowError as exc:
             raise MetricsError(
                 f"power flow failed for the {label} scenario at slot {slot}: {exc}"
             ) from exc
         solved.append((slot, float(total[slot]), solution, flows))
-    dominated = bool(np.all(loads_after.total_mw <= loads_before.total_mw + 1e-9))
+    dominated = bool(np.all(base.mw + ev_after <= base.mw + ev_before + 1e-9))
     return report_to_dict(case, *solved, dominated, flags)
 
 

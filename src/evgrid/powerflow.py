@@ -7,7 +7,8 @@ The solver works on the per-unit injection equations
 
 with an analytically assembled Jacobian, solved at each step by Gaussian
 elimination with partial pivoting in numpy.  PV reactive limits are not
-modeled.
+modeled.  Line flows come from the branch model of ``grid.branch_terms``,
+the one the admittance matrix is built from.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Branch, BusKind, GridCase
+from .grid import Branch, BusKind, GridCase, branch_terms
 
 SQRT3 = math.sqrt(3.0)
 SINGULAR_PIVOT = 1e-12
@@ -186,19 +187,16 @@ def solve_power_flow(case: GridCase, ybus: np.ndarray, tol: float = 1e-8,
 
 
 def compute_line_flows(solution: PowerFlowSolution, case: GridCase) -> list[LineFlow]:
-    """Branch currents and complex flows from the pi-model at the solution."""
+    """Branch currents and complex flows at the solution, from the same
+    ``grid.branch_terms`` that the admittance matrix is stamped from."""
     v = solution.voltages
     flows = []
-    for br in case.branches:
-        i = case.index_of(br.from_bus)
-        j = case.index_of(br.to_bus)
-        y = 1.0 / complex(br.r, br.x)
-        shunt = complex(0.0, br.b_shunt / 2.0)
-        i_from = (y / br.tap**2 + shunt) * v[i] - (y / br.tap) * v[j]
-        i_to = -(y / br.tap) * v[i] + (y + shunt) * v[j]
-        s_from = v[i] * np.conj(i_from) * case.s_base
-        s_to = v[j] * np.conj(i_to) * case.s_base
-        base_kv = case.bus(br.from_bus).base_kv
+    for br, (f, t, yff, yft, ytf, ytt) in zip(case.branches, branch_terms(case)):
+        i_from = yff * v[f] + yft * v[t]
+        i_to = ytf * v[f] + ytt * v[t]
+        s_from = v[f] * np.conj(i_from) * case.s_base
+        s_to = v[t] * np.conj(i_to) * case.s_base
+        base_kv = case.buses[f].base_kv
         flows.append(
             LineFlow(
                 branch=br,

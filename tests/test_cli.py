@@ -442,6 +442,41 @@ class TestPreflight:
         ids = [s.ev_id for s in sessions]
         assert len(ids) == 10001 and ids == sorted(ids)
 
+    @pytest.mark.parametrize("key,value", [("case", 5), ("case", True), ("case", ["x"]),
+                                           ("output_dir", 7)])
+    def test_non_string_path_names_its_key(self, tmp_path, capsys, no_horizon, key, value):
+        config = desk_variant(tmp_path)
+        write_config(config, **{**json.loads(config.read_text()), key: value})
+        fails_before_any_work(tmp_path, capsys, ["simulate", "-c", str(config)],
+                              f"desk.json: config.{key}: expected a path string, "
+                              f"got {value!r}")
+
+    def test_null_path_is_absent(self, tmp_path):
+        config = desk_variant(tmp_path)
+        write_config(config, **{**json.loads(config.read_text()), "events": None,
+                                "output_dir": None})
+        cfg = cli.load_run_config(str(config), {})
+        assert cfg.events_path is None
+        assert cfg.output_dir == Path.cwd() / "out"
+
+    def test_empty_case_path_in_the_config(self, tmp_path, capsys):
+        # "" resolves to the config's own directory
+        config = write_config(tmp_path / "c.json", case="")
+        fails_before_any_work(tmp_path, capsys, ["powerflow", "-c", str(config)],
+                              f"error: case: {tmp_path} is not a file")
+
+    def test_empty_case_flag(self, tmp_path, capsys, monkeypatch):
+        # "" resolves to the working directory
+        monkeypatch.chdir(tmp_path)
+        fails_before_any_work(tmp_path, capsys, ["powerflow", "--case", ""],
+                              f"error: case: {tmp_path} is not a file")
+
+    def test_base_load_that_names_a_directory(self, tmp_path, capsys, no_horizon):
+        config = desk_variant(tmp_path)
+        write_config(config, **{**json.loads(config.read_text()), "base_load": str(tmp_path)})
+        fails_before_any_work(tmp_path, capsys, ["simulate", "-c", str(config)],
+                              f"error: base_load: {tmp_path} is not a file")
+
     def test_negative_seed_in_the_config(self, tmp_path, capsys, no_horizon):
         config = desk_variant(tmp_path)
         write_config(config, **{**json.loads(config.read_text()), "seed": -1})

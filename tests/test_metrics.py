@@ -17,7 +17,6 @@ from evgrid.metrics import (
     BaseLoadProfile,
     MetricsError,
     ReactiveAssumptions,
-    ScenarioLoads,
     aggregate_load,
     compare_scenarios,
     evaluate_grid_at_slot,
@@ -140,22 +139,22 @@ class TestReactiveAssumptions:
 class TestAggregateLoad:
     def test_zero_profiles(self):
         base = constant_base({5: 90.0, 7: 100.0})
-        loads = aggregate_load(base, [])
-        assert np.array_equal(loads.ev_mw, np.zeros_like(base.mw))
-        assert np.array_equal(loads.total_mw, base.mw)
-        assert np.array_equal(loads.system_total(), np.full(6, 190.0))
+        ev_mw = aggregate_load(base, [])
+        assert np.array_equal(ev_mw, np.zeros_like(base.mw))
+        assert np.array_equal((base.mw + ev_mw).sum(axis=0), np.full(6, 190.0))
 
     def test_kilowatts_become_megawatts(self):
         base = constant_base({5: 90.0, 7: 100.0}, slots=4)
-        loads = aggregate_load(base, [([7], np.full((1, 4), 6.6))])
-        assert np.array_equal(loads.ev_mw[0], np.zeros(4))
-        assert np.allclose(loads.ev_mw[1], 0.0066, atol=1e-15)
+        ev_mw = aggregate_load(base, [([7], np.full((1, 4), 6.6))])
+        assert ev_mw.shape == base.mw.shape
+        assert np.array_equal(ev_mw[0], np.zeros(4))
+        assert np.allclose(ev_mw[1], 0.0066, atol=1e-15)
 
     def test_profiles_accumulate_per_bus(self):
         base = constant_base({5: 0.0}, slots=3)
-        loads = aggregate_load(
+        ev_mw = aggregate_load(
             base, [([5, 5], np.array([[1000.0, 0.0, 0.0], [500.0, -250.0, 0.0]]))])
-        assert np.array_equal(loads.ev_mw[0], np.array([1.5, -0.25, 0.0]))
+        assert np.array_equal(ev_mw[0], np.array([1.5, -0.25, 0.0]))
 
 
 def bus_blocks(path):
@@ -181,12 +180,11 @@ class TestStreamedAggregation:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fileio, "_BLOCK_ROWS", block_rows)
             sizes = [len(ids) for ids, _, _ in read_schedule_blocks(path)]
-            loads = aggregate_load(base, bus_blocks(path))
+            ev_mw = aggregate_load(base, bus_blocks(path))
             got_ids, got_buses, got_kw = read_schedules(path)
         assert sizes == [min(block_rows, n - start) for start in range(0, n, block_rows)]
         want = reference_aggregate(base, zip(bus_ids, kw))
-        assert loads.ev_mw.tobytes() == want.tobytes()
-        assert loads.base_mw.tobytes() == base.mw.tobytes()
+        assert ev_mw.tobytes() == want.tobytes()
         assert_identical(got_ids, ev_ids)
         assert_identical(got_buses, bus_ids)
         assert got_kw.shape == kw.shape and got_kw.tobytes() == kw.tobytes()
@@ -205,27 +203,27 @@ class TestStreamedAggregation:
         base = constant_base({5: 90.0, 7: 100.0, 9: 125.0}, slots)
         tracemalloc.start()
         try:
-            loads = aggregate_load(base, bus_blocks(path))
+            ev_mw = aggregate_load(base, bus_blocks(path))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 10e6, f"peak {peak / 1e6:.1f} MB"
-        assert loads.ev_mw.sum() == pytest.approx(n * 8 * 3.6 / 1000.0, rel=1e-12)
+        assert ev_mw.sum() == pytest.approx(n * 8 * 3.6 / 1000.0, rel=1e-12)
 
 
 class TestEvaluateGridAtSlot:
     def test_zero_load_is_flat(self, unity_case):
-        loads = ScenarioLoads((2, 3), np.zeros((2, 4)), np.zeros((2, 4)))
-        solution, flows = evaluate_grid_at_slot(unity_case, loads, 0)
+        base = BaseLoadProfile((2, 3), np.zeros((2, 4)))
+        solution, flows = evaluate_grid_at_slot(unity_case, base, np.zeros((2, 4)), 0)
         assert np.array_equal(solution.v_mag, np.ones(3))
         assert np.array_equal(solution.v_angle, np.zeros(3))
         assert all(abs(f.i_from_pu) < 1e-12 for f in flows)
 
     def test_matches_direct_injection_setup(self, wscc_case):
         base = constant_base({5: 90.0, 7: 100.0, 9: 125.0}, slots=2)
-        loads = aggregate_load(base, [([5], np.full((1, 2), 2000.0))])
+        ev_mw = aggregate_load(base, [([5], np.full((1, 2), 2000.0))])
         assumptions = ReactiveAssumptions(0.9, 1.0)
-        solution, _ = evaluate_grid_at_slot(wscc_case, loads, 1, assumptions)
+        solution, _ = evaluate_grid_at_slot(wscc_case, base, ev_mw, 1, assumptions)
 
         tan_phi = math.sqrt(1 - 0.81) / 0.9
         p_pu = {5: -92.0 / 100.0, 7: -1.0, 9: -1.25}
@@ -238,26 +236,17 @@ class TestEvaluateGridAtSlot:
 
     def test_pv_override_changes_dispatch(self, wscc_case):
         base = constant_base({5: 90.0, 7: 100.0, 9: 125.0}, slots=2)
-        loads = aggregate_load(base, [])
-        solution, _ = evaluate_grid_at_slot(wscc_case, loads, 0,
+        solution, _ = evaluate_grid_at_slot(wscc_case, base, np.zeros((3, 2)), 0,
                                             pv_mw={2: 120.0, 3: 40.0})
         assert solution.p_inj[1] * 100.0 == pytest.approx(120.0, abs=1e-6)
         assert solution.p_inj[2] * 100.0 == pytest.approx(40.0, abs=1e-6)
 
-    def test_precomputed_ybus_equivalent(self, wscc_case):
-        base = constant_base({5: 90.0, 7: 100.0, 9: 125.0}, slots=2)
-        loads = aggregate_load(base, [])
-        plain, _ = evaluate_grid_at_slot(wscc_case, loads, 0)
-        # the admittance matrix does not depend on injections
-        ybus = build_admittance_matrix(wscc_case)
-        cached, _ = evaluate_grid_at_slot(wscc_case, loads, 0, ybus=ybus)
-        assert np.array_equal(plain.v_mag, cached.v_mag)
-
     def test_heavier_load_sags_remote_buses(self, wscc_case):
-        light = aggregate_load(constant_base({5: 60.0, 7: 60.0, 9: 60.0}, 1), [])
-        heavy = aggregate_load(constant_base({5: 110.0, 7: 110.0, 9: 110.0}, 1), [])
-        sol_light, _ = evaluate_grid_at_slot(wscc_case, light, 0)
-        sol_heavy, _ = evaluate_grid_at_slot(wscc_case, heavy, 0)
+        no_ev = np.zeros((3, 1))
+        sol_light, _ = evaluate_grid_at_slot(
+            wscc_case, constant_base({5: 60.0, 7: 60.0, 9: 60.0}, 1), no_ev, 0)
+        sol_heavy, _ = evaluate_grid_at_slot(
+            wscc_case, constant_base({5: 110.0, 7: 110.0, 9: 110.0}, 1), no_ev, 0)
         for i in (4, 6, 8):
             assert sol_heavy.v_mag[i] < sol_light.v_mag[i]
 
@@ -267,7 +256,7 @@ def compare(case, base, uncoordinated, coordinated, **options):
     def one_row_blocks(profiles):
         return [([bus_id], np.reshape(kw, (1, -1))) for bus_id, kw in profiles]
 
-    return compare_scenarios(case, aggregate_load(base, one_row_blocks(uncoordinated)),
+    return compare_scenarios(case, base, aggregate_load(base, one_row_blocks(uncoordinated)),
                              aggregate_load(base, one_row_blocks(coordinated)), **options)
 
 

@@ -1,6 +1,7 @@
 """Newton-Raphson power flow against analytic, oracle, and identity checks."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,6 +40,15 @@ def injection_at(v_mag, v_angle, ybus, i):
     assert p_all[i] == pytest.approx(p, abs=1e-12)
     assert q_all[i] == pytest.approx(q, abs=1e-12)
     return p, q
+
+
+def loaded_nine_bus(case: GridCase) -> GridCase:
+    """The WSCC-9 case with heavier, EV-style extra load on its three load
+    buses."""
+    extra = {5: (40.0, 13.0), 7: (20.0, 7.0), 9: (45.0, 15.0)}
+    p = {b: case.bus(b).p_inj - mw / 100.0 for b, (mw, _) in extra.items()}
+    q = {b: case.bus(b).q_inj - mv / 100.0 for b, (_, mv) in extra.items()}
+    return case.with_injections(p, q)
 
 
 class TestComputeInjection:
@@ -92,11 +102,7 @@ class TestSolvePowerFlow:
         assert np.max(np.abs(sol.v_angle - va)) < 1e-6
 
     def test_loaded_nine_bus_matches_gauss_seidel(self, wscc_case, wscc_ybus):
-        # heavier, EV-style extra load on the three load buses
-        extra = {5: (40.0, 13.0), 7: (20.0, 7.0), 9: (45.0, 15.0)}
-        p = {b: wscc_case.bus(b).p_inj - mw / 100.0 for b, (mw, _) in extra.items()}
-        q = {b: wscc_case.bus(b).q_inj - mv / 100.0 for b, (_, mv) in extra.items()}
-        loaded = wscc_case.with_injections(p, q)
+        loaded = loaded_nine_bus(wscc_case)
         sol = solve_power_flow(loaded, build_admittance_matrix(loaded))
         vm, va, _ = oracles.gauss_seidel_power_flow(loaded)
         assert np.max(np.abs(sol.v_mag - vm)) < 1e-6
@@ -224,6 +230,24 @@ class TestLineFlows:
         net_q = float(np.sum(sol.q_inj))
         assert net_p == pytest.approx(total_loss.real, abs=1e-8)
         assert net_q == pytest.approx(total_loss.imag, abs=1e-8)
+
+    @pytest.mark.parametrize("transformer_tap", [1.0, 0.95])
+    def test_bus_balance(self, wscc_case, transformer_tap):
+        """At every bus the flows leaving it on its branches (``s_from`` at a
+        from end, ``loss - s_from`` at a to end) add up to its injection, so
+        the line flows and the admittance matrix share one branch model."""
+        loaded = loaded_nine_bus(wscc_case)
+        # the three zero-resistance branches are the generator transformers
+        loaded = GridCase(loaded.buses, tuple(
+            replace(br, tap=transformer_tap) if br.r == 0.0 else br
+            for br in loaded.branches), loaded.s_base)
+        sol = solve_power_flow(loaded, build_admittance_matrix(loaded))
+        leaving = np.zeros(loaded.order, dtype=complex)
+        for flow in compute_line_flows(sol, loaded):
+            leaving[loaded.index_of(flow.branch.from_bus)] += flow.s_from_mva
+            leaving[loaded.index_of(flow.branch.to_bus)] += flow.loss_mva - flow.s_from_mva
+        injected = (sol.p_inj + 1j * sol.q_inj) * loaded.s_base
+        assert np.max(np.abs(leaving - injected)) < 1e-9
 
     def test_real_loss_nonnegative(self, wscc_case, wscc_ybus):
         sol = solve_power_flow(wscc_case, wscc_ybus)
