@@ -272,6 +272,12 @@ def preflight(cfg: RunConfig, command: str) -> Inputs:
     missing = [n for n in _REQUIRED[command] if getattr(cfg, f"{n}_path") is None]
     if missing:
         raise ValueError(f"missing required input(s): {', '.join(missing)}")
+    # the output directory, or else its nearest existing ancestor, must be one
+    existing = next(p for p in (cfg.output_dir, *cfg.output_dir.parents) if p.exists())
+    if not existing.is_dir():
+        raise ValueError(f"-o/output_dir: {existing} is not a directory"
+                         + ("" if existing == cfg.output_dir
+                            else f", so {cfg.output_dir} cannot be created"))
     if cfg.slot is not None and command != "powerflow":
         raise ValueError(f"slot: only powerflow takes a snapshot slot; drop slot "
                          f"from {command}")
@@ -320,8 +326,8 @@ def preflight(cfg: RunConfig, command: str) -> Inputs:
         raise ValueError(f"horizon_steps {cfg.horizon_steps} must be in 1..{base.slots}")
     if command == "simulate" and cfg.events_path is not None:
         events = coordinator.read_events(cfg.events_path)
-        _on_load_buses(cfg.events_path,
-                       [e.bus_id for e in events if e.kind == "add_session"], base)
+        _on_load_buses(cfg.events_path, [change.bus_id for _, _, change in events
+                                         if isinstance(change, EvSession)], base)
         try:
             inputs.events_by_step = coordinator.schedule_events(
                 events, inputs.sessions, cfg.scheduler.slots,

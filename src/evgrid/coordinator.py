@@ -11,7 +11,10 @@ the delivered energy: the free slots must supply exactly the signed
 remainder, so mid-horizon discharge increases what is still owed.
 
 The slot grid is the scheduler config's, and the sessions come checked on it
-(``fleet.check_sessions``).  ``schedule_events`` checks the event script and
+(``fleet.check_sessions``).  An event script is a list of ``(slot, ev_id,
+change)`` rows, one per line of an events file (``read_events``): ``change``
+is the ``EvSession`` that the event adds, the new kWh target it sets, or None
+when it removes the session.  ``schedule_events`` checks the script and
 replays it once, into each step's session updates; the loop applies those and
 never reads an event.  The loop's bookkeeping is array-backed.  Every id that
 can ever be active (the sessions and the ids the updates name) owns one row,
@@ -49,83 +52,62 @@ class CoordinatorError(ValueError):
     pass
 
 
-EVENT_KINDS = ("add_session", "update_energy", "remove_session")
-
 EVENT_COLUMNS = ["slot", "kind", "ev_id", "bus_id", "t_start", "t_end",
                  "energy_kwh", "p_max_kw", "d_max_kw"]
+# the cells after ev_id that each kind uses; the others must be empty
+_USED = {"add_session": EVENT_COLUMNS[3:], "update_energy": ["energy_kwh"],
+         "remove_session": []}
+
+# (slot, ev_id, change): the EvSession an add_session row adds, the energy
+# target of an update_energy row, or None for a remove_session row
+Event = tuple[int, str, EvSession | float | None]
 
 
-@dataclass(frozen=True)
-class ScriptedEvent:
-    """One deterministic prediction update, applied at the first re-planning
-    step at or after ``slot`` (already-committed slots stay committed)."""
-
-    slot: int
-    kind: str
-    ev_id: str
-    bus_id: int | None = None
-    t_start: int | None = None
-    t_end: int | None = None
-    energy_kwh: float | None = None
-    p_max_kw: float | None = None
-    d_max_kw: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in EVENT_KINDS:
-            raise CoordinatorError(f"unknown event kind {self.kind!r}")
-        if self.slot < 0:
-            raise CoordinatorError(f"event slot {self.slot} is negative")
-        if not fileio.is_plain_cell(self.ev_id):
-            raise CoordinatorError(f"ev_id {self.ev_id!r} contains a comma or line break")
-        for name in ("energy_kwh", "p_max_kw", "d_max_kw"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise CoordinatorError(f"event for {self.ev_id!r}: {name} {value!r} "
-                                       "is not finite")
-        if self.kind == "add_session":
-            needed = (self.bus_id, self.t_start, self.t_end, self.energy_kwh,
-                      self.p_max_kw, self.d_max_kw)
-            if any(v is None for v in needed):
-                raise CoordinatorError(
-                    f"add_session event for {self.ev_id!r} is missing fields"
-                )
-        if self.kind == "update_energy" and self.energy_kwh is None:
-            raise CoordinatorError(
-                f"update_energy event for {self.ev_id!r} needs energy_kwh"
-            )
-
-
-def write_events(path, events: list[ScriptedEvent]) -> None:
+def write_events(path, events: list[Event]) -> None:
     rows = []
-    for ev in events:
-        rows.append([
-            ev.slot, ev.kind, ev.ev_id,
-            "" if ev.bus_id is None else ev.bus_id,
-            "" if ev.t_start is None else ev.t_start,
-            "" if ev.t_end is None else ev.t_end,
-            "" if ev.energy_kwh is None else ev.energy_kwh,
-            "" if ev.p_max_kw is None else ev.p_max_kw,
-            "" if ev.d_max_kw is None else ev.d_max_kw,
-        ])
+    for slot, ev_id, change in events:
+        if not fileio.is_plain_cell(ev_id):
+            raise CoordinatorError(f"ev_id {ev_id!r} contains a comma or line break")
+        if isinstance(change, EvSession):
+            rows.append([slot, "add_session", ev_id, change.bus_id, change.t_start,
+                         change.t_end, change.energy_kwh, change.p_max_kw, change.d_max_kw])
+        elif change is None:
+            rows.append([slot, "remove_session", ev_id, "", "", "", "", "", ""])
+        else:
+            rows.append([slot, "update_energy", ev_id, "", "", "", change, "", ""])
     fileio.write_rows(path, EVENT_COLUMNS, rows)
 
 
-def read_events(path) -> list[ScriptedEvent]:
-    def parse(row):
-        slot, kind, ev_id, bus, t0, t1, energy, pmax, dmax = row
-        return ScriptedEvent(
-            slot=int(slot),
-            kind=kind,
-            ev_id=ev_id,
-            bus_id=int(bus) if bus else None,
-            t_start=int(t0) if t0 else None,
-            t_end=int(t1) if t1 else None,
-            energy_kwh=float(energy) if energy else None,
-            p_max_kw=float(pmax) if pmax else None,
-            d_max_kw=float(dmax) if dmax else None,
-        )
+def _event_row(row: list[str]) -> Event:
+    slot, kind, ev_id = int(row[0]), row[1], row[2]
+    cells = dict(zip(EVENT_COLUMNS[3:], row[3:]))
+    values = {name: parse(cell) if cell else None
+              for (name, cell), parse in zip(cells.items(), (int, int, int, float, float, float))}
+    if kind not in _USED:
+        raise CoordinatorError(f"unknown event kind {kind!r}")
+    if slot < 0:
+        raise CoordinatorError(f"event slot {slot} is negative")
+    for name in ("energy_kwh", "p_max_kw", "d_max_kw"):
+        if values[name] is not None and not math.isfinite(values[name]):
+            raise CoordinatorError(f"event for {ev_id!r}: {name} {values[name]!r} "
+                                   "is not finite")
+    if kind == "add_session" and None in values.values():
+        raise CoordinatorError(f"add_session event for {ev_id!r} is missing fields")
+    if kind == "update_energy" and values["energy_kwh"] is None:
+        raise CoordinatorError(f"update_energy event for {ev_id!r} needs energy_kwh")
+    unused = [name for name, cell in cells.items() if cell and name not in _USED[kind]]
+    if unused:
+        raise CoordinatorError(f"{kind} event for {ev_id!r}: unused {unused[0]} must be "
+                               f"empty, got {cells[unused[0]]!r}")
+    if kind == "add_session":
+        return slot, ev_id, EvSession(ev_id, **values)
+    return slot, ev_id, values["energy_kwh"]
 
-    return fileio.read_rows(path, EVENT_COLUMNS, parse)
+
+def read_events(path) -> list[Event]:
+    """The ``(slot, ev_id, change)`` of every row; a bad row fails at its
+    ``path:line``."""
+    return fileio.read_rows(path, EVENT_COLUMNS, _event_row)
 
 
 @dataclass(frozen=True)
@@ -137,57 +119,50 @@ class HorizonResult:
     flags: tuple[str, ...]
 
 
-def schedule_events(events: list[ScriptedEvent], sessions, slots: int,
+def schedule_events(events: list[Event], sessions, slots: int,
                     steps: int) -> dict[int, list[tuple[str, EvSession | None]]]:
     """Resolve ``events`` into the session updates of each re-planning step,
     for ``steps`` in 1..slots, after checking every event slot and every
     added session's rate box (``EvSession.validate_box``), and replaying the
-    events on ``sessions`` in step order: ``update_energy`` and
-    ``remove_session`` need a live id, and ``add_session`` a new one (a
-    removed id is not reused).  Each step's updates follow the script; an
-    update is an ev_id and its session as the event leaves it, None once
-    removed."""
+    events on ``sessions`` in step order: an energy update and a removal
+    need a live id, and an added session a new one (a removed id is not
+    reused).  Each step's updates follow the script; an update is an ev_id
+    and its session as the event leaves it, None once removed."""
     sps = slots // steps
-    # each event with the session it adds, built and box-checked here so
-    # that a box error anywhere in the script surfaces before a replay error
-    by_step: dict[int, list[tuple[ScriptedEvent, EvSession | None]]] = {}
-    for event in events:
-        if event.slot >= slots:
-            raise CoordinatorError(f"event slot {event.slot} outside 0..{slots - 1}")
-        added = None
-        if event.kind == "add_session":
-            added = EvSession(ev_id=event.ev_id, bus_id=event.bus_id, t_start=event.t_start,
-                              t_end=event.t_end, energy_kwh=event.energy_kwh,
-                              p_max_kw=event.p_max_kw, d_max_kw=event.d_max_kw)
+    # every slot and added box is checked before the replay, so that such an
+    # error anywhere in the script surfaces before a replay error
+    by_step: dict[int, list[Event]] = {}
+    for slot, ev_id, change in events:
+        if slot >= slots:
+            raise CoordinatorError(f"event slot {slot} outside 0..{slots - 1}")
+        if isinstance(change, EvSession):
             try:
-                added.validate_box(slots)
+                change.validate_box(slots)
             except FleetError as exc:
-                raise CoordinatorError(f"event at slot {event.slot}: {exc}") from None
+                raise CoordinatorError(f"event at slot {slot}: {exc}") from None
         # an event lands at the first re-planning instant at or after its
         # slot, so slots committed earlier are never re-opened; events past
         # the final re-plan fold into the last step
-        step = min(-(-event.slot // sps), steps - 1)
-        by_step.setdefault(step, []).append((event, added))
+        step = min(-(-slot // sps), steps - 1)
+        by_step.setdefault(step, []).append((slot, ev_id, change))
 
     live = {s.ev_id: s for s in sessions}
     used = set(live)
     updates: dict[int, list[tuple[str, EvSession | None]]] = {}
     for step in sorted(by_step):
-        for event, added in by_step[step]:
-            ev_id = event.ev_id
-            if added is not None:
+        for slot, ev_id, change in by_step[step]:
+            if isinstance(change, EvSession):
                 if ev_id in used:
                     raise CoordinatorError(
-                        f"event at slot {event.slot}: ev_id {ev_id!r} already used")
-                live[ev_id] = added
+                        f"event at slot {slot}: ev_id {ev_id!r} already used")
+                live[ev_id] = change
                 used.add(ev_id)
             elif ev_id not in live:
-                raise CoordinatorError(
-                    f"event at slot {event.slot}: unknown ev_id {ev_id!r}")
-            elif event.kind == "update_energy":
-                live[ev_id] = replace(live[ev_id], energy_kwh=event.energy_kwh)
-            else:
+                raise CoordinatorError(f"event at slot {slot}: unknown ev_id {ev_id!r}")
+            elif change is None:
                 del live[ev_id]
+            else:
+                live[ev_id] = replace(live[ev_id], energy_kwh=change)
             updates.setdefault(step, []).append((ev_id, live.get(ev_id)))
     return updates
 

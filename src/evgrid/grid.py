@@ -107,8 +107,6 @@ def validate_case(case: GridCase) -> None:
         raise GridCaseError(f"bus ids must be dense 1..{len(ids)}, got {sorted(ids)}")
     if ids != sorted(ids):
         raise GridCaseError("buses must be listed in id order")
-    if case.s_base <= 0:
-        raise GridCaseError(f"s_base must be positive, got {case.s_base}")
 
     swings = [b.id for b in case.buses if b.kind is BusKind.SWING]
     if len(swings) != 1:
@@ -185,6 +183,8 @@ def parse_grid_case(text: str, name: str = "<case>") -> GridCase:
                 raise GridCaseError(f"{loc}: expected 's_base_mva = <MVA>', got {line!r}")
             try:
                 s_base = _finite(value)
+                if s_base <= 0:
+                    raise ValueError(f"expected a positive number, got {value.strip()!r}")
             except ValueError as exc:
                 raise GridCaseError(f"{loc}: s_base_mva: {exc}") from None
         elif section == "buses":

@@ -132,8 +132,9 @@ def solve_power_flow(case: GridCase, ybus: np.ndarray, tol: float = 1e-8,
                      max_iter: int = 20) -> PowerFlowSolution:
     """Newton-Raphson solve from a flat start.
 
-    Raises NonConvergenceError / SingularJacobianError; on success the
-    returned injections are the computed values at the solution state.
+    Raises NonConvergenceError after ``max_iter`` updates or at the first
+    non-finite mismatch, and SingularJacobianError; on success the returned
+    injections are the computed values at the solution state.
     """
     m = case.order
     kinds = [b.kind for b in case.buses]
@@ -156,25 +157,27 @@ def solve_power_flow(case: GridCase, ybus: np.ndarray, tol: float = 1e-8,
 
     history: list[float] = []
     iterations = 0
-    while True:
-        p_calc, q_calc = _injections(v_mag, v_angle, ybus)
-        mismatch = np.concatenate([p_spec[pvpq] - p_calc[pvpq], q_spec[pq] - q_calc[pq]])
-        max_mis = float(np.max(np.abs(mismatch))) if mismatch.size else 0.0
-        history.append(max_mis)
-        if max_mis <= tol:
-            break
-        if iterations >= max_iter:
-            raise NonConvergenceError(iterations, max_mis, tol)
+    # a state that overflows ends the solve at its non-finite mismatch, so
+    # numpy's warnings along the way say nothing new
+    with np.errstate(all="ignore"):
+        while True:
+            p_calc, q_calc = _injections(v_mag, v_angle, ybus)
+            mismatch = np.concatenate([p_spec[pvpq] - p_calc[pvpq], q_spec[pq] - q_calc[pq]])
+            max_mis = float(np.max(np.abs(mismatch))) if mismatch.size else 0.0
+            history.append(max_mis)
+            if max_mis <= tol:
+                break
+            if iterations >= max_iter or not math.isfinite(max_mis):
+                raise NonConvergenceError(iterations, max_mis, tol)
 
-        jac = _jacobian(v_mag, v_angle, ybus, p_calc, q_calc, pvpq, pq)
-        dx = _lu_solve(jac, mismatch, iterations)
+            jac = _jacobian(v_mag, v_angle, ybus, p_calc, q_calc, pvpq, pq)
+            dx = _lu_solve(jac, mismatch, iterations)
 
-        n_ang = len(pvpq)
-        v_angle[pvpq] += dx[:n_ang]
-        v_mag[pq] += dx[n_ang:]
-        iterations += 1
+            n_ang = len(pvpq)
+            v_angle[pvpq] += dx[:n_ang]
+            v_mag[pq] += dx[n_ang:]
+            iterations += 1
 
-    p_calc, q_calc = _injections(v_mag, v_angle, ybus)
     return PowerFlowSolution(
         v_mag=v_mag,
         v_angle=v_angle,

@@ -103,9 +103,11 @@ def compute_control_signal(base_load_mw: np.ndarray, profiles_kw: np.ndarray,
 
 
 def flattening_objective(base_load_mw: np.ndarray, profiles_kw: np.ndarray) -> float:
-    """Sum of squared total load over the horizon, MW^2."""
+    """Sum of squared total load over the horizon, MW^2 (inf once that
+    overflows, without a warning)."""
     total = base_load_mw + aggregate_ev_mw(profiles_kw)
-    return float(np.sum(total * total))
+    with np.errstate(all="ignore"):
+        return float(np.sum(total * total))
 
 
 @dataclass(frozen=True)

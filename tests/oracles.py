@@ -34,11 +34,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from evgrid.coordinator import (
-    HorizonResult,
-    ScriptedEvent,
-    schedule_events,
-)
+from evgrid.coordinator import Event, HorizonResult, schedule_events
 from evgrid.fleet import KW_PER_MW, EvSession
 from evgrid.grid import BusKind, GridCase
 from evgrid.metrics import BaseLoadProfile
@@ -301,29 +297,26 @@ def finite_difference_jacobian(v_mag: np.ndarray, v_angle: np.ndarray,
 # Receding horizon, one station at a time
 
 
-def _reference_apply_event(event: ScriptedEvent, sessions: dict[str, EvSession],
+def _reference_apply_event(event: Event, sessions: dict[str, EvSession],
                            delivered_kwh: dict[str, float], tau: int,
                            flags: list[str]) -> None:
-    if event.kind == "add_session":
-        sessions[event.ev_id] = EvSession(
-            ev_id=event.ev_id, bus_id=event.bus_id, t_start=event.t_start,
-            t_end=event.t_end, energy_kwh=event.energy_kwh,
-            p_max_kw=event.p_max_kw, d_max_kw=event.d_max_kw,
-        )
-    elif event.kind == "update_energy":
-        sessions[event.ev_id] = replace(sessions[event.ev_id], energy_kwh=event.energy_kwh)
+    _, ev_id, change = event
+    if isinstance(change, EvSession):
+        sessions[ev_id] = change
+    elif change is not None:
+        sessions[ev_id] = replace(sessions[ev_id], energy_kwh=change)
     else:
-        session = sessions.pop(event.ev_id)
-        delivered = delivered_kwh.get(event.ev_id, 0.0)
+        session = sessions.pop(ev_id)
+        delivered = delivered_kwh.get(ev_id, 0.0)
         flags.append(
-            f"step {tau}: session {event.ev_id} removed before completion; "
+            f"step {tau}: session {ev_id} removed before completion; "
             f"delivered {delivered!r} of {session.energy_kwh!r} kWh"
         )
 
 
 def reference_horizon(config: SchedulerConfig, base_load_mw: np.ndarray,
                       sessions, steps: int,
-                      events: list[ScriptedEvent] = ()) -> HorizonResult:
+                      events: list[Event] = ()) -> HorizonResult:
     """``coordinator.run_receding_horizon`` as a per-station loop: every
     step slices each active station's bounds from its session's window,
     pins its committed slots and checks its reachable energy on its own, and
@@ -333,9 +326,9 @@ def reference_horizon(config: SchedulerConfig, base_load_mw: np.ndarray,
     schedule_events(events, sessions, t, steps)     # its checks only
     sps = t // steps
     # grouped here by the documented rule, independently of schedule_events
-    events_by_step: dict[int, list[ScriptedEvent]] = {}
+    events_by_step: dict[int, list[Event]] = {}
     for event in events:
-        events_by_step.setdefault(min(-(-event.slot // sps), steps - 1), []).append(event)
+        events_by_step.setdefault(min(-(-event[0] // sps), steps - 1), []).append(event)
 
     sessions = {s.ev_id: s for s in sessions}
     committed_kw: dict[str, np.ndarray] = {}

@@ -19,7 +19,7 @@ import oracles
 from conftest import DATA_DIR, DESK_DIR, two_bus_case
 from evgrid.cli import load_run_config, main
 from evgrid.coordinator import read_events, run_receding_horizon, schedule_events
-from evgrid.fleet import check_sessions, read_sessions
+from evgrid.fleet import EvSession, check_sessions, read_sessions
 from evgrid.grid import BusKind, build_admittance_matrix, load_grid_case, parse_grid_case
 from evgrid.metrics import read_base_load
 from evgrid.powerflow import solve_power_flow
@@ -106,15 +106,14 @@ def test_criterion_2_schedule_constraints_hold(desk_run):
                for e, s in sessions.items()}
     targets = {e: s.energy_kwh for e, s in sessions.items()}
     removed = set()
-    for event in read_events(DESK_DIR / "events.csv"):
-        if event.kind == "add_session":
-            windows[event.ev_id] = (event.t_start, event.t_end,
-                                    event.p_max_kw, event.d_max_kw)
-            targets[event.ev_id] = event.energy_kwh
-        elif event.kind == "update_energy":
-            targets[event.ev_id] = event.energy_kwh
+    for _, ev_id, change in read_events(DESK_DIR / "events.csv"):
+        if isinstance(change, EvSession):
+            windows[ev_id] = (change.t_start, change.t_end, change.p_max_kw, change.d_max_kw)
+            targets[ev_id] = change.energy_kwh
+        elif change is not None:
+            targets[ev_id] = change
         else:
-            removed.add(event.ev_id)
+            removed.add(ev_id)
 
     assert set(ev_ids) == set(windows)
     assert not any("not converged" in f for f in desk_run.report["flags"])
@@ -253,7 +252,7 @@ def test_criterion_8_receding_horizon_consistency(desk_problem):
     scripted = run_receding_horizon(sched, desk_problem.base_total,
                                     desk_problem.sessions, steps,
                                     desk_problem.events_by_step)
-    first_event_slot = min(e.slot for e in desk_problem.events)
+    first_event_slot = min(slot for slot, _, _ in desk_problem.events)
     assert first_event_slot == 25
     plain_rows = {e: stitched.committed_kw[k]
                   for k, e in enumerate(stitched.ev_ids)}

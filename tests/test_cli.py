@@ -3,8 +3,11 @@
 import itertools
 import json
 import os
+import random
+import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -75,14 +78,16 @@ def desk_variant(tmp_path: Path, **changes) -> Path:
     return write_config(tmp_path / "desk.json", **raw)
 
 
-def fails_before_any_work(tmp_path, capsys, argv, message) -> None:
-    """One located error line, exit 1, and no output directory."""
-    out = tmp_path / "out"
+def fails_before_any_work(tmp_path, capsys, argv, message, out=None) -> None:
+    """One located error line, exit 1, and no output directory: ``out`` (by
+    default a new path under ``tmp_path``) is left as it was."""
+    out = out or tmp_path / "out"
+    was_file = out.is_file()
     assert main([*argv, "-o", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1, err
     assert message in err
-    assert not out.exists()
+    assert out.is_file() if was_file else not out.exists()
 
 
 def no_power_flow(*args, **kwargs):
@@ -489,6 +494,17 @@ class TestPreflight:
         fails_before_any_work(tmp_path, capsys, argv,
                               "config.json: seed: expected a non-negative integer, got -1")
 
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "under-a-file"])
+    def test_output_path_through_a_file(self, tmp_path, capsys, no_horizon, below):
+        # found at entry, not once the outputs are written
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = taken / "sub" if below else taken
+        fails_before_any_work(tmp_path, capsys, ["simulate", "-c", str(small_inputs(tmp_path))],
+                              f"error: -o/output_dir: {taken} is not a directory"
+                              + (f", so {out} cannot be created\n" if below else "\n"),
+                              out=out)
+
 
 class TestSchedulesFile:
     @round_trip
@@ -704,6 +720,20 @@ class TestPowerflowCommand:
         assert auto["slot"] == 4
         assert pinned["slot"] == 0
         assert auto["buses"] != pinned["buses"]
+
+    def test_overflowing_load_stops_at_the_first_non_finite_mismatch(self, tmp_path, capsys):
+        config = small_inputs(tmp_path)
+        # the base-load peak, so the snapshot's slot
+        path = tmp_path / "base.csv"
+        lines = path.read_text().splitlines()
+        assert lines[1].startswith("0,5,")
+        lines[1] = "0,5,1e300"
+        path.write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fails_before_any_work(tmp_path, capsys, ["powerflow", "-c", str(config)],
+                                  "power flow did not converge in 1 iterations "
+                                  "(mismatch inf pu")
 
 
 class TestGenFleetCommand:
@@ -961,3 +991,98 @@ def test_report_text_is_rendered_from_the_written_dict(tmp_path, capsys, command
     text = metrics.render_report(json.loads((out / "report.json").read_text()))
     assert (out / "report.txt").read_bytes() == text.encode("utf-8")
     assert capsys.readouterr().out == text
+
+
+# --- seeded mutation gate ------------------------------------------------------
+
+MUTATION_TOKENS = ["", "0", "-1", "2.5", "1e300", "-1e300", "nan", "inf", "x", "999",
+                   "null", '"s"', ",", " ", "\n"]
+
+
+def mutation_inputs(tmp_path: Path) -> dict[str, str]:
+    """The text of a small ``simulate`` run's case, base load, sessions,
+    events and config, by file name; the config names the others relatively."""
+    small_inputs(tmp_path, n_sessions=3)
+    events = ("slot,kind,ev_id,bus_id,t_start,t_end,energy_kwh,p_max_kw,d_max_kw\n"
+              "3,add_session,late,7,5,14,6.0,200.0,-200.0\n"
+              "6,update_energy,b5e1,,,,4.0,,\n"
+              "9,remove_session,b5e0,,,,,,\n")
+    config = {"case": "wscc9.case", "base_load": "base.csv", "sessions": "sessions.csv",
+              "events": "events.csv", "seed": 3, "horizon_steps": 4,
+              "scheduler": {"lambda": 2.0, "epsilon": 1e-4, "max_iterations": 50,
+                            "slots": 16, "slot_hours": 0.25},
+              "power_flow": {"tol": 1e-8, "max_iter": 20},
+              "reactive": {"base_power_factor": 0.95}, "pv_mw": {"2": 10.0}}
+    return {"wscc9.case": (DATA_DIR / "wscc9.case").read_text(),
+            "base.csv": (tmp_path / "base.csv").read_text(),
+            "sessions.csv": (tmp_path / "sessions.csv").read_text(),
+            "events.csv": events, "config.json": json.dumps(config, indent=1)}
+
+
+def mutate(rng, text: str) -> str:
+    """``text`` with one cell replaced, a token inserted, a character
+    deleted, a line duplicated or a line truncated, chosen by ``rng``."""
+    kind = rng.choice(["replace", "insert", "delete", "duplicate", "truncate"])
+    if kind == "replace":
+        cell = rng.choice(list(re.finditer(r"[^,\s:{}\[\]]+", text)))
+        return text[:cell.start()] + rng.choice(MUTATION_TOKENS) + text[cell.end():]
+    at = rng.randrange(len(text))
+    if kind == "insert":
+        return text[:at] + rng.choice(MUTATION_TOKENS) + text[at:]
+    if kind == "delete":
+        return text[:at] + text[at + 1:]
+    lines = text.split("\n")
+    k = rng.randrange(len(lines))
+    if kind == "duplicate":
+        lines.insert(k, lines[k])
+    else:
+        lines[k] = lines[k][:rng.randrange(len(lines[k]) + 1)]
+    return "\n".join(lines)
+
+
+def exits_cleanly(capsys, files: dict[str, str], work: Path, out: Path) -> int:
+    """Write ``files`` into ``work`` and run ``simulate`` on them with every
+    warning an error.  It must exit 0 with nothing on stderr, or exit 1 with
+    one ``error:`` line and no output directory."""
+    for name, text in files.items():
+        (work / name).write_text(text)
+    was_file = out.is_file()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["simulate", "-c", str(work / "config.json"), "-o", str(out)])
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == "" and out.is_dir()
+    else:
+        assert code == 1 and err.startswith("error:") and err.count("\n") == 1, err
+        assert out.is_file() if was_file else not out.exists()
+    return code
+
+
+class TestMutationGate:
+    """Bad input ends in one ``error:`` line and exit 1, never in a
+    traceback, a numpy warning or an output directory."""
+
+    def test_seeded_mutations(self, tmp_path, capsys):
+        rng = random.Random(20261019)
+        clean = mutation_inputs(tmp_path)
+        codes = []
+        for n in range(100):
+            name = rng.choice(sorted(clean))
+            files = {**clean, name: mutate(rng, clean[name])}
+            try:
+                codes.append(exits_cleanly(capsys, files, tmp_path, tmp_path / f"out{n}"))
+            except AssertionError as exc:
+                raise AssertionError(f"mutation {n} of {name}:\n{files[name]}") from exc
+        # the mutations reach both outcomes
+        assert 0 < codes.count(0) < len(codes)
+
+    def test_overflowing_base_load(self, tmp_path, capsys):
+        files = mutation_inputs(tmp_path)
+        files["base.csv"] = re.sub(r"\n4,5,[^\n]*", "\n4,5,1e300", files["base.csv"], count=1)
+        assert exits_cleanly(capsys, files, tmp_path, tmp_path / "out") == 1
+
+    def test_output_path_is_a_file(self, tmp_path, capsys, no_horizon):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert exits_cleanly(capsys, mutation_inputs(tmp_path), tmp_path, taken) == 1

@@ -1,5 +1,6 @@
 """Scripted events and the receding-horizon loop."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -13,9 +14,8 @@ from conftest import (assert_identical, cell_text, file_ints, finite_floats, mak
 from evgrid import coordinator, fileio, scheduler
 from evgrid.cli import load_run_config, preflight
 from evgrid.coordinator import (
-    EVENT_KINDS,
+    EVENT_COLUMNS,
     CoordinatorError,
-    ScriptedEvent,
     read_events,
     run_receding_horizon,
     schedule_events,
@@ -39,44 +39,64 @@ def by_step(events, sessions, steps, slots=16):
     return schedule_events(events, sessions, slots, steps)
 
 
+def added(slot, ev_id, bus_id, t_start, t_end, energy_kwh, p_max_kw=6.6, d_max_kw=-6.6):
+    """The ``(slot, ev_id, change)`` event that adds a session."""
+    return slot, ev_id, EvSession(ev_id, bus_id, t_start, t_end, energy_kwh,
+                                  p_max_kw, d_max_kw)
+
+
+def events_file(tmp_path, line):
+    """An events file whose one row, at line 2, is ``line``."""
+    path = tmp_path / "events.csv"
+    path.write_text(",".join(EVENT_COLUMNS) + "\n" + line + "\n")
+    return path
+
+
 class TestScriptedEvent:
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(CoordinatorError, match="unknown event kind"):
-            ScriptedEvent(slot=0, kind="swap_battery", ev_id="e1")
+    """The rules of one events-file row; a broken one fails at its path:line."""
 
-    def test_negative_slot_rejected(self):
-        with pytest.raises(CoordinatorError, match="negative"):
-            ScriptedEvent(slot=-1, kind="remove_session", ev_id="e1")
+    def rejected(self, tmp_path, line, message):
+        path = events_file(tmp_path, line)
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: {message}")):
+            read_events(path)
 
-    def test_add_session_requires_full_definition(self):
-        with pytest.raises(CoordinatorError, match="missing fields"):
-            ScriptedEvent(slot=2, kind="add_session", ev_id="e1", bus_id=5,
-                          t_start=0, t_end=8, energy_kwh=4.0)
+    def test_unknown_kind_rejected(self, tmp_path):
+        self.rejected(tmp_path, "0,swap_battery,e1,,,,,,", "unknown event kind 'swap_battery'")
 
-    def test_update_energy_requires_target(self):
-        with pytest.raises(CoordinatorError, match="needs energy_kwh"):
-            ScriptedEvent(slot=2, kind="update_energy", ev_id="e1")
+    def test_negative_slot_rejected(self, tmp_path):
+        self.rejected(tmp_path, "-1,remove_session,e1,,,,,,", "event slot -1 is negative")
 
-    def test_remove_session_needs_no_extras(self):
-        event = ScriptedEvent(slot=2, kind="remove_session", ev_id="e1")
-        assert event.bus_id is None
+    def test_add_session_requires_full_definition(self, tmp_path):
+        self.rejected(tmp_path, "2,add_session,e1,5,0,8,4.0,,",
+                      "add_session event for 'e1' is missing fields")
+
+    def test_update_energy_requires_target(self, tmp_path):
+        self.rejected(tmp_path, "2,update_energy,e1,,,,,,",
+                      "update_energy event for 'e1' needs energy_kwh")
+
+    def test_remove_session_needs_no_extras(self, tmp_path):
+        assert read_events(events_file(tmp_path, "2,remove_session,e1,,,,,,")) == [
+            (2, "e1", None)]
+
+    @pytest.mark.parametrize("line,message", [
+        ("41,remove_session,b7e0004,5,,,,,",
+         "remove_session event for 'b7e0004': unused bus_id must be empty, got '5'"),
+        ("3,remove_session,e1,,,,0.0,,",
+         "remove_session event for 'e1': unused energy_kwh must be empty, got '0.0'"),
+        ("3,update_energy,e1,,,,4.0,6.6,-6.6",
+         "update_energy event for 'e1': unused p_max_kw must be empty, got '6.6'"),
+    ])
+    def test_unused_cell_rejected(self, tmp_path, line, message):
+        self.rejected(tmp_path, line, message)
 
 
 @st.composite
 def scripted_events(draw):
-    kind = draw(st.sampled_from(EVENT_KINDS))
-    adds = kind == "add_session"
-
-    def field(values, required):
-        return draw(values if required else st.none() | values)
-
-    return ScriptedEvent(
-        slot=draw(st.integers(0, 10**9)), kind=kind, ev_id=draw(cell_text),
-        bus_id=field(file_ints, adds), t_start=field(file_ints, adds),
-        t_end=field(file_ints, adds),
-        energy_kwh=field(finite_floats, adds or kind == "update_energy"),
-        p_max_kw=field(finite_floats, adds), d_max_kw=field(finite_floats, adds),
-    )
+    """Any ``(slot, ev_id, change)`` row that an events file can hold."""
+    ev_id = draw(cell_text)
+    session = st.builds(EvSession, st.just(ev_id), file_ints, file_ints, file_ints,
+                        finite_floats, finite_floats, finite_floats)
+    return draw(st.integers(0, 10**9)), ev_id, draw(st.none() | finite_floats | session)
 
 
 class TestEventsFile:
@@ -88,16 +108,18 @@ class TestEventsFile:
         assert_identical(read_events(path), events)
 
     @pytest.mark.parametrize("ev_id", ["a,b", "a\nb", "a\rb"])
-    def test_ev_id_that_breaks_a_row_rejected(self, ev_id):
+    def test_ev_id_that_breaks_a_row_rejected(self, tmp_path, ev_id):
+        path = tmp_path / "events.csv"
         with pytest.raises(CoordinatorError, match="comma or line break"):
-            ScriptedEvent(slot=2, kind="remove_session", ev_id=ev_id)
+            write_events(path, [(2, ev_id, None)])
+        assert not path.exists()
 
     def test_shipped_events_parse(self, desk_config_path):
         events = read_events(desk_config_path.parent / "events.csv")
         assert len(events) == 6
-        assert {e.kind for e in events} <= {"add_session", "update_energy",
-                                            "remove_session"}
-        assert all(0 <= e.slot < 96 for e in events)
+        assert all(0 <= slot < 96 for slot, _, _ in events)
+        assert all(change is None or isinstance(change, (EvSession, float))
+                   for _, _, change in events)
 
 
 class TestRecedingHorizon:
@@ -134,8 +156,7 @@ class TestRecedingHorizon:
         base = shaped_base()
         sessions = self.base_sessions()
         plain = run_receding_horizon(config, base, sessions, steps=4)
-        event = ScriptedEvent(slot=5, kind="update_energy", ev_id="e2",
-                              energy_kwh=3.0)
+        event = (5, "e2", 3.0)
         bumped = run_receding_horizon(config, base, sessions, steps=4,
                                       events_by_step=by_step([event], sessions, 4))
         # slot 5 lands at the step that re-plans from slot 8, so everything
@@ -151,9 +172,7 @@ class TestRecedingHorizon:
         config = small_config()
         base = shaped_base()
         sessions = self.base_sessions()
-        event = ScriptedEvent(slot=6, kind="add_session", ev_id="late",
-                              bus_id=5, t_start=9, t_end=16, energy_kwh=5.0,
-                              p_max_kw=6.6, d_max_kw=-6.6)
+        event = added(6, "late", 5, 9, 16, 5.0)
         result = run_receding_horizon(config, base, sessions, steps=4,
                                       events_by_step=by_step([event], sessions, 4))
         assert "late" in result.ev_ids
@@ -171,8 +190,7 @@ class TestRecedingHorizon:
         add up to the traces.csv rows minus one per step."""
         config = small_config()
         sessions = self.base_sessions()
-        events = [ScriptedEvent(slot=5, kind="remove_session", ev_id=s.ev_id)
-                  for s in sessions]
+        events = [(5, s.ev_id, None) for s in sessions]
         result = run_receding_horizon(config, shaped_base(), sessions, steps=4,
                                       events_by_step=by_step(events, sessions, 4))
         path = tmp_path / "traces.csv"
@@ -183,9 +201,7 @@ class TestRecedingHorizon:
 
     def test_add_existing_id_rejected(self):
         sessions = self.base_sessions()
-        event = ScriptedEvent(slot=6, kind="add_session", ev_id="e1",
-                              bus_id=5, t_start=9, t_end=16, energy_kwh=5.0,
-                              p_max_kw=6.6, d_max_kw=-6.6)
+        event = added(6, "e1", 5, 9, 16, 5.0)
         with pytest.raises(CoordinatorError, match="already used"):
             by_step([event], sessions, 4)
 
@@ -193,7 +209,7 @@ class TestRecedingHorizon:
         config = small_config()
         base = shaped_base()
         sessions = self.base_sessions()
-        event = ScriptedEvent(slot=7, kind="remove_session", ev_id="e3")
+        event = (7, "e3", None)
         result = run_receding_horizon(config, base, sessions, steps=4,
                                       events_by_step=by_step([event], sessions, 4))
         assert len(result.flags) == 1
@@ -207,9 +223,8 @@ class TestRecedingHorizon:
 
     def test_unknown_ev_rejected(self):
         sessions = self.base_sessions()
-        for kind in ("update_energy", "remove_session"):
-            event = ScriptedEvent(slot=7, kind=kind, ev_id="ghost",
-                                  energy_kwh=1.0)
+        for change in (1.0, None):
+            event = (7, "ghost", change)
             with pytest.raises(CoordinatorError, match="unknown ev_id 'ghost'"):
                 by_step([event], sessions, 4)
 
@@ -219,8 +234,7 @@ class TestRecedingHorizon:
         sessions = self.base_sessions()
         # e1 can reach at most 6.6 kW * 12 slots * 0.25 h = 19.8 kWh, and by
         # slot 8 part of that window is already spent
-        event = ScriptedEvent(slot=5, kind="update_energy", ev_id="e1",
-                              energy_kwh=50.0)
+        event = (5, "e1", 50.0)
         result = run_receding_horizon(config, base, sessions, steps=4,
                                       events_by_step=by_step([event], sessions, 4))
         clamp_flags = [f for f in result.flags if "clamped" in f]
@@ -247,12 +261,10 @@ class TestRecedingHorizon:
         # the session as its event leaves it
         sessions = self.base_sessions()
         events = [
-            ScriptedEvent(slot=7, kind="remove_session", ev_id="e3"),
-            ScriptedEvent(slot=1, kind="update_energy", ev_id="e2", energy_kwh=3.0),
-            ScriptedEvent(slot=6, kind="add_session", ev_id="late", bus_id=5,
-                          t_start=9, t_end=16, energy_kwh=5.0, p_max_kw=6.6,
-                          d_max_kw=-6.6),
-            ScriptedEvent(slot=8, kind="update_energy", ev_id="late", energy_kwh=4.0),
+            (7, "e3", None),
+            (1, "e2", 3.0),
+            added(6, "late", 5, 9, 16, 5.0),
+            (8, "late", 4.0),
         ]
         late = EvSession(ev_id="late", bus_id=5, t_start=9, t_end=16, energy_kwh=5.0,
                          p_max_kw=6.6, d_max_kw=-6.6)
@@ -262,15 +274,13 @@ class TestRecedingHorizon:
         }
 
     def test_event_slot_bounds_checked(self):
-        event = ScriptedEvent(slot=16, kind="remove_session", ev_id="e1")
+        event = (16, "e1", None)
         with pytest.raises(CoordinatorError, match="outside 0..15"):
             by_step([event], self.base_sessions(), 4)
 
     @pytest.mark.parametrize("t_start,t_end", [(-1, 8), (9, 17), (9, 9), (10, 9)])
     def test_added_window_outside_the_horizon_rejected(self, t_start, t_end):
-        event = ScriptedEvent(slot=6, kind="add_session", ev_id="late", bus_id=5,
-                              t_start=t_start, t_end=t_end, energy_kwh=1.0,
-                              p_max_kw=6.6, d_max_kw=-6.6)
+        event = added(6, "late", 5, t_start, t_end, 1.0)
         with pytest.raises(CoordinatorError, match=(
                 rf"event at slot 6: session late: window \[{t_start}, {t_end}\) "
                 "outside horizon of 16 slots")):
@@ -278,25 +288,21 @@ class TestRecedingHorizon:
 
     @pytest.mark.parametrize("p_max,d_max", [(-3.0, -6.6), (6.6, 1.0), (-300.0, -200.0)])
     def test_added_rate_bounds_rejected(self, p_max, d_max):
-        event = ScriptedEvent(slot=6, kind="add_session", ev_id="late", bus_id=5,
-                              t_start=8, t_end=12, energy_kwh=1.0,
-                              p_max_kw=p_max, d_max_kw=d_max)
+        event = added(6, "late", 5, 8, 12, 1.0, p_max, d_max)
         with pytest.raises(CoordinatorError, match=(
                 rf"event at slot 6: session late: rate bounds must satisfy "
                 rf"d_max <= 0 <= p_max, got \[{d_max}, {p_max}\]")):
             by_step([event], self.base_sessions(), 4)
 
     def test_box_error_surfaces_before_an_earlier_replay_error(self):
-        """Every added session is built and box-checked before the replay, so
-        a later bad box wins over an earlier unknown id; the replay then
-        hands on the session the check built."""
-        ghost = ScriptedEvent(slot=1, kind="remove_session", ev_id="ghost")
-        bad = ScriptedEvent(slot=10, kind="add_session", ev_id="late", bus_id=5,
-                            t_start=8, t_end=12, energy_kwh=1.0, p_max_kw=-3.0,
-                            d_max_kw=-6.6)
+        """Every added session is box-checked before the replay, so a later
+        bad box wins over an earlier unknown id; the replay then hands on
+        the session the event adds."""
+        ghost = (1, "ghost", None)
+        bad = added(10, "late", 5, 8, 12, 1.0, p_max_kw=-3.0)
         with pytest.raises(CoordinatorError, match="event at slot 10: session late: rate"):
             by_step([ghost, bad], self.base_sessions(), 4)
-        good = replace(bad, p_max_kw=6.6)
+        good = added(10, "late", 5, 8, 12, 1.0)
         [(ev_id, session)] = by_step([good], self.base_sessions(), 4)[3]
         assert (ev_id, session) == ("late", EvSession("late", 5, 8, 12, 1.0, 6.6, -6.6))
 
@@ -315,8 +321,7 @@ class TestRecedingHorizon:
         config = small_config()
         base = shaped_base()
         sessions = self.base_sessions()
-        events = [ScriptedEvent(slot=5, kind="update_energy", ev_id="e2",
-                                energy_kwh=7.0)]
+        events = [(5, "e2", 7.0)]
         first = run_receding_horizon(config, base, sessions, steps=4,
                                      events_by_step=by_step(events, sessions, 4))
         second = run_receding_horizon(config, base, sessions, steps=4,
@@ -367,25 +372,22 @@ def horizon_scripts(draw):
     events, slot = [], 0
     for _ in range(draw(st.integers(0, 6))):
         slot = draw(st.integers(slot, slots - 1))
-        kinds = (["add_session"] if fresh else []) + (
-            ["update_energy", "remove_session"] if live else [])
+        kinds = (["add"] if fresh else []) + (["update", "remove"] if live else [])
         if not kinds:
             break
         kind = draw(st.sampled_from(kinds))
-        if kind == "add_session":
+        if kind == "add":
             ev_id = fresh.pop(0)
             (t_start, t_end), (p_max, d_max) = window(), rates()
-            events.append(ScriptedEvent(slot, kind, ev_id, draw(st.sampled_from([5, 7, 9])),
-                                        t_start, t_end, draw(st.floats(-10.0, 30.0)),
-                                        p_max, d_max))
+            events.append(added(slot, ev_id, draw(st.sampled_from([5, 7, 9])), t_start,
+                                t_end, draw(st.floats(-10.0, 30.0)), p_max, d_max))
             live.append(ev_id)
-        elif kind == "update_energy":
-            events.append(ScriptedEvent(slot, kind, draw(st.sampled_from(live)),
-                                        energy_kwh=draw(st.floats(-30.0, 60.0))))
+        elif kind == "update":
+            events.append((slot, draw(st.sampled_from(live)), draw(st.floats(-30.0, 60.0))))
         else:
             ev_id = draw(st.sampled_from(live))
             live.remove(ev_id)
-            events.append(ScriptedEvent(slot, kind, ev_id))
+            events.append((slot, ev_id, None))
 
     config = small_config(slots=slots, epsilon=draw(st.sampled_from([1e-4, 1e-2])),
                           max_iterations=draw(st.sampled_from([2, 60])))
@@ -417,8 +419,8 @@ class TestAgainstReferenceLoop:
     def test_add_and_remove_in_one_step(self):
         # slots 5 and 6 both land at step 2, so "late" is never solved
         result = self.run_both([
-            ScriptedEvent(5, "add_session", "late", 5, 9, 16, 5.0, 6.6, -6.6),
-            ScriptedEvent(6, "remove_session", "late"),
+            added(5, "late", 5, 9, 16, 5.0),
+            (6, "late", None),
         ])
         assert "late" not in result.ev_ids
         assert result.flags == (
@@ -426,21 +428,21 @@ class TestAgainstReferenceLoop:
 
     def test_removal_before_the_window_opens(self):
         late = make_session(ev_id="e4", bus_id=7, t_start=12, t_end=16, energy_kwh=4.0)
-        result = self.run_both([ScriptedEvent(3, "remove_session", "e4")], [late])
+        result = self.run_both([(3, "e4", None)], [late])
         row = result.ev_ids.index("e4")
         assert not result.committed_kw[row].any()
         assert result.flags == (
             "step 1: session e4 removed before completion; delivered 0.0 of 4.0 kWh",)
 
     def test_unreachable_update_flags_every_later_step(self):
-        result = self.run_both([ScriptedEvent(5, "update_energy", "e1", energy_kwh=50.0)])
+        result = self.run_both([(5, "e1", 50.0)])
         assert [f.split(":")[0] for f in result.flags] == ["step 2", "step 3"]
         assert all("session e1 energy target 50.0 kWh" in f for f in result.flags)
 
     def test_removal_of_a_clamped_session(self):
         result = self.run_both([
-            ScriptedEvent(1, "update_energy", "e1", energy_kwh=50.0),
-            ScriptedEvent(9, "remove_session", "e1"),
+            (1, "e1", 50.0),
+            (9, "e1", None),
         ])
         assert [f.split(":")[0] for f in result.flags] == ["step 1", "step 2", "step 3"]
         assert all("session e1 energy target 50.0 kWh" in f for f in result.flags[:2])
@@ -449,9 +451,9 @@ class TestAgainstReferenceLoop:
     def test_events_fold_into_the_last_step(self):
         # the last re-plan starts at slot 12; slots 13..15 fold into it
         result = self.run_both([
-            ScriptedEvent(13, "update_energy", "e2", energy_kwh=3.0),
-            ScriptedEvent(14, "add_session", "late", 7, 12, 16, 2.0, 6.6, -6.6),
-            ScriptedEvent(15, "remove_session", "e3"),
+            (13, "e2", 3.0),
+            added(14, "late", 7, 12, 16, 2.0),
+            (15, "e3", None),
         ])
         row = result.ev_ids.index("late")
         assert not result.committed_kw[row, :12].any()

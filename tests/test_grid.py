@@ -101,6 +101,13 @@ s_base_mva = 100.0
             parse_grid_case(minimal_case().replace(old, new))
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("value", ["0", "-100.0"])
+    def test_non_positive_s_base_located(self, value):
+        # the bus injections are divided by it, so a zero must fail at its line
+        with pytest.raises(GridCaseError) as info:
+            parse_grid_case(minimal_case().replace("s_base_mva = 100.0", f"s_base_mva = {value}"))
+        assert str(info.value) == f"<case>:3: s_base_mva: expected a positive number, got '{value}'"
+
     def test_unknown_kind_rejected(self):
         text = minimal_case().replace("2  pq", "2  load")
         with pytest.raises(GridCaseError, match="load"):

@@ -44,21 +44,14 @@ def main() -> None:
                                     cfg["scheduler"]["slots"], cfg["scheduler"]["slot_hours"])
     fleet.write_sessions(DESK / "sessions.csv", sessions)
 
+    # (slot, ev_id, change): an added session, a new energy target, a removal
     events = [
-        coordinator.ScriptedEvent(slot=25, kind="add_session", ev_id="late5a",
-                                  bus_id=5, t_start=26, t_end=84,
-                                  energy_kwh=160.0, p_max_kw=200.0, d_max_kw=-200.0),
-        coordinator.ScriptedEvent(slot=25, kind="add_session", ev_id="late7a",
-                                  bus_id=7, t_start=27, t_end=88,
-                                  energy_kwh=140.0, p_max_kw=200.0, d_max_kw=-200.0),
-        coordinator.ScriptedEvent(slot=25, kind="add_session", ev_id="late9a",
-                                  bus_id=9, t_start=26, t_end=90,
-                                  energy_kwh=180.0, p_max_kw=200.0, d_max_kw=-200.0),
-        coordinator.ScriptedEvent(slot=40, kind="update_energy", ev_id="b5e0000",
-                                  energy_kwh=190.0),
-        coordinator.ScriptedEvent(slot=40, kind="update_energy", ev_id="b9e0010",
-                                  energy_kwh=175.0),
-        coordinator.ScriptedEvent(slot=40, kind="remove_session", ev_id="b7e0003"),
+        (25, "late5a", fleet.EvSession("late5a", 5, 26, 84, 160.0, 200.0, -200.0)),
+        (25, "late7a", fleet.EvSession("late7a", 7, 27, 88, 140.0, 200.0, -200.0)),
+        (25, "late9a", fleet.EvSession("late9a", 9, 26, 90, 180.0, 200.0, -200.0)),
+        (40, "b5e0000", 190.0),
+        (40, "b9e0010", 175.0),
+        (40, "b7e0003", None),
     ]
     coordinator.write_events(DESK / "events.csv", events)
     print(f"wrote desk data under {DESK}")
