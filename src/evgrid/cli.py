@@ -203,6 +203,10 @@ def _parse_config(raw, overrides: dict, base_dir: Path) -> RunConfig:
         if overrides.get(key) is not None:
             sched_raw[key] = overrides[key]
     scheduler = SchedulerConfig(**sched_raw)
+    for f in fields(scheduler):
+        if not 0 < (value := getattr(scheduler, f.name)) < math.inf:
+            raise ValueError(f"scheduler.{'lambda' if f.name == 'lam' else f.name}: "
+                             f"expected a finite positive number, got {value!r}")
     pf_raw = _keys("power_flow", raw.get("power_flow", {}),
                    {"tol": "float", "max_iter": "int"})
     pf_tol, pf_max_iter = pf_raw.get("tol", 1e-8), pf_raw.get("max_iter", 20)
@@ -210,7 +214,12 @@ def _parse_config(raw, overrides: dict, base_dir: Path) -> RunConfig:
         raise ValueError(f"power_flow.tol: expected a finite positive number, got {pf_tol!r}")
     if pf_max_iter < 1:
         raise ValueError(f"power_flow.max_iter: expected at least 1, got {pf_max_iter!r}")
-    reactive_raw = _keys("reactive", raw.get("reactive", {}), _kinds(ReactiveAssumptions))
+    reactive = ReactiveAssumptions(**_keys("reactive", raw.get("reactive", {}),
+                                           _kinds(ReactiveAssumptions)))
+    for f in fields(reactive):
+        if not 0.0 < (pf := getattr(reactive, f.name)) <= 1.0:
+            raise ValueError(f"reactive.{f.name}: expected a power factor in (0, 1], "
+                             f"got {pf!r}")
     seed = pick("seed", "seed", 1)
     if seed < 0:
         raise ValueError(f"seed: expected a non-negative integer, got {seed!r}")
@@ -235,7 +244,7 @@ def _parse_config(raw, overrides: dict, base_dir: Path) -> RunConfig:
         horizon_steps=pick("steps", "horizon_steps", 24),
         pf_tol=pf_tol,
         pf_max_iter=pf_max_iter,
-        reactive=ReactiveAssumptions(**reactive_raw),
+        reactive=reactive,
         pv_mw=_by_bus("pv_mw", raw.get("pv_mw", {}), float),
         fleet_spec=_fleet_spec(raw["fleet"]) if "fleet" in raw else None,
         slot=pick("slot", "slot", None),
@@ -314,6 +323,11 @@ def preflight(cfg: RunConfig, command: str) -> Inputs:
             raise ValueError(
                 f"base load has {base.slots} slots, scheduler expects {cfg.scheduler.slots}"
             )
+        with np.errstate(over="ignore"):    # the objective squares the system load
+            total = base.mw.sum(axis=0)
+            if not math.isfinite(np.sum(total * total)):
+                raise ValueError(f"{cfg.base_load_path}: the squared system base load "
+                                 "sums to inf over the slots")
         inputs.sessions = _load_sessions(cfg)
         label = cfg.sessions_path or "fleet"
         _on_load_buses(label, [s.bus_id for s in inputs.sessions], base)
@@ -462,6 +476,11 @@ def cmd_schedule(cfg: RunConfig, inputs: Inputs) -> int:
     return 0
 
 
+def _solve_scenario(cfg: RunConfig, inputs: Inputs, label: str, ev_mw: np.ndarray) -> tuple:
+    return metrics.solve_scenario(label, inputs.case, inputs.base, ev_mw, cfg.reactive,
+                                  cfg.pv_mw, tol=cfg.pf_tol, max_iter=cfg.pf_max_iter)
+
+
 def cmd_simulate(cfg: RunConfig, inputs: Inputs) -> int:
     case, base, sessions = inputs.case, inputs.base, inputs.sessions
     slots = cfg.scheduler.slots
@@ -470,6 +489,9 @@ def cmd_simulate(cfg: RunConfig, inputs: Inputs) -> int:
     ]).reshape(-1, slots)
     unc_ids = [s.ev_id for s in sessions]
     unc_buses = [s.bus_id for s in sessions]
+    # solved before the horizon, so that a grid it cannot solve fails first
+    ev_unc = metrics.aggregate_load(base, [(unc_buses, uncoordinated)])
+    before = _solve_scenario(cfg, inputs, "uncoordinated", ev_unc)
 
     base_total = base.mw.sum(axis=0)
     result = coordinator.run_receding_horizon(
@@ -477,12 +499,10 @@ def cmd_simulate(cfg: RunConfig, inputs: Inputs) -> int:
     )
     coord_buses = [result.bus_ids[e] for e in result.ev_ids]
 
-    ev_unc = metrics.aggregate_load(base, [(unc_buses, uncoordinated)])
     ev_coord = metrics.aggregate_load(base, [(coord_buses, result.committed_kw)])
-    report = metrics.compare_scenarios(
-        case, base, ev_unc, ev_coord, cfg.reactive, cfg.pv_mw,
-        flags=result.flags, tol=cfg.pf_tol, max_iter=cfg.pf_max_iter,
-    )
+    after = _solve_scenario(cfg, inputs, "coordinated", ev_coord)
+    report = metrics.compare_scenarios(case, base, ev_unc, ev_coord, before, after,
+                                       result.flags)
 
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -503,8 +523,9 @@ def cmd_simulate(cfg: RunConfig, inputs: Inputs) -> int:
 def cmd_compare(cfg: RunConfig, inputs: Inputs) -> int:
     ev_unc, ev_coord = inputs.ev_mw
     report = metrics.compare_scenarios(
-        inputs.case, inputs.base, ev_unc, ev_coord, cfg.reactive, cfg.pv_mw,
-        tol=cfg.pf_tol, max_iter=cfg.pf_max_iter,
+        inputs.case, inputs.base, ev_unc, ev_coord,
+        _solve_scenario(cfg, inputs, "uncoordinated", ev_unc),
+        _solve_scenario(cfg, inputs, "coordinated", ev_coord),
     )
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     _write_report(cfg.output_dir, report)

@@ -64,10 +64,9 @@ Event = tuple[int, str, EvSession | float | None]
 
 
 def write_events(path, events: list[Event]) -> None:
+    fileio.check_ev_ids([ev_id for _, ev_id, _ in events])
     rows = []
     for slot, ev_id, change in events:
-        if not fileio.is_plain_cell(ev_id):
-            raise CoordinatorError(f"ev_id {ev_id!r} contains a comma or line break")
         if isinstance(change, EvSession):
             rows.append([slot, "add_session", ev_id, change.bus_id, change.t_start,
                          change.t_end, change.energy_kwh, change.p_max_kw, change.d_max_kw])

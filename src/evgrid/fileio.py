@@ -2,8 +2,9 @@
 
 Every writer in the package formats floats with ``repr`` (shortest string
 that parses back to the same double), so rerunning a deterministic pipeline
-produces byte-identical files.  Cells are not quoted, so text written as a
-cell must not contain a comma or a line break (see ``is_plain_cell``).  Every
+produces byte-identical files.  Cells are not quoted, so every writer of
+ev_ids rejects one with a comma or a line break before it opens its file
+(``check_ev_ids``); no reader can return one.  Every
 reader goes through ``read_table``, which streams the data rows from the open
 file.  The reader that splits a row checks its cell count against the header
 and reports a bad row as ``path:line``: ``read_rows`` also a row that does not
@@ -23,9 +24,12 @@ import numpy as np
 _BREAKS = (",", "\n", "\r")
 
 
-def is_plain_cell(text: str) -> bool:
-    """True when ``text`` survives being written as one unquoted cell."""
-    return not any(ch in text for ch in _BREAKS)
+def check_ev_ids(ev_ids) -> None:
+    """Raise ValueError on the first ev_id that would not survive being
+    written as one unquoted cell."""
+    for ev_id in ev_ids:
+        if any(ch in ev_id for ch in _BREAKS):
+            raise ValueError(f"ev_id {ev_id!r} contains a comma or line break")
 
 
 def fmt(x) -> str:
@@ -97,6 +101,7 @@ def schedule_header(slots: int) -> list[str]:
 def write_schedules(path, ev_ids: list[str], bus_ids: list[int],
                     profiles_kw: np.ndarray) -> None:
     """Per-EV charging profiles in kW; one column per slot."""
+    check_ev_ids(ev_ids)
     slots = profiles_kw.shape[1] if len(ev_ids) else 0
     # tolist() yields Python floats, so repr is fmt's float rule without a
     # numpy scalar per cell

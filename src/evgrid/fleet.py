@@ -35,10 +35,6 @@ class EvSession:
     p_max_kw: float           # max charge rate, >= 0
     d_max_kw: float           # max discharge rate, <= 0
 
-    def __post_init__(self):
-        if not fileio.is_plain_cell(self.ev_id):
-            raise FleetError(f"ev_id {self.ev_id!r} contains a comma or line break")
-
     def validate(self, slots: int, slot_hours: float) -> None:
         """The rate box (``validate_box``) and an energy target it can reach."""
         self.validate_box(slots)
@@ -156,6 +152,7 @@ _SESSION_HEADER = ["ev_id", "bus_id", "t_start", "t_end", "energy_kwh", "p_max_k
 
 
 def write_sessions(path, sessions) -> None:
+    fileio.check_ev_ids([s.ev_id for s in sessions])
     fileio.write_rows(
         path,
         _SESSION_HEADER,

@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,14 +61,11 @@ class Branch:
 
 @dataclass(frozen=True)
 class GridCase:
-    """Validated, immutable network description."""
+    """Immutable network description, taken as given (``parse_grid_case`` checks it)."""
 
-    buses: tuple[Bus, ...]
+    buses: tuple[Bus, ...]        # in id order, ids 1..M
     branches: tuple[Branch, ...]
     s_base: float         # MVA
-
-    def __post_init__(self):
-        validate_case(self)
 
     @property
     def order(self) -> int:
@@ -105,8 +102,6 @@ def validate_case(case: GridCase) -> None:
         raise GridCaseError(f"duplicate bus id(s): {dupes}")
     if sorted(ids) != list(range(1, len(ids) + 1)):
         raise GridCaseError(f"bus ids must be dense 1..{len(ids)}, got {sorted(ids)}")
-    if ids != sorted(ids):
-        raise GridCaseError("buses must be listed in id order")
 
     swings = [b.id for b in case.buses if b.kind is BusKind.SWING]
     if len(swings) != 1:
@@ -161,7 +156,7 @@ def _finite(text: str) -> float:
 
 
 def parse_grid_case(text: str, name: str = "<case>") -> GridCase:
-    """Parse the sectioned case format; raises GridCaseError with file:line."""
+    """Parse and check (``validate_case``) a case; raises GridCaseError with file:line."""
     s_base = None
     bus_rows: list[tuple[int, list[str]]] = []
     branch_rows: list[tuple[int, list[str]]] = []
@@ -240,10 +235,12 @@ def parse_grid_case(text: str, name: str = "<case>") -> GridCase:
         branches.append(Branch(from_bus=f, to_bus=t, r=r, x=x, b_shunt=b, tap=tap))
 
     buses.sort(key=lambda b: b.id)
+    case = GridCase(tuple(buses), tuple(branches), s_base)
     try:
-        return GridCase(tuple(buses), tuple(branches), s_base)
+        validate_case(case)
     except GridCaseError as exc:
         raise GridCaseError(f"{name}: {exc}") from None
+    return case
 
 
 def load_grid_case(path: str | os.PathLike) -> GridCase:

@@ -3,9 +3,11 @@ generation split, evaluated by power flow at each scenario's worst-case slot.
 
 A scenario's EV load is a plain ``(buses, T)`` MW array on the base load's
 buses, summed by ``aggregate_load``; its total is ``base.mw + ev_mw``.
-``compare_scenarios`` returns the report as the JSON-ready dict that
+``solve_scenario`` solves one scenario at its worst slot, ``compare_scenarios``
+returns two solved scenarios' report as the JSON-ready dict that
 ``report.json`` holds, and ``render_report`` prints that dict as the text of
-``report.txt``.
+``report.txt``.  The types take their values as given (``read_base_load`` and
+``cli.load_run_config`` check them).
 
 Loads are modeled per bus as base load (configurable power factor, default
 0.95 lagging) plus EV load (default unity power factor).  PV buses hold their
@@ -40,18 +42,10 @@ BASE_LOAD_HEADER = ["slot", "bus_id", "mw"]
 
 @dataclass(frozen=True)
 class BaseLoadProfile:
-    """Per-bus base load in MW (values checked by ``read_base_load``); rows follow bus_ids."""
+    """Per-bus base load in MW, one row per bus (as ``read_base_load`` builds it)."""
 
-    bus_ids: tuple[int, ...]
+    bus_ids: tuple[int, ...]          # unique
     mw: np.ndarray                    # shape (len(bus_ids), T)
-
-    def __post_init__(self):
-        if len(set(self.bus_ids)) != len(self.bus_ids):
-            raise MetricsError(f"duplicate bus ids in base load: {self.bus_ids}")
-        if self.mw.ndim != 2 or self.mw.shape[0] != len(self.bus_ids):
-            raise MetricsError(
-                f"base load shape {self.mw.shape} does not match {len(self.bus_ids)} buses"
-            )
 
     @property
     def slots(self) -> int:
@@ -104,17 +98,10 @@ def read_base_load(path) -> BaseLoadProfile:
 
 @dataclass(frozen=True)
 class ReactiveAssumptions:
-    """Power factors used to derive reactive load from active load."""
+    """Power factors in (0, 1] used to derive reactive load from active load."""
 
     base_power_factor: float = 0.95   # lagging
     ev_power_factor: float = 1.0
-
-    def __post_init__(self):
-        for key in ("base_power_factor", "ev_power_factor"):
-            pf = getattr(self, key)
-            if not 0.0 < pf <= 1.0:
-                raise MetricsError(f"reactive.{key}: expected a power factor in (0, 1], "
-                                   f"got {pf!r}")
 
     @staticmethod
     def _tan_phi(pf: float) -> float:
@@ -172,32 +159,36 @@ def evaluate_grid_at_slot(case: GridCase, base: BaseLoadProfile, ev_mw: np.ndarr
     return solution, compute_line_flows(solution, loaded)
 
 
+def solve_scenario(label: str, case: GridCase, base: BaseLoadProfile, ev_mw: np.ndarray,
+                   assumptions: ReactiveAssumptions = ReactiveAssumptions(),
+                   pv_mw: dict[int, float] | None = None,
+                   tol: float = 1e-8, max_iter: int = 20) -> tuple:
+    """The EV load ``ev_mw`` (an ``aggregate_load`` array over ``base``,
+    checked against ``case``) solved at the worst-case slot of its total with
+    the base load, as the ``(slot, peak_mw, solution, line_flows)`` that
+    ``compare_scenarios`` takes.  A failed power flow is a MetricsError that
+    names the ``label`` scenario and the slot."""
+    total = (base.mw + ev_mw).sum(axis=0)
+    slot = int(np.argmax(total))
+    try:
+        solution, flows = evaluate_grid_at_slot(case, base, ev_mw, slot, assumptions, pv_mw,
+                                                tol, max_iter)
+    except PowerFlowError as exc:
+        raise MetricsError(f"power flow failed for the {label} scenario at slot {slot}: "
+                           f"{exc}") from exc
+    return slot, float(total[slot]), solution, flows
+
+
 def compare_scenarios(case: GridCase, base: BaseLoadProfile, ev_before: np.ndarray,
-                      ev_after: np.ndarray,
-                      assumptions: ReactiveAssumptions = ReactiveAssumptions(),
-                      pv_mw: dict[int, float] | None = None,
-                      flags: tuple[str, ...] = (),
-                      tol: float = 1e-8, max_iter: int = 20) -> dict:
-    """Evaluate the uncoordinated and coordinated EV loads (``aggregate_load``
-    arrays over ``base``, checked against ``case``) at the worst-case slots
-    of their totals with the base load, and return the report, the dict
-    that ``report.json`` holds (see ``report_to_dict``).  ``flags`` carries
-    run-level notes (clamped sessions, non-converged steps) into the report."""
-    solved = []
-    for label, ev_mw in (("uncoordinated", ev_before), ("coordinated", ev_after)):
-        total = (base.mw + ev_mw).sum(axis=0)
-        slot = int(np.argmax(total))
-        try:
-            solution, flows = evaluate_grid_at_slot(
-                case, base, ev_mw, slot, assumptions, pv_mw, tol, max_iter
-            )
-        except PowerFlowError as exc:
-            raise MetricsError(
-                f"power flow failed for the {label} scenario at slot {slot}: {exc}"
-            ) from exc
-        solved.append((slot, float(total[slot]), solution, flows))
+                      ev_after: np.ndarray, before: tuple, after: tuple,
+                      flags: tuple[str, ...] = ()) -> dict:
+    """The report, the dict that ``report.json`` holds (see
+    ``report_to_dict``), of the uncoordinated and coordinated EV loads
+    ``ev_before`` and ``ev_after`` over ``base`` and their ``solve_scenario``
+    results ``before`` and ``after``.  ``flags`` carries run-level notes
+    (clamped sessions, non-converged steps) into the report."""
     dominated = bool(np.all(base.mw + ev_after <= base.mw + ev_before + 1e-9))
-    return report_to_dict(case, *solved, dominated, flags)
+    return report_to_dict(case, before, after, dominated, flags)
 
 
 def _pct_drop(before: float, after: float) -> float:

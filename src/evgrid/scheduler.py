@@ -36,7 +36,7 @@ what rejects one): it gets the nearer bound row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,25 +47,14 @@ from .fleet import KW_PER_MW
 ENERGY_TOL = 1e-12
 
 
-class SchedulerError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class SchedulerConfig:
+    # every field is finite and positive (``cli.load_run_config`` checks)
     lam: float = 2.0                 # control-signal tuning parameter
     epsilon: float = 1e-3            # convergence threshold on the signal, MW scale
     max_iterations: int = 200
     slots: int = 96
     slot_hours: float = 0.25
-
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not 0 < value < math.inf:
-                key = "lambda" if f.name == "lam" else f.name
-                raise SchedulerError(
-                    f"scheduler.{key}: expected a finite positive number, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import os
 import random
 import re
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from conftest import (UNITY_CASE_TEXT, DATA_DIR, DESK_DIR, assert_identical, cell_text,
                       file_ints, finite_floats, make_session, round_trip)
-from evgrid import cli, coordinator, fileio, metrics
+from evgrid import cli, coordinator, fileio, grid, metrics
 from evgrid.cli import main
 from evgrid.fileio import read_schedule_blocks, read_schedules, write_schedules
 from evgrid.fleet import read_sessions, write_sessions
@@ -76,6 +77,16 @@ def desk_variant(tmp_path: Path, **changes) -> Path:
     for section, values in changes.items():
         raw[section] = values if section == "pv_mw" else {**raw[section], **values}
     return write_config(tmp_path / "desk.json", **raw)
+
+
+def desk_with_base_row(tmp_path: Path, mw: str) -> tuple[Path, Path]:
+    """The desk config, and the copy of its base load that it reads, with
+    the row of slot 20, bus 5 set to ``mw``."""
+    base = tmp_path / "base_load.csv"
+    base.write_text(re.sub(r"\n20,5,[^\n]*", f"\n20,5,{mw}",
+                           (DESK_DIR / "base_load.csv").read_text()))
+    raw = json.loads(desk_variant(tmp_path).read_text())
+    return write_config(tmp_path / "desk.json", **{**raw, "base_load": str(base)}), base
 
 
 def fails_before_any_work(tmp_path, capsys, argv, message, out=None) -> None:
@@ -164,6 +175,26 @@ class TestConfigErrors:
 
 
 class TestPreflight:
+    def test_unsolvable_uncoordinated_grid_fails_before_the_horizon(self, tmp_path, capsys,
+                                                                     no_horizon):
+        config, _ = desk_with_base_row(tmp_path, "1e6")
+        fails_before_any_work(tmp_path, capsys, ["simulate", "-c", str(config)],
+                              "error: power flow failed for the uncoordinated scenario at "
+                              "slot 20: power flow did not converge in 20 iterations")
+
+    @pytest.mark.parametrize("command", ["schedule", "simulate"])
+    def test_overflowing_base_load_rejected(self, tmp_path, capsys, monkeypatch, no_horizon,
+                                            command):
+        # every objective would be inf, so none could show an increase
+        def no_schedule(*args, **kwargs):
+            raise AssertionError("run_until_converged was called")
+
+        monkeypatch.setattr(cli, "run_until_converged", no_schedule)
+        config, base = desk_with_base_row(tmp_path, "1e300")
+        fails_before_any_work(tmp_path, capsys, [command, "-c", str(config)],
+                              f"error: {base}: the squared system base load sums to inf "
+                              "over the slots\n")
+
     @pytest.mark.parametrize("section,values,message", [
         ("scheduler", {"workers": 1}, "unknown scheduler keys ['workers']"),
         ("power_flow", {"tolerance": 1e-6}, "unknown power_flow keys ['tolerance']"),
@@ -639,6 +670,23 @@ def test_benchmark_tracer_binds_every_layer(tmp_path):
     assert solves == stations_x_rounds > 0
 
 
+def test_desk_simulate_validates_the_case_once(tmp_path, capsys, monkeypatch):
+    """The case is checked where it is read; the copies that carry a slot's
+    injections are taken as given."""
+    calls = []
+    validate = grid.validate_case
+
+    def counted(case):
+        calls.append(case)
+        validate(case)
+
+    monkeypatch.setattr(grid, "validate_case", counted)
+    argv = ["simulate", "-c", str(DESK_DIR / "config.json"), "-o", str(tmp_path / "out")]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
 def test_cli_import_loads_no_scipy():
     """numpy is the only runtime dependency: a fresh ``import evgrid.cli``
     must leave every scipy module unloaded."""
@@ -1040,22 +1088,42 @@ def mutate(rng, text: str) -> str:
     return "\n".join(lines)
 
 
-def exits_cleanly(capsys, files: dict[str, str], work: Path, out: Path) -> int:
-    """Write ``files`` into ``work`` and run ``simulate`` on them with every
-    warning an error.  It must exit 0 with nothing on stderr, or exit 1 with
-    one ``error:`` line and no output directory."""
+MUTATION_COMMANDS = ["simulate", "schedule", "powerflow"]
+
+
+def exits_cleanly(capsys, files: dict[str, str], work: Path, out: Path,
+                  command: str = "simulate") -> int:
+    """Write ``files`` into ``work`` and run ``command`` on them with every
+    warning an error.  It must exit 0 with nothing on stderr and, from
+    ``schedule`` or ``simulate``, only finite objectives in ``traces.csv``.
+    Or it must exit 1 with one ``error:`` line and no output directory, and
+    before the receding horizon starts unless the error is the coordinated
+    scenario's power flow."""
     for name, text in files.items():
         (work / name).write_text(text)
     was_file = out.is_file()
-    with warnings.catch_warnings():
+    horizons = []
+    horizon = coordinator.run_receding_horizon
+
+    def counted(*args, **kwargs):
+        horizons.append(args)
+        return horizon(*args, **kwargs)
+
+    with warnings.catch_warnings(), pytest.MonkeyPatch.context() as patch:
         warnings.simplefilter("error")
-        code = main(["simulate", "-c", str(work / "config.json"), "-o", str(out)])
+        patch.setattr(coordinator, "run_receding_horizon", counted)
+        code = main([command, "-c", str(work / "config.json"), "-o", str(out)])
     err = capsys.readouterr().err
     if code == 0:
         assert err == "" and out.is_dir()
+        if command != "powerflow":
+            rows = (out / "traces.csv").read_text().splitlines()[1:]
+            assert all(math.isfinite(float(row.split(",")[3])) for row in rows), rows
     else:
         assert code == 1 and err.startswith("error:") and err.count("\n") == 1, err
         assert out.is_file() if was_file else not out.exists()
+        # "uncoordinated" holds "coordinated", so match the whole phrase
+        assert not horizons or "for the coordinated scenario" in err, err
     return code
 
 
@@ -1066,21 +1134,39 @@ class TestMutationGate:
     def test_seeded_mutations(self, tmp_path, capsys):
         rng = random.Random(20261019)
         clean = mutation_inputs(tmp_path)
-        codes = []
+        codes = {command: [] for command in MUTATION_COMMANDS}
         for n in range(100):
             name = rng.choice(sorted(clean))
             files = {**clean, name: mutate(rng, clean[name])}
-            try:
-                codes.append(exits_cleanly(capsys, files, tmp_path, tmp_path / f"out{n}"))
-            except AssertionError as exc:
-                raise AssertionError(f"mutation {n} of {name}:\n{files[name]}") from exc
-        # the mutations reach both outcomes
-        assert 0 < codes.count(0) < len(codes)
+            for command in MUTATION_COMMANDS:
+                try:
+                    codes[command].append(exits_cleanly(capsys, files, tmp_path,
+                                                        tmp_path / f"out{n}-{command}",
+                                                        command))
+                except AssertionError as exc:
+                    raise AssertionError(f"{command}, mutation {n} of {name}:\n"
+                                         f"{files[name]}") from exc
+        # the mutations reach both outcomes of every command
+        for outcomes in codes.values():
+            assert 0 < outcomes.count(0) < len(outcomes)
+
+    @staticmethod
+    def exit_codes(capsys, tmp_path, mw: str) -> dict[str, int]:
+        """Each command's exit code with the base load of slot 4, bus 5 set
+        to ``mw``."""
+        files = mutation_inputs(tmp_path)
+        files["base.csv"] = re.sub(r"\n4,5,[^\n]*", f"\n4,5,{mw}", files["base.csv"], count=1)
+        return {command: exits_cleanly(capsys, files, tmp_path, tmp_path / command, command)
+                for command in MUTATION_COMMANDS}
 
     def test_overflowing_base_load(self, tmp_path, capsys):
-        files = mutation_inputs(tmp_path)
-        files["base.csv"] = re.sub(r"\n4,5,[^\n]*", "\n4,5,1e300", files["base.csv"], count=1)
-        assert exits_cleanly(capsys, files, tmp_path, tmp_path / "out") == 1
+        # the squared system load overflows, and no power flow solves the grid
+        assert self.exit_codes(capsys, tmp_path, "1e300") == dict.fromkeys(MUTATION_COMMANDS, 1)
+
+    def test_unsolvable_base_load(self, tmp_path, capsys):
+        # no power flow solves the grid, but the schedule is finite
+        assert self.exit_codes(capsys, tmp_path, "1e6") == {"simulate": 1, "schedule": 0,
+                                                             "powerflow": 1}
 
     def test_output_path_is_a_file(self, tmp_path, capsys, no_horizon):
         taken = tmp_path / "taken"

@@ -110,7 +110,7 @@ class TestEventsFile:
     @pytest.mark.parametrize("ev_id", ["a,b", "a\nb", "a\rb"])
     def test_ev_id_that_breaks_a_row_rejected(self, tmp_path, ev_id):
         path = tmp_path / "events.csv"
-        with pytest.raises(CoordinatorError, match="comma or line break"):
+        with pytest.raises(ValueError, match="comma or line break"):
             write_events(path, [(2, ev_id, None)])
         assert not path.exists()
 

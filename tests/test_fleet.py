@@ -16,6 +16,7 @@ from evgrid.fleet import (
     uncoordinated_profile,
     write_sessions,
 )
+from evgrid.fileio import write_schedules
 
 
 def default_spec(**kwargs) -> FleetSpec:
@@ -162,9 +163,19 @@ class TestFiles:
         assert_identical(read_sessions(path), sessions)
 
     @pytest.mark.parametrize("ev_id", ["a,b", "a\nb", "a\rb"])
-    def test_ev_id_that_breaks_a_row_rejected(self, ev_id):
-        with pytest.raises(FleetError, match="comma or line break"):
-            make_session(ev_id=ev_id)
+    def test_ev_id_that_breaks_a_row_rejected(self, tmp_path, ev_id):
+        # the writer owns the cell rule; a session takes its ev_id as given
+        path = tmp_path / "sessions.csv"
+        with pytest.raises(ValueError, match="comma or line break"):
+            write_sessions(path, [make_session("a"), make_session(ev_id=ev_id)])
+        assert not path.exists()
+
+    @pytest.mark.parametrize("ev_id", ["a,b", "a\nb", "a\rb"])
+    def test_ev_id_that_breaks_a_schedule_row_rejected(self, tmp_path, ev_id):
+        path = tmp_path / "schedules.csv"
+        with pytest.raises(ValueError, match="comma or line break"):
+            write_schedules(path, ["a", ev_id], [5, 7], np.ones((2, 3)))
+        assert not path.exists()
 
     def test_short_row_reports_line(self, tmp_path):
         path = tmp_path / "sessions.csv"

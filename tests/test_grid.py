@@ -136,12 +136,11 @@ class TestCaseValidation:
             parse_grid_case(text)
 
     def test_nonpositive_base_kv_rejected(self):
-        buses = (
-            Bus(1, BusKind.SWING, 1.0, 0.0, 0.0, 0.0, 0.0),
-            Bus(2, BusKind.PQ, 1.0, 0.0, 0.0, 0.0, 230.0),
-        )
-        with pytest.raises(GridCaseError, match="base_kv"):
-            GridCase(buses, (Branch(1, 2, 0.0, 0.1, 0.0),), 100.0)
+        text = minimal_case().replace("1  swing  1.0  0.0  0.0  0.0  230.0",
+                                      "1  swing  1.0  0.0  0.0  0.0  0.0")
+        with pytest.raises(GridCaseError) as info:
+            parse_grid_case(text)
+        assert str(info.value) == "<case>: bus 1: base_kv must be positive, got 0.0"
 
     def test_self_loop_rejected(self):
         with pytest.raises(GridCaseError):

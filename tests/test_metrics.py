@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import assert_identical, cell_text, round_trip
 from evgrid import fileio
+from evgrid.cli import load_run_config
 from evgrid.fileio import read_schedule_blocks, read_schedules, write_schedules
 from evgrid.grid import BusKind, build_admittance_matrix
 from evgrid.metrics import (
@@ -22,6 +23,7 @@ from evgrid.metrics import (
     evaluate_grid_at_slot,
     read_base_load,
     render_report,
+    solve_scenario,
     write_base_load,
 )
 from evgrid.powerflow import solve_power_flow
@@ -35,14 +37,6 @@ def constant_base(mw_by_bus: dict[int, float], slots: int = 6) -> BaseLoadProfil
 
 
 class TestBaseLoadProfile:
-    def test_duplicate_buses_rejected(self):
-        with pytest.raises(MetricsError, match="duplicate"):
-            BaseLoadProfile((5, 5), np.zeros((2, 4)))
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(MetricsError, match="does not match"):
-            BaseLoadProfile((5, 7), np.zeros((3, 4)))
-
     def test_negative_load_rejected(self, tmp_path):
         # the value rule is checked where a file is read, at its row
         path = tmp_path / "base.csv"
@@ -131,9 +125,16 @@ class TestReactiveAssumptions:
                                      rel=1e-12)
 
     @pytest.mark.parametrize("pf", [0.0, -0.5, 1.2])
-    def test_invalid_power_factor_rejected(self, pf):
-        with pytest.raises(MetricsError, match="power factor"):
-            ReactiveAssumptions(base_power_factor=pf)
+    def test_invalid_power_factor_rejected(self, tmp_path, pf):
+        # the rule is checked where the config is read; the type takes its
+        # values as given
+        ReactiveAssumptions(base_power_factor=pf)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"reactive": {"base_power_factor": pf}}))
+        with pytest.raises(ValueError) as info:
+            load_run_config(str(path), {})
+        assert str(info.value) == (f"{path}: reactive.base_power_factor: expected a power "
+                                   f"factor in (0, 1], got {pf!r}")
 
 
 class TestAggregateLoad:
@@ -251,13 +252,14 @@ class TestEvaluateGridAtSlot:
             assert sol_heavy.v_mag[i] < sol_light.v_mag[i]
 
 
-def compare(case, base, uncoordinated, coordinated, **options):
-    """``compare_scenarios`` on two lists of (bus_id, kW profile) over ``base``."""
-    def one_row_blocks(profiles):
-        return [([bus_id], np.reshape(kw, (1, -1))) for bus_id, kw in profiles]
-
-    return compare_scenarios(case, base, aggregate_load(base, one_row_blocks(uncoordinated)),
-                             aggregate_load(base, one_row_blocks(coordinated)), **options)
+def compare(case, base, uncoordinated, coordinated, flags=()):
+    """``compare_scenarios`` on two lists of (bus_id, kW profile) over
+    ``base``, each scenario solved by ``solve_scenario``."""
+    ev_mw = [aggregate_load(base, [([bus_id], np.reshape(kw, (1, -1))) for bus_id, kw in rows])
+             for rows in (uncoordinated, coordinated)]
+    solved = [solve_scenario(label, case, base, ev)
+              for label, ev in zip(("uncoordinated", "coordinated"), ev_mw)]
+    return compare_scenarios(case, base, *ev_mw, *solved, flags)
 
 
 class TestCompareScenarios:

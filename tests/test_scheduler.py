@@ -1,5 +1,6 @@
 """Control signal, proximal subproblem, and the fixed-point iteration."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -10,11 +11,11 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import assert_identical, make_session, small_config
+from evgrid.cli import load_run_config
 from evgrid.fleet import KW_PER_MW
 from evgrid.scheduler import (
     ENERGY_TOL,
     SchedulerConfig,
-    SchedulerError,
     aggregate_ev_mw,
     compute_control_signal,
     flattening_objective,
@@ -95,9 +96,17 @@ class TestConfig:
         ("lam", 0.0), ("lam", -1.0), ("epsilon", 0.0), ("max_iterations", 0),
         ("slots", 0), ("slot_hours", 0.0),
     ])
-    def test_positivity_enforced(self, field, value):
-        with pytest.raises(SchedulerError):
-            small_config(**{field: value})
+    def test_positivity_enforced(self, tmp_path, field, value):
+        # the rule is checked where the config is read; the type takes its
+        # values as given
+        small_config(**{field: value})
+        key = "lambda" if field == "lam" else field
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"scheduler": {key: value}}))
+        with pytest.raises(ValueError) as info:
+            load_run_config(str(path), {})
+        assert str(info.value) == (f"{path}: scheduler.{key}: expected a finite positive "
+                                   f"number, got {value!r}")
 
 
 class TestControlSignal:
