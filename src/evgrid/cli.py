@@ -26,9 +26,9 @@ import numpy as np  # noqa: E402
 
 from . import coordinator, fileio, fleet, metrics  # noqa: E402
 from .fleet import EvSession, FleetSpec  # noqa: E402
-from .grid import BusKind, GridCase, build_admittance_matrix, load_grid_case  # noqa: E402
+from .grid import BusKind, GridCase, load_grid_case  # noqa: E402
 from .metrics import ReactiveAssumptions  # noqa: E402
-from .powerflow import PowerFlowError, compute_line_flows, solve_power_flow  # noqa: E402
+from .powerflow import PowerFlowError, solve_power_flow  # noqa: E402
 from .scheduler import SchedulerConfig, run_until_converged  # noqa: E402
 
 # every input error of the package (grid, fleet, scheduler, coordinator,
@@ -297,18 +297,14 @@ def preflight(cfg: RunConfig, command: str) -> Inputs:
             cfg.seed, cfg.fleet_spec, cfg.scheduler.slots, cfg.scheduler.slot_hours))
 
     case = load_grid_case(cfg.case_path)
-    inputs = Inputs(case=case)
     pv_buses = sorted(b.id for b in case.buses if b.kind is BusKind.PV)
     not_pv = sorted(set(cfg.pv_mw) - set(pv_buses))
     if not_pv:
         raise ValueError(f"pv_mw: bus(es) {not_pv} are not PV buses of "
                          f"{cfg.case_path}; its PV buses are {pv_buses}")
+    case = case.with_injections({bus: mw / case.s_base for bus, mw in cfg.pv_mw.items()}, {})
+    inputs = Inputs(case=case)
     if cfg.base_load_path is None:
-        # only the slot evaluation picks a slot and applies a dispatch; the
-        # case alone is solved as written
-        if cfg.pv_mw:
-            raise ValueError(f"pv_mw: powerflow without a base load solves {cfg.case_path} "
-                             "as written; give a base_load or drop pv_mw")
         if cfg.slot is not None:
             raise ValueError(f"slot: powerflow without a base load has no slots and solves "
                              f"{cfg.case_path} as written; give a base_load or drop slot")
@@ -318,16 +314,16 @@ def preflight(cfg: RunConfig, command: str) -> Inputs:
     base.validate_against(case)
     if cfg.slot is not None and not 0 <= cfg.slot < base.slots:
         raise ValueError(f"slot {cfg.slot} outside the base load's 0..{base.slots - 1}")
+    with np.errstate(over="ignore"):    # schedules square the system load, power flows sum it
+        total = base.mw.sum(axis=0)
+        if not math.isfinite(np.sum(total * total)):
+            raise ValueError(f"{cfg.base_load_path}: the squared system base load "
+                             "sums to inf over the slots")
     if command in ("schedule", "simulate"):
         if base.slots != cfg.scheduler.slots:
             raise ValueError(
                 f"base load has {base.slots} slots, scheduler expects {cfg.scheduler.slots}"
             )
-        with np.errstate(over="ignore"):    # the objective squares the system load
-            total = base.mw.sum(axis=0)
-            if not math.isfinite(np.sum(total * total)):
-                raise ValueError(f"{cfg.base_load_path}: the squared system base load "
-                                 "sums to inf over the slots")
         inputs.sessions = _load_sessions(cfg)
         label = cfg.sessions_path or "fleet"
         _on_load_buses(label, [s.bus_id for s in inputs.sessions], base)
@@ -400,16 +396,13 @@ def cmd_powerflow(cfg: RunConfig, inputs: Inputs) -> int:
     case, base = inputs.case, inputs.base
     if base is not None:
         slot = cfg.slot if cfg.slot is not None else int(np.argmax(base.mw.sum(axis=0)))
-        solution, flows = metrics.evaluate_grid_at_slot(
-            case, base, np.zeros_like(base.mw), slot, cfg.reactive, cfg.pv_mw,
+        solution = metrics.evaluate_grid_at_slot(
+            case, base, np.zeros_like(base.mw), slot, cfg.reactive,
             tol=cfg.pf_tol, max_iter=cfg.pf_max_iter,
         )
     else:
         slot = None
-        ybus = build_admittance_matrix(case)
-        solution = solve_power_flow(case, ybus, tol=cfg.pf_tol,
-                                    max_iter=cfg.pf_max_iter)
-        flows = compute_line_flows(solution, case)
+        solution = solve_power_flow(case, tol=cfg.pf_tol, max_iter=cfg.pf_max_iter)
 
     payload = {
         "slot": slot,
@@ -435,7 +428,7 @@ def cmd_powerflow(cfg: RunConfig, inputs: Inputs) -> int:
                 "q_from_mvar": f.s_from_mva.imag,
                 "loss_mw": f.loss_mva.real,
             }
-            for f in flows
+            for f in solution.flows
         ],
     }
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
@@ -478,7 +471,7 @@ def cmd_schedule(cfg: RunConfig, inputs: Inputs) -> int:
 
 def _solve_scenario(cfg: RunConfig, inputs: Inputs, label: str, ev_mw: np.ndarray) -> tuple:
     return metrics.solve_scenario(label, inputs.case, inputs.base, ev_mw, cfg.reactive,
-                                  cfg.pv_mw, tol=cfg.pf_tol, max_iter=cfg.pf_max_iter)
+                                  tol=cfg.pf_tol, max_iter=cfg.pf_max_iter)
 
 
 def cmd_simulate(cfg: RunConfig, inputs: Inputs) -> int:

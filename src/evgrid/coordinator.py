@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import fileio
-from .fleet import EvSession, FleetError
+from .fleet import ENERGY_TOL_KWH, EvSession, FleetError
 from .scheduler import (
     ConvergenceTrace,
     SchedulerConfig,
@@ -228,7 +228,7 @@ def run_receding_horizon(config: SchedulerConfig, base_load_mw: np.ndarray,
         # a target the pinned bounds can no longer reach is flagged at every
         # step it stays so; the fixed point gives it the nearer bound row
         lo_kwh, hi_kwh = bounds.sum(axis=2).T * dt
-        unreachable = (energy < lo_kwh - 1e-9) | (energy > hi_kwh + 1e-9)
+        unreachable = (energy < lo_kwh - ENERGY_TOL_KWH) | (energy > hi_kwh + ENERGY_TOL_KWH)
         for k in np.flatnonzero(unreachable):
             flags.append(
                 f"step {tau}: session {active_ids[k]} energy target "

@@ -17,6 +17,8 @@ from . import fileio
 
 
 KW_PER_MW = 1000.0
+# an energy target this close outside a session's reachable interval counts as reachable
+ENERGY_TOL_KWH = 1e-9
 
 
 class FleetError(ValueError):
@@ -40,7 +42,7 @@ class EvSession:
         self.validate_box(slots)
         hours = (self.t_end - self.t_start) * slot_hours
         lo, hi = self.d_max_kw * hours, self.p_max_kw * hours
-        if not (lo - 1e-9 <= self.energy_kwh <= hi + 1e-9):
+        if not (lo - ENERGY_TOL_KWH <= self.energy_kwh <= hi + ENERGY_TOL_KWH):
             raise FleetError(
                 f"session {self.ev_id}: energy {self.energy_kwh} kWh outside "
                 f"feasible interval [{lo}, {hi}] kWh"

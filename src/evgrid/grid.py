@@ -15,7 +15,8 @@ A grid case is a single structured text file with three sections::
 
 Angles are degrees and powers MW/MVAr at the file boundary; everything is
 radians and per-unit on ``s_base`` once loaded.  ``branch_terms`` is the one pi
-model, which the admittance matrix and ``powerflow.compute_line_flows`` share.
+model; ``powerflow.solve_power_flow`` builds the admittance matrix from it and
+computes its line flows from it.
 """
 
 from __future__ import annotations

@@ -3,15 +3,17 @@ generation split, evaluated by power flow at each scenario's worst-case slot.
 
 A scenario's EV load is a plain ``(buses, T)`` MW array on the base load's
 buses, summed by ``aggregate_load``; its total is ``base.mw + ev_mw``.
-``solve_scenario`` solves one scenario at its worst slot, ``compare_scenarios``
-returns two solved scenarios' report as the JSON-ready dict that
-``report.json`` holds, and ``render_report`` prints that dict as the text of
-``report.txt``.  The types take their values as given (``read_base_load`` and
+``solve_scenario`` solves one scenario at its worst slot with one
+``solve_power_flow`` call, ``compare_scenarios`` returns two solved
+scenarios' report as the JSON-ready dict that ``report.json`` holds, and
+``render_report`` prints that dict as the text of ``report.txt``.  The
+types take their values as given (``read_base_load`` and
 ``cli.load_run_config`` check them).
 
 Loads are modeled per bus as base load (configurable power factor, default
-0.95 lagging) plus EV load (default unity power factor).  PV buses hold their
-scheduled active power; the swing bus absorbs the residual.
+0.95 lagging) plus EV load (default unity power factor).  PV buses hold the
+case's active power (``cli.preflight`` applies the configured PV dispatch
+to the case); the swing bus absorbs the residual.
 """
 
 from __future__ import annotations
@@ -23,14 +25,8 @@ import numpy as np
 
 from . import fileio
 from .fleet import KW_PER_MW
-from .grid import BusKind, GridCase, build_admittance_matrix
-from .powerflow import (
-    LineFlow,
-    PowerFlowError,
-    PowerFlowSolution,
-    compute_line_flows,
-    solve_power_flow,
-)
+from .grid import BusKind, GridCase
+from .powerflow import PowerFlowError, PowerFlowSolution, solve_power_flow
 
 
 class MetricsError(ValueError):
@@ -136,12 +132,10 @@ def aggregate_load(base: BaseLoadProfile, blocks) -> np.ndarray:
 def evaluate_grid_at_slot(case: GridCase, base: BaseLoadProfile, ev_mw: np.ndarray,
                           slot: int,
                           assumptions: ReactiveAssumptions = ReactiveAssumptions(),
-                          pv_mw: dict[int, float] | None = None,
-                          tol: float = 1e-8, max_iter: int = 20,
-                          ) -> tuple[PowerFlowSolution, list[LineFlow]]:
-    """Power flow with PQ injections taken from the base load plus the EV
-    load ``ev_mw`` (an ``aggregate_load`` array) at one slot; the slot and
-    the PV dispatch come checked (``cli.preflight``)."""
+                          tol: float = 1e-8, max_iter: int = 20) -> PowerFlowSolution:
+    """Power flow of ``case`` with PQ injections taken from the base load
+    plus the EV load ``ev_mw`` (an ``aggregate_load`` array) at one slot;
+    the slot comes checked (``cli.preflight``)."""
     base_mw, ev = base.mw[:, slot], ev_mw[:, slot]
     q_mvar = assumptions.reactive_mvar(base_mw, ev)
 
@@ -150,33 +144,25 @@ def evaluate_grid_at_slot(case: GridCase, base: BaseLoadProfile, ev_mw: np.ndarr
     for k, bus_id in enumerate(base.bus_ids):
         p_pu[bus_id] = -(base_mw[k] + ev[k]) / case.s_base
         q_pu[bus_id] = -q_mvar[k] / case.s_base
-    for bus_id, mw in (pv_mw or {}).items():
-        p_pu[bus_id] = mw / case.s_base
-
-    loaded = case.with_injections(p_pu, q_pu)
-    solution = solve_power_flow(loaded, build_admittance_matrix(loaded),
-                                tol=tol, max_iter=max_iter)
-    return solution, compute_line_flows(solution, loaded)
+    return solve_power_flow(case.with_injections(p_pu, q_pu), tol=tol, max_iter=max_iter)
 
 
 def solve_scenario(label: str, case: GridCase, base: BaseLoadProfile, ev_mw: np.ndarray,
                    assumptions: ReactiveAssumptions = ReactiveAssumptions(),
-                   pv_mw: dict[int, float] | None = None,
                    tol: float = 1e-8, max_iter: int = 20) -> tuple:
     """The EV load ``ev_mw`` (an ``aggregate_load`` array over ``base``,
     checked against ``case``) solved at the worst-case slot of its total with
-    the base load, as the ``(slot, peak_mw, solution, line_flows)`` that
+    the base load, as the ``(slot, peak_mw, solution)`` that
     ``compare_scenarios`` takes.  A failed power flow is a MetricsError that
     names the ``label`` scenario and the slot."""
     total = (base.mw + ev_mw).sum(axis=0)
     slot = int(np.argmax(total))
     try:
-        solution, flows = evaluate_grid_at_slot(case, base, ev_mw, slot, assumptions, pv_mw,
-                                                tol, max_iter)
+        solution = evaluate_grid_at_slot(case, base, ev_mw, slot, assumptions, tol, max_iter)
     except PowerFlowError as exc:
         raise MetricsError(f"power flow failed for the {label} scenario at slot {slot}: "
                            f"{exc}") from exc
-    return slot, float(total[slot]), solution, flows
+    return slot, float(total[slot]), solution
 
 
 def compare_scenarios(case: GridCase, base: BaseLoadProfile, ev_before: np.ndarray,
@@ -199,13 +185,13 @@ def report_to_dict(case: GridCase, before: tuple, after: tuple, dominated: bool,
                    flags=()) -> dict:
     """Tabulate two solved scenarios as the JSON-ready report.
 
-    ``before`` and ``after`` are each ``(slot, peak_mw, solution,
-    line_flows)``, the uncoordinated and the coordinated scenario at its
-    worst-case slot.  ``dominated`` says the coordinated load is nowhere
-    above the uncoordinated one; a voltage drop is then a diagnostic, as is
-    a swing output that did not fall."""
-    slot_b, peak_b, sol_b, flows_b = before
-    slot_a, peak_a, sol_a, flows_a = after
+    ``before`` and ``after`` are each ``(slot, peak_mw, solution)``, the
+    uncoordinated and the coordinated scenario at its worst-case slot; the
+    branch currents are the solutions' ``flows``.  ``dominated`` says the
+    coordinated load is nowhere above the uncoordinated one; a voltage drop
+    is then a diagnostic, as is a swing output that did not fall."""
+    slot_b, peak_b, sol_b = before
+    slot_a, peak_a, sol_a = after
 
     def output(i: int) -> dict:
         return {label: {"p_mw": float(sol.p_inj[i]) * case.s_base,
@@ -219,7 +205,7 @@ def report_to_dict(case: GridCase, before: tuple, after: tuple, dominated: bool,
     ]
     currents = []
     total_b = total_a = 0.0
-    for fb, fa in zip(flows_b, flows_a):
+    for fb, fa in zip(sol_b.flows, sol_a.flows):
         br = fb.branch
         # a line has the same voltage base at both ends; a transformer does not
         is_line = case.bus(br.from_bus).base_kv == case.bus(br.to_bus).base_kv

@@ -1,4 +1,6 @@
-"""Steady-state AC power flow: Newton-Raphson in polar form plus line flows.
+"""Steady-state AC power flow in one call: ``solve_power_flow(case)`` builds
+the case's admittance matrix, solves it by Newton-Raphson in polar form and
+returns the bus state with the line flows.
 
 The solver works on the per-unit injection equations
 
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Branch, BusKind, GridCase, branch_terms
+from .grid import Branch, BusKind, GridCase, branch_terms, build_admittance_matrix
 
 SQRT3 = math.sqrt(3.0)
 SINGULAR_PIVOT = 1e-12
@@ -49,6 +51,16 @@ class SingularJacobianError(PowerFlowError):
 
 
 @dataclass(frozen=True)
+class LineFlow:
+    branch: Branch
+    i_from_pu: float
+    i_to_pu: float
+    i_from_amps: float
+    s_from_mva: complex
+    loss_mva: complex
+
+
+@dataclass(frozen=True)
 class PowerFlowSolution:
     v_mag: np.ndarray        # pu, all buses
     v_angle: np.ndarray      # rad, all buses
@@ -57,20 +69,7 @@ class PowerFlowSolution:
     iterations: int
     max_mismatch: float      # pu, at exit
     mismatch_history: tuple[float, ...]   # inf-norm before each update
-
-    @property
-    def voltages(self) -> np.ndarray:
-        return self.v_mag * np.exp(1j * self.v_angle)
-
-
-@dataclass(frozen=True)
-class LineFlow:
-    branch: Branch
-    i_from_pu: float
-    i_to_pu: float
-    i_from_amps: float
-    s_from_mva: complex
-    loss_mva: complex
+    flows: tuple[LineFlow, ...]           # one per branch, in branch order
 
 
 def _injections(v_mag: np.ndarray, v_angle: np.ndarray, ybus: np.ndarray):
@@ -128,14 +127,17 @@ def _lu_solve(a: np.ndarray, b: np.ndarray, iteration: int) -> np.ndarray:
     return x
 
 
-def solve_power_flow(case: GridCase, ybus: np.ndarray, tol: float = 1e-8,
+def solve_power_flow(case: GridCase, tol: float = 1e-8,
                      max_iter: int = 20) -> PowerFlowSolution:
-    """Newton-Raphson solve from a flat start.
+    """Newton-Raphson solve of ``case`` from a flat start, on the admittance
+    matrix built from it.
 
     Raises NonConvergenceError after ``max_iter`` updates or at the first
     non-finite mismatch, and SingularJacobianError; on success the returned
-    injections are the computed values at the solution state.
+    injections are the computed values at the solution state, and the flows
+    those of every branch.
     """
+    ybus = build_admittance_matrix(case)
     m = case.order
     kinds = [b.kind for b in case.buses]
     pv = [i for i in range(m) if kinds[i] is BusKind.PV]
@@ -186,13 +188,13 @@ def solve_power_flow(case: GridCase, ybus: np.ndarray, tol: float = 1e-8,
         iterations=iterations,
         max_mismatch=max_mis,
         mismatch_history=tuple(history),
+        flows=_line_flows(case, v_mag * np.exp(1j * v_angle)),
     )
 
 
-def compute_line_flows(solution: PowerFlowSolution, case: GridCase) -> list[LineFlow]:
-    """Branch currents and complex flows at the solution, from the same
-    ``grid.branch_terms`` that the admittance matrix is stamped from."""
-    v = solution.voltages
+def _line_flows(case: GridCase, v: np.ndarray) -> tuple[LineFlow, ...]:
+    """Branch currents and complex flows at the bus voltages ``v``, from the
+    same ``grid.branch_terms`` that the admittance matrix is stamped from."""
     flows = []
     for br, (f, t, yff, yft, ytf, ytt) in zip(case.branches, branch_terms(case)):
         i_from = yff * v[f] + yft * v[t]
@@ -210,7 +212,7 @@ def compute_line_flows(solution: PowerFlowSolution, case: GridCase) -> list[Line
                 loss_mva=complex(s_from + s_to),
             )
         )
-    return flows
+    return tuple(flows)
 
 
 def amps_per_unit(s_base_mva: float, base_kv: float) -> float:

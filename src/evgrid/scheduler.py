@@ -40,11 +40,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fleet import KW_PER_MW
+from .fleet import ENERGY_TOL_KWH, KW_PER_MW
 
-# a target this close to the box's energy bound (MWh, i.e. 1e-9 kWh) is met
-# by the bound profile itself
-ENERGY_TOL = 1e-12
+# a target this close to the box's energy bound (MWh) is met by the bound
+# profile itself
+ENERGY_TOL = ENERGY_TOL_KWH / KW_PER_MW
 
 
 @dataclass(frozen=True)

@@ -136,22 +136,21 @@ def test_criterion_2_schedule_constraints_hold(desk_run):
 def test_criterion_3_power_flow_cross_checks():
     # flat network: the start vector is already the solution, untouched
     unity = parse_grid_case(UNITY_CASE, name="unity")
-    flat = solve_power_flow(unity, build_admittance_matrix(unity))
+    flat = solve_power_flow(unity)
     assert flat.iterations == 0
     assert np.array_equal(flat.v_mag, np.ones(3))
     assert np.array_equal(flat.v_angle, np.zeros(3))
 
     # one line, closed form: V2 = cos(th2), sin(2 th2) = -0.1
     two = two_bus_case(p_inj_mw=-50.0, x=0.1)
-    sol = solve_power_flow(two, build_admittance_matrix(two))
+    sol = solve_power_flow(two)
     theta2 = 0.5 * math.asin(-0.1)
     assert abs(sol.v_mag[1] - math.cos(theta2)) <= 1e-8
     assert abs(sol.v_angle[1] - theta2) <= 1e-8
 
     # nine-bus Newton-Raphson against an independent Gauss-Seidel solve
     case = load_grid_case(DATA_DIR / "wscc9.case")
-    ybus = build_admittance_matrix(case)
-    newton = solve_power_flow(case, ybus)
+    newton = solve_power_flow(case)
     vm, va, _ = oracles.gauss_seidel_power_flow(case)
     assert float(np.max(np.abs(newton.v_mag - vm))) <= 1e-6
     assert float(np.max(np.abs(newton.v_angle - va))) <= 1e-6
@@ -159,6 +158,7 @@ def test_criterion_3_power_flow_cross_checks():
     # analytic Jacobian against central finite differences at flat start
     from evgrid.powerflow import _injections, _jacobian
 
+    ybus = build_admittance_matrix(case)
     pv = case.indices_of_kind(BusKind.PV)
     pq = case.indices_of_kind(BusKind.PQ)
     pvpq = sorted(pv + pq)

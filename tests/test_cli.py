@@ -79,12 +79,14 @@ def desk_variant(tmp_path: Path, **changes) -> Path:
     return write_config(tmp_path / "desk.json", **raw)
 
 
-def desk_with_base_row(tmp_path: Path, mw: str) -> tuple[Path, Path]:
+def desk_with_base_row(tmp_path: Path, mw: str, buses=(5,)) -> tuple[Path, Path]:
     """The desk config, and the copy of its base load that it reads, with
-    the row of slot 20, bus 5 set to ``mw``."""
+    the rows of slot 20 on ``buses`` set to ``mw``."""
+    text = (DESK_DIR / "base_load.csv").read_text()
+    for bus in buses:
+        text = re.sub(rf"\n20,{bus},[^\n]*", f"\n20,{bus},{mw}", text)
     base = tmp_path / "base_load.csv"
-    base.write_text(re.sub(r"\n20,5,[^\n]*", f"\n20,5,{mw}",
-                           (DESK_DIR / "base_load.csv").read_text()))
+    base.write_text(text)
     raw = json.loads(desk_variant(tmp_path).read_text())
     return write_config(tmp_path / "desk.json", **{**raw, "base_load": str(base)}), base
 
@@ -195,6 +197,24 @@ class TestPreflight:
                               f"error: {base}: the squared system base load sums to inf "
                               "over the slots\n")
 
+    @pytest.mark.parametrize("command", ["powerflow", "compare"])
+    def test_overflowing_system_base_load_rejected(self, tmp_path, capsys, monkeypatch,
+                                                   command):
+        # the slot's system sum itself overflows, so numpy would warn
+        # before the power flow failed
+        monkeypatch.setattr(cli, "solve_power_flow", no_power_flow)
+        monkeypatch.setattr(metrics, "solve_power_flow", no_power_flow)
+        config, base = desk_with_base_row(tmp_path, "1e308", buses=(5, 7))
+        schedule = tmp_path / "schedule.csv"
+        write_schedules(schedule, ["a"], [5], np.ones((1, 96)))
+        argv = [command, "-c", str(config), "--uncoordinated", str(schedule),
+                "--coordinated", str(schedule)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fails_before_any_work(tmp_path, capsys, argv,
+                                  f"error: {base}: the squared system base load sums to "
+                                  "inf over the slots\n")
+
     @pytest.mark.parametrize("section,values,message", [
         ("scheduler", {"workers": 1}, "unknown scheduler keys ['workers']"),
         ("power_flow", {"tolerance": 1e-6}, "unknown power_flow keys ['tolerance']"),
@@ -212,14 +232,17 @@ class TestPreflight:
         fails_before_any_work(tmp_path, capsys, ["simulate", "-c", str(config)],
                               f"pv_mw: bus(es) [{bus}] are not PV buses")
 
-    def test_pv_dispatch_without_a_base_load(self, tmp_path, capsys, monkeypatch):
-        # without a base load the case is solved as written, so a PV
-        # dispatch would be dropped without a word
-        monkeypatch.setattr(cli, "solve_power_flow", no_power_flow)
+    def test_pv_dispatch_without_a_base_load(self, tmp_path, capsys):
+        # the dispatch is applied to the case, so the case alone is solved
+        # with it too
         config = write_config(tmp_path / "pv.json", case=str(DATA_DIR / "wscc9.case"),
                               pv_mw={"2": 50.0})
-        fails_before_any_work(tmp_path, capsys, ["powerflow", "-c", str(config)],
-                              "pv_mw: powerflow without a base load solves")
+        out = tmp_path / "out"
+        assert main(["powerflow", "-c", str(config), "-o", str(out)]) == 0
+        capsys.readouterr()
+        buses = json.loads((out / "powerflow.json").read_text())["buses"]
+        assert buses[1]["id"] == 2
+        assert buses[1]["p_mw"] == pytest.approx(50.0, abs=1e-9)
 
     def test_slot_without_a_base_load(self, tmp_path, capsys, monkeypatch):
         # without a base load there are no slots, so the slot would be
@@ -770,16 +793,15 @@ class TestPowerflowCommand:
         assert auto["buses"] != pinned["buses"]
 
     def test_overflowing_load_stops_at_the_first_non_finite_mismatch(self, tmp_path, capsys):
-        config = small_inputs(tmp_path)
-        # the base-load peak, so the snapshot's slot
-        path = tmp_path / "base.csv"
-        lines = path.read_text().splitlines()
-        assert lines[1].startswith("0,5,")
-        lines[1] = "0,5,1e300"
-        path.write_text("\n".join(lines) + "\n")
+        # a base load this large is rejected before the power flow, so the
+        # load is the case file's own
+        case_path = tmp_path / "heavy.case"
+        case_text = (DATA_DIR / "wscc9.case").read_text()
+        case_path.write_text(case_text.replace("5  pq     1.0    0.0  -90.0",
+                                               "5  pq     1.0    0.0  -1e300"))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fails_before_any_work(tmp_path, capsys, ["powerflow", "-c", str(config)],
+            fails_before_any_work(tmp_path, capsys, ["powerflow", "--case", str(case_path)],
                                   "power flow did not converge in 1 iterations "
                                   "(mismatch inf pu")
 
@@ -1151,17 +1173,24 @@ class TestMutationGate:
             assert 0 < outcomes.count(0) < len(outcomes)
 
     @staticmethod
-    def exit_codes(capsys, tmp_path, mw: str) -> dict[str, int]:
-        """Each command's exit code with the base load of slot 4, bus 5 set
-        to ``mw``."""
+    def exit_codes(capsys, tmp_path, mw: str, buses=(5,)) -> dict[str, int]:
+        """Each command's exit code with the base load of slot 4 on
+        ``buses`` set to ``mw``."""
         files = mutation_inputs(tmp_path)
-        files["base.csv"] = re.sub(r"\n4,5,[^\n]*", f"\n4,5,{mw}", files["base.csv"], count=1)
+        for bus in buses:
+            files["base.csv"] = re.sub(rf"\n4,{bus},[^\n]*", f"\n4,{bus},{mw}",
+                                       files["base.csv"], count=1)
         return {command: exits_cleanly(capsys, files, tmp_path, tmp_path / command, command)
                 for command in MUTATION_COMMANDS}
 
     def test_overflowing_base_load(self, tmp_path, capsys):
         # the squared system load overflows, and no power flow solves the grid
         assert self.exit_codes(capsys, tmp_path, "1e300") == dict.fromkeys(MUTATION_COMMANDS, 1)
+
+    def test_overflowing_system_base_load(self, tmp_path, capsys):
+        # the slot's system sum itself overflows
+        assert (self.exit_codes(capsys, tmp_path, "1e308", buses=(5, 7))
+                == dict.fromkeys(MUTATION_COMMANDS, 1))
 
     def test_unsolvable_base_load(self, tmp_path, capsys):
         # no power flow solves the grid, but the schedule is finite

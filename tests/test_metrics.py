@@ -13,7 +13,7 @@ from conftest import assert_identical, cell_text, round_trip
 from evgrid import fileio
 from evgrid.cli import load_run_config
 from evgrid.fileio import read_schedule_blocks, read_schedules, write_schedules
-from evgrid.grid import BusKind, build_admittance_matrix
+from evgrid.grid import BusKind
 from evgrid.metrics import (
     BaseLoadProfile,
     MetricsError,
@@ -215,38 +215,38 @@ class TestStreamedAggregation:
 class TestEvaluateGridAtSlot:
     def test_zero_load_is_flat(self, unity_case):
         base = BaseLoadProfile((2, 3), np.zeros((2, 4)))
-        solution, flows = evaluate_grid_at_slot(unity_case, base, np.zeros((2, 4)), 0)
+        solution = evaluate_grid_at_slot(unity_case, base, np.zeros((2, 4)), 0)
         assert np.array_equal(solution.v_mag, np.ones(3))
         assert np.array_equal(solution.v_angle, np.zeros(3))
-        assert all(abs(f.i_from_pu) < 1e-12 for f in flows)
+        assert all(abs(f.i_from_pu) < 1e-12 for f in solution.flows)
 
     def test_matches_direct_injection_setup(self, wscc_case):
         base = constant_base({5: 90.0, 7: 100.0, 9: 125.0}, slots=2)
         ev_mw = aggregate_load(base, [([5], np.full((1, 2), 2000.0))])
         assumptions = ReactiveAssumptions(0.9, 1.0)
-        solution, _ = evaluate_grid_at_slot(wscc_case, base, ev_mw, 1, assumptions)
+        solution = evaluate_grid_at_slot(wscc_case, base, ev_mw, 1, assumptions)
 
         tan_phi = math.sqrt(1 - 0.81) / 0.9
         p_pu = {5: -92.0 / 100.0, 7: -1.0, 9: -1.25}
         q_pu = {5: -90.0 * tan_phi / 100.0, 7: -100.0 * tan_phi / 100.0,
                 9: -125.0 * tan_phi / 100.0}
         loaded = wscc_case.with_injections(p_pu, q_pu)
-        direct = solve_power_flow(loaded, build_admittance_matrix(loaded))
+        direct = solve_power_flow(loaded)
         assert np.array_equal(solution.v_mag, direct.v_mag)
         assert np.array_equal(solution.v_angle, direct.v_angle)
 
     def test_pv_override_changes_dispatch(self, wscc_case):
         base = constant_base({5: 90.0, 7: 100.0, 9: 125.0}, slots=2)
-        solution, _ = evaluate_grid_at_slot(wscc_case, base, np.zeros((3, 2)), 0,
-                                            pv_mw={2: 120.0, 3: 40.0})
+        dispatched = wscc_case.with_injections({2: 120.0 / 100.0, 3: 40.0 / 100.0}, {})
+        solution = evaluate_grid_at_slot(dispatched, base, np.zeros((3, 2)), 0)
         assert solution.p_inj[1] * 100.0 == pytest.approx(120.0, abs=1e-6)
         assert solution.p_inj[2] * 100.0 == pytest.approx(40.0, abs=1e-6)
 
     def test_heavier_load_sags_remote_buses(self, wscc_case):
         no_ev = np.zeros((3, 1))
-        sol_light, _ = evaluate_grid_at_slot(
+        sol_light = evaluate_grid_at_slot(
             wscc_case, constant_base({5: 60.0, 7: 60.0, 9: 60.0}, 1), no_ev, 0)
-        sol_heavy, _ = evaluate_grid_at_slot(
+        sol_heavy = evaluate_grid_at_slot(
             wscc_case, constant_base({5: 110.0, 7: 110.0, 9: 110.0}, 1), no_ev, 0)
         for i in (4, 6, 8):
             assert sol_heavy.v_mag[i] < sol_light.v_mag[i]

@@ -17,7 +17,6 @@ from evgrid.powerflow import (
     _injections,
     _lu_solve,
     amps_per_unit,
-    compute_line_flows,
     solve_power_flow,
 )
 
@@ -81,8 +80,7 @@ class TestComputeInjection:
 
 class TestSolvePowerFlow:
     def test_flat_case_exact(self, unity_case):
-        ybus = build_admittance_matrix(unity_case)
-        sol = solve_power_flow(unity_case, ybus)
+        sol = solve_power_flow(unity_case)
         assert np.array_equal(sol.v_mag, np.ones(3))
         assert np.array_equal(sol.v_angle, np.zeros(3))
         assert sol.iterations <= 1
@@ -90,33 +88,33 @@ class TestSolvePowerFlow:
 
     def test_two_bus_analytic(self):
         case = two_bus_case(p_inj_mw=-50.0, q_inj_mvar=0.0, x=0.1)
-        sol = solve_power_flow(case, build_admittance_matrix(case))
+        sol = solve_power_flow(case)
         v2, theta2 = analytic_two_bus()
         assert sol.v_mag[1] == pytest.approx(v2, abs=1e-8)
         assert sol.v_angle[1] == pytest.approx(theta2, abs=1e-8)
 
-    def test_nine_bus_matches_gauss_seidel(self, wscc_case, wscc_ybus):
-        sol = solve_power_flow(wscc_case, wscc_ybus)
+    def test_nine_bus_matches_gauss_seidel(self, wscc_case):
+        sol = solve_power_flow(wscc_case)
         vm, va, _ = oracles.gauss_seidel_power_flow(wscc_case)
         assert np.max(np.abs(sol.v_mag - vm)) < 1e-6
         assert np.max(np.abs(sol.v_angle - va)) < 1e-6
 
-    def test_loaded_nine_bus_matches_gauss_seidel(self, wscc_case, wscc_ybus):
+    def test_loaded_nine_bus_matches_gauss_seidel(self, wscc_case):
         loaded = loaded_nine_bus(wscc_case)
-        sol = solve_power_flow(loaded, build_admittance_matrix(loaded))
+        sol = solve_power_flow(loaded)
         vm, va, _ = oracles.gauss_seidel_power_flow(loaded)
         assert np.max(np.abs(sol.v_mag - vm)) < 1e-6
         assert np.max(np.abs(sol.v_angle - va)) < 1e-6
 
-    def test_swing_and_pv_pinned(self, wscc_case, wscc_ybus):
-        sol = solve_power_flow(wscc_case, wscc_ybus)
+    def test_swing_and_pv_pinned(self, wscc_case):
+        sol = solve_power_flow(wscc_case)
         assert sol.v_mag[0] == wscc_case.buses[0].v_mag
         assert sol.v_angle[0] == wscc_case.buses[0].v_angle
         assert sol.v_mag[1] == wscc_case.buses[1].v_mag
         assert sol.v_mag[2] == wscc_case.buses[2].v_mag
 
-    def test_specified_injections_reproduced(self, wscc_case, wscc_ybus):
-        sol = solve_power_flow(wscc_case, wscc_ybus, tol=1e-8)
+    def test_specified_injections_reproduced(self, wscc_case):
+        sol = solve_power_flow(wscc_case, tol=1e-8)
         for i, bus in enumerate(wscc_case.buses):
             if bus.kind is BusKind.PQ:
                 assert sol.p_inj[i] == pytest.approx(bus.p_inj, abs=1e-8)
@@ -124,15 +122,14 @@ class TestSolvePowerFlow:
             elif bus.kind is BusKind.PV:
                 assert sol.p_inj[i] == pytest.approx(bus.p_inj, abs=1e-8)
 
-    def test_swing_absorbs_residual(self, wscc_case, wscc_ybus):
-        sol = solve_power_flow(wscc_case, wscc_ybus)
-        flows = compute_line_flows(sol, wscc_case)
-        losses = sum(f.loss_mva.real for f in flows) / wscc_case.s_base
+    def test_swing_absorbs_residual(self, wscc_case):
+        sol = solve_power_flow(wscc_case)
+        losses = sum(f.loss_mva.real for f in sol.flows) / wscc_case.s_base
         others = sum(sol.p_inj[1:])
         assert sol.p_inj[0] == pytest.approx(losses - others, abs=1e-8)
 
-    def test_quadratic_convergence_signature(self, wscc_case, wscc_ybus):
-        sol = solve_power_flow(wscc_case, wscc_ybus)
+    def test_quadratic_convergence_signature(self, wscc_case):
+        sol = solve_power_flow(wscc_case)
         hist = sol.mismatch_history
         assert len(hist) >= 3
         tail = [m for m in hist if m < 0.1]
@@ -140,15 +137,15 @@ class TestSolvePowerFlow:
         for a, b in zip(tail, tail[1:]):
             assert b <= 10.0 * a * a
 
-    def test_non_convergence_reports_mismatch(self, wscc_case, wscc_ybus):
+    def test_non_convergence_reports_mismatch(self, wscc_case):
         with pytest.raises(NonConvergenceError, match="mismatch"):
-            solve_power_flow(wscc_case, wscc_ybus, tol=1e-12, max_iter=1)
+            solve_power_flow(wscc_case, tol=1e-12, max_iter=1)
 
     def test_singular_jacobian_reports_pivot(self):
         # a near-open branch decouples bus 2; the Jacobian pivot collapses
         case = two_bus_case(p_inj_mw=-50.0, x=1e15)
         with pytest.raises(SingularJacobianError, match="pivot"):
-            solve_power_flow(case, build_admittance_matrix(case))
+            solve_power_flow(case)
 
 
 class TestJacobian:
@@ -209,23 +206,20 @@ class TestLuSolve:
 class TestLineFlows:
     def test_equal_voltages_no_shunt_zero_current(self):
         case = two_bus_case(p_inj_mw=0.0, q_inj_mvar=0.0, x=0.1)
-        sol = solve_power_flow(case, build_admittance_matrix(case))
-        flows = compute_line_flows(sol, case)
-        assert flows[0].i_from_pu == pytest.approx(0.0, abs=1e-12)
-        assert flows[0].i_to_pu == pytest.approx(0.0, abs=1e-12)
+        flow = solve_power_flow(case).flows[0]
+        assert flow.i_from_pu == pytest.approx(0.0, abs=1e-12)
+        assert flow.i_to_pu == pytest.approx(0.0, abs=1e-12)
 
     def test_two_bus_current_from_phasor_difference(self):
         case = two_bus_case(p_inj_mw=-50.0, x=0.1)
-        sol = solve_power_flow(case, build_admittance_matrix(case))
+        flow = solve_power_flow(case).flows[0]
         v2, theta2 = analytic_two_bus()
         expected = abs(1.0 - v2 * np.exp(1j * theta2)) / 0.1
-        flow = compute_line_flows(sol, case)[0]
         assert flow.i_from_pu == pytest.approx(expected, abs=1e-8)
 
-    def test_loss_conservation(self, wscc_case, wscc_ybus):
-        sol = solve_power_flow(wscc_case, wscc_ybus)
-        flows = compute_line_flows(sol, wscc_case)
-        total_loss = sum(f.loss_mva for f in flows) / wscc_case.s_base
+    def test_loss_conservation(self, wscc_case):
+        sol = solve_power_flow(wscc_case)
+        total_loss = sum(f.loss_mva for f in sol.flows) / wscc_case.s_base
         net_p = float(np.sum(sol.p_inj))
         net_q = float(np.sum(sol.q_inj))
         assert net_p == pytest.approx(total_loss.real, abs=1e-8)
@@ -241,22 +235,22 @@ class TestLineFlows:
         loaded = GridCase(loaded.buses, tuple(
             replace(br, tap=transformer_tap) if br.r == 0.0 else br
             for br in loaded.branches), loaded.s_base)
-        sol = solve_power_flow(loaded, build_admittance_matrix(loaded))
+        sol = solve_power_flow(loaded)
         leaving = np.zeros(loaded.order, dtype=complex)
-        for flow in compute_line_flows(sol, loaded):
+        for flow in sol.flows:
             leaving[loaded.index_of(flow.branch.from_bus)] += flow.s_from_mva
             leaving[loaded.index_of(flow.branch.to_bus)] += flow.loss_mva - flow.s_from_mva
         injected = (sol.p_inj + 1j * sol.q_inj) * loaded.s_base
         assert np.max(np.abs(leaving - injected)) < 1e-9
 
-    def test_real_loss_nonnegative(self, wscc_case, wscc_ybus):
-        sol = solve_power_flow(wscc_case, wscc_ybus)
-        for flow in compute_line_flows(sol, wscc_case):
+    def test_real_loss_nonnegative(self, wscc_case):
+        sol = solve_power_flow(wscc_case)
+        for flow in sol.flows:
             assert flow.loss_mva.real >= -1e-12
 
-    def test_ampere_conversion(self, wscc_case, wscc_ybus):
-        sol = solve_power_flow(wscc_case, wscc_ybus)
-        for flow in compute_line_flows(sol, wscc_case):
+    def test_ampere_conversion(self, wscc_case):
+        sol = solve_power_flow(wscc_case)
+        for flow in sol.flows:
             kv = wscc_case.bus(flow.branch.from_bus).base_kv
             expected = flow.i_from_pu * amps_per_unit(wscc_case.s_base, kv)
             assert flow.i_from_amps == pytest.approx(expected, rel=1e-12)
@@ -269,15 +263,15 @@ class TestLineFlows:
 class TestCanonicalNineBusSolution:
     """The bundled case against its own textbook operating point."""
 
-    def test_textbook_voltages(self, wscc_case, wscc_ybus):
-        sol = solve_power_flow(wscc_case, wscc_ybus)
+    def test_textbook_voltages(self, wscc_case):
+        sol = solve_power_flow(wscc_case)
         v = {bus.id: sol.v_mag[i] for i, bus in enumerate(wscc_case.buses)}
         assert v[5] == pytest.approx(1.0127, abs=5e-4)
         assert v[7] == pytest.approx(1.0159, abs=5e-4)
         assert v[9] == pytest.approx(0.9956, abs=5e-4)
         assert min(v[b] for b in (4, 5, 6, 7, 8, 9)) == v[9]
 
-    def test_textbook_swing_power(self, wscc_case, wscc_ybus):
-        sol = solve_power_flow(wscc_case, wscc_ybus)
+    def test_textbook_swing_power(self, wscc_case):
+        sol = solve_power_flow(wscc_case)
         assert sol.p_inj[0] * wscc_case.s_base == pytest.approx(71.64, abs=0.05)
         assert sol.iterations <= 6

@@ -10,7 +10,8 @@ evgrid.cli`` from a checkout's root with that checkout's ``src/`` on the
 path:
 
 * desk ``simulate`` and ``schedule`` on the shipped desk config;
-* ``powerflow`` on the WSCC-9 case alone, and with the desk base load;
+* ``powerflow`` on the WSCC-9 case alone, and with the desk base load at
+  its peak slot and at ``--slot 40``;
 * replan ``simulate`` for seeds 1 and 2;
 * compare-20k ``compare`` for seed 1.
 
@@ -50,6 +51,7 @@ def runs(parent: Path, work: Path) -> list[tuple[str, list[str]]]:
         ("desk schedule", ["schedule", "-c", DESK_CONFIG]),
         ("powerflow, case only", ["powerflow", "--case", CASE]),
         ("powerflow, desk base load", ["powerflow", "-c", DESK_CONFIG]),
+        ("powerflow, desk base load, slot 40", ["powerflow", "-c", DESK_CONFIG, "--slot", "40"]),
     ]
     workloads = load_workloads(parent)
     for name, seed in GENERATED:
