@@ -197,11 +197,11 @@ def _parse_config(raw, overrides: dict, base_dir: Path) -> RunConfig:
 
     sched_raw = _keys("scheduler", raw.get("scheduler", {}),
                       {**_kinds(SchedulerConfig), "lambda": "float"})
-    if "lambda" in sched_raw:
-        sched_raw["lam"] = sched_raw.pop("lambda")
-    for key in ("lam", "epsilon", "max_iterations"):
+    for key in ("lambda", "epsilon", "max_iterations"):
         if overrides.get(key) is not None:
             sched_raw[key] = overrides[key]
+    if "lambda" in sched_raw:
+        sched_raw["lam"] = sched_raw.pop("lambda")
     scheduler = SchedulerConfig(**sched_raw)
     for f in fields(scheduler):
         if not 0 < (value := getattr(scheduler, f.name)) < math.inf:
@@ -264,11 +264,6 @@ class Inputs:
     ev_mw: list[np.ndarray] = field(default_factory=list)
 
 
-_REQUIRED = {"powerflow": ("case",), "schedule": ("case", "base_load"),
-             "simulate": ("case", "base_load"), "gen-fleet": (),
-             "compare": ("case", "base_load", "uncoordinated", "coordinated")}
-
-
 def _on_load_buses(label, bus_ids, base: metrics.BaseLoadProfile) -> None:
     stray = sorted(set(bus_ids) - set(base.bus_ids))
     if stray:
@@ -278,7 +273,9 @@ def _on_load_buses(label, bus_ids, base: metrics.BaseLoadProfile) -> None:
 def preflight(cfg: RunConfig, command: str) -> Inputs:
     """Load and cross-check every input ``command`` uses, so that bad input
     fails before any schedule, power flow or output write."""
-    missing = [n for n in _REQUIRED[command] if getattr(cfg, f"{n}_path") is None]
+    _, required, optional = COMMANDS[command]
+    reads = {*required, *optional}
+    missing = [n for n in required if getattr(cfg, f"{n}_path") is None]
     if missing:
         raise ValueError(f"missing required input(s): {', '.join(missing)}")
     # the output directory, or else its nearest existing ancestor, must be one
@@ -287,7 +284,7 @@ def preflight(cfg: RunConfig, command: str) -> Inputs:
         raise ValueError(f"-o/output_dir: {existing} is not a directory"
                          + ("" if existing == cfg.output_dir
                             else f", so {cfg.output_dir} cannot be created"))
-    if cfg.slot is not None and command != "powerflow":
+    if cfg.slot is not None and "slot" not in reads:
         raise ValueError(f"slot: only powerflow takes a snapshot slot; drop slot "
                          f"from {command}")
     if command == "gen-fleet":
@@ -319,7 +316,7 @@ def preflight(cfg: RunConfig, command: str) -> Inputs:
         if not math.isfinite(np.sum(total * total)):
             raise ValueError(f"{cfg.base_load_path}: the squared system base load "
                              "sums to inf over the slots")
-    if command in ("schedule", "simulate"):
+    if "sessions" in reads:
         if base.slots != cfg.scheduler.slots:
             raise ValueError(
                 f"base load has {base.slots} slots, scheduler expects {cfg.scheduler.slots}"
@@ -332,9 +329,9 @@ def preflight(cfg: RunConfig, command: str) -> Inputs:
             if s.energy_kwh < 0:
                 raise ValueError(f"{label}: session {s.ev_id}: the uncoordinated baseline "
                                  f"needs a non-negative energy target, got {s.energy_kwh} kWh")
-    if command == "simulate" and not 1 <= cfg.horizon_steps <= base.slots:
+    if "steps" in reads and not 1 <= cfg.horizon_steps <= base.slots:
         raise ValueError(f"horizon_steps {cfg.horizon_steps} must be in 1..{base.slots}")
-    if command == "simulate" and cfg.events_path is not None:
+    if "events" in reads and cfg.events_path is not None:
         events = coordinator.read_events(cfg.events_path)
         _on_load_buses(cfg.events_path, [change.bus_id for _, _, change in events
                                          if isinstance(change, EvSession)], base)
@@ -344,7 +341,7 @@ def preflight(cfg: RunConfig, command: str) -> Inputs:
                 cfg.horizon_steps)
         except coordinator.CoordinatorError as exc:
             raise ValueError(f"{cfg.events_path}: {exc}") from None
-    if command == "compare":
+    if "uncoordinated" in reads:
         for path in (cfg.uncoordinated_path, cfg.coordinated_path):
             inputs.ev_mw.append(metrics.aggregate_load(base, _checked_blocks(path, base)))
     return inputs
@@ -533,31 +530,40 @@ def cmd_gen_fleet(cfg: RunConfig, inputs: Inputs) -> int:
     return 0
 
 
+# every flag besides -c/--config and -o/--output, by the key it overrides
+# (the flag is "--" + the key with "-" for "_"): its type and help
+_FLAGS = {
+    "case": (str, "grid case file"), "base_load": (str, "base load CSV"),
+    "sessions": (str, "EV sessions CSV"), "events": (str, "scripted events CSV"),
+    "uncoordinated": (str, "uncoordinated schedules CSV"),
+    "coordinated": (str, "coordinated schedules CSV"),
+    "seed": (int, "fleet seed"), "lambda": (float, "scheduler lambda"),
+    "epsilon": (float, "scheduler epsilon"), "max_iterations": (int, "scheduler max_iterations"),
+    "steps": (int, "horizon steps"), "slot": (int, "snapshot slot")}
+_SCHEDULE = ("sessions", "seed", "lambda", "epsilon", "max_iterations")
+# each command's handler, required inputs and other flags; any flag outside
+# its row is a usage error
+COMMANDS = {"powerflow": (cmd_powerflow, ("case",), ("base_load", "slot")),
+            "schedule": (cmd_schedule, ("case", "base_load"), _SCHEDULE),
+            "simulate": (cmd_simulate, ("case", "base_load"), (*_SCHEDULE, "events", "steps")),
+            "compare": (cmd_compare, ("case", "base_load", "uncoordinated", "coordinated"), ()),
+            "gen-fleet": (cmd_gen_fleet, (), ("seed",))}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="evgrid",
         description="Bi-directional EV charging coordination on a 9-bus grid",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {"powerflow": cmd_powerflow, "schedule": cmd_schedule, "simulate": cmd_simulate,
-                "compare": cmd_compare, "gen-fleet": cmd_gen_fleet}
-    for name, handler in commands.items():
+    for name, (handler, required, optional) in COMMANDS.items():
         p = sub.add_parser(name)
         p.set_defaults(handler=handler)
         p.add_argument("-c", "--config", help="JSON configuration file")
-        p.add_argument("--case", help="grid case file")
-        p.add_argument("--base-load", dest="base_load", help="base load CSV")
-        p.add_argument("--sessions", help="EV sessions CSV")
-        p.add_argument("--events", help="scripted events CSV")
-        p.add_argument("--uncoordinated", help="uncoordinated schedules CSV")
-        p.add_argument("--coordinated", help="coordinated schedules CSV")
         p.add_argument("-o", "--output", help="output directory")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--lambda", dest="lam", type=float)
-        p.add_argument("--epsilon", type=float)
-        p.add_argument("--max-iterations", dest="max_iterations", type=int)
-        p.add_argument("--steps", type=int, help="horizon steps")
-        p.add_argument("--slot", type=int, help="snapshot slot for powerflow")
+        for key in (*required, *optional):
+            kind, text = _FLAGS[key]
+            p.add_argument("--" + key.replace("_", "-"), type=kind, help=text)
     return parser
 
 

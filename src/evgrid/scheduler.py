@@ -184,9 +184,13 @@ def solve_task(stations: PreparedStations, k: int, ks: np.ndarray) -> float:
         return 0.0
     # S(nu) = sum(clip(base + nu, lo, hi)) is piecewise linear: its slope
     # steps up by one at each a = lo - base and down by one at each
-    # b = hi - base.  The stable sort keeps every a ahead of an equal b, so
-    # the running slope never goes negative.
-    order = ks.argsort(kind="stable")
+    # b = hi - base.  The order inside a group of equal keys cannot change
+    # nu: the rises inside a group are +-0.0, the slope after the group's
+    # last key does not depend on the order, the segment j - 1 chosen below
+    # always ends a group (a target at a bound total is a snapped row), and
+    # a +-0.0 last key leaves nu as it is, since -0.0 + x == 0.0 + x for
+    # every x.
+    order = ks.argsort()
     ks = ks[order]
     # np.add.accumulate is the cumsum, without ndarray.cumsum's dispatch
     slope = np.add.accumulate(stations.slopes[order])

@@ -1,5 +1,6 @@
 """Command-line interface: configuration, subcommands, and output files."""
 
+import argparse
 import itertools
 import json
 import math
@@ -103,6 +104,18 @@ def fails_before_any_work(tmp_path, capsys, argv, message, out=None) -> None:
     assert out.is_file() if was_file else not out.exists()
 
 
+def rejected_by_the_parser(tmp_path, capsys, argv, flag) -> None:
+    """Exit 2 with a usage error that names ``flag``, before any file is
+    opened: no output directory."""
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "-o", str(out)])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {flag}" in err, err
+    assert not out.exists()
+
+
 def no_power_flow(*args, **kwargs):
     raise AssertionError("solve_power_flow was called")
 
@@ -176,6 +189,47 @@ class TestConfigErrors:
         capsys.readouterr()
 
 
+# every flag besides -c/--config and -o/--output, with a value and the
+# key it parses into; then each command's flags
+FLAGS = {"--case": ("x.case", "case"), "--base-load": ("x.csv", "base_load"),
+         "--sessions": ("x.csv", "sessions"), "--events": ("x.csv", "events"),
+         "--uncoordinated": ("x.csv", "uncoordinated"),
+         "--coordinated": ("x.csv", "coordinated"), "--seed": ("4", "seed"),
+         "--lambda": ("2.5", "lambda"), "--epsilon": ("0.5", "epsilon"),
+         "--max-iterations": ("7", "max_iterations"), "--steps": ("3", "steps"),
+         "--slot": ("2", "slot")}
+SCHEDULE_FLAGS = {"--case", "--base-load", "--sessions", "--seed", "--lambda", "--epsilon",
+                  "--max-iterations"}
+COMMAND_FLAGS = {"powerflow": {"--case", "--base-load", "--slot"},
+                 "schedule": SCHEDULE_FLAGS,
+                 "simulate": SCHEDULE_FLAGS | {"--events", "--steps"},
+                 "compare": {"--case", "--base-load", "--uncoordinated", "--coordinated"},
+                 "gen-fleet": {"--seed"}}
+
+
+class TestFlags:
+    @pytest.mark.parametrize("flag", sorted(FLAGS))
+    @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+    def test_command_takes_only_the_flags_it_reads(self, tmp_path, capsys, command, flag):
+        # a flag the command does not read would be dropped without a word,
+        # or checked as a file that the command never opens
+        value, key = FLAGS[flag]
+        if flag in COMMAND_FLAGS[command]:
+            args = cli._build_parser().parse_args([command, flag, value])
+            assert str(vars(args)[key]) == value
+        else:
+            rejected_by_the_parser(tmp_path, capsys, [command, flag, value], flag)
+
+    def test_option_count(self):
+        subparsers = next(action for action in cli._build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        options = [action for parser in subparsers.choices.values()
+                   for action in parser._actions
+                   if action.option_strings and action.dest != "help"]
+        # -c/--config and -o/--output in each command, plus its flags
+        assert len(options) == 34 == sum(2 + len(flags) for flags in COMMAND_FLAGS.values())
+
+
 class TestPreflight:
     def test_unsolvable_uncoordinated_grid_fails_before_the_horizon(self, tmp_path, capsys,
                                                                      no_horizon):
@@ -205,10 +259,11 @@ class TestPreflight:
         monkeypatch.setattr(cli, "solve_power_flow", no_power_flow)
         monkeypatch.setattr(metrics, "solve_power_flow", no_power_flow)
         config, base = desk_with_base_row(tmp_path, "1e308", buses=(5, 7))
-        schedule = tmp_path / "schedule.csv"
-        write_schedules(schedule, ["a"], [5], np.ones((1, 96)))
-        argv = [command, "-c", str(config), "--uncoordinated", str(schedule),
-                "--coordinated", str(schedule)]
+        argv = [command, "-c", str(config)]
+        if command == "compare":
+            schedule = tmp_path / "schedule.csv"
+            write_schedules(schedule, ["a"], [5], np.ones((1, 96)))
+            argv += ["--uncoordinated", str(schedule), "--coordinated", str(schedule)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             fails_before_any_work(tmp_path, capsys, argv,
@@ -256,16 +311,18 @@ class TestPreflight:
     @pytest.mark.parametrize("in_config", [False, True])
     def test_slot_outside_powerflow(self, tmp_path, capsys, no_horizon, command, in_config):
         # only powerflow solves a snapshot slot; any other command would
-        # drop it without a word
+        # drop it without a word, so it takes no --slot flag and stops on
+        # the config key
         config = small_inputs(tmp_path)
-        schedule = tmp_path / "schedule.csv"
-        write_schedules(schedule, ["a"], [5], np.ones((1, 16)))
-        argv = [command, "-c", str(config), "--uncoordinated", str(schedule),
-                "--coordinated", str(schedule)]
-        if in_config:
-            write_config(config, **{**json.loads(config.read_text()), "slot": 5})
-        else:
-            argv += ["--slot", "5"]
+        argv = [command, "-c", str(config)]
+        if command == "compare":
+            schedule = tmp_path / "schedule.csv"
+            write_schedules(schedule, ["a"], [5], np.ones((1, 16)))
+            argv += ["--uncoordinated", str(schedule), "--coordinated", str(schedule)]
+        if not in_config:
+            rejected_by_the_parser(tmp_path, capsys, [*argv, "--slot", "5"], "--slot")
+            return
+        write_config(config, **{**json.loads(config.read_text()), "slot": 5})
         fails_before_any_work(tmp_path, capsys, argv, "slot: only powerflow takes a "
                               f"snapshot slot; drop slot from {command}")
 
@@ -899,10 +956,10 @@ class TestGenFleetCommand:
     def test_slot_rejected(self, tmp_path, capsys, in_config):
         config = self.fleet_config(tmp_path, {"5": 3})
         argv = ["gen-fleet", "-c", str(config)]
-        if in_config:
-            write_config(config, **{**json.loads(config.read_text()), "slot": 5})
-        else:
-            argv += ["--slot", "5"]
+        if not in_config:
+            rejected_by_the_parser(tmp_path, capsys, [*argv, "--slot", "5"], "--slot")
+            return
+        write_config(config, **{**json.loads(config.read_text()), "slot": 5})
         fails_before_any_work(tmp_path, capsys, argv, "slot: only powerflow takes a "
                               "snapshot slot; drop slot from gen-fleet")
 

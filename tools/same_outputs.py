@@ -10,6 +10,9 @@ evgrid.cli`` from a checkout's root with that checkout's ``src/`` on the
 path:
 
 * desk ``simulate`` and ``schedule`` on the shipped desk config;
+* desk ``simulate`` with ``--steps 12 --lambda 3.0 --epsilon 0.001
+  --max-iterations 50``, and desk ``gen-fleet --seed 2``, so that each
+  flag override is compared too;
 * ``powerflow`` on the WSCC-9 case alone, and with the desk base load at
   its peak slot and at ``--slot 40``;
 * replan ``simulate`` for seeds 1 and 2;
@@ -49,6 +52,10 @@ def runs(parent: Path, work: Path) -> list[tuple[str, list[str]]]:
     todo = [
         ("desk simulate", ["simulate", "-c", DESK_CONFIG]),
         ("desk schedule", ["schedule", "-c", DESK_CONFIG]),
+        ("desk simulate, scheduler and horizon flags",
+         ["simulate", "-c", DESK_CONFIG, "--steps", "12", "--lambda", "3.0",
+          "--epsilon", "0.001", "--max-iterations", "50"]),
+        ("desk gen-fleet, seed 2", ["gen-fleet", "-c", DESK_CONFIG, "--seed", "2"]),
         ("powerflow, case only", ["powerflow", "--case", CASE]),
         ("powerflow, desk base load", ["powerflow", "-c", DESK_CONFIG]),
         ("powerflow, desk base load, slot 40", ["powerflow", "-c", DESK_CONFIG, "--slot", "40"]),
