@@ -1,16 +1,21 @@
 """Steady-state AC power flow in one call: ``solve_power_flow(case)`` builds
-the case's admittance matrix, solves it by Newton-Raphson in polar form and
-returns the bus state with the line flows.
+the case's admittance matrix, solves it by Newton-Raphson and returns the bus
+state with the line flows.
 
-The solver works on the per-unit injection equations
+The solver works on the complex bus injections ``S = V * conj(Ybus V)``; its
+unknowns are the angles of the PV and PQ buses and the magnitudes of the PQ
+buses.  The Jacobian is the complex form of MATPOWER's ``dSbus_dV``
+(Zimmerman, Murillo-Sanchez & Thomas, IEEE TPWRS 26(1), 2011): with
+``I = Ybus V``,
 
-    P_i = V_i * sum_j V_j * Y_ij * cos(theta_i - theta_j - alpha_ij)
-    Q_i = V_i * sum_j V_j * Y_ij * sin(theta_i - theta_j - alpha_ij)
+    dS/dVa = 1j diag(V) conj(diag(I) - Ybus diag(V))
+    dS/dVm = diag(V) conj(Ybus diag(V/|V|)) + conj(diag(I)) diag(V/|V|)
 
-with an analytically assembled Jacobian, solved at each step by Gaussian
-elimination with partial pivoting in numpy.  PV reactive limits are not
-modeled.  Line flows come from the branch model of ``grid.branch_terms``,
-the one the admittance matrix is built from.
+whose real parts are the derivatives of P and imaginary parts those of Q.
+Each step is solved by ``np.linalg.solve`` (LAPACK ``gesv``), after a check
+that the Jacobian's smallest singular value is at least MIN_SINGULAR_VALUE.
+PV reactive limits are not modeled.  Line flows come from the branch model of
+``grid.branch_terms``, the one the admittance matrix is built from.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import numpy as np
 from .grid import Branch, BusKind, GridCase, branch_terms, build_admittance_matrix
 
 SQRT3 = math.sqrt(3.0)
-SINGULAR_PIVOT = 1e-12
+MIN_SINGULAR_VALUE = 1e-12
 
 
 class PowerFlowError(RuntimeError):
@@ -41,20 +46,17 @@ class NonConvergenceError(PowerFlowError):
 
 
 class SingularJacobianError(PowerFlowError):
-    def __init__(self, iteration: int, pivot_index: int, pivot: float):
+    def __init__(self, iteration: int, smallest: float):
         self.iteration = iteration
-        self.pivot_index = pivot_index
         super().__init__(
             f"singular Jacobian at iteration {iteration}: "
-            f"pivot {pivot:.3e} at position {pivot_index}"
+            f"smallest singular value {smallest:.3e}"
         )
 
 
 @dataclass(frozen=True)
 class LineFlow:
     branch: Branch
-    i_from_pu: float
-    i_to_pu: float
     i_from_amps: float
     s_from_mva: complex
     loss_mva: complex
@@ -78,53 +80,17 @@ def _injections(v_mag: np.ndarray, v_angle: np.ndarray, ybus: np.ndarray):
     return s.real, s.imag
 
 
-def _jacobian(v_mag, v_angle, ybus, p_calc, q_calc, pvpq, pq):
-    y_mag = np.abs(ybus)
-    alpha = np.angle(ybus)
-    gamma = v_angle[:, None] - v_angle[None, :] - alpha
-    vv = np.outer(v_mag, v_mag)
-    e = vv * y_mag * np.cos(gamma)
-    f = vv * y_mag * np.sin(gamma)
-
-    h = f.copy()
-    np.fill_diagonal(h, -q_calc + np.diag(f))
-    n = e / v_mag[None, :]
-    np.fill_diagonal(n, (p_calc + np.diag(e)) / v_mag)
-    m = -e
-    np.fill_diagonal(m, p_calc - np.diag(e))
-    l = f / v_mag[None, :]
-    np.fill_diagonal(l, (q_calc + np.diag(f)) / v_mag)
-
+def _jacobian(v: np.ndarray, ybus: np.ndarray, pvpq: list[int], pq: list[int]) -> np.ndarray:
+    """Derivatives of P at ``pvpq`` and Q at ``pq`` with respect to the angles
+    at ``pvpq`` and the magnitudes at ``pq``, at the complex voltages ``v``."""
+    i = ybus @ v
+    v_unit = v / np.abs(v)
+    ds_dva = 1j * v[:, None] * np.conj(np.diag(i) - ybus * v)
+    ds_dvm = v[:, None] * np.conj(ybus * v_unit) + np.diag(np.conj(i) * v_unit)
     return np.block([
-        [h[np.ix_(pvpq, pvpq)], n[np.ix_(pvpq, pq)]],
-        [m[np.ix_(pq, pvpq)], l[np.ix_(pq, pq)]],
+        [ds_dva.real[np.ix_(pvpq, pvpq)], ds_dvm.real[np.ix_(pvpq, pq)]],
+        [ds_dva.imag[np.ix_(pq, pvpq)], ds_dvm.imag[np.ix_(pq, pq)]],
     ])
-
-
-def _lu_solve(a: np.ndarray, b: np.ndarray, iteration: int) -> np.ndarray:
-    """Solve ``a @ x = b`` by Gaussian elimination with partial pivoting.
-
-    Each column pivots on its first entry of largest magnitude, as LAPACK's
-    ``getrf`` does; a column that is zero from the diagonal down is left
-    as it is.  Raises SingularJacobianError (reporting ``iteration``) when
-    the smallest ``|U_kk|`` is below SINGULAR_PIVOT.
-    """
-    n = len(b)
-    u = np.column_stack((a, b))   # eliminating [a | b] carries b along
-    for k in range(n - 1):
-        p = k + int(abs(u[k:, k]).argmax())
-        if p != k:
-            u[[k, p]] = u[[p, k]]
-        if u[k, k] != 0.0:
-            u[k + 1:, k + 1:] -= (u[k + 1:, k] / u[k, k])[:, None] * u[k, k + 1:]
-    diag = np.abs(np.diag(u))
-    worst = int(np.argmin(diag))
-    if diag[worst] < SINGULAR_PIVOT:
-        raise SingularJacobianError(iteration, worst, float(diag[worst]))
-    x = np.empty(n)
-    for k in range(n - 1, -1, -1):
-        x[k] = (u[k, n] - u[k, k + 1:n] @ x[k + 1:]) / u[k, k]
-    return x
 
 
 def solve_power_flow(case: GridCase, tol: float = 1e-8,
@@ -138,24 +104,14 @@ def solve_power_flow(case: GridCase, tol: float = 1e-8,
     those of every branch.
     """
     ybus = build_admittance_matrix(case)
-    m = case.order
-    kinds = [b.kind for b in case.buses]
-    pv = [i for i in range(m) if kinds[i] is BusKind.PV]
-    pq = [i for i in range(m) if kinds[i] is BusKind.PQ]
-    pvpq = sorted(pv + pq)
+    pq = case.indices_of_kind(BusKind.PQ)
+    pvpq = sorted(case.indices_of_kind(BusKind.PV) + pq)
 
     p_spec = np.array([b.p_inj for b in case.buses])
     q_spec = np.array([b.q_inj for b in case.buses])
-
-    v_mag = np.ones(m)
-    v_angle = np.zeros(m)
-    # fixed quantities come from the case
-    for i, b in enumerate(case.buses):
-        if b.kind is BusKind.SWING:
-            v_mag[i] = b.v_mag
-            v_angle[i] = b.v_angle
-        elif b.kind is BusKind.PV:
-            v_mag[i] = b.v_mag
+    # flat start; the fixed magnitudes and the swing angle come from the case
+    v_mag = np.array([1.0 if b.kind is BusKind.PQ else b.v_mag for b in case.buses])
+    v_angle = np.array([b.v_angle if b.kind is BusKind.SWING else 0.0 for b in case.buses])
 
     history: list[float] = []
     iterations = 0
@@ -172,8 +128,11 @@ def solve_power_flow(case: GridCase, tol: float = 1e-8,
             if iterations >= max_iter or not math.isfinite(max_mis):
                 raise NonConvergenceError(iterations, max_mis, tol)
 
-            jac = _jacobian(v_mag, v_angle, ybus, p_calc, q_calc, pvpq, pq)
-            dx = _lu_solve(jac, mismatch, iterations)
+            jac = _jacobian(v_mag * np.exp(1j * v_angle), ybus, pvpq, pq)
+            smallest = np.linalg.svd(jac, compute_uv=False)[-1]
+            if smallest < MIN_SINGULAR_VALUE:
+                raise SingularJacobianError(iterations, smallest)
+            dx = np.linalg.solve(jac, mismatch)
 
             n_ang = len(pvpq)
             v_angle[pvpq] += dx[:n_ang]
@@ -205,8 +164,6 @@ def _line_flows(case: GridCase, v: np.ndarray) -> tuple[LineFlow, ...]:
         flows.append(
             LineFlow(
                 branch=br,
-                i_from_pu=float(abs(i_from)),
-                i_to_pu=float(abs(i_to)),
                 i_from_amps=float(abs(i_from)) * amps_per_unit(case.s_base, base_kv),
                 s_from_mva=complex(s_from),
                 loss_mva=complex(s_from + s_to),

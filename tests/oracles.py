@@ -11,7 +11,9 @@ algorithmic route than the library code it checks:
   enumerating every lower/free/upper slot pattern instead of a breakpoint
   search on the dual multiplier.
 * ``finite_difference_jacobian`` differentiates the injection equations
-  numerically.
+  numerically.  It differences the polar sums of ``injection_vector``,
+  while the library's Jacobian is the complex ``dSbus_dV`` form, so the
+  two share no formula.
 * ``compute_injection`` evaluates one bus's injection from the polar sums
   instead of the library's complex ``V * conj(Y V)`` product.
 * ``reference_horizon`` runs the receding-horizon loop station by station,

@@ -19,7 +19,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import (UNITY_CASE_TEXT, DATA_DIR, DESK_DIR, assert_identical, cell_text,
-                      file_ints, finite_floats, make_session, round_trip)
+                      file_ints, finite_floats, make_session, round_trip, two_bus_case)
 from evgrid import cli, coordinator, fileio, grid, metrics
 from evgrid.cli import main
 from evgrid.fileio import read_schedule_blocks, read_schedules, write_schedules
@@ -861,6 +861,16 @@ class TestPowerflowCommand:
             fails_before_any_work(tmp_path, capsys, ["powerflow", "--case", str(case_path)],
                                   "power flow did not converge in 1 iterations "
                                   "(mismatch inf pu")
+
+    def test_singular_grid_fails_with_one_line(self, tmp_path, capsys):
+        # a near-open branch: the first Jacobian's smallest singular value is 1/x
+        case_path = tmp_path / "open.case"
+        case_path.write_text(grid.format_grid_case(two_bus_case(x=1e15)))
+        out = tmp_path / "out"
+        assert main(["powerflow", "--case", str(case_path), "-o", str(out)]) == 1
+        assert capsys.readouterr().err == ("error: singular Jacobian at iteration 0: "
+                                           "smallest singular value 1.000e-15\n")
+        assert not (out / "powerflow.json").exists()
 
 
 class TestGenFleetCommand:

@@ -218,7 +218,7 @@ class TestEvaluateGridAtSlot:
         solution = evaluate_grid_at_slot(unity_case, base, np.zeros((2, 4)), 0)
         assert np.array_equal(solution.v_mag, np.ones(3))
         assert np.array_equal(solution.v_angle, np.zeros(3))
-        assert all(abs(f.i_from_pu) < 1e-12 for f in solution.flows)
+        assert all(f.i_from_amps < 1e-12 for f in solution.flows)
 
     def test_matches_direct_injection_setup(self, wscc_case):
         base = constant_base({5: 90.0, 7: 100.0, 9: 125.0}, slots=2)

@@ -19,14 +19,21 @@ path:
 * compare-20k ``compare`` for seed 1.
 
 Every file a run writes under ``-o``, its stdout, its stderr and its exit
-status must be the same bytes in both checkouts.  The script prints the
-first difference and exits 1, or prints one line per identical run and
-exits 0.  It writes no bytecode and nothing into either checkout.
+status must be the same bytes in both checkouts.  The script runs every
+run and prints one line for each run that is identical, or one line for
+each output of the run that differs.  For a differing ``.json`` file that
+line also gives how many floats moved and the largest
+``|change - parent| / max(1, |parent|)`` with its key path, or the first
+key path where the two files differ in more than their floats.  It exits 1
+if any output differs, else 0.  It writes no bytecode and nothing into
+either checkout.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import json
+import math
 import os
 import subprocess
 import sys
@@ -79,13 +86,58 @@ def run(root: Path, argv: list[str], out: Path) -> dict[str, bytes]:
             "exit status": str(done.returncode).encode()}
 
 
-def first_difference(old: dict[str, bytes], new: dict[str, bytes]) -> str | None:
+def float_moves(old, new, path: str = ""):
+    """Yield ``(path, parent, change)`` for each float leaf of two parsed JSON
+    trees whose text differs; raise ValueError naming the first path where
+    the trees differ in anything but a float's value."""
+    if type(old) is not type(new):
+        raise ValueError(path)
+    if isinstance(old, dict):
+        if list(old) != list(new):
+            raise ValueError(path)
+        for key in old:
+            yield from float_moves(old[key], new[key], f"{path}.{key}" if path else key)
+    elif isinstance(old, list):
+        if len(old) != len(new):
+            raise ValueError(path)
+        for k, (a, b) in enumerate(zip(old, new)):
+            yield from float_moves(a, b, f"{path}[{k}]")
+    elif isinstance(old, float):
+        if repr(old) != repr(new):
+            yield path, old, new
+    elif old != new:
+        raise ValueError(path)
+
+
+def relative_change(parent: float, change: float) -> float:
+    """``|change - parent| / max(1, |parent|)``, infinite where not finite."""
+    size = abs(change - parent) / max(1.0, abs(parent))
+    return size if math.isfinite(size) else math.inf
+
+
+def json_change(old: bytes, new: bytes) -> str:
+    """How the floats of two JSON outputs moved, in words."""
+    old, new = json.loads(old), json.loads(new)
+    try:
+        moves = list(float_moves(old, new))
+    except ValueError as exc:
+        return f"differs beyond its floats at {str(exc) or 'the top level'}"
+    if not moves:
+        return "0 floats moved"
+    size, path = max((relative_change(a, b), path) for path, a, b in moves)
+    return f"{len(moves)} floats moved, largest |change|/max(1, |parent|) {size:.1e} at {path}"
+
+
+def differences(old: dict[str, bytes], new: dict[str, bytes]) -> list[str]:
+    """One line per output that differs between two runs."""
+    lines = []
     for key in sorted(set(old) | set(new)):
         if key not in old or key not in new:
-            return f"{key} written by only one checkout"
-        if old[key] != new[key]:
-            return f"{key} differs"
-    return None
+            lines.append(f"{key} written by only one checkout")
+        elif old[key] != new[key]:
+            detail = f": {json_change(old[key], new[key])}" if key.endswith(".json") else ""
+            lines.append(f"{key} differs{detail}")
+    return lines
 
 
 def main(argv: list[str]) -> int:
@@ -94,17 +146,19 @@ def main(argv: list[str]) -> int:
         return 2
     parent, change = (Path(p).resolve() for p in argv)
     sys.dont_write_bytecode = True
+    failed = False
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
         work = Path(tmp)
         for k, (label, args) in enumerate(runs(parent, work / "inputs")):
             old = run(parent, args, work / "parent" / str(k))
             new = run(change, args, work / "change" / str(k))
-            difference = first_difference(old, new)
-            if difference:
-                print(f"{label}: {difference}")
-                return 1
-            print(f"{label}: identical ({len(old) - 3} files, stdout, stderr, exit status)")
-    return 0
+            lines = differences(old, new)
+            if not lines:
+                print(f"{label}: identical ({len(old) - 3} files, stdout, stderr, exit status)")
+            for line in lines:
+                print(f"{label}: {line}")
+            failed |= bool(lines)
+    return int(failed)
 
 
 if __name__ == "__main__":
