@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 # The largest BLAS calls are the power flow's 9 x 9 products, so OpenBLAS's
@@ -35,12 +35,41 @@ from .scheduler import SchedulerConfig, run_until_converged  # noqa: E402
 # metrics) is a ValueError
 USER_ERRORS = (ValueError, OSError, PowerFlowError)
 
-# top-level config keys, with the numbers and paths typed as for ``_keys``
-_CONFIG_KEYS = {
-    **dict.fromkeys(("case", "base_load", "sessions", "events", "uncoordinated",
-                     "coordinated", "output_dir"), "path"),
-    **dict.fromkeys(("scheduler", "power_flow", "reactive", "pv_mw", "fleet"), ""),
-    "seed": "int", "horizon_steps": "int", "slot": "int",
+# the input files a config may name
+_INPUTS = ("case", "base_load", "sessions", "events", "uncoordinated", "coordinated")
+# in "<key>: expected <what>, got <value>", the <what> of a rule and its test
+_FINITE = ("a finite number", math.isfinite)
+_POSITIVE = ("a finite positive number", lambda v: 0 < v < math.inf)
+_AT_LEAST_0 = ("at least 0", lambda v: v >= 0)
+_AT_LEAST_1 = ("at least 1", lambda v: v >= 1)
+
+# every config key, dotted (``*`` stands for any bus id): its kind, then the
+# rules its value must pass, in order.  A kind is ``str`` for a path (null is
+# absent), ``int`` or ``float`` for a JSON number, ``tuple`` for a [lo, hi]
+# pair of floats, or ``dict`` for a section of the keys below it.
+_RULES = {
+    **dict.fromkeys((*_INPUTS, "output_dir"), (str,)),
+    "seed": (int, ("a non-negative integer", lambda v: v >= 0)),
+    "horizon_steps": (int,), "slot": (int,),
+    "scheduler": (dict,),
+    **dict.fromkeys(("scheduler.lambda", "scheduler.epsilon", "scheduler.slot_hours"),
+                    (float, _POSITIVE)),
+    **dict.fromkeys(("scheduler.max_iterations", "scheduler.slots"), (int, _POSITIVE)),
+    "power_flow": (dict,), "power_flow.tol": (float, _POSITIVE),
+    "power_flow.max_iter": (int, _AT_LEAST_1),
+    "reactive": (dict,),
+    **dict.fromkeys(("reactive.base_power_factor", "reactive.ev_power_factor"),
+                    (float, ("a power factor in (0, 1]", lambda v: 0 < v <= 1))),
+    "pv_mw": (dict,), "pv_mw.*": (float, _FINITE),
+    "fleet": (dict,), "fleet.counts": (dict,),
+    "fleet.counts.*": (int, ("a non-negative count", lambda v: v >= 0)),
+    "fleet.arrival_mean_slot": (float, _FINITE),
+    "fleet.arrival_std_slots": (float, _FINITE, _AT_LEAST_0),
+    "fleet.duration_mean_slots": (float, _FINITE, _AT_LEAST_1),
+    "fleet.duration_std_slots": (float, _FINITE, _AT_LEAST_0),
+    "fleet.energy_kwh_range": (tuple, _FINITE),
+    "fleet.p_max_kw": (float, _FINITE, _AT_LEAST_0),
+    "fleet.d_max_kw": (float, _FINITE, ("at most 0", lambda v: v <= 0)),
 }
 
 
@@ -71,11 +100,6 @@ def _resolve(base_dir: Path, value) -> Path | None:
     return path if path.is_absolute() else base_dir / path
 
 
-def _kinds(cls) -> dict[str, str]:
-    """Field name -> annotation ("int", "float", ...) of a dataclass."""
-    return {f.name: f.type for f in fields(cls)}
-
-
 def _number(key: str, value, kind=float):
     """``value`` as a ``kind`` (int or float); anything but a JSON number, of
     integral value for an int, is an error that names ``key``."""
@@ -86,79 +110,66 @@ def _number(key: str, value, kind=float):
     return kind(value)
 
 
-_NUMBER_KINDS = {"int": int, "float": float}
-
-
-def _typed(key: str, value, kind: str):
-    """``value`` checked as ``kind``: "int" or "float" as for ``_number``, and
-    "path" a string or null (absent); any other kind passes as it is."""
-    if kind in _NUMBER_KINDS:
-        return _number(key, value, _NUMBER_KINDS[kind])
-    if kind == "path" and not isinstance(value, (str, type(None))):
-        raise ValueError(f"{key}: expected a path string, got {value!r}")
+def _ruled(key: str, value, rules):
+    """``value``, once it passes each ``(what, test)`` rule in turn."""
+    for what, test in rules:
+        if not test(value):
+            raise ValueError(f"{key}: expected {what}, got {value!r}")
     return value
 
 
-def _keys(name: str, section, kinds: dict[str, str] | None = None) -> dict:
-    """A copy of config section ``name``.  Given ``kinds``, a key outside it
-    is an error, and each value is checked by ``_typed`` against its kind;
-    errors name the key as ``name.key``."""
+def _checked(name: str, section) -> dict:
+    """Config section ``name`` ("config" for the top level), each value typed
+    and checked by its row of ``_RULES``: a key without a row is an error, a
+    section comes back checked too, and a section of bus ids keyed by int.
+    Errors name the dotted key."""
     if not isinstance(section, dict):
         raise ValueError(f"{name} must be a JSON object")
-    if kinds is None:
-        return dict(section)
-    unknown = sorted(set(section) - set(kinds))
+    prefix = "" if name == "config" else f"{name}."
+    by_bus = f"{prefix}*" in _RULES
+    unknown = sorted(key for key in section if not by_bus and prefix + key not in _RULES)
     if unknown:
         raise ValueError(f"unknown {name} keys {unknown}")
-    return {key: _typed(f"{name}.{key}", value, kinds[key])
-            for key, value in section.items()}
-
-
-def _by_bus(name: str, section, kind) -> dict:
-    """A JSON object keyed by bus id, such as ``{"5": 150}``, as ``{5: 150}``."""
     out = {}
-    for key, value in _keys(name, section).items():
-        try:
-            bus_id = int(key)
-        except ValueError:
-            raise ValueError(f"{name}: bus id {key!r} is not an integer") from None
-        out[bus_id] = _number(f"{name}.{key}", value, kind)
-        if not math.isfinite(out[bus_id]):
-            raise ValueError(f"{name}.{key}: expected a finite number, got {value!r}")
+    for key, value in section.items():
+        kind, *rules = _RULES[f"{prefix}*" if by_bus else prefix + key]
+        # a type error names a top-level key as "config.<key>", a rule as "<key>"
+        typed_as, where = f"{name}.{key}", prefix + key
+        if by_bus:
+            try:
+                key = int(key)
+            except ValueError:
+                raise ValueError(f"{name}: bus id {key!r} is not an integer") from None
+            if key in out:
+                raise ValueError(f"{name}: bus id {key} given twice")
+        if kind is dict:
+            out[key] = _checked(where, value)
+        elif kind is str:
+            if not isinstance(value, (str, type(None))):
+                raise ValueError(f"{typed_as}: expected a path string, got {value!r}")
+            out[key] = value
+        elif kind is tuple:
+            if not isinstance(value, list) or len(value) != 2:
+                raise ValueError(f"{where}: expected [lo, hi], got {value!r}")
+            out[key] = tuple(_ruled(where, _number(typed_as, v), rules) for v in value)
+        else:
+            out[key] = _ruled(where, _number(typed_as, value, kind), rules)
     return out
 
 
-def _fleet_spec(section) -> FleetSpec:
-    kinds = _kinds(FleetSpec)
-    spec = _keys("fleet", section, kinds)
-    missing = sorted(set(kinds) - set(spec))
+def _fleet_spec(spec: dict) -> FleetSpec:
+    """The checked ``fleet`` section as a FleetSpec, once the rules that
+    compare two of its keys hold."""
+    missing = sorted({key.split(".")[1] for key in _RULES if key.startswith("fleet.")}
+                     - set(spec))
     if missing:
         raise ValueError(f"missing fleet keys {missing}")
-    spec["counts"] = _by_bus("fleet.counts", spec["counts"], int)
-    bounds = spec["energy_kwh_range"]
-    if not isinstance(bounds, list) or len(bounds) != 2:
-        raise ValueError(f"fleet.energy_kwh_range: expected [lo, hi], got {bounds!r}")
-    spec["energy_kwh_range"] = tuple(_number("fleet.energy_kwh_range", v) for v in bounds)
-    floats = [(key, spec[key]) for key in section if kinds[key] == "float"]
-    for key, value in [*floats, *(("energy_kwh_range", v) for v in spec["energy_kwh_range"])]:
-        if not math.isfinite(value):
-            raise ValueError(f"fleet.{key}: expected a finite number, got {value!r}")
-    for bus, count in spec["counts"].items():
-        if count < 0:
-            raise ValueError(f"fleet.counts.{bus}: expected a non-negative count, got {count}")
     lo, hi = spec["energy_kwh_range"]
     if not 0.0 <= lo <= hi:
         raise ValueError(f"fleet.energy_kwh_range: expected 0 <= lo <= hi, got [{lo}, {hi}]")
-    if spec["d_max_kw"] > 0:
-        raise ValueError(f"fleet.d_max_kw: expected at most 0, got {spec['d_max_kw']}")
-    if spec["p_max_kw"] < 0:
-        raise ValueError(f"fleet.p_max_kw: expected at least 0, got {spec['p_max_kw']}")
     if lo > 0 and spec["p_max_kw"] == 0:
         raise ValueError(f"fleet.p_max_kw: expected above 0 when fleet.energy_kwh_range "
                          f"starts above 0, got {spec['p_max_kw']}")
-    if spec["duration_mean_slots"] < 1:
-        raise ValueError(f"fleet.duration_mean_slots: expected at least 1, "
-                         f"got {spec['duration_mean_slots']}")
     return FleetSpec(**spec)
 
 
@@ -174,7 +185,7 @@ def load_run_config(config_path: str | None, overrides: dict) -> RunConfig:
         cfg = _parse_config(raw, overrides, base_dir)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{config_path or 'command line'}: {exc}") from None
-    for name in ("case", "base_load", "sessions", "events", "uncoordinated", "coordinated"):
+    for name in _INPUTS:
         path = getattr(cfg, f"{name}_path")
         if path is not None and not path.is_file():
             raise ValueError(f"{name}: {path} is not a file" if path.exists()
@@ -183,71 +194,33 @@ def load_run_config(config_path: str | None, overrides: dict) -> RunConfig:
 
 
 def _parse_config(raw, overrides: dict, base_dir: Path) -> RunConfig:
-    raw = _keys("config", raw, _CONFIG_KEYS)
-
-    def path_of(key: str) -> Path | None:
-        if overrides.get(key) is not None:
-            return _resolve(Path.cwd(), overrides[key])
-        return _resolve(base_dir, raw.get(key))
-
-    def pick(flag: str, key: str, default):
-        if overrides.get(flag) is not None:
-            return overrides[flag]
-        return raw.get(key, default)
-
-    sched_raw = _keys("scheduler", raw.get("scheduler", {}),
-                      {**_kinds(SchedulerConfig), "lambda": "float"})
-    for key in ("lambda", "epsilon", "max_iterations"):
-        if overrides.get(key) is not None:
-            sched_raw[key] = overrides[key]
-    if "lambda" in sched_raw:
-        sched_raw["lam"] = sched_raw.pop("lambda")
-    scheduler = SchedulerConfig(**sched_raw)
-    for f in fields(scheduler):
-        if not 0 < (value := getattr(scheduler, f.name)) < math.inf:
-            raise ValueError(f"scheduler.{'lambda' if f.name == 'lam' else f.name}: "
-                             f"expected a finite positive number, got {value!r}")
-    pf_raw = _keys("power_flow", raw.get("power_flow", {}),
-                   {"tol": "float", "max_iter": "int"})
-    pf_tol, pf_max_iter = pf_raw.get("tol", 1e-8), pf_raw.get("max_iter", 20)
-    if not 0 < pf_tol < math.inf:
-        raise ValueError(f"power_flow.tol: expected a finite positive number, got {pf_tol!r}")
-    if pf_max_iter < 1:
-        raise ValueError(f"power_flow.max_iter: expected at least 1, got {pf_max_iter!r}")
-    reactive = ReactiveAssumptions(**_keys("reactive", raw.get("reactive", {}),
-                                           _kinds(ReactiveAssumptions)))
-    for f in fields(reactive):
-        if not 0.0 < (pf := getattr(reactive, f.name)) <= 1.0:
-            raise ValueError(f"reactive.{f.name}: expected a power factor in (0, 1], "
-                             f"got {pf!r}")
-    seed = pick("seed", "seed", 1)
-    if seed < 0:
-        raise ValueError(f"seed: expected a non-negative integer, got {seed!r}")
-
-    if overrides.get("output") is not None:
-        output_dir = _resolve(Path.cwd(), overrides["output"])
-    elif raw.get("output_dir") is not None:
-        output_dir = _resolve(base_dir, raw["output_dir"])
-    else:
-        output_dir = Path.cwd() / "out"
-
+    """``raw`` and the flag values in ``overrides`` (by flag dest), each
+    checked by ``_checked``, with the flags laid over the file; the file's
+    paths resolve against ``base_dir``, the flags' against the working
+    directory."""
+    cfg, flags = _checked("config", raw), {}
+    for dest, (key, _) in _FLAGS.items():
+        if (value := overrides.get(dest)) is not None:
+            if _RULES[key][0] is str:
+                value = str(Path.cwd() / value)
+            section, _, leaf = key.rpartition(".")
+            (flags.setdefault(section, {}) if section else flags)[leaf] = value
+    for key, value in _checked("config", flags).items():
+        cfg[key] = {**cfg.get(key, {}), **value} if isinstance(value, dict) else value
+    power_flow = cfg.get("power_flow", {})
     return RunConfig(
-        case_path=path_of("case"),
-        base_load_path=path_of("base_load"),
-        sessions_path=path_of("sessions"),
-        events_path=path_of("events"),
-        uncoordinated_path=path_of("uncoordinated"),
-        coordinated_path=path_of("coordinated"),
-        output_dir=output_dir,
-        seed=seed,
-        scheduler=scheduler,
-        horizon_steps=pick("steps", "horizon_steps", 24),
-        pf_tol=pf_tol,
-        pf_max_iter=pf_max_iter,
-        reactive=reactive,
-        pv_mw=_by_bus("pv_mw", raw.get("pv_mw", {}), float),
-        fleet_spec=_fleet_spec(raw["fleet"]) if "fleet" in raw else None,
-        slot=pick("slot", "slot", None),
+        **{f"{name}_path": _resolve(base_dir, cfg.get(name)) for name in _INPUTS},
+        output_dir=_resolve(base_dir, cfg.get("output_dir")) or Path.cwd() / "out",
+        seed=cfg.get("seed", 1),
+        scheduler=SchedulerConfig(**{"lam" if key == "lambda" else key: value
+                                     for key, value in cfg.get("scheduler", {}).items()}),
+        horizon_steps=cfg.get("horizon_steps", 24),
+        pf_tol=power_flow.get("tol", 1e-8),
+        pf_max_iter=power_flow.get("max_iter", 20),
+        reactive=ReactiveAssumptions(**cfg.get("reactive", {})),
+        pv_mw=cfg.get("pv_mw", {}),
+        fleet_spec=_fleet_spec(cfg["fleet"]) if "fleet" in cfg else None,
+        slot=cfg.get("slot"),
     )
 
 
@@ -389,6 +362,12 @@ def _write_report(out: Path, report: dict) -> None:
     print(text, end="")
 
 
+def _fixed(value: float, places: int) -> str:
+    """``value`` to ``places`` decimals; a value that rounds to zero prints
+    without the sign of its round-off, as ``0.00`` and not ``-0.00``."""
+    return f"{round(value, places) + 0.0:.{places}f}"
+
+
 def cmd_powerflow(cfg: RunConfig, inputs: Inputs) -> int:
     case, base = inputs.case, inputs.base
     if base is not None:
@@ -437,13 +416,13 @@ def cmd_powerflow(cfg: RunConfig, inputs: Inputs) -> int:
           f"{'P (MW)':>10}{'Q (MVAr)':>10}")
     for row in payload["buses"]:
         print(f"{row['id']:<5}{row['kind']:<7}{row['v_mag_pu']:>9.4f}"
-              f"{row['v_angle_deg']:>13.3f}{row['p_mw']:>10.2f}"
-              f"{row['q_mvar']:>10.2f}")
+              f"{_fixed(row['v_angle_deg'], 3):>13}{_fixed(row['p_mw'], 2):>10}"
+              f"{_fixed(row['q_mvar'], 2):>10}")
     print(f"{'branch':<9}{'I from (A)':>12}{'P from (MW)':>13}{'loss (MW)':>11}")
     for row in payload["branches"]:
         label = "{}-{}".format(row["from_bus"], row["to_bus"])
         print(f"{label:<9}{row['i_from_a']:>12.1f}"
-              f"{row['p_from_mw']:>13.2f}{row['loss_mw']:>11.4f}")
+              f"{_fixed(row['p_from_mw'], 2):>13}{_fixed(row['loss_mw'], 4):>11}")
     return 0
 
 
@@ -530,16 +509,19 @@ def cmd_gen_fleet(cfg: RunConfig, inputs: Inputs) -> int:
     return 0
 
 
-# every flag besides -c/--config and -o/--output, by the key it overrides
-# (the flag is "--" + the key with "-" for "_"): its type and help
+# every flag besides -c/--config, by its dest (the flag is "--" + the dest
+# with "-" for "_"): the config key it overrides, whose row gives its type,
+# and its help
 _FLAGS = {
-    "case": (str, "grid case file"), "base_load": (str, "base load CSV"),
-    "sessions": (str, "EV sessions CSV"), "events": (str, "scripted events CSV"),
-    "uncoordinated": (str, "uncoordinated schedules CSV"),
-    "coordinated": (str, "coordinated schedules CSV"),
-    "seed": (int, "fleet seed"), "lambda": (float, "scheduler lambda"),
-    "epsilon": (float, "scheduler epsilon"), "max_iterations": (int, "scheduler max_iterations"),
-    "steps": (int, "horizon steps"), "slot": (int, "snapshot slot")}
+    "output": ("output_dir", "output directory"),
+    "case": ("case", "grid case file"), "base_load": ("base_load", "base load CSV"),
+    "sessions": ("sessions", "EV sessions CSV"), "events": ("events", "scripted events CSV"),
+    "uncoordinated": ("uncoordinated", "uncoordinated schedules CSV"),
+    "coordinated": ("coordinated", "coordinated schedules CSV"),
+    "seed": ("seed", "fleet seed"), "lambda": ("scheduler.lambda", "scheduler lambda"),
+    "epsilon": ("scheduler.epsilon", "scheduler epsilon"),
+    "max_iterations": ("scheduler.max_iterations", "scheduler max_iterations"),
+    "steps": ("horizon_steps", "horizon steps"), "slot": ("slot", "snapshot slot")}
 _SCHEDULE = ("sessions", "seed", "lambda", "epsilon", "max_iterations")
 # each command's handler, required inputs and other flags; any flag outside
 # its row is a usage error
@@ -557,13 +539,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (handler, required, optional) in COMMANDS.items():
-        p = sub.add_parser(name)
+        # no prefixes: "--s" is no flag, where it could silently mean "--slot"
+        p = sub.add_parser(name, allow_abbrev=False)
         p.set_defaults(handler=handler)
         p.add_argument("-c", "--config", help="JSON configuration file")
-        p.add_argument("-o", "--output", help="output directory")
-        for key in (*required, *optional):
-            kind, text = _FLAGS[key]
-            p.add_argument("--" + key.replace("_", "-"), type=kind, help=text)
+        p.add_argument("-o", "--output", help=_FLAGS["output"][1])
+        for dest in (*required, *optional):
+            key, text = _FLAGS[dest]
+            p.add_argument("--" + dest.replace("_", "-"), type=_RULES[key][0], help=text)
     return parser
 
 
@@ -571,6 +554,11 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_run_config(args.config, vars(args))   # flags override the file
+        # schedule and simulate generate a fleet from the seed only without sessions
+        if ("sessions" in vars(args) and args.seed is not None
+                and cfg.sessions_path is not None):
+            raise ValueError(f"--seed: the sessions come from {cfg.sessions_path}, so no "
+                             "fleet is generated; drop --seed or the sessions file")
         return args.handler(cfg, preflight(cfg, args.command))
     except USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -85,7 +85,8 @@ def check_sessions(sessions, slots: int, slot_hours: float) -> tuple[EvSession, 
 @dataclass(frozen=True)
 class FleetSpec:
     """Distribution parameters for deterministic fleet generation, checked
-    where the config is read (``cli._fleet_spec``)."""
+    where the config is read: each key by its row of ``cli._RULES``, the
+    rules that compare two keys in ``cli._fleet_spec``."""
 
     counts: dict[int, int]            # bus id -> number of sessions
     arrival_mean_slot: float

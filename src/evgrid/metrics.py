@@ -7,8 +7,8 @@ buses, summed by ``aggregate_load``; its total is ``base.mw + ev_mw``.
 ``solve_power_flow`` call, ``compare_scenarios`` returns two solved
 scenarios' report as the JSON-ready dict that ``report.json`` holds, and
 ``render_report`` prints that dict as the text of ``report.txt``.  The
-types take their values as given (``read_base_load`` and
-``cli.load_run_config`` check them).
+types take their values as given (``read_base_load`` and the config rule
+table ``cli._RULES`` check them).
 
 Loads are modeled per bus as base load (configurable power factor, default
 0.95 lagging) plus EV load (default unity power factor).  PV buses hold the

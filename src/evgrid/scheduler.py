@@ -49,7 +49,7 @@ ENERGY_TOL = ENERGY_TOL_KWH / KW_PER_MW
 
 @dataclass(frozen=True)
 class SchedulerConfig:
-    # every field is finite and positive (``cli.load_run_config`` checks)
+    # every field is finite and positive (checked by ``cli._RULES``)
     lam: float = 2.0                 # control-signal tuning parameter
     epsilon: float = 1e-3            # convergence threshold on the signal, MW scale
     max_iterations: int = 200

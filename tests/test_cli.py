@@ -220,6 +220,12 @@ class TestFlags:
         else:
             rejected_by_the_parser(tmp_path, capsys, [command, flag, value], flag)
 
+    @pytest.mark.parametrize("argv", [["powerflow", "--s", "3"], ["simulate", "--max", "50"],
+                                      ["compare", "--coord", "x.csv"], ["gen-fleet", "--se", "2"]])
+    def test_no_flag_prefixes(self, tmp_path, capsys, argv):
+        # a prefix could silently mean a flag the user did not name
+        rejected_by_the_parser(tmp_path, capsys, argv, argv[1])
+
     def test_option_count(self):
         subparsers = next(action for action in cli._build_parser()._actions
                           if isinstance(action, argparse._SubParsersAction))
@@ -518,6 +524,8 @@ class TestPreflight:
            f"reactive.{key}: expected a power factor in (0, 1], got {value!r}")
           for key in ("base_power_factor", "ev_power_factor")
           for value in (0.0, 1.5, float("nan"))),
+        ("pv_mw", {"2": 10.0, "02": 50.0}, "pv_mw: bus id 2 given twice"),
+        ("fleet", {"counts": {"5": 1, "05": 2}}, "fleet.counts: bus id 5 given twice"),
     ])
     def test_wrong_typed_value_names_its_key(self, tmp_path, capsys, no_horizon, section,
                                              values, message):
@@ -604,6 +612,14 @@ class TestPreflight:
         argv = [command, "-c", str(DESK_DIR / "config.json"), "--seed", "-1"]
         fails_before_any_work(tmp_path, capsys, argv,
                               "config.json: seed: expected a non-negative integer, got -1")
+
+    @pytest.mark.parametrize("command", ["schedule", "simulate"])
+    def test_seed_flag_with_a_sessions_file(self, tmp_path, capsys, no_horizon, command):
+        # the fleet is generated from the seed only when no sessions file is given
+        argv = [command, "-c", str(DESK_DIR / "config.json"), "--seed", "9"]
+        fails_before_any_work(tmp_path, capsys, argv,
+                              f"error: --seed: the sessions come from "
+                              f"{DESK_DIR / 'sessions.csv'}, so no fleet is generated")
 
     @pytest.mark.parametrize("below", [False, True], ids=["file", "under-a-file"])
     def test_output_path_through_a_file(self, tmp_path, capsys, no_horizon, below):
@@ -821,6 +837,14 @@ class TestPowerflowCommand:
         assert [b["v_mag_pu"] for b in payload["buses"]] == [1.0, 1.0, 1.0]
         assert [b["v_angle_deg"] for b in payload["buses"]] == [0.0, 0.0, 0.0]
 
+    def test_table_prints_no_negative_zero(self, tmp_path, capsys):
+        # buses 4 and 6 inject nothing, which solves to round-off of either sign
+        assert main(["powerflow", "--case", str(DATA_DIR / "wscc9.case"),
+                     "-o", str(tmp_path / "out")]) == 0
+        stdout = capsys.readouterr().out
+        assert re.search(r"^4 .* 0\.00 +0\.00$", stdout, re.MULTILINE), stdout
+        assert not re.search(r"-0\.0+(?![0-9])", stdout), stdout
+
     def test_bundled_case_snapshot(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["powerflow", "--case", str(DATA_DIR / "wscc9.case"),
@@ -944,6 +968,9 @@ class TestGenFleetCommand:
          "starts above 0, got 0.0"),
         ("duration_mean_slots", 0.5, "fleet.duration_mean_slots: expected at least 1, "
          "got 0.5"),
+        ("arrival_std_slots", -1, "fleet.arrival_std_slots: expected at least 0, got -1.0"),
+        ("duration_std_slots", -1.0, "fleet.duration_std_slots: expected at least 0, "
+         "got -1.0"),
     ])
     def test_spec_rule_names_its_key(self, tmp_path, capsys, key, value, message):
         config = self.fleet_config(tmp_path, {"5": 3, "9": 2})

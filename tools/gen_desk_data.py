@@ -39,9 +39,10 @@ def main() -> None:
     metrics.write_base_load(DESK / "base_load.csv", metrics.BaseLoadProfile(bus_ids, mw))
 
     with open(DESK / "config.json", "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    sessions = fleet.generate_fleet(cfg["seed"], cli._fleet_spec(cfg["fleet"]),
-                                    cfg["scheduler"]["slots"], cfg["scheduler"]["slot_hours"])
+        # every key checked, but not that the files exist: this writes them
+        cfg = cli._parse_config(json.load(fh), {}, DESK)
+    sessions = fleet.generate_fleet(cfg.seed, cfg.fleet_spec, cfg.scheduler.slots,
+                                    cfg.scheduler.slot_hours)
     fleet.write_sessions(DESK / "sessions.csv", sessions)
 
     # (slot, ev_id, change): an added session, a new energy target, a removal
