@@ -14,8 +14,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 # The largest BLAS calls are the power flow's 9 x 9 products, so OpenBLAS's
 # thread pool only costs start-up time.  This must run before numpy loads;
@@ -73,8 +73,7 @@ _RULES = {
 }
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     case_path: Path | None
     base_load_path: Path | None
     sessions_path: Path | None
@@ -224,17 +223,16 @@ def _parse_config(raw, overrides: dict, base_dir: Path) -> RunConfig:
     )
 
 
-@dataclass
-class Inputs:
+class Inputs(NamedTuple):
     """Every input file a command uses, loaded and cross-checked."""
 
     case: GridCase | None = None
     base: metrics.BaseLoadProfile | None = None
     sessions: tuple[EvSession, ...] = ()
     # simulate's session updates by re-planning step (``schedule_events``)
-    events_by_step: dict[int, list[tuple[str, EvSession | None]]] = field(default_factory=dict)
+    events_by_step: dict[int, list[tuple[str, EvSession | None]]] | None = None
     # compare's uncoordinated and coordinated EV load (``metrics.aggregate_load``)
-    ev_mw: list[np.ndarray] = field(default_factory=list)
+    ev_mw: tuple[np.ndarray, ...] = ()
 
 
 def _on_load_buses(label, bus_ids, base: metrics.BaseLoadProfile) -> None:
@@ -263,8 +261,7 @@ def preflight(cfg: RunConfig, command: str) -> Inputs:
     if command == "gen-fleet":
         if cfg.fleet_spec is None:
             raise ValueError("config has no fleet spec")
-        return Inputs(sessions=fleet.generate_fleet(
-            cfg.seed, cfg.fleet_spec, cfg.scheduler.slots, cfg.scheduler.slot_hours))
+        return Inputs(sessions=_generated_fleet(cfg))
 
     case = load_grid_case(cfg.case_path)
     pv_buses = sorted(b.id for b in case.buses if b.kind is BusKind.PV)
@@ -273,15 +270,17 @@ def preflight(cfg: RunConfig, command: str) -> Inputs:
         raise ValueError(f"pv_mw: bus(es) {not_pv} are not PV buses of "
                          f"{cfg.case_path}; its PV buses are {pv_buses}")
     case = case.with_injections({bus: mw / case.s_base for bus, mw in cfg.pv_mw.items()}, {})
-    inputs = Inputs(case=case)
     if cfg.base_load_path is None:
         if cfg.slot is not None:
             raise ValueError(f"slot: powerflow without a base load has no slots and solves "
                              f"{cfg.case_path} as written; give a base_load or drop slot")
-        return inputs
+        return Inputs(case)
 
-    base = inputs.base = metrics.read_base_load(cfg.base_load_path)
-    base.validate_against(case)
+    base = metrics.read_base_load(cfg.base_load_path)
+    try:
+        base.validate_against(case)
+    except metrics.MetricsError as exc:
+        raise ValueError(f"{cfg.base_load_path}: {exc}") from None
     if cfg.slot is not None and not 0 <= cfg.slot < base.slots:
         raise ValueError(f"slot {cfg.slot} outside the base load's 0..{base.slots - 1}")
     with np.errstate(over="ignore"):    # schedules square the system load, power flows sum it
@@ -289,35 +288,37 @@ def preflight(cfg: RunConfig, command: str) -> Inputs:
         if not math.isfinite(np.sum(total * total)):
             raise ValueError(f"{cfg.base_load_path}: the squared system base load "
                              "sums to inf over the slots")
+    sessions = ()
     if "sessions" in reads:
         if base.slots != cfg.scheduler.slots:
             raise ValueError(
                 f"base load has {base.slots} slots, scheduler expects {cfg.scheduler.slots}"
             )
-        inputs.sessions = _load_sessions(cfg)
+        sessions = _load_sessions(cfg)
         label = cfg.sessions_path or "fleet"
-        _on_load_buses(label, [s.bus_id for s in inputs.sessions], base)
+        _on_load_buses(label, [s.bus_id for s in sessions], base)
         # simulate's uncoordinated baseline only charges; schedule runs V2G
-        for s in inputs.sessions if command == "simulate" else ():
+        for s in sessions if command == "simulate" else ():
             if s.energy_kwh < 0:
                 raise ValueError(f"{label}: session {s.ev_id}: the uncoordinated baseline "
                                  f"needs a non-negative energy target, got {s.energy_kwh} kWh")
     if "steps" in reads and not 1 <= cfg.horizon_steps <= base.slots:
         raise ValueError(f"horizon_steps {cfg.horizon_steps} must be in 1..{base.slots}")
+    events_by_step = None
     if "events" in reads and cfg.events_path is not None:
         events = coordinator.read_events(cfg.events_path)
         _on_load_buses(cfg.events_path, [change.bus_id for _, _, change in events
                                          if isinstance(change, EvSession)], base)
         try:
-            inputs.events_by_step = coordinator.schedule_events(
-                events, inputs.sessions, cfg.scheduler.slots,
-                cfg.horizon_steps)
+            events_by_step = coordinator.schedule_events(
+                events, sessions, cfg.scheduler.slots, cfg.horizon_steps)
         except coordinator.CoordinatorError as exc:
             raise ValueError(f"{cfg.events_path}: {exc}") from None
+    ev_mw = ()
     if "uncoordinated" in reads:
-        for path in (cfg.uncoordinated_path, cfg.coordinated_path):
-            inputs.ev_mw.append(metrics.aggregate_load(base, _checked_blocks(path, base)))
-    return inputs
+        ev_mw = tuple(metrics.aggregate_load(base, _checked_blocks(path, base))
+                      for path in (cfg.uncoordinated_path, cfg.coordinated_path))
+    return Inputs(case, base, sessions, events_by_step, ev_mw)
 
 
 def _checked_blocks(path, base: metrics.BaseLoadProfile):
@@ -342,9 +343,18 @@ def _load_sessions(cfg: RunConfig) -> tuple[EvSession, ...]:
         except fleet.FleetError as exc:
             raise ValueError(f"{cfg.sessions_path}: {exc}") from None
     if cfg.fleet_spec is not None:
-        return tuple(sorted(fleet.generate_fleet(cfg.seed, cfg.fleet_spec, sched.slots,
-                                                 sched.slot_hours), key=lambda s: s.ev_id))
+        return tuple(sorted(_generated_fleet(cfg), key=lambda s: s.ev_id))
     raise ValueError("config provides neither sessions nor a fleet spec")
+
+
+def _generated_fleet(cfg: RunConfig) -> tuple[EvSession, ...]:
+    """The fleet of the config's spec, in generation order, on a slot grid
+    with room for a session."""
+    sched = cfg.scheduler
+    if sched.slots < 2:
+        raise ValueError(f"scheduler.slots: expected at least 2 to generate a fleet, "
+                         f"got {sched.slots}")
+    return fleet.generate_fleet(cfg.seed, cfg.fleet_spec, sched.slots, sched.slot_hours)
 
 
 def _write_json(path: Path, payload) -> None:

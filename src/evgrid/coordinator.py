@@ -32,7 +32,7 @@ in one array operation and pins that block into the bounds in place.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,8 +109,7 @@ def read_events(path) -> list[Event]:
     return fileio.read_rows(path, EVENT_COLUMNS, _event_row)
 
 
-@dataclass(frozen=True)
-class HorizonResult:
+class HorizonResult(NamedTuple):
     ev_ids: tuple[str, ...]              # every station ever active, sorted
     bus_ids: dict[str, int]
     committed_kw: np.ndarray             # rows follow ev_ids
@@ -161,7 +160,7 @@ def schedule_events(events: list[Event], sessions, slots: int,
             elif change is None:
                 del live[ev_id]
             else:
-                live[ev_id] = replace(live[ev_id], energy_kwh=change)
+                live[ev_id] = live[ev_id]._replace(energy_kwh=change)
             updates.setdefault(step, []).append((ev_id, live.get(ev_id)))
     return updates
 

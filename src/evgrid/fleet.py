@@ -9,7 +9,7 @@ the one conversion factor between the two.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +25,7 @@ class FleetError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class EvSession:
+class EvSession(NamedTuple):
     """One EV's predicted availability window, demand, and rate bounds."""
 
     ev_id: str
@@ -49,8 +48,12 @@ class EvSession:
             )
 
     def validate_box(self, slots: int) -> None:
-        """A window inside ``slots`` and finite rates with d_max <= 0 <= p_max."""
-        if not (0 <= self.t_start < self.t_end <= slots):
+        """A non-empty window inside ``slots`` and finite rates with
+        d_max <= 0 <= p_max."""
+        if self.t_start >= self.t_end:
+            raise FleetError(f"session {self.ev_id}: window [{self.t_start}, {self.t_end}) "
+                             "is empty")
+        if self.t_start < 0 or self.t_end > slots:
             raise FleetError(
                 f"session {self.ev_id}: window [{self.t_start}, {self.t_end}) "
                 f"outside horizon of {slots} slots"
@@ -82,8 +85,7 @@ def check_sessions(sessions, slots: int, slot_hours: float) -> tuple[EvSession, 
 
 # --- synthetic fleet generation ----------------------------------------------
 
-@dataclass(frozen=True)
-class FleetSpec:
+class FleetSpec(NamedTuple):
     """Distribution parameters for deterministic fleet generation, checked
     where the config is read: each key by its row of ``cli._RULES``, the
     rules that compare two keys in ``cli._fleet_spec``."""
@@ -101,9 +103,8 @@ class FleetSpec:
 def generate_fleet(seed: int, spec: FleetSpec, slots: int,
                    slot_hours: float) -> tuple[EvSession, ...]:
     """Deterministic synthetic fleet, checked (``check_sessions``) on the slot
-    grid; identical arguments give identical output."""
-    if slots < 2:
-        raise FleetError("horizon/duration too short to place sessions")
+    grid, which needs at least 2 slots (the CLI checks that where it reads
+    ``scheduler.slots``); identical arguments give identical output."""
     rng = np.random.default_rng(seed)
     sessions = []
     for bus in sorted(spec.counts):

@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 import math
 import os
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,8 +39,7 @@ class BusKind(enum.Enum):
     PQ = "pq"
 
 
-@dataclass(frozen=True)
-class Bus:
+class Bus(NamedTuple):
     id: int
     kind: BusKind
     v_mag: float          # pu; setpoint for swing/PV, initial guess otherwise
@@ -50,8 +49,7 @@ class Bus:
     base_kv: float
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(NamedTuple):
     from_bus: int
     to_bus: int
     r: float              # pu series resistance
@@ -60,8 +58,7 @@ class Branch:
     tap: float = 1.0      # off-nominal turns ratio on the from side
 
 
-@dataclass(frozen=True)
-class GridCase:
+class GridCase(NamedTuple):
     """Immutable network description, taken as given (``parse_grid_case`` checks it)."""
 
     buses: tuple[Bus, ...]        # in id order, ids 1..M
@@ -90,7 +87,7 @@ class GridCase:
     def with_injections(self, p_pu: dict[int, float], q_pu: dict[int, float]) -> "GridCase":
         """Copy of the case with per-bus injections replaced (keyed by bus id)."""
         buses = tuple(
-            replace(b, p_inj=p_pu.get(b.id, b.p_inj), q_inj=q_pu.get(b.id, b.q_inj))
+            b._replace(p_inj=p_pu.get(b.id, b.p_inj), q_inj=q_pu.get(b.id, b.q_inj))
             for b in self.buses
         )
         return GridCase(buses, self.branches, self.s_base)

@@ -19,7 +19,7 @@ to the case); the swing bus absorbs the residual.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +36,7 @@ class MetricsError(ValueError):
 BASE_LOAD_HEADER = ["slot", "bus_id", "mw"]
 
 
-@dataclass(frozen=True)
-class BaseLoadProfile:
+class BaseLoadProfile(NamedTuple):
     """Per-bus base load in MW, one row per bus (as ``read_base_load`` builds it)."""
 
     bus_ids: tuple[int, ...]          # unique
@@ -92,8 +91,7 @@ def read_base_load(path) -> BaseLoadProfile:
     return BaseLoadProfile(tuple(bus_ids), mw)
 
 
-@dataclass(frozen=True)
-class ReactiveAssumptions:
+class ReactiveAssumptions(NamedTuple):
     """Power factors in (0, 1] used to derive reactive load from active load."""
 
     base_power_factor: float = 0.95   # lagging

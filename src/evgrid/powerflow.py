@@ -21,7 +21,7 @@ PV reactive limits are not modeled.  Line flows come from the branch model of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,16 +54,14 @@ class SingularJacobianError(PowerFlowError):
         )
 
 
-@dataclass(frozen=True)
-class LineFlow:
+class LineFlow(NamedTuple):
     branch: Branch
     i_from_amps: float
     s_from_mva: complex
     loss_mva: complex
 
 
-@dataclass(frozen=True)
-class PowerFlowSolution:
+class PowerFlowSolution(NamedTuple):
     v_mag: np.ndarray        # pu, all buses
     v_angle: np.ndarray      # rad, all buses
     p_inj: np.ndarray        # pu, computed at the solution

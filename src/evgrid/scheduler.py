@@ -36,7 +36,7 @@ what rejects one): it gets the nearer bound row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,8 +47,7 @@ from .fleet import ENERGY_TOL_KWH, KW_PER_MW
 ENERGY_TOL = ENERGY_TOL_KWH / KW_PER_MW
 
 
-@dataclass(frozen=True)
-class SchedulerConfig:
+class SchedulerConfig(NamedTuple):
     # every field is finite and positive (checked by ``cli._RULES``)
     lam: float = 2.0                 # control-signal tuning parameter
     epsilon: float = 1e-3            # convergence threshold on the signal, MW scale
@@ -57,8 +56,7 @@ class SchedulerConfig:
     slot_hours: float = 0.25
 
 
-@dataclass(frozen=True)
-class ConvergenceTrace:
+class ConvergenceTrace(NamedTuple):
     residuals: tuple[float, ...]     # inf-norm signal change; nan before the first
     objectives: tuple[float, ...]    # entry 0 at the starting profiles, then one per iteration, MW^2
     iterations: int                  # station response rounds performed
@@ -99,8 +97,7 @@ def flattening_objective(base_load_mw: np.ndarray, profiles_kw: np.ndarray) -> f
         return float(np.sum(total * total))
 
 
-@dataclass(frozen=True)
-class PreparedStations:
+class PreparedStations(NamedTuple):
     """The round-invariant part of every station's subproblem, in MW.
 
     Built once per fixed point by ``prepare_stations``; row k is station k.
@@ -209,8 +206,7 @@ def solve_task(stations: PreparedStations, k: int, ks: np.ndarray) -> float:
     return ks[j - 1] + (target - sk[j - 1]) / slope[j - 1]
 
 
-@dataclass(frozen=True)
-class FixedPointResult:
+class FixedPointResult(NamedTuple):
     profiles_kw: np.ndarray
     trace: ConvergenceTrace
 

@@ -32,8 +32,6 @@ from __future__ import annotations
 import cmath
 import math
 
-from dataclasses import replace
-
 import numpy as np
 
 from evgrid.coordinator import Event, HorizonResult, schedule_events
@@ -306,7 +304,7 @@ def _reference_apply_event(event: Event, sessions: dict[str, EvSession],
     if isinstance(change, EvSession):
         sessions[ev_id] = change
     elif change is not None:
-        sessions[ev_id] = replace(sessions[ev_id], energy_kwh=change)
+        sessions[ev_id] = sessions[ev_id]._replace(energy_kwh=change)
     else:
         session = sessions.pop(ev_id)
         delivered = delivered_kwh.get(ev_id, 0.0)

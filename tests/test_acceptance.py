@@ -9,7 +9,6 @@ criteria that inspect its outputs.
 import json
 import math
 import time
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -205,7 +204,7 @@ def test_criterion_6_line_current_and_swing(desk_run):
 
 
 def test_criterion_7_convergence_behavior(desk_problem, desk_run):
-    sched = replace(desk_problem.cfg.scheduler, lam=2.0, epsilon=1e-3)
+    sched = desk_problem.cfg.scheduler._replace(lam=2.0, epsilon=1e-3)
     result = run_receding_horizon(sched, desk_problem.base_total,
                                   desk_problem.sessions,
                                   desk_problem.cfg.horizon_steps,

@@ -10,7 +10,6 @@ import re
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -276,6 +275,20 @@ class TestPreflight:
                                   f"error: {base}: the squared system base load sums to "
                                   "inf over the slots\n")
 
+    @pytest.mark.parametrize("command,bus,message", [
+        ("powerflow", 12, "base load references unknown bus 12"),
+        ("simulate", 2, "base load bus 2 is not a PQ bus"),
+    ], ids=["unknown", "pv"])
+    def test_base_load_bus_names_the_file(self, tmp_path, capsys, no_horizon, command, bus,
+                                          message):
+        base = tmp_path / "base_load.csv"
+        base.write_text((DESK_DIR / "base_load.csv").read_text()
+                        + "".join(f"{t},{bus},1.0\n" for t in range(96)))
+        raw = json.loads(desk_variant(tmp_path).read_text())
+        config = write_config(tmp_path / "desk.json", **{**raw, "base_load": str(base)})
+        fails_before_any_work(tmp_path, capsys, [command, "-c", str(config)],
+                              f"error: {base}: {message}\n")
+
     @pytest.mark.parametrize("section,values,message", [
         ("scheduler", {"workers": 1}, "unknown scheduler keys ['workers']"),
         ("power_flow", {"tolerance": 1e-6}, "unknown power_flow keys ['tolerance']"),
@@ -338,7 +351,8 @@ class TestPreflight:
          "session b5e2: energy 99999.0 kWh outside feasible interval [-600.0, 600.0] kWh"),
         ({"t_end": 20}, "session b5e2: window [2, 20) outside horizon of 16 slots"),
         ({"ev_id": "b5e1"}, "duplicate ev_id(s) in scenario: ['b5e1']"),
-    ], ids=["unreachable", "window", "duplicate"])
+        ({"t_end": 2}, "session b5e2: window [2, 2) is empty"),
+    ], ids=["unreachable", "window", "duplicate", "empty"])
     def test_bad_session_names_the_sessions_file(self, tmp_path, capsys, no_horizon,
                                                   command, change, message):
         # the loader is the only reach and window check: the solver takes
@@ -346,7 +360,7 @@ class TestPreflight:
         config = small_inputs(tmp_path)
         path = tmp_path / "sessions.csv"
         sessions = read_sessions(path)
-        sessions[2] = replace(sessions[2], **change)
+        sessions[2] = sessions[2]._replace(**change)
         write_sessions(path, sessions)
         fails_before_any_work(tmp_path, capsys, [command, "-c", str(config)],
                               f"{path}: {message}")
@@ -357,7 +371,7 @@ class TestPreflight:
         config = small_inputs(tmp_path)
         path = tmp_path / "sessions.csv"
         sessions = read_sessions(path)
-        sessions[2] = replace(sessions[2], energy_kwh=-5.0)
+        sessions[2] = sessions[2]._replace(energy_kwh=-5.0)
         write_sessions(path, sessions)
         fails_before_any_work(tmp_path, capsys, ["simulate", "-c", str(config)],
                               f"{path}: session b5e2: the uncoordinated baseline needs a "
@@ -783,15 +797,17 @@ def test_desk_simulate_validates_the_case_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
 
 
-def test_cli_import_loads_no_scipy():
-    """numpy is the only runtime dependency: a fresh ``import evgrid.cli``
-    must leave every scipy module unloaded."""
+@pytest.mark.parametrize("module", ["scipy", "dataclasses"])
+def test_cli_import_loads_no_module(module):
+    """A fresh ``import evgrid.cli`` must leave ``module`` and its submodules
+    unloaded: numpy is the only runtime dependency, and the records are
+    ``NamedTuple``s, which need no ``dataclasses``."""
     src = str(ROOT / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     done = subprocess.run(
         [sys.executable, "-c", "import sys, evgrid.cli; print(sorted(m for m in sys.modules "
-         "if m == 'scipy' or m.startswith('scipy.')))"],
+         f"if m == {module!r} or m.startswith({module + '.'!r})))"],
         env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
@@ -988,6 +1004,22 @@ class TestGenFleetCommand:
         out = tmp_path / "out"
         assert main(["gen-fleet", "-c", str(config), "-o", str(out)]) == 0
         assert "wrote 3 sessions" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["gen-fleet", "schedule", "simulate"])
+    def test_too_few_slots_rejected(self, tmp_path, capsys, no_horizon, command):
+        # a generated session needs two slots: checked where scheduler.slots
+        # is read, before any fleet is generated
+        base = tmp_path / "base.csv"
+        base.write_text("slot,bus_id,mw\n0,5,90.0\n")
+        raw = json.loads(self.fleet_config(tmp_path, {"5": 3}).read_text())
+        config = write_config(tmp_path / "fleet.json", **{
+            **raw, "scheduler": {"slots": 1, "slot_hours": 0.25},
+            "case": str(DATA_DIR / "wscc9.case"), "base_load": str(base)})
+        out = tmp_path / "out"
+        assert main([command, "-c", str(config), "-o", str(out)]) == 1
+        assert capsys.readouterr().err == ("error: scheduler.slots: expected at least 2 "
+                                           "to generate a fleet, got 1\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("in_config", [False, True])
     def test_slot_rejected(self, tmp_path, capsys, in_config):

@@ -1,7 +1,6 @@
 """Scripted events and the receding-horizon loop."""
 
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -269,8 +268,8 @@ class TestRecedingHorizon:
         late = EvSession(ev_id="late", bus_id=5, t_start=9, t_end=16, energy_kwh=5.0,
                          p_max_kw=6.6, d_max_kw=-6.6)
         assert by_step(events, sessions, 4) == {
-            1: [("e2", replace(sessions[1], energy_kwh=3.0))],
-            2: [("e3", None), ("late", late), ("late", replace(late, energy_kwh=4.0))],
+            1: [("e2", sessions[1]._replace(energy_kwh=3.0))],
+            2: [("e3", None), ("late", late), ("late", late._replace(energy_kwh=4.0))],
         }
 
     def test_event_slot_bounds_checked(self):
@@ -281,9 +280,10 @@ class TestRecedingHorizon:
     @pytest.mark.parametrize("t_start,t_end", [(-1, 8), (9, 17), (9, 9), (10, 9)])
     def test_added_window_outside_the_horizon_rejected(self, t_start, t_end):
         event = added(6, "late", 5, t_start, t_end, 1.0)
+        # an empty window is named as such, wherever it lies
+        what = "is empty" if t_start >= t_end else "outside horizon of 16 slots"
         with pytest.raises(CoordinatorError, match=(
-                rf"event at slot 6: session late: window \[{t_start}, {t_end}\) "
-                "outside horizon of 16 slots")):
+                rf"event at slot 6: session late: window \[{t_start}, {t_end}\) {what}")):
             by_step([event], self.base_sessions(), 4)
 
     @pytest.mark.parametrize("p_max,d_max", [(-3.0, -6.6), (6.6, 1.0), (-300.0, -200.0)])

@@ -99,10 +99,6 @@ class TestGenerateFleet:
         ids = [s.ev_id for s in generate(5, default_spec(counts={5: 20, 7: 20}))]
         assert len(set(ids)) == len(ids)
 
-    def test_too_few_slots_rejected(self):
-        with pytest.raises(FleetError, match="too short"):
-            generate(1, default_spec(), slots=1)
-
     def test_duplicate_ids_rejected_by_scenario(self):
         s = make_session()
         with pytest.raises(FleetError, match="duplicate"):

@@ -1,7 +1,6 @@
 """Newton-Raphson power flow against analytic, oracle, and identity checks."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -207,7 +206,7 @@ class TestLineFlows:
         loaded = loaded_nine_bus(wscc_case)
         # the three zero-resistance branches are the generator transformers
         loaded = GridCase(loaded.buses, tuple(
-            replace(br, tap=transformer_tap) if br.r == 0.0 else br
+            br._replace(tap=transformer_tap) if br.r == 0.0 else br
             for br in loaded.branches), loaded.s_base)
         sol = solve_power_flow(loaded)
         leaving = np.zeros(loaded.order, dtype=complex)

@@ -2,7 +2,6 @@
 
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -470,7 +469,7 @@ class TestPreparedStations:
     @example(stack=NEGATIVE_ZERO_SNAP)
     def test_one_round_matches_reference_solve(self, stack):
         config, base, bounds, targets, init = stack
-        one_round = replace(config, max_iterations=1)
+        one_round = config._replace(max_iterations=1)
         signal = compute_control_signal(base, init, config.lam)
         got = run_fixed_point(one_round, base, bounds, targets, init).profiles_kw
         want = reference_respond(bounds, targets, config)(signal, init)
