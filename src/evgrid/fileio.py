@@ -102,14 +102,13 @@ def write_schedules(path, ev_ids: list[str], bus_ids: list[int],
                     profiles_kw: np.ndarray) -> None:
     """Per-EV charging profiles in kW; one column per slot."""
     check_ev_ids(ev_ids)
-    slots = profiles_kw.shape[1] if len(ev_ids) else 0
     # tolist() yields Python floats, so repr is fmt's float rule without a
     # numpy scalar per cell
     lines = (
         ",".join([fmt(ev_id), fmt(bus_id), *map(repr, row)])
         for ev_id, bus_id, row in zip(ev_ids, bus_ids, profiles_kw.tolist())
     )
-    _write_lines(path, schedule_header(slots), lines)
+    _write_lines(path, schedule_header(profiles_kw.shape[1]), lines)
 
 
 _BLOCK_ROWS = 2048

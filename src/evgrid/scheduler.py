@@ -21,9 +21,10 @@ The work is split by how often its inputs change:
   (``prepare_stations``) the bound totals; the snap of each row whose
   target lies on or beyond one of its bound totals to that bound row; and
   the +/-1 slope of each breakpoint;
-- once per round, for all rows at once: previous - c in MW, the (N, 2T)
-  breakpoints, each row's shift by its nu, one clip to the bounds, the
-  snapped rows' bound profiles, and the conversion back to kW;
+- once per round, for all rows at once and over the profiles handed in:
+  previous - c in MW, the (N, 2T) breakpoints, each row's shift by its nu,
+  one clip to the bounds, the snapped rows' bound profiles, the conversion
+  back to kW; then one gather, ``total_load_mw``, for signal and objective;
 - per station, per round (``solve_task``): the breakpoint search alone,
   which returns the station's nu.
 
@@ -76,25 +77,16 @@ def session_bounds(sessions, slots: int) -> np.ndarray:
     return np.where(window[:, None, :], rates, 0.0)
 
 
-def aggregate_ev_mw(profiles_kw: np.ndarray) -> np.ndarray:
-    """Sum of per-EV profiles in MW; rows are in fixed ev_id order."""
-    return (profiles_kw / KW_PER_MW).sum(axis=0)
+def total_load_mw(base_load_mw: np.ndarray, profiles_kw: np.ndarray) -> np.ndarray:
+    """The gather: base load plus the per-EV rows summed in order, in MW."""
+    return base_load_mw + (profiles_kw / KW_PER_MW).sum(axis=0)
 
 
-def compute_control_signal(base_load_mw: np.ndarray, profiles_kw: np.ndarray,
-                           lam: float) -> np.ndarray:
-    """Scaled aggregate load broadcast to every station: length T, MW scale.
-    ``run_fixed_point`` computes none for zero stations."""
-    total = base_load_mw + aggregate_ev_mw(profiles_kw)
-    return total / (lam * profiles_kw.shape[0])
-
-
-def flattening_objective(base_load_mw: np.ndarray, profiles_kw: np.ndarray) -> float:
+def flattening_objective(total_mw: np.ndarray) -> float:
     """Sum of squared total load over the horizon, MW^2 (inf once that
     overflows, without a warning)."""
-    total = base_load_mw + aggregate_ev_mw(profiles_kw)
     with np.errstate(all="ignore"):
-        return float(np.sum(total * total))
+        return float(np.sum(total_mw * total_mw))
 
 
 class PreparedStations(NamedTuple):
@@ -219,40 +211,48 @@ def run_fixed_point(config: SchedulerConfig, base_load_mw: np.ndarray,
     Station k has the kW bounds ``bounds_kw[k]`` = (lo, hi), the energy
     target ``energy_kwh[k]`` and the starting profile ``initial_profiles[k]``
     (length T); a target out of reach gets the nearer bound row.  With no
-    stations there is nothing to gather: the trace has no round.
+    stations there is nothing to broadcast: the trace has no round.
+
+    ``respond(signal, profiles_kw)`` returns the next round's kW profiles;
+    the default overwrites the array it is given (this function's own copy
+    of ``initial_profiles``), and a substitute may return a new one.
     """
     n = len(bounds_kw)
-    profiles = np.array(initial_profiles, dtype=float)
-
-    objectives = [flattening_objective(base_load_mw, profiles)]
-    if n == 0:
-        trace = ConvergenceTrace((math.nan,), tuple(objectives), 0, True)
-        return FixedPointResult(profiles, trace)
-
-    signal = compute_control_signal(base_load_mw, profiles, config.lam)
-    residuals = [math.nan]
-    diagnostics: list[str] = []
-    converged = False
-    iterations = 0
-
     if respond is None:
+        # prepared before the copy of the profiles, which this call returns: the copy
+        # then sits above the stations on the heap, and freeing them leaves no top to trim
         stations = prepare_stations(bounds_kw / KW_PER_MW,
                                     np.asarray(energy_kwh, dtype=float) / KW_PER_MW,
                                     config.slot_hours)
 
         def respond(signal, profiles_kw):
-            out = profiles_kw / KW_PER_MW
-            out -= signal
-            _project(stations, out)
-            out *= KW_PER_MW
-            return out
+            np.divide(profiles_kw, KW_PER_MW, out=profiles_kw)
+            profiles_kw -= signal
+            _project(stations, profiles_kw)
+            profiles_kw *= KW_PER_MW
+            return profiles_kw
+
+    profiles = np.array(initial_profiles, dtype=float)
+    total = total_load_mw(base_load_mw, profiles)
+
+    objectives = [flattening_objective(total)]
+    if n == 0:
+        trace = ConvergenceTrace((math.nan,), tuple(objectives), 0, True)
+        return FixedPointResult(profiles, trace)
+
+    signal = total / (config.lam * n)
+    residuals = [math.nan]
+    diagnostics: list[str] = []
+    converged = False
+    iterations = 0
 
     while iterations < config.max_iterations:
         profiles = respond(signal, profiles)
         iterations += 1
-        new_signal = compute_control_signal(base_load_mw, profiles, config.lam)
+        total = total_load_mw(base_load_mw, profiles)
+        new_signal = total / (config.lam * n)
         residual = float(np.max(np.abs(new_signal - signal)))
-        objective = flattening_objective(base_load_mw, profiles)
+        objective = flattening_objective(total)
         # compare response rounds only: the starting profiles may not satisfy
         # the energy equalities yet, and restoring them can only add load
         if iterations > 1 and objective > objectives[-1] + 1e-9 * max(1.0, abs(objectives[-1])):

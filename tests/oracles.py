@@ -44,6 +44,7 @@ from evgrid.scheduler import (
     SchedulerConfig,
     flattening_objective,
     run_fixed_point,
+    total_load_mw,
 )
 
 
@@ -391,8 +392,9 @@ def reference_horizon(config: SchedulerConfig, base_load_mw: np.ndarray,
             # no round: the stored profiles stand, and their signal is the
             # last step's, so it moved by exactly zero
             solved = init
+            objective = flattening_objective(total_load_mw(base_load_mw, init))
             trace = ConvergenceTrace((0.0 if active_ids else math.nan,),
-                                     (flattening_objective(base_load_mw, init),), 0, True)
+                                     (objective,), 0, True)
         step_traces.append(trace)
 
         for k, ev_id in enumerate(active_ids):

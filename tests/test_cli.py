@@ -664,6 +664,15 @@ class TestSchedulesFile:
         assert got_kw.shape == (n, slots)
         assert_identical(got_kw.ravel().tolist(), kw)
 
+    def test_empty_fleet_round_trip(self, tmp_path):
+        """A schedule with no EVs keeps its slot count in the header."""
+        path = tmp_path / "schedules.csv"
+        write_schedules(path, [], [], np.zeros((0, 16)))
+        assert path.read_text() == "ev_id,bus_id," + ",".join(
+            f"kw_{t}" for t in range(16)) + "\n"
+        got_ids, got_buses, got_kw = read_schedules(path)
+        assert (got_ids, got_buses, got_kw.shape) == ([], [], (0, 16))
+
     @pytest.mark.parametrize("edit,message", [
         (lambda cells: cells[:-1], "s.csv:3: 4 cells, header has 5"),
         (lambda cells: cells + ["1.0"], "s.csv:3: 6 cells, header has 5"),

@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import assert_identical, make_session, small_config
+from evgrid import scheduler
 from evgrid.cli import load_run_config
 from evgrid.fleet import KW_PER_MW
 from evgrid.scheduler import (
     ENERGY_TOL,
     SchedulerConfig,
-    aggregate_ev_mw,
-    compute_control_signal,
     flattening_objective,
     prepare_stations,
     project_to_energy_box,
@@ -24,6 +23,7 @@ from evgrid.scheduler import (
     run_until_converged,
     session_bounds,
     solve_task,
+    total_load_mw,
 )
 
 
@@ -111,35 +111,36 @@ class TestConfig:
 class TestControlSignal:
     def test_zero_profiles(self):
         base = np.full(4, 80.0)
-        signal = compute_control_signal(base, np.zeros((5, 4)), lam=2.0)
+        signal = total_load_mw(base, np.zeros((5, 4))) / (2.0 * 5)
         assert np.array_equal(signal, base / 10.0)
 
     def test_doubling_lambda_halves(self):
         base = np.linspace(50.0, 120.0, 8)
         profiles = np.random.default_rng(0).uniform(0, 6.6, (3, 8))
-        one = compute_control_signal(base, profiles, lam=2.0)
-        two = compute_control_signal(base, profiles, lam=4.0)
+        one = total_load_mw(base, profiles) / (2.0 * 3)
+        two = total_load_mw(base, profiles) / (4.0 * 3)
         assert np.allclose(two * 2.0, one, rtol=0, atol=1e-15)
 
     def test_worked_example(self):
         # B = 100 MW flat, N = 2, lambda = 2, profiles sum to 10 MW flat
         base = np.full(6, 100.0)
         profiles = np.full((2, 6), 5000.0)    # kW
-        signal = compute_control_signal(base, profiles, lam=2.0)
+        signal = total_load_mw(base, profiles) / (2.0 * 2)
         assert np.array_equal(signal, np.full(6, 27.5))
 
     def test_summation_in_row_order(self):
         base = np.zeros(3)
         profiles = np.array([[1000.0, 0.0, 0.0], [0.0, 1000.0, 0.0]])
-        assert np.array_equal(aggregate_ev_mw(profiles), np.array([1.0, 1.0, 0.0]))
+        assert np.array_equal(total_load_mw(base, profiles), np.array([1.0, 1.0, 0.0]))
 
 
 class TestFlatteningObjective:
     def test_zero(self):
-        assert flattening_objective(np.zeros(8), np.zeros((2, 8))) == 0.0
+        assert flattening_objective(total_load_mw(np.zeros(8), np.zeros((2, 8)))) == 0.0
 
     def test_direct_arithmetic(self):
-        assert flattening_objective(np.full(96, 100.0), np.zeros((1, 96))) == 960000.0
+        total = total_load_mw(np.full(96, 100.0), np.zeros((1, 96)))
+        assert flattening_objective(total) == 960000.0
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -151,8 +152,8 @@ class TestFlatteningObjective:
         uneven = np.full(t, total / t) + np.array(shifts) - np.mean(shifts)
         uniform = np.full(t, total / t)
         # same energy, so the flat profile can never be beaten
-        assert (flattening_objective(uniform, np.zeros((1, t)))
-                <= flattening_objective(uneven, np.zeros((1, t))) + 1e-9)
+        assert (flattening_objective(total_load_mw(uniform, np.zeros((1, t))))
+                <= flattening_objective(total_load_mw(uneven, np.zeros((1, t)))) + 1e-9)
 
 
 class TestSessionBounds:
@@ -342,8 +343,8 @@ class TestStationSubproblem:
         session = make_session(t_start=1, t_end=13, energy_kwh=9.0)
         config = small_config()
         for k in (2.0, 10.0, 0.5):
-            sig = compute_control_signal(base, profiles, lam=config.lam)
-            scaled = compute_control_signal(base, profiles, lam=config.lam * k)
+            sig = total_load_mw(base, profiles) / config.lam
+            scaled = total_load_mw(base, profiles) / (config.lam * k)
             rescaled = scaled * k
             a = solve_one(sig, profiles[0], session, config)
             b = solve_one(rescaled, profiles[0], session, config)
@@ -356,7 +357,7 @@ class TestStationSubproblem:
         config = small_config(max_iterations=1)
         base = np.linspace(40.0, 90.0, config.slots)
         init = np.zeros((1, config.slots))
-        signal = compute_control_signal(base, init, config.lam)
+        signal = total_load_mw(base, init) / config.lam
         for energy_kwh, side, delivered in ((1e6, 1, 13.2), (-1e6, 0, -13.2)):
             session = make_session(energy_kwh=energy_kwh)
             bounds = session_bounds([session], config.slots)
@@ -470,7 +471,7 @@ class TestPreparedStations:
     def test_one_round_matches_reference_solve(self, stack):
         config, base, bounds, targets, init = stack
         one_round = config._replace(max_iterations=1)
-        signal = compute_control_signal(base, init, config.lam)
+        signal = total_load_mw(base, init) / (config.lam * len(init))
         got = run_fixed_point(one_round, base, bounds, targets, init).profiles_kw
         want = reference_respond(bounds, targets, config)(signal, init)
         assert got.tobytes() == want.tobytes()
@@ -534,7 +535,7 @@ class TestRunUntilConverged:
         # replay the broadcast/respond loop by hand
         manual = np.zeros((1, 16))
         for _ in range(trace.iterations):
-            signal = compute_control_signal(base, manual, config.lam)
+            signal = total_load_mw(base, manual) / config.lam
             manual = solve_one(signal, manual[0], session, config)[None, :]
         assert np.array_equal(profiles, manual)
 
@@ -652,3 +653,42 @@ class TestRunUntilConverged:
         assert math.isnan(trace.residuals[0])
         assert len(trace.residuals) == trace.iterations + 1
         assert len(trace.objectives) == trace.iterations + 1
+
+
+def three_stations(config):
+    """Bounds, targets and random starting kW profiles of three stations."""
+    sessions = [make_session(ev_id=f"e{k}", t_start=k, t_end=12 + k, energy_kwh=4.0 + k)
+                for k in range(3)]
+    init = np.random.default_rng(4).uniform(-6.6, 6.6, (3, config.slots))
+    return session_bounds(sessions, config.slots), [s.energy_kwh for s in sessions], init
+
+
+class TestRoundWorkspace:
+    @pytest.mark.parametrize("max_iterations", [1, 5])
+    def test_response_leaves_initial_profiles_alone(self, max_iterations):
+        """The default response writes over the fixed point's own copy of
+        the starting profiles, never over the caller's array."""
+        config = small_config(max_iterations=max_iterations, epsilon=1e-12)
+        bounds, targets, init = three_stations(config)
+        before = init.tobytes()
+        result = run_fixed_point(config, np.full(config.slots, 50.0), bounds, targets, init)
+        assert result.trace.iterations == max_iterations
+        assert init.tobytes() == before
+        assert not np.shares_memory(result.profiles_kw, init)
+
+    def test_one_gather_per_round(self, monkeypatch):
+        """The total load is formed once for the starting profiles and once
+        per round; the signal and the objective both read it."""
+        calls = []
+        gather = scheduler.total_load_mw
+
+        def counted(*args):
+            calls.append(args)
+            return gather(*args)
+
+        monkeypatch.setattr(scheduler, "total_load_mw", counted)
+        config = small_config()
+        bounds, targets, init = three_stations(config)
+        result = run_fixed_point(config, np.full(config.slots, 50.0), bounds, targets, init)
+        assert result.trace.converged and result.trace.iterations > 1
+        assert len(calls) == result.trace.iterations + 1

@@ -16,7 +16,12 @@ path:
 * ``powerflow`` on the WSCC-9 case alone, and with the desk base load at
   its peak slot and at ``--slot 40``;
 * replan ``simulate`` for seeds 1 and 2;
-* compare-20k ``compare`` for seed 1.
+* compare-20k ``compare`` for seed 1;
+* ``simulate`` of a generated fleet of N = 20,000 at seed 1: the desk
+  config of PARENT without its ``sessions`` and ``events`` keys, with
+  6,667/6,667/6,666 EVs at buses 5/7/9, ``energy_kwh_range`` [2, 5.5] and
+  +/-7 kW chargers, written into the temporary directory with absolute
+  case and base-load paths.
 
 Every file a run writes under ``-o``, its stdout, its stderr and its exit
 status must be the same bytes in both checkouts.  The script runs every
@@ -71,7 +76,24 @@ def runs(parent: Path, work: Path) -> list[tuple[str, list[str]]]:
     for name, seed in GENERATED:
         built = workloads.build(name, parent, work / f"{name}-{seed}", seed)
         todo.append((f"{name} seed {seed}", built.argv))
+    todo.append(("generated fleet N = 20,000 simulate, seed 1",
+                 ["simulate", "-c", str(fleet_20k_config(parent, work))]))
     return todo
+
+
+def fleet_20k_config(parent: Path, work: Path) -> Path:
+    """Write the N = 20,000 generated-fleet config into ``work``."""
+    desk = parent / DESK_CONFIG
+    cfg = json.loads(desk.read_text())
+    del cfg["sessions"], cfg["events"]
+    for key in ("case", "base_load"):
+        cfg[key] = str((desk.parent / cfg[key]).resolve())
+    cfg["seed"] = 1
+    cfg["fleet"].update(counts={"5": 6667, "7": 6667, "9": 6666},
+                        energy_kwh_range=[2.0, 5.5], p_max_kw=7.0, d_max_kw=-7.0)
+    path = work / "fleet-20k.json"
+    path.write_text(json.dumps(cfg, indent=2))
+    return path
 
 
 def run(root: Path, argv: list[str], out: Path) -> dict[str, bytes]:
