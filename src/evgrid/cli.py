@@ -277,10 +277,12 @@ def preflight(cfg: RunConfig, command: str) -> Inputs:
         return Inputs(case)
 
     base = metrics.read_base_load(cfg.base_load_path)
-    try:
-        base.validate_against(case)
-    except metrics.MetricsError as exc:
-        raise ValueError(f"{cfg.base_load_path}: {exc}") from None
+    kinds = {b.id: b.kind for b in case.buses}
+    for bus_id in base.bus_ids:
+        if bus_id not in kinds:
+            raise ValueError(f"{cfg.base_load_path}: base load references unknown bus {bus_id}")
+        if kinds[bus_id] is not BusKind.PQ:
+            raise ValueError(f"{cfg.base_load_path}: base load bus {bus_id} is not a PQ bus")
     if cfg.slot is not None and not 0 <= cfg.slot < base.slots:
         raise ValueError(f"slot {cfg.slot} outside the base load's 0..{base.slots - 1}")
     with np.errstate(over="ignore"):    # schedules square the system load, power flows sum it

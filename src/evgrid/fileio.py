@@ -102,11 +102,11 @@ def write_schedules(path, ev_ids: list[str], bus_ids: list[int],
                     profiles_kw: np.ndarray) -> None:
     """Per-EV charging profiles in kW; one column per slot."""
     check_ev_ids(ev_ids)
-    # tolist() yields Python floats, so repr is fmt's float rule without a
-    # numpy scalar per cell
+    # each row's tolist() yields Python floats, so repr is fmt's float rule
+    # without a numpy scalar per cell, and only one row's floats are alive
     lines = (
-        ",".join([fmt(ev_id), fmt(bus_id), *map(repr, row)])
-        for ev_id, bus_id, row in zip(ev_ids, bus_ids, profiles_kw.tolist())
+        ",".join([fmt(ev_id), fmt(bus_id), *map(repr, row.tolist())])
+        for ev_id, bus_id, row in zip(ev_ids, bus_ids, profiles_kw)
     )
     _write_lines(path, schedule_header(profiles_kw.shape[1]), lines)
 

@@ -112,7 +112,7 @@ def generate_fleet(seed: int, spec: FleetSpec, slots: int,
             start = int(round(rng.normal(spec.arrival_mean_slot, spec.arrival_std_slots)))
             duration = int(round(rng.normal(spec.duration_mean_slots, spec.duration_std_slots)))
             start = min(max(start, 0), slots - 2)
-            end = min(max(start + max(duration, 1), start + 1), slots)
+            end = min(start + max(duration, 1), slots)
             energy = float(rng.uniform(*spec.energy_kwh_range))
             cap = spec.p_max_kw * (end - start) * slot_hours
             energy = min(max(energy, 0.0), cap)

@@ -246,21 +246,6 @@ def load_grid_case(path: str | os.PathLike) -> GridCase:
         return parse_grid_case(fh.read(), name=str(path))
 
 
-def format_grid_case(case: GridCase) -> str:
-    """Serialize a case; floats use repr so a reload reassembles bit-identically."""
-    out = ["[system]", f"s_base_mva = {case.s_base!r}", "", "[buses]",
-           "# id  kind  v_mag  v_angle_deg  p_inj_mw  q_inj_mvar  base_kv"]
-    for b in case.buses:
-        out.append(
-            f"{b.id}  {b.kind.value}  {b.v_mag!r}  {math.degrees(b.v_angle)!r}  "
-            f"{b.p_inj * case.s_base!r}  {b.q_inj * case.s_base!r}  {b.base_kv!r}"
-        )
-    out += ["", "[branches]", "# from  to  r_pu  x_pu  b_pu  tap"]
-    for br in case.branches:
-        out.append(f"{br.from_bus}  {br.to_bus}  {br.r!r}  {br.x!r}  {br.b_shunt!r}  {br.tap!r}")
-    return "\n".join(out) + "\n"
-
-
 # --- branch model and admittance assembly ------------------------------------
 
 def branch_terms(case: GridCase) -> list[tuple[int, int, complex, complex, complex, complex]]:

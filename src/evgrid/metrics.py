@@ -46,13 +46,6 @@ class BaseLoadProfile(NamedTuple):
     def slots(self) -> int:
         return self.mw.shape[1]
 
-    def validate_against(self, case: GridCase) -> None:
-        for bus_id in self.bus_ids:
-            if not any(b.id == bus_id for b in case.buses):
-                raise MetricsError(f"base load references unknown bus {bus_id}")
-            if case.bus(bus_id).kind is not BusKind.PQ:
-                raise MetricsError(f"base load bus {bus_id} is not a PQ bus")
-
 
 def write_base_load(path, profile: BaseLoadProfile) -> None:
     rows = []

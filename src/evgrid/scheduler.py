@@ -133,32 +133,16 @@ def prepare_stations(bounds: np.ndarray, energy: np.ndarray,
 
 def _project(stations: PreparedStations, p: np.ndarray) -> None:
     """Overwrite ``p``, whose row k holds station k's previous - c, with
-    every station's minimizer of ``project_to_energy_box``."""
+    station k's minimizer x of sum(c*x) + 0.5*||x - previous||^2 over the box
+    lo <= x <= hi, (lo, hi) = ``stations.bounds[k]``, with sum(x)*dt == energy.
+    The minimizer is clip(previous - c + nu, lo, hi), and ``solve_task`` finds
+    nu exactly by the breakpoint search; a snapped row gets its bound row."""
     n, t = p.shape
     ks = (stations.bounds - p[:, None, :]).reshape(n, 2 * t)
     nu = np.array([solve_task(stations, k, ks[k]) for k in range(n)])
     p += nu[:, None]
     np.clip(p, stations.bounds[:, 0], stations.bounds[:, 1], out=p)
     p[stations.snap_rows] = stations.snap_profiles
-
-
-def project_to_energy_box(c: np.ndarray, previous: np.ndarray, lo: np.ndarray,
-                          hi: np.ndarray, energy: float, dt: float) -> np.ndarray:
-    """Minimize sum(c*p) + 0.5*||p - previous||^2 over the box with an energy
-    equality sum(p)*dt == energy.
-
-    All arguments share one consistent unit system.  The KKT stationary form
-    is p = clip(previous - c + mu*dt, lo, hi).  sum(p(mu)) is continuous,
-    nondecreasing and piecewise linear in mu, so mu is found exactly by
-    sorting its 2T breakpoints and interpolating on the segment that reaches
-    the energy target; no iteration, no stopping tolerance.  A target on or
-    beyond a bound total returns that bound row.
-    """
-    p = np.subtract(previous, c, dtype=float)[None]
-    stations = prepare_stations(np.array((lo, hi), dtype=float)[None],
-                                np.array([energy], dtype=float), dt)
-    _project(stations, p)
-    return p[0]
 
 
 def solve_task(stations: PreparedStations, k: int, ks: np.ndarray) -> float:
@@ -204,18 +188,18 @@ class FixedPointResult(NamedTuple):
 
 
 def run_fixed_point(config: SchedulerConfig, base_load_mw: np.ndarray,
-                    bounds_kw: np.ndarray, energy_kwh, initial_profiles: np.ndarray,
+                    bounds_kw: np.ndarray, energy_kwh, start_kw: np.ndarray,
                     respond=None) -> FixedPointResult:
     """Iterate broadcast/gather until the signal residual drops below epsilon.
 
     Station k has the kW bounds ``bounds_kw[k]`` = (lo, hi), the energy
-    target ``energy_kwh[k]`` and the starting profile ``initial_profiles[k]``
+    target ``energy_kwh[k]`` and the starting profile ``start_kw[k]``
     (length T); a target out of reach gets the nearer bound row.  With no
     stations there is nothing to broadcast: the trace has no round.
 
     ``respond(signal, profiles_kw)`` returns the next round's kW profiles;
     the default overwrites the array it is given (this function's own copy
-    of ``initial_profiles``), and a substitute may return a new one.
+    of ``start_kw``), and a substitute may return a new one.
     """
     n = len(bounds_kw)
     if respond is None:
@@ -232,7 +216,9 @@ def run_fixed_point(config: SchedulerConfig, base_load_mw: np.ndarray,
             profiles_kw *= KW_PER_MW
             return profiles_kw
 
-    profiles = np.array(initial_profiles, dtype=float)
+    # a copy even of a fresh array (the horizon's profiles[rows]): np.asarray
+    # here doubled the horizon's minor page faults on desk and replan
+    profiles = np.array(start_kw, dtype=float)
     total = total_load_mw(base_load_mw, profiles)
 
     objectives = [flattening_objective(total)]
@@ -278,13 +264,11 @@ def run_fixed_point(config: SchedulerConfig, base_load_mw: np.ndarray,
 
 
 def run_until_converged(config: SchedulerConfig, base_load_mw: np.ndarray,
-                        sessions, initial_profiles: np.ndarray | None = None
-                        ) -> tuple[np.ndarray, ConvergenceTrace]:
-    """Solve the one-shot coordination problem for a list of sessions and
-    return the per-EV kW profiles plus the trace.
+                        sessions) -> tuple[np.ndarray, ConvergenceTrace]:
+    """Solve the one-shot coordination problem for a list of sessions from
+    zero profiles and return the per-EV kW profiles plus the trace.
     """
-    if initial_profiles is None:
-        initial_profiles = np.zeros((len(sessions), config.slots))
     result = run_fixed_point(config, base_load_mw, session_bounds(sessions, config.slots),
-                             [s.energy_kwh for s in sessions], initial_profiles)
+                             [s.energy_kwh for s in sessions],
+                             np.zeros((len(sessions), config.slots)))
     return result.profiles_kw, result.trace

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from evgrid import grid
 from evgrid.fleet import EvSession
-from evgrid.scheduler import SchedulerConfig
+from evgrid.scheduler import SchedulerConfig, _project, prepare_stations
 
 DATA_DIR = Path(str(resources.files("evgrid") / "data"))
 DESK_DIR = DATA_DIR / "desk"
@@ -54,10 +54,11 @@ def unity_case() -> grid.GridCase:
     return grid.parse_grid_case(UNITY_CASE_TEXT, name="unity")
 
 
-def two_bus_case(p_inj_mw: float = -50.0, q_inj_mvar: float = 0.0,
-                 x: float = 0.1, r: float = 0.0, b: float = 0.0) -> grid.GridCase:
-    """Swing at 1 angle 0 feeding one PQ bus over a single branch."""
-    text = f"""
+def two_bus_text(p_inj_mw: float = -50.0, q_inj_mvar: float = 0.0,
+                 x: float = 0.1, r: float = 0.0, b: float = 0.0) -> str:
+    """Case file text: swing at 1 angle 0 feeding one PQ bus over a single
+    branch."""
+    return f"""
 [system]
 s_base_mva = 100.0
 
@@ -68,13 +69,30 @@ s_base_mva = 100.0
 [branches]
 1  2  {r}  {x}  {b}  1.0
 """
-    return grid.parse_grid_case(text, name="two-bus")
+
+
+def two_bus_case(p_inj_mw: float = -50.0, q_inj_mvar: float = 0.0,
+                 x: float = 0.1, r: float = 0.0, b: float = 0.0) -> grid.GridCase:
+    return grid.parse_grid_case(two_bus_text(p_inj_mw, q_inj_mvar, x, r, b), name="two-bus")
 
 
 def make_session(ev_id: str = "ev1", bus_id: int = 5, t_start: int = 2,
                  t_end: int = 10, energy_kwh: float = 10.0,
                  p_max_kw: float = 6.6, d_max_kw: float = -6.6) -> EvSession:
     return EvSession(ev_id, bus_id, t_start, t_end, energy_kwh, p_max_kw, d_max_kw)
+
+
+def project_rows(c, previous, lo, hi, energy, dt) -> np.ndarray:
+    """Each row's minimizer of sum(c*p) + 0.5*||p - previous||^2 over the box
+    lo <= p <= hi with sum(p)*dt == energy, through the scheduler's own
+    entry, ``_project``, in one call.  Rows are stations: c, previous, lo and
+    hi are (N, T) and energy (N,); 1-D arguments are one row."""
+    one_row = np.ndim(previous) == 1
+    p = np.atleast_2d(np.subtract(previous, c, dtype=float))
+    bounds = np.stack((np.atleast_2d(lo), np.atleast_2d(hi)), axis=1).astype(float)
+    stations = prepare_stations(bounds, np.atleast_1d(np.asarray(energy, dtype=float)), dt)
+    _project(stations, p)
+    return p[0] if one_row else p
 
 
 def small_config(**kwargs) -> SchedulerConfig:

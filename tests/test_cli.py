@@ -18,7 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import (UNITY_CASE_TEXT, DATA_DIR, DESK_DIR, assert_identical, cell_text,
-                      file_ints, finite_floats, make_session, round_trip, two_bus_case)
+                      file_ints, finite_floats, make_session, round_trip, two_bus_text)
 from evgrid import cli, coordinator, fileio, grid, metrics
 from evgrid.cli import main
 from evgrid.fileio import read_schedule_blocks, read_schedules, write_schedules
@@ -914,7 +914,7 @@ class TestPowerflowCommand:
     def test_singular_grid_fails_with_one_line(self, tmp_path, capsys):
         # a near-open branch: the first Jacobian's smallest singular value is 1/x
         case_path = tmp_path / "open.case"
-        case_path.write_text(grid.format_grid_case(two_bus_case(x=1e15)))
+        case_path.write_text(two_bus_text(x=1e15))
         out = tmp_path / "out"
         assert main(["powerflow", "--case", str(case_path), "-o", str(out)]) == 1
         assert capsys.readouterr().err == ("error: singular Jacobian at iteration 0: "

@@ -12,7 +12,6 @@ from evgrid.grid import (
     GridCase,
     GridCaseError,
     build_admittance_matrix,
-    format_grid_case,
     load_grid_case,
     parse_grid_case,
 )
@@ -238,13 +237,6 @@ class TestAdmittanceAssembly:
         rnd.shuffle(branches)
         shuffled = GridCase(wscc_case.buses, tuple(branches), wscc_case.s_base)
         assert np.array_equal(build_admittance_matrix(shuffled), wscc_ybus)
-
-    def test_round_trip_preserves_matrix(self, wscc_case, wscc_ybus, tmp_path):
-        path = tmp_path / "roundtrip.case"
-        path.write_text(format_grid_case(wscc_case))
-        again = load_grid_case(path)
-        assert again == wscc_case
-        assert np.array_equal(build_admittance_matrix(again), wscc_ybus)
 
     def test_bundled_file_loads_from_package_data(self):
         case = load_grid_case(DATA_DIR / "wscc9.case")

@@ -50,13 +50,6 @@ class TestBaseLoadProfile:
         profile = constant_base({5: 90.0, 7: 100.0})
         assert profile.slots == 6
 
-    def test_validate_against_case(self, wscc_case):
-        constant_base({5: 90.0, 7: 100.0, 9: 125.0}).validate_against(wscc_case)
-        with pytest.raises(MetricsError, match="unknown bus 12"):
-            constant_base({12: 1.0}).validate_against(wscc_case)
-        with pytest.raises(MetricsError, match="not a PQ bus"):
-            constant_base({1: 1.0}).validate_against(wscc_case)
-
     @round_trip
     @given(data=st.data())
     def test_file_round_trip(self, tmp_path, data):
@@ -210,6 +203,20 @@ class TestStreamedAggregation:
             tracemalloc.stop()
         assert peak < 10e6, f"peak {peak / 1e6:.1f} MB"
         assert ev_mw.sum() == pytest.approx(n * 8 * 3.6 / 1000.0, rel=1e-12)
+
+    def test_schedule_write_holds_one_row_of_floats(self, tmp_path):
+        """Writing a 4,000 x 96 schedule makes one row's Python floats at a
+        time, not every cell's (12 MB of them at once)."""
+        n, slots = 4_000, 96
+        kw = np.random.default_rng(7).uniform(-6.6, 6.6, (n, slots))
+        ev_ids = [f"ev{k}" for k in range(n)]
+        tracemalloc.start()
+        try:
+            write_schedules(tmp_path / "schedules.csv", ev_ids, [5] * n, kw)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestEvaluateGridAtSlot:

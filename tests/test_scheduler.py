@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import assert_identical, make_session, small_config
+from conftest import assert_identical, make_session, project_rows, small_config
 from evgrid import scheduler
 from evgrid.cli import load_run_config
 from evgrid.fleet import KW_PER_MW
@@ -17,12 +17,9 @@ from evgrid.scheduler import (
     ENERGY_TOL,
     SchedulerConfig,
     flattening_objective,
-    prepare_stations,
-    project_to_energy_box,
     run_fixed_point,
     run_until_converged,
     session_bounds,
-    solve_task,
     total_load_mw,
 )
 
@@ -43,15 +40,11 @@ def random_box(rng, slots=8, dt=0.25):
 
 
 def solve_one(signal, previous_kw, session, config):
-    """``solve_task`` for one session as a prepared station, in and out in
-    kW; the session's target lies strictly inside its box."""
-    p = previous_kw / KW_PER_MW
-    p -= signal
-    stations = prepare_stations(session_bounds([session], config.slots) / KW_PER_MW,
-                                np.array([session.energy_kwh]) / KW_PER_MW, config.slot_hours)
-    lo, hi = stations.bounds[0]
-    nu = solve_task(stations, 0, np.concatenate((lo - p, hi - p)))
-    return np.clip(p + nu, lo, hi) * KW_PER_MW
+    """One session's station update through ``_project``, in and out in kW;
+    the session's target lies strictly inside its box."""
+    lo, hi = session_bounds([session], config.slots)[0] / KW_PER_MW
+    return project_rows(signal, previous_kw / KW_PER_MW, lo, hi,
+                        session.energy_kwh / KW_PER_MW, config.slot_hours) * KW_PER_MW
 
 
 def sliced_bounds(session, slots):
@@ -186,13 +179,13 @@ class TestProjection:
         t, dt = 8, 0.25
         lo = np.full(t, -100.0)
         hi = np.full(t, 100.0)
-        p = project_to_energy_box(np.zeros(t), np.zeros(t), lo, hi, 12.0, dt)
+        p = project_rows(np.zeros(t), np.zeros(t), lo, hi, 12.0, dt)
         assert np.allclose(p, 12.0 / (t * dt), atol=1e-12)
 
     def test_uniform_inside_window(self):
         s = make_session(t_start=2, t_end=10, energy_kwh=10.0)
         lo, hi = session_bounds([s], 16)[0]
-        p = project_to_energy_box(np.zeros(16), np.zeros(16), lo, hi, 10.0, 0.25)
+        p = project_rows(np.zeros(16), np.zeros(16), lo, hi, 10.0, 0.25)
         assert np.allclose(p[2:10], 10.0 / (8 * 0.25), atol=1e-12)
         assert not p[:2].any() and not p[10:].any()
 
@@ -200,13 +193,13 @@ class TestProjection:
         s = make_session(t_start=0, t_end=4, energy_kwh=6.6, p_max_kw=6.6)
         lo, hi = session_bounds([s], 4)[0]
         c = np.array([5.0, -3.0, 40.0, 0.1])
-        p = project_to_energy_box(c, np.zeros(4), lo, hi, 6.6, 0.25)
+        p = project_rows(c, np.zeros(4), lo, hi, 6.6, 0.25)
         assert np.array_equal(p, hi)
 
     def test_lo_edge(self):
         s = make_session(t_start=0, t_end=4, energy_kwh=-6.6, d_max_kw=-6.6)
         lo, hi = session_bounds([s], 4)[0]
-        p = project_to_energy_box(np.ones(4), np.zeros(4), lo, hi, -6.6, 0.25)
+        p = project_rows(np.ones(4), np.zeros(4), lo, hi, -6.6, 0.25)
         assert np.array_equal(p, lo)
 
     def test_unreachable_target_gets_the_nearer_bound_row(self):
@@ -216,7 +209,7 @@ class TestProjection:
         hi = np.full(4, 2.0)
         c = np.array([5.0, -3.0, 40.0, 0.1])
         for energy, row in ((99.0, hi), (2.5, hi), (-0.6, lo), (-99.0, lo)):
-            p = project_to_energy_box(c, np.zeros(4), lo, hi, energy, 0.25)
+            p = project_rows(c, np.zeros(4), lo, hi, energy, 0.25)
             assert p.tobytes() == row.tobytes()
 
     @settings(max_examples=120, deadline=None)
@@ -224,7 +217,7 @@ class TestProjection:
     def test_matches_enumeration_oracle(self, seed):
         rng = np.random.default_rng(seed)
         c, previous, lo, hi, energy = random_box(rng, slots=6)
-        got = project_to_energy_box(c, previous, lo, hi, energy, 0.25)
+        got = project_rows(c, previous, lo, hi, energy, 0.25)
         want = oracles.active_set_minimize(c, previous, lo, hi, energy, 0.25)
         assert np.max(np.abs(got - want)) < 1e-9
 
@@ -233,7 +226,7 @@ class TestProjection:
     def test_feasibility_properties(self, seed):
         rng = np.random.default_rng(seed)
         c, previous, lo, hi, energy = random_box(rng)
-        p = project_to_energy_box(c, previous, lo, hi, energy, 0.25)
+        p = project_rows(c, previous, lo, hi, energy, 0.25)
         assert (p >= lo).all() and (p <= hi).all()
         assert float(p.sum()) * 0.25 == pytest.approx(energy, abs=1e-9)
 
@@ -257,7 +250,7 @@ class TestProjection:
             energy = float(np.clip(previous - c + nu, lo, hi).sum()) * dt
         else:
             energy = lo_sum + where * (hi_sum - lo_sum)
-        p = project_to_energy_box(c, previous, lo, hi, energy, dt)
+        p = project_rows(c, previous, lo, hi, energy, dt)
         assert (p >= lo).all() and (p <= hi).all()
         assert abs(float(p.sum()) * dt - energy) <= 1e-12 * max(1.0, abs(energy))
         # a tight oracle tolerance, so that it resolves targets just inside the box
@@ -274,11 +267,11 @@ class TestProjection:
         step = 1e-6 * max(1.0, abs(edge))
         # inside the 1e-9 relative slack the bound profile is returned
         within = edge + (step if above else -step) * 1e-4
-        p = project_to_energy_box(c, previous, lo, hi, within, dt)
+        p = project_rows(c, previous, lo, hi, within, dt)
         assert np.array_equal(p, hi if above else lo)
         # beyond it, the nearer bound row, bit for bit, as the reference gives
         beyond = edge + (step if above else -step)
-        p = project_to_energy_box(c, previous, lo, hi, beyond, dt)
+        p = project_rows(c, previous, lo, hi, beyond, dt)
         assert p.tobytes() == (hi if above else lo).tobytes()
         want = oracles._reference_project(c, previous, lo, hi, beyond, dt)
         assert p.tobytes() == want.tobytes()
@@ -641,8 +634,8 @@ class TestRunUntilConverged:
         base = np.full(16, 55.0)
         sessions = [make_session(ev_id=f"e{k}", energy_kwh=5.0) for k in range(3)]
         profiles, trace = run_until_converged(config, base, sessions)
-        again, trace2 = run_until_converged(config, base, sessions,
-                                            initial_profiles=profiles)
+        again, trace2 = run_fixed_point(config, base, session_bounds(sessions, config.slots),
+                                        [s.energy_kwh for s in sessions], profiles)
         assert trace2.converged
         assert trace2.iterations <= 1
         assert np.array_equal(again, profiles)
