@@ -63,20 +63,6 @@ _USED = {"add_session": EVENT_COLUMNS[3:], "update_energy": ["energy_kwh"],
 Event = tuple[int, str, EvSession | float | None]
 
 
-def write_events(path, events: list[Event]) -> None:
-    fileio.check_ev_ids([ev_id for _, ev_id, _ in events])
-    rows = []
-    for slot, ev_id, change in events:
-        if isinstance(change, EvSession):
-            rows.append([slot, "add_session", ev_id, change.bus_id, change.t_start,
-                         change.t_end, change.energy_kwh, change.p_max_kw, change.d_max_kw])
-        elif change is None:
-            rows.append([slot, "remove_session", ev_id, "", "", "", "", "", ""])
-        else:
-            rows.append([slot, "update_energy", ev_id, "", "", "", change, "", ""])
-    fileio.write_rows(path, EVENT_COLUMNS, rows)
-
-
 def _event_row(row: list[str]) -> Event:
     slot, kind, ev_id = int(row[0]), row[1], row[2]
     cells = dict(zip(EVENT_COLUMNS[3:], row[3:]))

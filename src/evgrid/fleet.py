@@ -39,8 +39,9 @@ class EvSession(NamedTuple):
     def validate(self, slots: int, slot_hours: float) -> None:
         """The rate box (``validate_box``) and an energy target it can reach."""
         self.validate_box(slots)
-        hours = (self.t_end - self.t_start) * slot_hours
-        lo, hi = self.d_max_kw * hours, self.p_max_kw * hours
+        # associated as generate_fleet's energy cap, so the cap it draws passes
+        span = self.t_end - self.t_start
+        lo, hi = self.d_max_kw * span * slot_hours, self.p_max_kw * span * slot_hours
         if not (lo - ENERGY_TOL_KWH <= self.energy_kwh <= hi + ENERGY_TOL_KWH):
             raise FleetError(
                 f"session {self.ev_id}: energy {self.energy_kwh} kWh outside "
@@ -102,17 +103,18 @@ class FleetSpec(NamedTuple):
 
 def generate_fleet(seed: int, spec: FleetSpec, slots: int,
                    slot_hours: float) -> tuple[EvSession, ...]:
-    """Deterministic synthetic fleet, checked (``check_sessions``) on the slot
-    grid, which needs at least 2 slots (the CLI checks that where it reads
-    ``scheduler.slots``); identical arguments give identical output."""
+    """Deterministic synthetic fleet, valid by construction (``check_sessions``
+    accepts it for every rule-valid spec) on a grid of at least 2 slots, as
+    the CLI checks; identical arguments give identical output."""
     rng = np.random.default_rng(seed)
     sessions = []
     for bus in sorted(spec.counts):
         for n in range(spec.counts[bus]):
-            start = int(round(rng.normal(spec.arrival_mean_slot, spec.arrival_std_slots)))
-            duration = int(round(rng.normal(spec.duration_mean_slots, spec.duration_std_slots)))
-            start = min(max(start, 0), slots - 2)
-            end = min(start + max(duration, 1), slots)
+            # each draw is clamped in float before rounding: an infinite one lands on the grid
+            start = rng.normal(spec.arrival_mean_slot, spec.arrival_std_slots)
+            start = int(round(min(max(start, 0.0), slots - 2)))
+            duration = rng.normal(spec.duration_mean_slots, spec.duration_std_slots)
+            end = min(start + int(round(min(max(duration, 1.0), slots))), slots)
             energy = float(rng.uniform(*spec.energy_kwh_range))
             cap = spec.p_max_kw * (end - start) * slot_hours
             energy = min(max(energy, 0.0), cap)
@@ -127,7 +129,7 @@ def generate_fleet(seed: int, spec: FleetSpec, slots: int,
                     d_max_kw=spec.d_max_kw,
                 )
             )
-    return check_sessions(sessions, slots, slot_hours)
+    return tuple(sessions)
 
 
 # --- uncoordinated baseline ----------------------------------------------
@@ -136,8 +138,8 @@ def uncoordinated_profile(session: EvSession, slots: int, slot_hours: float) -> 
     """Plug-in-and-charge-at-full-rate baseline; no V2G.
 
     Charges at p_max from arrival, with a fractional final slot so the
-    delivered energy matches the demand exactly.  ``session`` is checked at
-    load (``check_sessions``; ``simulate`` requires a non-negative target).
+    delivered energy matches the demand exactly.  ``session`` is valid (read
+    and checked, or generated; ``simulate`` requires a non-negative target).
     """
     profile = np.zeros(slots)
     remaining = session.energy_kwh

@@ -174,6 +174,8 @@ def parse_grid_case(text: str, name: str = "<case>") -> GridCase:
             key, _, value = line.partition("=")
             if key.strip() != "s_base_mva" or not value.strip():
                 raise GridCaseError(f"{loc}: expected 's_base_mva = <MVA>', got {line!r}")
+            if s_base is not None:
+                raise GridCaseError(f"{loc}: s_base_mva given twice")
             try:
                 s_base = _finite(value)
                 if s_base <= 0:

@@ -47,14 +47,6 @@ class BaseLoadProfile(NamedTuple):
         return self.mw.shape[1]
 
 
-def write_base_load(path, profile: BaseLoadProfile) -> None:
-    rows = []
-    for t in range(profile.slots):
-        for k, bus_id in enumerate(profile.bus_ids):
-            rows.append([t, bus_id, profile.mw[k, t]])
-    fileio.write_rows(path, BASE_LOAD_HEADER, rows)
-
-
 def _base_load_row(cells: list[str]) -> tuple[int, int, float]:
     slot, bus_id, mw = int(cells[0]), int(cells[1]), float(cells[2])
     if not 0.0 <= mw < math.inf:

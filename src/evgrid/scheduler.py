@@ -78,7 +78,8 @@ def session_bounds(sessions, slots: int) -> np.ndarray:
 
 
 def total_load_mw(base_load_mw: np.ndarray, profiles_kw: np.ndarray) -> np.ndarray:
-    """The gather: base load plus the per-EV rows summed in order, in MW."""
+    """The gather: base load plus the per-EV rows summed in row order for
+    T >= 2 (numpy sums a lone column pairwise), in MW."""
     return base_load_mw + (profiles_kw / KW_PER_MW).sum(axis=0)
 
 

@@ -410,6 +410,8 @@ class TestPreflight:
     @pytest.mark.parametrize("old,new,message", [
         ("s_base_mva = 100.0", "s_base_mva = inf",
          "6: s_base_mva: expected a finite number, got 'inf'"),
+        ("s_base_mva = 100.0", "s_base_mva = 50.0\ns_base_mva = 100.0",
+         "7: s_base_mva given twice"),
         ("1  swing  1.04", "1  swing  inf", "10: expected a finite number, got 'inf'"),
         ("4  5  0.017", "4  5  nan", "23: expected a finite number, got 'nan'"),
     ])

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_identical, cell_text, file_ints, finite_floats, make_session, round_trip
@@ -36,6 +36,22 @@ def default_spec(**kwargs) -> FleetSpec:
 
 def generate(seed: int, spec: FleetSpec, slots: int = 96):
     return generate_fleet(seed, spec, slots, 0.25)
+
+
+# every spec that passes the config rules of cli._RULES and cli._fleet_spec
+rule_valid_specs = st.builds(
+    FleetSpec,
+    counts=st.dictionaries(st.integers(0, 10**6), st.integers(0, 20), max_size=3),
+    arrival_mean_slot=st.floats(-1e308, 1e308),
+    arrival_std_slots=st.floats(0.0, 1e308),
+    duration_mean_slots=st.floats(1.0, 1e308),
+    duration_std_slots=st.floats(0.0, 1e308),
+    energy_kwh_range=st.lists(st.floats(0.0, 1e308), min_size=2, max_size=2)
+    .map(lambda pair: tuple(sorted(pair))),
+    p_max_kw=st.floats(0.0, 1e300),
+    d_max_kw=st.floats(-1e300, 0.0),
+).filter(lambda spec: spec.energy_kwh_range[0] == 0.0 or spec.p_max_kw > 0.0)
+DESK_COUNTS = {5: 150, 7: 150, 9: 150}
 
 
 class TestEvSession:
@@ -94,6 +110,19 @@ class TestGenerateFleet:
     def test_all_sessions_feasible(self):
         for s in generate(11, default_spec(counts={5: 40, 9: 40})):
             s.validate(96, 0.25)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32), spec=rule_valid_specs, slots=st.integers(2, 400),
+           slot_hours=st.sampled_from([1 / 12, 1 / 6, 0.24, 0.25]))
+    # an infinite arrival draw once overflowed int(round(...)), and an energy
+    # cap associated unlike EvSession.validate's interval fell just outside it
+    @example(seed=1, spec=default_spec(counts=DESK_COUNTS, arrival_std_slots=1e308),
+             slots=96, slot_hours=0.25)
+    @example(seed=1, spec=default_spec(counts=DESK_COUNTS, energy_kwh_range=(1e9, 1e9),
+                                       p_max_kw=3.3e6, d_max_kw=-3.3e6),
+             slots=288, slot_hours=1 / 12)
+    def test_valid_by_construction(self, seed, spec, slots, slot_hours):
+        check_sessions(generate_fleet(seed, spec, slots, slot_hours), slots, slot_hours)
 
     def test_ev_ids_unique(self):
         ids = [s.ev_id for s in generate(5, default_spec(counts={5: 20, 7: 20}))]

@@ -15,6 +15,7 @@ from evgrid.cli import load_run_config
 from evgrid.fileio import read_schedule_blocks, read_schedules, write_schedules
 from evgrid.grid import BusKind
 from evgrid.metrics import (
+    BASE_LOAD_HEADER,
     BaseLoadProfile,
     MetricsError,
     ReactiveAssumptions,
@@ -24,7 +25,6 @@ from evgrid.metrics import (
     read_base_load,
     render_report,
     solve_scenario,
-    write_base_load,
 )
 from evgrid.powerflow import solve_power_flow
 from oracles import reference_aggregate
@@ -63,7 +63,9 @@ class TestBaseLoadProfile:
                                 max_size=len(bus_ids) * slots))
         profile = BaseLoadProfile(tuple(bus_ids), np.array(mw).reshape(len(bus_ids), slots))
         path = tmp_path / "base.csv"
-        write_base_load(path, profile)
+        fileio.write_rows(path, BASE_LOAD_HEADER,
+                          ([t, bus_id, profile.mw[k, t]] for t in range(slots)
+                           for k, bus_id in enumerate(bus_ids)))
         back = read_base_load(path)
         assert back.bus_ids == profile.bus_ids
         assert_identical(back.mw.tolist(), profile.mw.tolist())

@@ -122,9 +122,17 @@ class TestControlSignal:
         assert np.array_equal(signal, np.full(6, 27.5))
 
     def test_summation_in_row_order(self):
-        base = np.zeros(3)
-        profiles = np.array([[1000.0, 0.0, 0.0], [0.0, 1000.0, 0.0]])
-        assert np.array_equal(total_load_mw(base, profiles), np.array([1.0, 1.0, 0.0]))
+        # bit for bit a loop from row 0; at T = 1 numpy's pairwise sum differs
+        rng = np.random.default_rng(7)
+        for slots in (2, 96):
+            for _ in range(50):
+                base = np.zeros(slots)      # a base load would hide most last-bit moves
+                profiles = rng.uniform(-7.0, 7.0, (300, slots)) * 10.0 ** rng.integers(-3, 4)
+                rows_mw = profiles / KW_PER_MW
+                by_row = rows_mw[0].copy()
+                for row in rows_mw[1:]:
+                    by_row += row
+                assert total_load_mw(base, profiles).tobytes() == (base + by_row).tobytes()
 
 
 class TestFlatteningObjective:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from evgrid import cli, coordinator, fleet, metrics
+from evgrid import cli, coordinator, fileio, fleet, metrics
 
 DESK = Path(__file__).resolve().parents[1] / "src" / "evgrid" / "data" / "desk"
 
@@ -36,7 +36,9 @@ def main() -> None:
     system = base_curve()
     bus_ids = tuple(sorted(SHARES))
     mw = np.vstack([SHARES[b] * system for b in bus_ids])
-    metrics.write_base_load(DESK / "base_load.csv", metrics.BaseLoadProfile(bus_ids, mw))
+    fileio.write_rows(DESK / "base_load.csv", metrics.BASE_LOAD_HEADER,
+                      ([t, bus_id, mw[k, t]] for t in range(mw.shape[1])
+                       for k, bus_id in enumerate(bus_ids)))
 
     with open(DESK / "config.json", "r", encoding="utf-8") as fh:
         # every key checked, but not that the files exist: this writes them
@@ -45,16 +47,15 @@ def main() -> None:
                                     cfg.scheduler.slot_hours)
     fleet.write_sessions(DESK / "sessions.csv", sessions)
 
-    # (slot, ev_id, change): an added session, a new energy target, a removal
-    events = [
-        (25, "late5a", fleet.EvSession("late5a", 5, 26, 84, 160.0, 200.0, -200.0)),
-        (25, "late7a", fleet.EvSession("late7a", 7, 27, 88, 140.0, 200.0, -200.0)),
-        (25, "late9a", fleet.EvSession("late9a", 9, 26, 90, 180.0, 200.0, -200.0)),
-        (40, "b5e0000", 190.0),
-        (40, "b9e0010", 175.0),
-        (40, "b7e0003", None),
-    ]
-    coordinator.write_events(DESK / "events.csv", events)
+    # an added session per bus, two new energy targets and a removal
+    fileio.write_rows(DESK / "events.csv", coordinator.EVENT_COLUMNS, [
+        [25, "add_session", "late5a", 5, 26, 84, 160.0, 200.0, -200.0],
+        [25, "add_session", "late7a", 7, 27, 88, 140.0, 200.0, -200.0],
+        [25, "add_session", "late9a", 9, 26, 90, 180.0, 200.0, -200.0],
+        [40, "update_energy", "b5e0000", "", "", "", 190.0, "", ""],
+        [40, "update_energy", "b9e0010", "", "", "", 175.0, "", ""],
+        [40, "remove_session", "b7e0003", "", "", "", "", "", ""],
+    ])
     print(f"wrote desk data under {DESK}")
     print(f"base: peak {system.max():.2f} MW, mean {system.mean():.2f} MW, "
           f"energy {system.sum() * 0.25:.1f} MWh")

@@ -17,11 +17,11 @@ path:
   its peak slot and at ``--slot 40``;
 * replan ``simulate`` for seeds 1 and 2;
 * compare-20k ``compare`` for seed 1;
-* ``simulate`` of a generated fleet of N = 20,000 at seed 1: the desk
-  config of PARENT without its ``sessions`` and ``events`` keys, with
-  6,667/6,667/6,666 EVs at buses 5/7/9, ``energy_kwh_range`` [2, 5.5] and
-  +/-7 kW chargers, written into the temporary directory with absolute
-  case and base-load paths.
+* ``simulate`` and ``gen-fleet`` of a generated fleet of N = 20,000 at
+  seed 1: the desk config of PARENT without its ``sessions`` and
+  ``events`` keys, with 6,667/6,667/6,666 EVs at buses 5/7/9,
+  ``energy_kwh_range`` [2, 5.5] and +/-7 kW chargers, written into the
+  temporary directory with absolute case and base-load paths.
 
 Every file a run writes under ``-o``, its stdout, its stderr and its exit
 status must be the same bytes in both checkouts.  The script runs every
@@ -76,8 +76,9 @@ def runs(parent: Path, work: Path) -> list[tuple[str, list[str]]]:
     for name, seed in GENERATED:
         built = workloads.build(name, parent, work / f"{name}-{seed}", seed)
         todo.append((f"{name} seed {seed}", built.argv))
-    todo.append(("generated fleet N = 20,000 simulate, seed 1",
-                 ["simulate", "-c", str(fleet_20k_config(parent, work))]))
+    fleet_20k = str(fleet_20k_config(parent, work))
+    todo.append(("generated fleet N = 20,000 simulate, seed 1", ["simulate", "-c", fleet_20k]))
+    todo.append(("generated fleet N = 20,000 gen-fleet, seed 1", ["gen-fleet", "-c", fleet_20k]))
     return todo
 
 
