@@ -31,8 +31,8 @@ from .metrics import ReactiveAssumptions  # noqa: E402
 from .powerflow import PowerFlowError, solve_power_flow  # noqa: E402
 from .scheduler import SchedulerConfig, run_until_converged  # noqa: E402
 
-# every input error of the package (grid, fleet, scheduler, coordinator,
-# metrics) is a ValueError
+# every input error of the package is a ValueError, and a failed solve a
+# PowerFlowError
 USER_ERRORS = (ValueError, OSError, PowerFlowError)
 
 # the input files a config may name
@@ -100,12 +100,17 @@ def _resolve(base_dir: Path, value) -> Path | None:
 
 
 def _number(key: str, value, kind=float):
-    """``value`` as a ``kind`` (int or float); anything but a JSON number, of
-    integral value for an int, is an error that names ``key``."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or (kind is int and not float(value).is_integer())):
-        raise ValueError(f"{key}: expected {'an integer' if kind is int else 'a number'}, "
-                         f"got {value!r}")
+    """``value`` as a ``kind`` (int or float); anything but a JSON number in
+    float range, of integral value for an int, is an error that names ``key``."""
+    what = "an integer" if kind is int else "a number"
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key}: expected {what}, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ValueError(f"{key}: expected {what} in float range, got {value!r}") from None
+    if kind is int and not number.is_integer():
+        raise ValueError(f"{key}: expected {what}, got {value!r}")
     return kind(value)
 
 
@@ -314,7 +319,7 @@ def preflight(cfg: RunConfig, command: str) -> Inputs:
         try:
             events_by_step = coordinator.schedule_events(
                 events, sessions, cfg.scheduler.slots, cfg.horizon_steps)
-        except coordinator.CoordinatorError as exc:
+        except ValueError as exc:
             raise ValueError(f"{cfg.events_path}: {exc}") from None
     ev_mw = ()
     if "uncoordinated" in reads:
@@ -342,7 +347,7 @@ def _load_sessions(cfg: RunConfig) -> tuple[EvSession, ...]:
                           key=lambda s: s.ev_id)
         try:
             return fleet.check_sessions(sessions, sched.slots, sched.slot_hours)
-        except fleet.FleetError as exc:
+        except ValueError as exc:
             raise ValueError(f"{cfg.sessions_path}: {exc}") from None
     if cfg.fleet_spec is not None:
         return tuple(sorted(_generated_fleet(cfg), key=lambda s: s.ev_id))

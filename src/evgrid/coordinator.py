@@ -37,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import fileio
-from .fleet import ENERGY_TOL_KWH, EvSession, FleetError
+from .fleet import ENERGY_TOL_KWH, EvSession
 from .scheduler import (
     ConvergenceTrace,
     SchedulerConfig,
@@ -46,10 +46,6 @@ from .scheduler import (
 )
 # unused here; kept because perfbench/traced.py wraps coordinator.solve_task
 from .scheduler import solve_task  # noqa: F401
-
-
-class CoordinatorError(ValueError):
-    pass
 
 
 EVENT_COLUMNS = ["slot", "kind", "ev_id", "bus_id", "t_start", "t_end",
@@ -69,21 +65,21 @@ def _event_row(row: list[str]) -> Event:
     values = {name: parse(cell) if cell else None
               for (name, cell), parse in zip(cells.items(), (int, int, int, float, float, float))}
     if kind not in _USED:
-        raise CoordinatorError(f"unknown event kind {kind!r}")
+        raise ValueError(f"unknown event kind {kind!r}")
     if slot < 0:
-        raise CoordinatorError(f"event slot {slot} is negative")
+        raise ValueError(f"event slot {slot} is negative")
     for name in ("energy_kwh", "p_max_kw", "d_max_kw"):
         if values[name] is not None and not math.isfinite(values[name]):
-            raise CoordinatorError(f"event for {ev_id!r}: {name} {values[name]!r} "
-                                   "is not finite")
+            raise ValueError(f"event for {ev_id!r}: {name} {values[name]!r} "
+                             "is not finite")
     if kind == "add_session" and None in values.values():
-        raise CoordinatorError(f"add_session event for {ev_id!r} is missing fields")
+        raise ValueError(f"add_session event for {ev_id!r} is missing fields")
     if kind == "update_energy" and values["energy_kwh"] is None:
-        raise CoordinatorError(f"update_energy event for {ev_id!r} needs energy_kwh")
+        raise ValueError(f"update_energy event for {ev_id!r} needs energy_kwh")
     unused = [name for name, cell in cells.items() if cell and name not in _USED[kind]]
     if unused:
-        raise CoordinatorError(f"{kind} event for {ev_id!r}: unused {unused[0]} must be "
-                               f"empty, got {cells[unused[0]]!r}")
+        raise ValueError(f"{kind} event for {ev_id!r}: unused {unused[0]} must be "
+                         f"empty, got {cells[unused[0]]!r}")
     if kind == "add_session":
         return slot, ev_id, EvSession(ev_id, **values)
     return slot, ev_id, values["energy_kwh"]
@@ -118,12 +114,12 @@ def schedule_events(events: list[Event], sessions, slots: int,
     by_step: dict[int, list[Event]] = {}
     for slot, ev_id, change in events:
         if slot >= slots:
-            raise CoordinatorError(f"event slot {slot} outside 0..{slots - 1}")
+            raise ValueError(f"event slot {slot} outside 0..{slots - 1}")
         if isinstance(change, EvSession):
             try:
                 change.validate_box(slots)
-            except FleetError as exc:
-                raise CoordinatorError(f"event at slot {slot}: {exc}") from None
+            except ValueError as exc:
+                raise ValueError(f"event at slot {slot}: {exc}") from None
         # an event lands at the first re-planning instant at or after its
         # slot, so slots committed earlier are never re-opened; events past
         # the final re-plan fold into the last step
@@ -137,12 +133,12 @@ def schedule_events(events: list[Event], sessions, slots: int,
         for slot, ev_id, change in by_step[step]:
             if isinstance(change, EvSession):
                 if ev_id in used:
-                    raise CoordinatorError(
+                    raise ValueError(
                         f"event at slot {slot}: ev_id {ev_id!r} already used")
                 live[ev_id] = change
                 used.add(ev_id)
             elif ev_id not in live:
-                raise CoordinatorError(f"event at slot {slot}: unknown ev_id {ev_id!r}")
+                raise ValueError(f"event at slot {slot}: unknown ev_id {ev_id!r}")
             elif change is None:
                 del live[ev_id]
             else:

@@ -21,10 +21,6 @@ KW_PER_MW = 1000.0
 ENERGY_TOL_KWH = 1e-9
 
 
-class FleetError(ValueError):
-    pass
-
-
 class EvSession(NamedTuple):
     """One EV's predicted availability window, demand, and rate bounds."""
 
@@ -43,7 +39,7 @@ class EvSession(NamedTuple):
         span = self.t_end - self.t_start
         lo, hi = self.d_max_kw * span * slot_hours, self.p_max_kw * span * slot_hours
         if not (lo - ENERGY_TOL_KWH <= self.energy_kwh <= hi + ENERGY_TOL_KWH):
-            raise FleetError(
+            raise ValueError(
                 f"session {self.ev_id}: energy {self.energy_kwh} kWh outside "
                 f"feasible interval [{lo}, {hi}] kWh"
             )
@@ -52,20 +48,20 @@ class EvSession(NamedTuple):
         """A non-empty window inside ``slots`` and finite rates with
         d_max <= 0 <= p_max."""
         if self.t_start >= self.t_end:
-            raise FleetError(f"session {self.ev_id}: window [{self.t_start}, {self.t_end}) "
+            raise ValueError(f"session {self.ev_id}: window [{self.t_start}, {self.t_end}) "
                              "is empty")
         if self.t_start < 0 or self.t_end > slots:
-            raise FleetError(
+            raise ValueError(
                 f"session {self.ev_id}: window [{self.t_start}, {self.t_end}) "
                 f"outside horizon of {slots} slots"
             )
         if not (math.isfinite(self.p_max_kw) and math.isfinite(self.d_max_kw)):
-            raise FleetError(
+            raise ValueError(
                 f"session {self.ev_id}: rate bounds must be finite, "
                 f"got [{self.d_max_kw}, {self.p_max_kw}]"
             )
         if self.p_max_kw < 0 or self.d_max_kw > 0:
-            raise FleetError(
+            raise ValueError(
                 f"session {self.ev_id}: rate bounds must satisfy "
                 f"d_max <= 0 <= p_max, got [{self.d_max_kw}, {self.p_max_kw}]"
             )
@@ -78,7 +74,7 @@ def check_sessions(sessions, slots: int, slot_hours: float) -> tuple[EvSession, 
     ids = [s.ev_id for s in sessions]
     if len(set(ids)) != len(ids):
         dupes = sorted({i for i in ids if ids.count(i) > 1})
-        raise FleetError(f"duplicate ev_id(s) in scenario: {dupes}")
+        raise ValueError(f"duplicate ev_id(s) in scenario: {dupes}")
     for s in sessions:
         s.validate(slots, slot_hours)
     return sessions

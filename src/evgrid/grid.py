@@ -29,10 +29,6 @@ from typing import NamedTuple
 import numpy as np
 
 
-class GridCaseError(ValueError):
-    """Malformed or inconsistent grid case; message carries the location."""
-
-
 class BusKind(enum.Enum):
     SWING = "swing"
     PV = "pv"
@@ -74,7 +70,7 @@ class GridCase(NamedTuple):
 
     def index_of(self, bus_id: int) -> int:
         if not 1 <= bus_id <= len(self.buses):
-            raise GridCaseError(f"unknown bus {bus_id}; bus ids are 1..{len(self.buses)}")
+            raise ValueError(f"unknown bus {bus_id}; bus ids are 1..{len(self.buses)}")
         return bus_id - 1
 
     @property
@@ -97,31 +93,31 @@ def validate_case(case: GridCase) -> None:
     ids = [b.id for b in case.buses]
     if len(set(ids)) != len(ids):
         dupes = sorted({i for i in ids if ids.count(i) > 1})
-        raise GridCaseError(f"duplicate bus id(s): {dupes}")
+        raise ValueError(f"duplicate bus id(s): {dupes}")
     if sorted(ids) != list(range(1, len(ids) + 1)):
-        raise GridCaseError(f"bus ids must be dense 1..{len(ids)}, got {sorted(ids)}")
+        raise ValueError(f"bus ids must be dense 1..{len(ids)}, got {sorted(ids)}")
 
     swings = [b.id for b in case.buses if b.kind is BusKind.SWING]
     if len(swings) != 1:
-        raise GridCaseError(f"exactly one swing bus required, found {swings or 'none'}")
+        raise ValueError(f"exactly one swing bus required, found {swings or 'none'}")
     for b in case.buses:
         if b.base_kv <= 0:
-            raise GridCaseError(f"bus {b.id}: base_kv must be positive, got {b.base_kv}")
+            raise ValueError(f"bus {b.id}: base_kv must be positive, got {b.base_kv}")
         if b.kind in (BusKind.SWING, BusKind.PV) and b.v_mag <= 0:
-            raise GridCaseError(f"bus {b.id}: {b.kind.value} setpoint v_mag must be positive")
+            raise ValueError(f"bus {b.id}: {b.kind.value} setpoint v_mag must be positive")
 
     known = set(ids)
     for k, br in enumerate(case.branches):
         where = f"branch {k + 1} ({br.from_bus}-{br.to_bus})"
         if br.from_bus == br.to_bus:
-            raise GridCaseError(f"{where}: from and to bus are identical")
+            raise ValueError(f"{where}: from and to bus are identical")
         for end in (br.from_bus, br.to_bus):
             if end not in known:
-                raise GridCaseError(f"{where}: endpoint references unknown bus {end}")
+                raise ValueError(f"{where}: endpoint references unknown bus {end}")
         if br.r == 0.0 and br.x == 0.0:
-            raise GridCaseError(f"{where}: zero series impedance")
+            raise ValueError(f"{where}: zero series impedance")
         if br.tap <= 0:
-            raise GridCaseError(f"{where}: tap must be positive, got {br.tap}")
+            raise ValueError(f"{where}: tap must be positive, got {br.tap}")
 
     if len(ids) > 1:
         seen = {ids[0]}
@@ -138,7 +134,7 @@ def validate_case(case: GridCase) -> None:
                     frontier.append(n)
         if seen != known:
             missing = sorted(known - seen)
-            raise GridCaseError(f"network is disconnected; unreachable bus(es): {missing}")
+            raise ValueError(f"network is disconnected; unreachable bus(es): {missing}")
 
 
 # --- case file parsing -------------------------------------------------------
@@ -154,7 +150,7 @@ def _finite(text: str) -> float:
 
 
 def parse_grid_case(text: str, name: str = "<case>") -> GridCase:
-    """Parse and check (``validate_case``) a case; raises GridCaseError with file:line."""
+    """Parse and check (``validate_case``) a case; raises ValueError with file:line."""
     s_base = None
     bus_rows: list[tuple[int, list[str]]] = []
     branch_rows: list[tuple[int, list[str]]] = []
@@ -168,43 +164,43 @@ def parse_grid_case(text: str, name: str = "<case>") -> GridCase:
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip().lower()
             if section not in ("system", "buses", "branches"):
-                raise GridCaseError(f"{loc}: unknown section [{section}]")
+                raise ValueError(f"{loc}: unknown section [{section}]")
             continue
         if section == "system":
             key, _, value = line.partition("=")
             if key.strip() != "s_base_mva" or not value.strip():
-                raise GridCaseError(f"{loc}: expected 's_base_mva = <MVA>', got {line!r}")
+                raise ValueError(f"{loc}: expected 's_base_mva = <MVA>', got {line!r}")
             if s_base is not None:
-                raise GridCaseError(f"{loc}: s_base_mva given twice")
+                raise ValueError(f"{loc}: s_base_mva given twice")
             try:
                 s_base = _finite(value)
                 if s_base <= 0:
                     raise ValueError(f"expected a positive number, got {value.strip()!r}")
             except ValueError as exc:
-                raise GridCaseError(f"{loc}: s_base_mva: {exc}") from None
+                raise ValueError(f"{loc}: s_base_mva: {exc}") from None
         elif section == "buses":
             bus_rows.append((lineno, line.split()))
         elif section == "branches":
             branch_rows.append((lineno, line.split()))
         else:
-            raise GridCaseError(f"{loc}: data before any section header")
+            raise ValueError(f"{loc}: data before any section header")
 
     if s_base is None:
-        raise GridCaseError(f"{name}: missing [system] s_base_mva")
+        raise ValueError(f"{name}: missing [system] s_base_mva")
     if not bus_rows:
-        raise GridCaseError(f"{name}: no buses defined")
+        raise ValueError(f"{name}: no buses defined")
 
     buses = []
     for lineno, cols in bus_rows:
         loc = f"{name}:{lineno}"
         if len(cols) != _BUS_COLUMNS:
-            raise GridCaseError(f"{loc}: bus row needs {_BUS_COLUMNS} columns, got {len(cols)}")
+            raise ValueError(f"{loc}: bus row needs {_BUS_COLUMNS} columns, got {len(cols)}")
         try:
             bus_id = int(cols[0])
             kind = BusKind(cols[1].lower())
             v_mag, angle_deg, p_mw, q_mvar, base_kv = map(_finite, cols[2:])
         except ValueError as exc:
-            raise GridCaseError(f"{loc}: {exc}") from None
+            raise ValueError(f"{loc}: {exc}") from None
         buses.append(
             Bus(
                 id=bus_id,
@@ -222,7 +218,7 @@ def parse_grid_case(text: str, name: str = "<case>") -> GridCase:
         loc = f"{name}:{lineno}"
         # the tap column may be omitted; off-nominal ratios are the exception
         if len(cols) not in (_BRANCH_COLUMNS - 1, _BRANCH_COLUMNS):
-            raise GridCaseError(
+            raise ValueError(
                 f"{loc}: branch row needs {_BRANCH_COLUMNS - 1} or "
                 f"{_BRANCH_COLUMNS} columns, got {len(cols)}"
             )
@@ -231,15 +227,15 @@ def parse_grid_case(text: str, name: str = "<case>") -> GridCase:
             r, x, b = map(_finite, cols[2:5])
             tap = _finite(cols[5]) if len(cols) == _BRANCH_COLUMNS else 1.0
         except ValueError as exc:
-            raise GridCaseError(f"{loc}: {exc}") from None
+            raise ValueError(f"{loc}: {exc}") from None
         branches.append(Branch(from_bus=f, to_bus=t, r=r, x=x, b_shunt=b, tap=tap))
 
     buses.sort(key=lambda b: b.id)
     case = GridCase(tuple(buses), tuple(branches), s_base)
     try:
         validate_case(case)
-    except GridCaseError as exc:
-        raise GridCaseError(f"{name}: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
     return case
 
 

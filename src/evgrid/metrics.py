@@ -29,10 +29,6 @@ from .grid import BusKind, GridCase
 from .powerflow import PowerFlowError, PowerFlowSolution, solve_power_flow
 
 
-class MetricsError(ValueError):
-    pass
-
-
 BASE_LOAD_HEADER = ["slot", "bus_id", "mw"]
 
 
@@ -50,7 +46,7 @@ class BaseLoadProfile(NamedTuple):
 def _base_load_row(cells: list[str]) -> tuple[int, int, float]:
     slot, bus_id, mw = int(cells[0]), int(cells[1]), float(cells[2])
     if not 0.0 <= mw < math.inf:
-        raise MetricsError(f"base load {mw} MW must be finite and non-negative")
+        raise ValueError(f"base load {mw} MW must be finite and non-negative")
     return slot, bus_id, mw
 
 
@@ -59,19 +55,19 @@ def read_base_load(path) -> BaseLoadProfile:
     rows = fileio.read_rows(path, BASE_LOAD_HEADER, _base_load_row)
     for slot, bus_id, mw in rows:
         if (slot, bus_id) in cells:
-            raise MetricsError(f"{path}: duplicate entry for slot {slot}, bus {bus_id}")
+            raise ValueError(f"{path}: duplicate entry for slot {slot}, bus {bus_id}")
         cells[(slot, bus_id)] = mw
     if not cells:
-        raise MetricsError(f"{path}: no base load rows")
+        raise ValueError(f"{path}: no base load rows")
     slots = sorted({s for s, _ in cells})
     bus_ids = sorted({b for _, b in cells})
     if slots != list(range(len(slots))):
-        raise MetricsError(f"{path}: slots must be contiguous from 0, got {slots[:5]}...")
+        raise ValueError(f"{path}: slots must be contiguous from 0, got {slots[:5]}...")
     mw = np.zeros((len(bus_ids), len(slots)))
     for k, bus_id in enumerate(bus_ids):
         for t in range(len(slots)):
             if (t, bus_id) not in cells:
-                raise MetricsError(f"{path}: missing entry for slot {t}, bus {bus_id}")
+                raise ValueError(f"{path}: missing entry for slot {t}, bus {bus_id}")
             mw[k, t] = cells[(t, bus_id)]
     return BaseLoadProfile(tuple(bus_ids), mw)
 
@@ -136,15 +132,15 @@ def solve_scenario(label: str, case: GridCase, base: BaseLoadProfile, ev_mw: np.
     """The EV load ``ev_mw`` (an ``aggregate_load`` array over ``base``,
     checked against ``case``) solved at the worst-case slot of its total with
     the base load, as the ``(slot, peak_mw, solution)`` that
-    ``compare_scenarios`` takes.  A failed power flow is a MetricsError that
-    names the ``label`` scenario and the slot."""
+    ``compare_scenarios`` takes.  A failed power flow is a PowerFlowError
+    that names the ``label`` scenario and the slot."""
     total = (base.mw + ev_mw).sum(axis=0)
     slot = int(np.argmax(total))
     try:
         solution = evaluate_grid_at_slot(case, base, ev_mw, slot, assumptions, tol, max_iter)
     except PowerFlowError as exc:
-        raise MetricsError(f"power flow failed for the {label} scenario at slot {slot}: "
-                           f"{exc}") from exc
+        raise PowerFlowError(f"power flow failed for the {label} scenario at slot {slot}: "
+                             f"{exc}") from exc
     return slot, float(total[slot]), solution
 
 

@@ -32,26 +32,7 @@ MIN_SINGULAR_VALUE = 1e-12
 
 
 class PowerFlowError(RuntimeError):
-    pass
-
-
-class NonConvergenceError(PowerFlowError):
-    def __init__(self, iterations: int, mismatch: float, tol: float):
-        self.iterations = iterations
-        self.mismatch = mismatch
-        super().__init__(
-            f"power flow did not converge in {iterations} iterations "
-            f"(mismatch {mismatch:.3e} pu, tol {tol:.1e} pu)"
-        )
-
-
-class SingularJacobianError(PowerFlowError):
-    def __init__(self, iteration: int, smallest: float):
-        self.iteration = iteration
-        super().__init__(
-            f"singular Jacobian at iteration {iteration}: "
-            f"smallest singular value {smallest:.3e}"
-        )
+    """A solve that did not converge or met a singular Jacobian."""
 
 
 class LineFlow(NamedTuple):
@@ -96,8 +77,8 @@ def solve_power_flow(case: GridCase, tol: float = 1e-8,
     """Newton-Raphson solve of ``case`` from a flat start, on the admittance
     matrix built from it.
 
-    Raises NonConvergenceError after ``max_iter`` updates or at the first
-    non-finite mismatch, and SingularJacobianError; on success the returned
+    Raises PowerFlowError after ``max_iter`` updates, at the first
+    non-finite mismatch, or at a singular Jacobian; on success the returned
     injections are the computed values at the solution state, and the flows
     those of every branch.
     """
@@ -124,12 +105,14 @@ def solve_power_flow(case: GridCase, tol: float = 1e-8,
             if max_mis <= tol:
                 break
             if iterations >= max_iter or not math.isfinite(max_mis):
-                raise NonConvergenceError(iterations, max_mis, tol)
+                raise PowerFlowError(f"power flow did not converge in {iterations} iterations "
+                                     f"(mismatch {max_mis:.3e} pu, tol {tol:.1e} pu)")
 
             jac = _jacobian(v_mag * np.exp(1j * v_angle), ybus, pvpq, pq)
             smallest = np.linalg.svd(jac, compute_uv=False)[-1]
             if smallest < MIN_SINGULAR_VALUE:
-                raise SingularJacobianError(iterations, smallest)
+                raise PowerFlowError(f"singular Jacobian at iteration {iterations}: "
+                                     f"smallest singular value {smallest:.3e}")
             dx = np.linalg.solve(jac, mismatch)
 
             n_ang = len(pvpq)

@@ -542,6 +542,9 @@ class TestPreflight:
           for value in (0.0, 1.5, float("nan"))),
         ("pv_mw", {"2": 10.0, "02": 50.0}, "pv_mw: bus id 2 given twice"),
         ("fleet", {"counts": {"5": 1, "05": 2}}, "fleet.counts: bus id 5 given twice"),
+        *(("scheduler", {key: 10**400},
+           f"scheduler.{key}: expected {what} in float range, got {10**400!r}")
+          for key, what in (("slots", "an integer"), ("slot_hours", "a number"))),
     ])
     def test_wrong_typed_value_names_its_key(self, tmp_path, capsys, no_horizon, section,
                                              values, message):

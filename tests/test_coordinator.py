@@ -14,7 +14,6 @@ from evgrid import coordinator, fileio, scheduler
 from evgrid.cli import load_run_config, preflight
 from evgrid.coordinator import (
     EVENT_COLUMNS,
-    CoordinatorError,
     read_events,
     run_receding_horizon,
     schedule_events,
@@ -201,7 +200,7 @@ class TestRecedingHorizon:
     def test_add_existing_id_rejected(self):
         sessions = self.base_sessions()
         event = added(6, "e1", 5, 9, 16, 5.0)
-        with pytest.raises(CoordinatorError, match="already used"):
+        with pytest.raises(ValueError, match="already used"):
             by_step([event], sessions, 4)
 
     def test_remove_session_event(self):
@@ -224,7 +223,7 @@ class TestRecedingHorizon:
         sessions = self.base_sessions()
         for change in (1.0, None):
             event = (7, "ghost", change)
-            with pytest.raises(CoordinatorError, match="unknown ev_id 'ghost'"):
+            with pytest.raises(ValueError, match="unknown ev_id 'ghost'"):
                 by_step([event], sessions, 4)
 
     def test_infeasible_update_clamped_and_flagged(self):
@@ -274,7 +273,7 @@ class TestRecedingHorizon:
 
     def test_event_slot_bounds_checked(self):
         event = (16, "e1", None)
-        with pytest.raises(CoordinatorError, match="outside 0..15"):
+        with pytest.raises(ValueError, match="outside 0..15"):
             by_step([event], self.base_sessions(), 4)
 
     @pytest.mark.parametrize("t_start,t_end", [(-1, 8), (9, 17), (9, 9), (10, 9)])
@@ -282,14 +281,14 @@ class TestRecedingHorizon:
         event = added(6, "late", 5, t_start, t_end, 1.0)
         # an empty window is named as such, wherever it lies
         what = "is empty" if t_start >= t_end else "outside horizon of 16 slots"
-        with pytest.raises(CoordinatorError, match=(
+        with pytest.raises(ValueError, match=(
                 rf"event at slot 6: session late: window \[{t_start}, {t_end}\) {what}")):
             by_step([event], self.base_sessions(), 4)
 
     @pytest.mark.parametrize("p_max,d_max", [(-3.0, -6.6), (6.6, 1.0), (-300.0, -200.0)])
     def test_added_rate_bounds_rejected(self, p_max, d_max):
         event = added(6, "late", 5, 8, 12, 1.0, p_max, d_max)
-        with pytest.raises(CoordinatorError, match=(
+        with pytest.raises(ValueError, match=(
                 rf"event at slot 6: session late: rate bounds must satisfy "
                 rf"d_max <= 0 <= p_max, got \[{d_max}, {p_max}\]")):
             by_step([event], self.base_sessions(), 4)
@@ -300,7 +299,7 @@ class TestRecedingHorizon:
         the session the event adds."""
         ghost = (1, "ghost", None)
         bad = added(10, "late", 5, 8, 12, 1.0, p_max_kw=-3.0)
-        with pytest.raises(CoordinatorError, match="event at slot 10: session late: rate"):
+        with pytest.raises(ValueError, match="event at slot 10: session late: rate"):
             by_step([ghost, bad], self.base_sessions(), 4)
         good = added(10, "late", 5, 8, 12, 1.0)
         [(ev_id, session)] = by_step([good], self.base_sessions(), 4)[3]

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from conftest import assert_identical, cell_text, file_ints, finite_floats, make_session, round_trip
 from evgrid.fleet import (
     EvSession,
-    FleetError,
     FleetSpec,
     check_sessions,
     generate_fleet,
@@ -60,29 +59,32 @@ class TestEvSession:
 
     @pytest.mark.parametrize("start,end", [(-1, 10), (10, 10), (12, 10), (90, 100)])
     def test_bad_window_rejected(self, start, end):
-        with pytest.raises(FleetError):
+        why = "is empty" if start >= end else "outside horizon of 96 slots"
+        with pytest.raises(ValueError) as info:
             make_session(t_start=start, t_end=end).validate(96, 0.25)
+        assert str(info.value) == f"session ev1: window [{start}, {end}) {why}"
 
     def test_energy_above_reachable_rejected(self):
         # 8 slots x 0.25 h x 6.6 kW = 13.2 kWh max
-        with pytest.raises(FleetError, match="energy"):
+        with pytest.raises(ValueError, match="energy"):
             make_session(energy_kwh=13.3).validate(96, 0.25)
 
     def test_energy_below_reachable_rejected(self):
-        with pytest.raises(FleetError, match="energy"):
+        with pytest.raises(ValueError, match="energy"):
             make_session(energy_kwh=-13.3).validate(96, 0.25)
 
     def test_rate_signs_enforced(self):
-        with pytest.raises(FleetError):
+        signs = r"session ev1: rate bounds must satisfy d_max <= 0 <= p_max, got "
+        with pytest.raises(ValueError, match=signs + r"\[-6\.6, -1\.0\]$"):
             make_session(p_max_kw=-1.0).validate(96, 0.25)
-        with pytest.raises(FleetError):
+        with pytest.raises(ValueError, match=signs + r"\[1\.0, 6\.6\]$"):
             make_session(d_max_kw=1.0).validate(96, 0.25)
 
     @pytest.mark.parametrize("rates", [{"p_max_kw": float("inf")},
                                        {"d_max_kw": float("-inf")},
                                        {"p_max_kw": float("nan")}])
     def test_rates_must_be_finite(self, rates):
-        with pytest.raises(FleetError, match="rate bounds must be finite"):
+        with pytest.raises(ValueError, match="rate bounds must be finite"):
             make_session(**rates).validate(96, 0.25)
 
     def test_net_discharge_session_allowed(self):
@@ -130,7 +132,7 @@ class TestGenerateFleet:
 
     def test_duplicate_ids_rejected_by_scenario(self):
         s = make_session()
-        with pytest.raises(FleetError, match="duplicate"):
+        with pytest.raises(ValueError, match="duplicate"):
             check_sessions((s, s), 96, 0.25)
 
 

@@ -10,7 +10,6 @@ from evgrid.grid import (
     Bus,
     BusKind,
     GridCase,
-    GridCaseError,
     build_admittance_matrix,
     load_grid_case,
     parse_grid_case,
@@ -56,12 +55,12 @@ class TestCaseParsing:
         assert case.branches[0].tap == 1.0
 
     def test_dangling_endpoint_names_bus(self):
-        with pytest.raises(GridCaseError, match="99"):
+        with pytest.raises(ValueError, match="99"):
             parse_grid_case(minimal_case("1  99  0.0  0.1  0.0"))
 
     def test_duplicate_bus_id_rejected(self):
         text = minimal_case().replace("2  pq", "1  pq")
-        with pytest.raises(GridCaseError, match="bus id"):
+        with pytest.raises(ValueError, match="bus id"):
             parse_grid_case(text)
 
     def test_disconnected_network_rejected(self):
@@ -77,15 +76,15 @@ s_base_mva = 100.0
 [branches]
 1  2  0.0  0.1  0.0  1.0
 """
-        with pytest.raises(GridCaseError, match="connect"):
+        with pytest.raises(ValueError, match="connect"):
             parse_grid_case(text)
 
     def test_zero_impedance_branch_rejected(self):
-        with pytest.raises(GridCaseError, match="impedance"):
+        with pytest.raises(ValueError, match="impedance"):
             parse_grid_case(minimal_case("1  2  0.0  0.0  0.0"))
 
     def test_malformed_row_reports_location(self):
-        with pytest.raises(GridCaseError, match="branch"):
+        with pytest.raises(ValueError, match="branch"):
             parse_grid_case(minimal_case("1  2  0.0"))
 
     @pytest.mark.parametrize("old,new,message", [
@@ -96,20 +95,20 @@ s_base_mva = 100.0
         ("0.1  0.0", "0.1  0.0  -inf", "<case>:10: expected a finite number, got '-inf'"),
     ])
     def test_non_finite_number_located(self, old, new, message):
-        with pytest.raises(GridCaseError) as info:
+        with pytest.raises(ValueError) as info:
             parse_grid_case(minimal_case().replace(old, new))
         assert str(info.value) == message
 
     @pytest.mark.parametrize("value", ["0", "-100.0"])
     def test_non_positive_s_base_located(self, value):
         # the bus injections are divided by it, so a zero must fail at its line
-        with pytest.raises(GridCaseError) as info:
+        with pytest.raises(ValueError) as info:
             parse_grid_case(minimal_case().replace("s_base_mva = 100.0", f"s_base_mva = {value}"))
         assert str(info.value) == f"<case>:3: s_base_mva: expected a positive number, got '{value}'"
 
     def test_unknown_kind_rejected(self):
         text = minimal_case().replace("2  pq", "2  load")
-        with pytest.raises(GridCaseError, match="load"):
+        with pytest.raises(ValueError, match="load"):
             parse_grid_case(text)
 
     def test_missing_file_reports_path(self, tmp_path):
@@ -121,32 +120,33 @@ s_base_mva = 100.0
 class TestCaseValidation:
     def test_two_swing_buses_rejected(self):
         text = minimal_case().replace("2  pq", "2  swing")
-        with pytest.raises(GridCaseError, match="swing"):
+        with pytest.raises(ValueError, match="swing"):
             parse_grid_case(text)
 
     def test_no_swing_bus_rejected(self):
         text = minimal_case().replace("1  swing", "1  pq")
-        with pytest.raises(GridCaseError, match="swing"):
+        with pytest.raises(ValueError, match="swing"):
             parse_grid_case(text)
 
     def test_nonpositive_setpoint_rejected(self):
         text = minimal_case().replace("1  swing  1.0", "1  swing  0.0")
-        with pytest.raises(GridCaseError, match="v_mag"):
+        with pytest.raises(ValueError, match="v_mag"):
             parse_grid_case(text)
 
     def test_nonpositive_base_kv_rejected(self):
         text = minimal_case().replace("1  swing  1.0  0.0  0.0  0.0  230.0",
                                       "1  swing  1.0  0.0  0.0  0.0  0.0")
-        with pytest.raises(GridCaseError) as info:
+        with pytest.raises(ValueError) as info:
             parse_grid_case(text)
         assert str(info.value) == "<case>: bus 1: base_kv must be positive, got 0.0"
 
     def test_self_loop_rejected(self):
-        with pytest.raises(GridCaseError):
+        with pytest.raises(ValueError) as info:
             parse_grid_case(minimal_case("1  1  0.0  0.1  0.0"))
+        assert str(info.value) == "<case>: branch 1 (1-1): from and to bus are identical"
 
     def test_nonpositive_tap_rejected(self):
-        with pytest.raises(GridCaseError, match="tap"):
+        with pytest.raises(ValueError, match="tap"):
             parse_grid_case(minimal_case("1  2  0.0  0.1  0.0  0.0"))
 
 
@@ -157,9 +157,9 @@ class TestBusLookup:
 
     @pytest.mark.parametrize("bus_id", [0, 10, -1])
     def test_out_of_range_id_rejected(self, wscc_case, bus_id):
-        with pytest.raises(GridCaseError, match=f"unknown bus {bus_id}"):
+        with pytest.raises(ValueError, match=f"unknown bus {bus_id}"):
             wscc_case.bus(bus_id)
-        with pytest.raises(GridCaseError, match=f"unknown bus {bus_id}"):
+        with pytest.raises(ValueError, match=f"unknown bus {bus_id}"):
             wscc_case.index_of(bus_id)
 
 

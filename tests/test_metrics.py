@@ -17,7 +17,6 @@ from evgrid.grid import BusKind
 from evgrid.metrics import (
     BASE_LOAD_HEADER,
     BaseLoadProfile,
-    MetricsError,
     ReactiveAssumptions,
     aggregate_load,
     compare_scenarios,
@@ -26,7 +25,7 @@ from evgrid.metrics import (
     render_report,
     solve_scenario,
 )
-from evgrid.powerflow import solve_power_flow
+from evgrid.powerflow import PowerFlowError, solve_power_flow
 from oracles import reference_aggregate
 
 
@@ -73,19 +72,19 @@ class TestBaseLoadProfile:
     def test_read_rejects_empty(self, tmp_path):
         path = tmp_path / "base.csv"
         path.write_text("slot,bus_id,mw\n")
-        with pytest.raises(MetricsError, match="no base load rows"):
+        with pytest.raises(ValueError, match="no base load rows"):
             read_base_load(path)
 
     def test_read_rejects_gap_in_slots(self, tmp_path):
         path = tmp_path / "base.csv"
         path.write_text("slot,bus_id,mw\n0,5,10\n2,5,11\n")
-        with pytest.raises(MetricsError, match="contiguous"):
+        with pytest.raises(ValueError, match="contiguous"):
             read_base_load(path)
 
     def test_read_rejects_missing_cell(self, tmp_path):
         path = tmp_path / "base.csv"
         path.write_text("slot,bus_id,mw\n0,5,10\n0,7,12\n1,5,11\n")
-        with pytest.raises(MetricsError, match="missing entry for slot 1, bus 7"):
+        with pytest.raises(ValueError, match="missing entry for slot 1, bus 7"):
             read_base_load(path)
 
     def test_read_locates_an_unparsable_cell(self, tmp_path):
@@ -97,7 +96,7 @@ class TestBaseLoadProfile:
     def test_read_rejects_duplicate_cell(self, tmp_path):
         path = tmp_path / "base.csv"
         path.write_text("slot,bus_id,mw\n0,5,10\n0,5,11\n")
-        with pytest.raises(MetricsError, match="duplicate entry"):
+        with pytest.raises(ValueError, match="duplicate entry"):
             read_base_load(path)
 
 
@@ -336,7 +335,7 @@ class TestCompareScenarios:
 
     def test_divergent_power_flow_reported_with_label(self, wscc_case):
         base = constant_base({5: 5000.0}, slots=2)
-        with pytest.raises(MetricsError,
+        with pytest.raises(PowerFlowError,
                            match="uncoordinated scenario at slot 0"):
             compare(wscc_case, base, [], [])
 

@@ -9,8 +9,7 @@ import oracles
 from conftest import two_bus_case
 from evgrid.grid import Branch, Bus, BusKind, GridCase, build_admittance_matrix
 from evgrid.powerflow import (
-    NonConvergenceError,
-    SingularJacobianError,
+    PowerFlowError,
     _injections,
     _jacobian,
     amps_per_unit,
@@ -135,21 +134,19 @@ class TestSolvePowerFlow:
             assert b <= 10.0 * a * a
 
     def test_non_convergence_reports_mismatch(self, wscc_case):
-        with pytest.raises(NonConvergenceError, match="mismatch"):
+        with pytest.raises(PowerFlowError, match="mismatch"):
             solve_power_flow(wscc_case, tol=1e-12, max_iter=1)
 
     def test_singular_jacobian_reports_smallest_singular_value(self):
         # a near-open branch decouples bus 2: the flat-start Jacobian is
         # diag(1/x, 1/x), whose smallest singular value is 1e-15
-        with pytest.raises(SingularJacobianError) as err:
+        with pytest.raises(PowerFlowError) as err:
             solve_power_flow(two_bus_case(p_inj_mw=-50.0, x=1e15))
-        assert err.value.iteration == 0
         assert str(err.value) == ("singular Jacobian at iteration 0: "
                                   "smallest singular value 1.000e-15")
         # a less open branch passes the check at flat start but not after a step
-        with pytest.raises(SingularJacobianError) as err:
+        with pytest.raises(PowerFlowError, match="^singular Jacobian at iteration 1: "):
             solve_power_flow(two_bus_case(p_inj_mw=-50.0, x=1e12))
-        assert err.value.iteration == 1
 
 
 def assert_jacobian_matches_finite_differences(case, v_mag, v_angle):

@@ -21,7 +21,14 @@ path:
   seed 1: the desk config of PARENT without its ``sessions`` and
   ``events`` keys, with 6,667/6,667/6,666 EVs at buses 5/7/9,
   ``energy_kwh_range`` [2, 5.5] and +/-7 kW chargers, written into the
-  temporary directory with absolute case and base-load paths.
+  temporary directory with absolute case and base-load paths;
+* four failing desk ``simulate`` runs, each on a copy of the desk config
+  whose one broken input is written into the temporary directory: a
+  session whose energy is out of reach, an event that removes an unknown
+  ev_id, a base load missing its slot 0 entry for bus 7, and a case with a
+  branch to an unknown bus;
+* a failing ``powerflow`` on a two-bus case whose branch has x = 1e15 pu,
+  so that its Jacobian is singular at the flat start.
 
 Every file a run writes under ``-o``, its stdout, its stderr and its exit
 status must be the same bytes in both checkouts.  The script runs every
@@ -48,6 +55,26 @@ from pathlib import Path
 DESK_CONFIG = "src/evgrid/data/desk/config.json"
 CASE = "src/evgrid/data/wscc9.case"
 GENERATED = [("replan", 1), ("replan", 2), ("compare-20k", 1)]
+# each failing simulate run: its label, the desk input it breaks, and the
+# broken file's lines made from the desk file's lines
+BROKEN_DESK = [
+    ("session energy out of reach", "sessions",
+     lambda lines: [lines[0], "b5e0000,5,16,96,5000.0,200.0,-200.0\n", *lines[2:]]),
+    ("event removing an unknown ev_id", "events",
+     lambda lines: [*lines, "30,remove_session,ghost,,,,,,\n"]),
+    ("base load missing an entry", "base_load", lambda lines: lines[:2] + lines[3:]),
+    ("case branch to an unknown bus", "case", lambda lines: [*lines, "9  10  0.0  0.1  0.0\n"]),
+]
+SINGULAR_CASE = """[system]
+s_base_mva = 100.0
+
+[buses]
+1  swing  1.0  0.0  0.0    0.0  230.0
+2  pq     1.0  0.0  -50.0  0.0  230.0
+
+[branches]
+1  2  0.0  1e15  0.0  1.0
+"""
 
 
 def load_workloads(root: Path):
@@ -79,16 +106,41 @@ def runs(parent: Path, work: Path) -> list[tuple[str, list[str]]]:
     fleet_20k = str(fleet_20k_config(parent, work))
     todo.append(("generated fleet N = 20,000 simulate, seed 1", ["simulate", "-c", fleet_20k]))
     todo.append(("generated fleet N = 20,000 gen-fleet, seed 1", ["gen-fleet", "-c", fleet_20k]))
+    for label, key, lines in BROKEN_DESK:
+        todo.append((f"desk simulate, {label}",
+                     ["simulate", "-c", str(broken_desk_config(parent, work, key, lines))]))
+    singular = work / "singular.case"
+    singular.write_text(SINGULAR_CASE)
+    todo.append(("powerflow, singular Jacobian", ["powerflow", "--case", str(singular)]))
     return todo
+
+
+def desk_config(parent: Path) -> dict:
+    """The desk config of ``parent``, with absolute input paths."""
+    desk = parent / DESK_CONFIG
+    cfg = json.loads(desk.read_text())
+    for key in ("case", "base_load", "sessions", "events"):
+        cfg[key] = str((desk.parent / cfg[key]).resolve())
+    return cfg
+
+
+def broken_desk_config(parent: Path, work: Path, key: str, lines) -> Path:
+    """Write into ``work`` a desk config whose ``key`` input is the desk
+    file rewritten by ``lines``, and that input."""
+    cfg = desk_config(parent)
+    source = Path(cfg[key])
+    broken = work / f"broken-{key}{source.suffix}"
+    broken.write_text("".join(lines(source.read_text().splitlines(keepends=True))))
+    cfg[key] = str(broken)
+    path = work / f"broken-{key}.json"
+    path.write_text(json.dumps(cfg, indent=2))
+    return path
 
 
 def fleet_20k_config(parent: Path, work: Path) -> Path:
     """Write the N = 20,000 generated-fleet config into ``work``."""
-    desk = parent / DESK_CONFIG
-    cfg = json.loads(desk.read_text())
+    cfg = desk_config(parent)
     del cfg["sessions"], cfg["events"]
-    for key in ("case", "base_load"):
-        cfg[key] = str((desk.parent / cfg[key]).resolve())
     cfg["seed"] = 1
     cfg["fleet"].update(counts={"5": 6667, "7": 6667, "9": 6666},
                         energy_kwh_range=[2.0, 5.5], p_max_kw=7.0, d_max_kw=-7.0)
