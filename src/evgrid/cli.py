@@ -52,8 +52,9 @@ _RULES = {
     "seed": (int, ("a non-negative integer", lambda v: v >= 0)),
     "horizon_steps": (int,), "slot": (int,),
     "scheduler": (dict,),
-    **dict.fromkeys(("scheduler.lambda", "scheduler.epsilon", "scheduler.slot_hours"),
-                    (float, _POSITIVE)),
+    # above 0.5, each round's step lowers the flattening objective
+    "scheduler.lambda": (float, _POSITIVE, ("above 0.5", lambda v: v > 0.5)),
+    **dict.fromkeys(("scheduler.epsilon", "scheduler.slot_hours"), (float, _POSITIVE)),
     **dict.fromkeys(("scheduler.max_iterations", "scheduler.slots"), (int, _POSITIVE)),
     "power_flow": (dict,), "power_flow.tol": (float, _POSITIVE),
     "power_flow.max_iter": (int, _AT_LEAST_1),
@@ -329,12 +330,13 @@ def preflight(cfg: RunConfig, command: str) -> Inputs:
 
 
 def _checked_blocks(path, base: metrics.BaseLoadProfile):
-    """The ``(bus_ids, profiles_kw)`` blocks of one schedule file, each
-    checked against the base load before it is summed."""
-    for _, bus_ids, profiles_kw in fileio.read_schedule_blocks(path):
-        if profiles_kw.shape[1] != base.slots:
-            raise ValueError(f"{path}: {profiles_kw.shape[1]} slots, "
-                             f"base load has {base.slots}")
+    """The ``(bus_ids, profiles_kw)`` blocks of one schedule file, whose
+    header must have the base load's slots, each block checked against the
+    base load's buses before it is summed."""
+    slots, blocks = fileio.read_schedule_blocks(path)
+    if slots != base.slots:
+        raise ValueError(f"{path}: {slots} slots, base load has {base.slots}")
+    for _, bus_ids, profiles_kw in blocks:
         _on_load_buses(path, bus_ids, base)
         yield bus_ids, profiles_kw
 

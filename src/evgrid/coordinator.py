@@ -25,7 +25,8 @@ when an update changes the active set or a target.  Every step checks
 reachability over all rows at once and flags the unreachable targets.  The
 first step and each step with updates hand the bounds and targets to the
 fixed point as they are (an unreachable target gets its nearer bound row
-there); any other step keeps its last profiles.  Every step commits its block
+there), and flag a fixed point that did not converge and each of its
+diagnostics; any other step keeps its last profiles.  Every step commits its block
 in one array operation and pins that block into the bounds in place.
 """
 
@@ -226,6 +227,7 @@ def run_receding_horizon(config: SchedulerConfig, base_load_mw: np.ndarray,
                     f"step {tau}: fixed point not converged after "
                     f"{trace.iterations} iterations (residual {trace.residuals[-1]!r})"
                 )
+            flags.extend(f"step {tau}: {line}" for line in trace.diagnostics)
             profiles[rows] = result.profiles_kw
         else:
             # nothing changed: the last profiles, and their signal, still stand

@@ -114,24 +114,10 @@ def write_schedules(path, ev_ids: list[str], bus_ids: list[int],
 _BLOCK_ROWS = 2048
 
 
-def read_schedule_blocks(path) -> Iterator[tuple[list[str], list[int], np.ndarray]]:
-    """``(ev_ids, bus_ids, profiles_kw)`` for consecutive blocks of at most
-    ``_BLOCK_ROWS`` rows, in file order; a file with no rows yields none."""
-    return _schedule_blocks(path)[1]
-
-
-def read_schedules(path) -> tuple[list[str], list[int], np.ndarray]:
-    slots, blocks = _schedule_blocks(path)
-    ev_ids, bus_ids, profiles = [], [], [np.zeros((0, slots))]
-    for block_ids, block_buses, block_kw in blocks:
-        ev_ids += block_ids
-        bus_ids += block_buses
-        profiles.append(block_kw)
-    return ev_ids, bus_ids, np.concatenate(profiles)
-
-
-def _schedule_blocks(path) -> tuple[int, Iterator]:
-    """The slot count from the header, and the row blocks still to be read."""
+def read_schedule_blocks(path) -> tuple[int, Iterator[tuple[list[str], list[int], np.ndarray]]]:
+    """The slot count from the header, and the ``(ev_ids, bus_ids,
+    profiles_kw)`` of consecutive blocks of at most ``_BLOCK_ROWS`` rows
+    still to be read, in file order; a file with no rows yields none."""
     header, rows = read_table(path)
     slots = len(header) - 2
     if slots < 0 or header != schedule_header(slots):
@@ -142,6 +128,16 @@ def _schedule_blocks(path) -> tuple[int, Iterator]:
             yield _parse_schedule_rows(path, block, slots)
 
     return slots, blocks()
+
+
+def read_schedules(path) -> tuple[list[str], list[int], np.ndarray]:
+    slots, blocks = read_schedule_blocks(path)
+    ev_ids, bus_ids, profiles = [], [], [np.zeros((0, slots))]
+    for block_ids, block_buses, block_kw in blocks:
+        ev_ids += block_ids
+        bus_ids += block_buses
+        profiles.append(block_kw)
+    return ev_ids, bus_ids, np.concatenate(profiles)
 
 
 def _parse_schedule_rows(path, rows, slots: int) -> tuple[list[str], list[int], np.ndarray]:

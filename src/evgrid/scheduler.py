@@ -49,7 +49,7 @@ ENERGY_TOL = ENERGY_TOL_KWH / KW_PER_MW
 
 
 class SchedulerConfig(NamedTuple):
-    # every field is finite and positive (checked by ``cli._RULES``)
+    # every field is finite and positive, and lam above 0.5 (checked by ``cli._RULES``)
     lam: float = 2.0                 # control-signal tuning parameter
     epsilon: float = 1e-3            # convergence threshold on the signal, MW scale
     max_iterations: int = 200
@@ -189,34 +189,22 @@ class FixedPointResult(NamedTuple):
 
 
 def run_fixed_point(config: SchedulerConfig, base_load_mw: np.ndarray,
-                    bounds_kw: np.ndarray, energy_kwh, start_kw: np.ndarray,
-                    respond=None) -> FixedPointResult:
+                    bounds_kw: np.ndarray, energy_kwh, start_kw: np.ndarray) -> FixedPointResult:
     """Iterate broadcast/gather until the signal residual drops below epsilon.
 
     Station k has the kW bounds ``bounds_kw[k]`` = (lo, hi), the energy
     target ``energy_kwh[k]`` and the starting profile ``start_kw[k]``
     (length T); a target out of reach gets the nearer bound row.  With no
-    stations there is nothing to broadcast: the trace has no round.
-
-    ``respond(signal, profiles_kw)`` returns the next round's kW profiles;
-    the default overwrites the array it is given (this function's own copy
-    of ``start_kw``), and a substitute may return a new one.
+    stations there is nothing to broadcast: the trace has no round.  Each
+    round every station answers the signal in place, on this call's own copy
+    of ``start_kw``, through ``_project`` in MW.
     """
     n = len(bounds_kw)
-    if respond is None:
-        # prepared before the copy of the profiles, which this call returns: the copy
-        # then sits above the stations on the heap, and freeing them leaves no top to trim
-        stations = prepare_stations(bounds_kw / KW_PER_MW,
-                                    np.asarray(energy_kwh, dtype=float) / KW_PER_MW,
-                                    config.slot_hours)
-
-        def respond(signal, profiles_kw):
-            np.divide(profiles_kw, KW_PER_MW, out=profiles_kw)
-            profiles_kw -= signal
-            _project(stations, profiles_kw)
-            profiles_kw *= KW_PER_MW
-            return profiles_kw
-
+    # prepared before the copy of the profiles, which this call returns: the copy
+    # then sits above the stations on the heap, and freeing them leaves no top to trim
+    stations = prepare_stations(bounds_kw / KW_PER_MW,
+                                np.asarray(energy_kwh, dtype=float) / KW_PER_MW,
+                                config.slot_hours)
     # a copy even of a fresh array (the horizon's profiles[rows]): np.asarray
     # here doubled the horizon's minor page faults on desk and replan
     profiles = np.array(start_kw, dtype=float)
@@ -234,7 +222,10 @@ def run_fixed_point(config: SchedulerConfig, base_load_mw: np.ndarray,
     iterations = 0
 
     while iterations < config.max_iterations:
-        profiles = respond(signal, profiles)
+        np.divide(profiles, KW_PER_MW, out=profiles)
+        profiles -= signal
+        _project(stations, profiles)
+        profiles *= KW_PER_MW
         iterations += 1
         total = total_load_mw(base_load_mw, profiles)
         new_signal = total / (config.lam * n)

@@ -388,6 +388,8 @@ def reference_horizon(config: SchedulerConfig, base_load_mw: np.ndarray,
                     f"{trace.iterations} iterations "
                     f"(residual {trace.residuals[-1]!r})"
                 )
+            for line in trace.diagnostics:
+                flags.append(f"step {tau}: {line}")
         else:
             # no round: the stored profiles stand, and their signal is the
             # last step's, so it moved by exactly zero

@@ -433,15 +433,20 @@ class TestPreflight:
 
     def test_schedule_off_the_base_load(self, tmp_path, capsys):
         config = small_inputs(tmp_path)
-        good, stray, short = (tmp_path / n for n in ("good.csv", "stray.csv", "short.csv"))
+        good, stray, short, narrow = (tmp_path / n for n in ("good.csv", "stray.csv",
+                                                              "short.csv", "narrow.csv"))
         write_schedules(good, ["a"], [5], np.ones((1, 16)))
         write_schedules(stray, ["a"], [4], np.ones((1, 16)))
         write_schedules(short, ["a"], [5], np.ones((1, 15)))
+        # no rows: the header alone sets the width
+        write_schedules(narrow, [], [], np.ones((0, 1)))
         argv = ["compare", "-c", str(config), "--uncoordinated", str(good)]
         fails_before_any_work(tmp_path, capsys, argv + ["--coordinated", str(stray)],
                               "stray.csv: EVs on bus(es) [4]")
         fails_before_any_work(tmp_path, capsys, argv + ["--coordinated", str(short)],
                               "short.csv: 15 slots, base load has 16")
+        fails_before_any_work(tmp_path, capsys, argv + ["--coordinated", str(narrow)],
+                              "narrow.csv: 1 slots, base load has 16")
 
     def test_snapshot_slot_outside_the_base_load(self, tmp_path, capsys):
         config = small_inputs(tmp_path)
@@ -501,6 +506,19 @@ class TestPreflight:
         argv = ["simulate", "-c", str(DESK_DIR / "config.json"), flag, value]
         fails_before_any_work(tmp_path, capsys, argv, f"config.json: scheduler.{flag[2:]}: "
                               f"expected a finite positive number, got {value}")
+
+    def test_lambda_at_most_half_rejected(self, tmp_path, capsys, no_horizon):
+        # at or below 0.5 the fixed point need not lower the objective
+        argv = ["simulate", "-c", str(DESK_DIR / "config.json"), "--lambda", "0.5"]
+        fails_before_any_work(tmp_path, capsys, argv,
+                              "config.json: scheduler.lambda: expected above 0.5, got 0.5")
+
+    def test_lambda_above_half_runs(self, tmp_path, capsys):
+        config = small_inputs(tmp_path)
+        out = tmp_path / "out"
+        assert main(["schedule", "-c", str(config), "--lambda", "0.55", "-o", str(out)]) == 0
+        out_text = capsys.readouterr().out
+        assert out_text.startswith("converged after ") and "note:" not in out_text
 
     def test_empty_schedule_file(self, tmp_path, capsys):
         config = small_inputs(tmp_path)
@@ -709,7 +727,8 @@ class TestSchedulesFile:
         lines = path.read_text().splitlines()
         lines[5] = ",".join(edit(lines[5].split(",")))
         path.write_text("\n".join(lines) + "\n")
-        blocks = read_schedule_blocks(path)
+        slots, blocks = read_schedule_blocks(path)
+        assert slots == 3
         assert [ids for ids, _, _ in itertools.islice(blocks, 2)] == [["a", "b"], ["c", "d"]]
         with pytest.raises(ValueError, match=message):
             next(blocks)
@@ -735,7 +754,8 @@ class TestSchedulesFile:
     def test_header_only_file_has_no_evs(self, tmp_path, text):
         path = tmp_path / "s.csv"
         path.write_text(text)
-        assert list(read_schedule_blocks(path)) == []
+        slots, blocks = read_schedule_blocks(path)
+        assert (slots, list(blocks)) == (text.count("kw_"), [])
         ids, buses, kw = read_schedules(path)
         assert (ids, buses, kw.shape) == ([], [], (0, text.count("kw_")))
 

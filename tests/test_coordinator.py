@@ -18,7 +18,7 @@ from evgrid.coordinator import (
     run_receding_horizon,
     schedule_events,
 )
-from evgrid.fleet import EvSession, check_sessions
+from evgrid.fleet import KW_PER_MW, EvSession, check_sessions
 from evgrid.scheduler import run_until_converged
 
 
@@ -253,6 +253,27 @@ class TestRecedingHorizon:
                                       self.base_sessions(), steps=2)
         assert any("not converged" in f for f in result.flags)
         assert any(not t.converged for t in result.step_traces)
+
+    def test_objective_increase_flagged(self, monkeypatch):
+        # a scripted response raises the objective on round 2 of step 0: the
+        # fixed point's diagnostic follows its not-converged flag
+        scripted = iter([np.array([[3.3, 3.3, 3.3, 3.3]]), np.array([[6.6, 6.6, 0.0, 0.0]])])
+
+        def scripted_project(stations, p):
+            p[:] = next(scripted) / KW_PER_MW
+
+        monkeypatch.setattr(scheduler, "_project", scripted_project)
+        session = make_session(t_start=0, t_end=4, energy_kwh=3.3)
+        result = run_receding_horizon(small_config(slots=4, max_iterations=2),
+                                      np.full(4, 50.0), sessions_of(session, slots=4), steps=2)
+        trace = result.step_traces[0]
+        assert len(trace.diagnostics) == 1
+        assert result.flags == (
+            f"step 0: fixed point not converged after 2 iterations "
+            f"(residual {trace.residuals[-1]!r})",
+            f"step 0: flattening objective increased at iteration 2: "
+            f"{trace.objectives[1]!r} -> {trace.objectives[2]!r}",
+        )
 
     def test_events_resolve_into_session_updates(self):
         # each step's updates keep script order, not slot order, and carry

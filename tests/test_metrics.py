@@ -154,7 +154,7 @@ class TestAggregateLoad:
 
 def bus_blocks(path):
     """The ``(bus_ids, profiles_kw)`` blocks of a schedule file, as read."""
-    return ((bus_ids, kw) for _, bus_ids, kw in read_schedule_blocks(path))
+    return ((bus_ids, kw) for _, bus_ids, kw in read_schedule_blocks(path)[1])
 
 
 class TestStreamedAggregation:
@@ -174,7 +174,7 @@ class TestStreamedAggregation:
         write_schedules(path, ev_ids, bus_ids, kw)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fileio, "_BLOCK_ROWS", block_rows)
-            sizes = [len(ids) for ids, _, _ in read_schedule_blocks(path)]
+            sizes = [len(ids) for ids, _, _ in read_schedule_blocks(path)[1]]
             ev_mw = aggregate_load(base, bus_blocks(path))
             got_ids, got_buses, got_kw = read_schedules(path)
         assert sizes == [min(block_rows, n - start) for start in range(0, n, block_rows)]

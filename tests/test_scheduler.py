@@ -484,9 +484,17 @@ class TestPreparedStations:
     @example(stack=NEGATIVE_ZERO_SNAP)
     def test_fixed_point_matches_reference_respond(self, stack):
         config, base, bounds, targets, init = stack
+
+        def reference_project(stations, p):
+            # row k holds station k's previous - c in MW, so c is 0.0 here
+            for k, (lo, hi) in enumerate(stations.bounds):
+                p[k] = oracles._reference_project(0.0, p[k], lo, hi, targets[k] / KW_PER_MW,
+                                                  config.slot_hours)
+
         got = run_fixed_point(config, base, bounds, targets, init)
-        want = run_fixed_point(config, base, bounds, targets, init,
-                               respond=reference_respond(bounds, targets, config))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scheduler, "_project", reference_project)
+            want = run_fixed_point(config, base, bounds, targets, init)
         assert got.profiles_kw.tobytes() == want.profiles_kw.tobytes()
         assert_identical(got.trace, want.trace)
 
@@ -573,8 +581,8 @@ class TestRunUntilConverged:
         for earlier, later in zip(trace.objectives[1:], trace.objectives[2:]):
             assert later <= earlier + 1e-9 * max(1.0, abs(earlier))
 
-    def test_objective_increase_surfaced_as_diagnostic(self):
-        # a scripted responder concentrates the same energy on round 2;
+    def test_objective_increase_surfaced_as_diagnostic(self, monkeypatch):
+        # a scripted response concentrates the same energy on round 2;
         # the increase must be flagged by iteration number, and the round-1
         # jump from the empty start must not be
         config = small_config(slots=4, epsilon=1e-9)
@@ -586,11 +594,12 @@ class TestRunUntilConverged:
             np.array([[6.6, 6.6, 0.0, 0.0]]),
         ])
 
-        def respond(signal, profiles_kw):
-            return next(scripted)
+        def scripted_project(stations, p):
+            p[:] = next(scripted) / KW_PER_MW
 
+        monkeypatch.setattr(scheduler, "_project", scripted_project)
         result = run_fixed_point(config, base, session_bounds([session], 4),
-                                 [session.energy_kwh], np.zeros((1, 4)), respond=respond)
+                                 [session.energy_kwh], np.zeros((1, 4)))
         assert result.trace.converged
         assert len(result.trace.diagnostics) == 1
         assert "iteration 2" in result.trace.diagnostics[0]

@@ -28,7 +28,9 @@ path:
   ev_id, a base load missing its slot 0 entry for bus 7, and a case with a
   branch to an unknown bus;
 * a failing ``powerflow`` on a two-bus case whose branch has x = 1e15 pu,
-  so that its Jacobian is singular at the flat start.
+  so that its Jacobian is singular at the flat start;
+* desk ``compare`` with a schedule file of 96 ``kw_`` columns and no rows
+  as both schedules, which must stay accepted.
 
 Every file a run writes under ``-o``, its stdout, its stderr and its exit
 status must be the same bytes in both checkouts.  The script runs every
@@ -112,6 +114,11 @@ def runs(parent: Path, work: Path) -> list[tuple[str, list[str]]]:
     singular = work / "singular.case"
     singular.write_text(SINGULAR_CASE)
     todo.append(("powerflow, singular Jacobian", ["powerflow", "--case", str(singular)]))
+    no_evs = work / "no-evs.csv"
+    no_evs.write_text(",".join(["ev_id", "bus_id", *(f"kw_{t}" for t in range(96))]) + "\n")
+    todo.append(("desk compare, zero-row schedule files",
+                 ["compare", "-c", DESK_CONFIG, "--uncoordinated", str(no_evs),
+                  "--coordinated", str(no_evs)]))
     return todo
 
 
